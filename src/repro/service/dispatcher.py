@@ -20,7 +20,9 @@ Responses are JSON-ready dicts, bit-identical to
 ``CarbonModel.evaluate(...).to_dict()`` for the same inputs: computed
 payloads come from the engine (which calls the very same stage
 functions), and stored payloads round-trip through JSON, which preserves
-floats exactly (``repr`` shortest-float round-tripping).
+floats exactly (``repr`` shortest-float round-tripping). The HTTP
+``/evaluate`` route skips that round trip: it asks for a store hit as
+the stored JSON text and splices it into the response as is.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import sys
 import threading
 import time
 import uuid
@@ -53,6 +56,7 @@ from .schema import (
     SCHEMA_VERSION,
     BatchRequest,
     CompareRequest,
+    EncodedJSON,
     EvaluateRequest,
     MonteCarloRequest,
     OptimizeRequest,
@@ -61,12 +65,17 @@ from .schema import (
     TornadoRequest,
     workload_to_value,
 )
-from .store import ResultStore
+from .store import ResultStore, record_texts
 
 #: ``cache`` tags in responses, from cheapest to most expensive.
 SOURCE_STORE = "store"
 SOURCE_COALESCED = "coalesced"
 SOURCE_COMPUTED = "computed"
+
+#: Bound on ``Dispatcher._verified`` (store key → the payload text last
+#: checked to be a JSON object); the memo is emptied when it fills.
+#: Handler threads share it unlocked: a lost entry costs one decode.
+_VERIFIED_MAX = 1024
 
 
 def evaluate_fingerprint(
@@ -193,10 +202,10 @@ def _instrumented(kind: str):
 
     def wrap(fn):
         @functools.wraps(fn)
-        def inner(self, request, *, deadline=None):
+        def inner(self, request, *, deadline=None, **options):
             with self._dispatch_hist.labels(kind=kind).time():
                 with obs_trace.span(f"dispatcher.{kind}"):
-                    return fn(self, request, deadline=deadline)
+                    return fn(self, request, deadline=deadline, **options)
 
         return inner
 
@@ -218,6 +227,10 @@ class Dispatcher:
         claim_poll_s: float = 0.002,
     ) -> None:
         self.params = params if params is not None else DEFAULT_PARAMETERS
+        #: The parameter records' canonical text, rendered once and
+        #: reused by every content key (see :func:`~repro.service.store.
+        #: record_texts`): only a request's own values render per key.
+        self._records = record_texts(self.params)
         self.fab_location = fab_location
         self.store = store
         self.faults = resolve_injector(faults)
@@ -263,6 +276,7 @@ class Dispatcher:
         self._register_collect_metrics()
         self._inflight: "dict[str, Future]" = {}
         self._lock = threading.Lock()
+        self._verified: "dict[str, str]" = {}
 
     def _register_collect_metrics(self) -> None:
         """Collect-time callbacks over state that lives elsewhere.
@@ -341,7 +355,19 @@ class Dispatcher:
 
     # -- store/coalescing plumbing ------------------------------------------
 
-    def _store_get(self, key: str) -> "dict | None":
+    def _store_get(
+        self, key: str, encoded: bool = False
+    ) -> "dict | EncodedJSON | None":
+        """The stored result for ``key``, or ``None`` on a miss.
+
+        ``encoded`` returns the stored text itself (for the HTTP
+        envelope to splice in); otherwise the decoded dict. A row that
+        is not a JSON object counts as a miss, so the caller recomputes
+        and overwrites it — the store is a cache of recomputable
+        results. On the encoded path the text is decoded only the first
+        time this process serves it: :attr:`_verified` remembers the
+        exact text checked per key, and any other text is checked anew.
+        """
         if self.store is None:
             return None
         with obs_trace.span("store.get") as span:
@@ -350,8 +376,28 @@ class Dispatcher:
                 span.attrs["hit"] = payload is not None
         if payload is None:
             return None
+        if encoded and self._verified.get(key) == payload:
+            result = EncodedJSON(payload)
+        else:
+            try:
+                result = json.loads(payload)
+            except ValueError:
+                result = None
+            if not isinstance(result, dict):
+                print(
+                    f"[carbon3d] result store row {key[:16]}... is not a "
+                    f"JSON object; recomputing it",
+                    file=sys.stderr,
+                    flush=True,
+                )
+                return None
+            if encoded:
+                if len(self._verified) >= _VERIFIED_MAX:
+                    self._verified.clear()
+                self._verified[key] = payload
+                result = EncodedJSON(payload)
         self.stats.inc("store_hits")
-        return json.loads(payload)
+        return result
 
     def _store_put(self, key: str, result: dict) -> None:
         if self.store is not None:
@@ -359,17 +405,20 @@ class Dispatcher:
                 self.store.put(key, json.dumps(result))
 
     def _compute_through(
-        self, key: str, compute, deadline: "Deadline | None" = None
-    ) -> "tuple[dict, str]":
+        self, key: str, compute, deadline: "Deadline | None" = None,
+        encoded: bool = False,
+    ) -> "tuple[dict | EncodedJSON, str]":
         """Store lookup → in-flight coalescing → compute-and-publish.
 
-        ``deadline`` is checked at the boundaries this path controls:
+        ``encoded`` hands a store hit back as its stored JSON text (see
+        :meth:`_store_get`); computed and coalesced results are always
+        dicts. ``deadline`` is checked at the boundaries this path controls:
         before committing to a computation, while waiting on a coalesced
         future (the wait itself is bounded), and after the computation
         lands — so an overrunning request answers with the typed
         :class:`~repro.errors.EvaluationTimeout` instead of hanging.
         """
-        cached = self._store_get(key)
+        cached = self._store_get(key, encoded)
         if cached is not None:
             return cached, SOURCE_STORE
         if deadline is not None:
@@ -510,7 +559,8 @@ class Dispatcher:
                 self._point_fab_location(point),
                 point.workload,
                 point.backend,
-            )
+            ),
+            records=self._records,
         )
 
     def _point_report_dict(self, point: EvaluateRequest) -> dict:
@@ -543,15 +593,22 @@ class Dispatcher:
 
     @_instrumented("evaluate")
     def evaluate(
-        self, request: EvaluateRequest, *, deadline: "Deadline | None" = None
-    ) -> "tuple[dict, str]":
-        """One point → (report dict, cache tag)."""
+        self, request: EvaluateRequest, *,
+        deadline: "Deadline | None" = None, encoded: bool = False,
+    ) -> "tuple[dict | EncodedJSON, str]":
+        """One point → (report, cache tag).
+
+        The report is a dict, except that with ``encoded`` a store hit
+        comes back as the stored :class:`~repro.service.schema.
+        EncodedJSON` text — the server's ``/evaluate`` route splices it
+        into the response envelope without decoding it.
+        """
         self._admit(1)
         self.stats.inc("requests")
         self.stats.inc("points")
         key = self._point_key(request)
         return self._compute_through(
-            key, lambda: self._point_report_dict(request), deadline
+            key, lambda: self._point_report_dict(request), deadline, encoded
         )
 
     @_instrumented("batch")
@@ -757,7 +814,8 @@ class Dispatcher:
                 request.design, self.params, fab_location,
                 request.workload, request.samples, request.seed,
                 request.backend, request.return_samples,
-            )
+            ),
+            records=self._records,
         )
 
         def compute() -> dict:
@@ -820,7 +878,7 @@ class Dispatcher:
                 request.workload, request.backend,
             ),
             factor_set.fingerprint(),
-        ))
+        ), records=self._records)
 
         def compute() -> dict:
             # Deferred: sensitivity pulls in the uncertainty layer, which

@@ -52,6 +52,7 @@ describing where the answer came from, or
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 from ..core.design import ChipDesign
@@ -138,12 +139,38 @@ def error_payload(error: Exception) -> dict:
     return payload
 
 
+class EncodedJSON(str):
+    """JSON text produced by ``json.dumps`` with default settings.
+
+    ``Dispatcher.evaluate(..., encoded=True)`` hands a store hit back in
+    this form so the envelope can carry it as is: :func:`dumps_envelope`
+    splices the text where ``json.dumps`` would have rendered the
+    decoded value, and the bytes come out the same (``json.dumps`` of
+    ``json.loads`` of such text reproduces it exactly).
+    """
+
+    __slots__ = ()
+
+
 def ok_envelope(result, **extra) -> dict:
     """A success response envelope."""
     envelope: dict = {"schema": SCHEMA_VERSION, "ok": True}
     envelope.update(extra)
     envelope["result"] = result
     return envelope
+
+
+def dumps_envelope(envelope: dict) -> str:
+    """``json.dumps(envelope)``, with an :class:`EncodedJSON` result
+    spliced in verbatim instead of decoded and re-encoded."""
+    result = envelope.get("result")
+    if type(result) is not EncodedJSON:
+        return json.dumps(envelope)
+    return "{" + ", ".join(
+        f"{json.dumps(name)}: "
+        f"{value if value is result else json.dumps(value)}"
+        for name, value in envelope.items()
+    ) + "}"
 
 
 def error_envelope(error: Exception) -> dict:

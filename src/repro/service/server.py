@@ -186,7 +186,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._log_cache = payload.get("cache")
         if payload.get("ok") is False:
             self._log_error = (payload.get("error") or {}).get("type")
-        body = json.dumps(payload).encode("utf-8")
+        body = schema.dumps_envelope(payload).encode("utf-8")
         if self._tenant_ctx is not None:
             self._tenant_ctx.add("bytes_out", len(body))
             # Flush usage BEFORE the response bytes reach the socket:
@@ -196,18 +196,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             # post-response accounting would enforce ceilings one
             # request late, racily.
             self._flush_tenant(self._tenant_ctx, status)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if headers:
-            for name, value in headers.items():
-                self.send_header(name, value)
-        if self.close_connection:
-            # Advertise what the server is about to do anyway (set when a
-            # request body was never drained off a keep-alive socket).
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(status, "application/json", body, headers)
 
     def _send_error(
         self, status: int, error: Exception,
@@ -217,14 +206,31 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     def _send_text(self, status: int, body: str, content_type: str) -> None:
         self._log_status = status
-        data = body.encode("utf-8")
+        self._send_body(status, content_type, body.encode("utf-8"))
+
+    def _send_body(
+        self, status: int, content_type: str, data: bytes,
+        headers: "dict[str, str] | None" = None,
+    ) -> None:
+        """Status line, headers and body, in one socket write."""
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
+        if headers:
+            for name, value in headers.items():
+                self.send_header(name, value)
         if self.close_connection:
+            # Advertise what the server is about to do anyway (set when a
+            # request body was never drained off a keep-alive socket).
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
+        # end_headers() would send the buffered head in a write of its
+        # own; finish the head here and send it together with the body.
+        parts = getattr(self, "_headers_buffer", [])
+        if self.request_version != "HTTP/0.9":
+            parts.append(b"\r\n")
+        parts.append(data)
+        self._headers_buffer = []
+        self.wfile.write(b"".join(parts))
 
     def _resolve_tenant(self) -> TenantContext:
         """``X-Carbon3D-Token`` → the caller's tenant context.
@@ -555,8 +561,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
             body = self._read_json_body()
             if self.path == "/evaluate":
                 request = schema.parse_evaluate_request(body)
+                # A store hit comes back as its stored JSON text, which
+                # the envelope carries without decoding it.
                 result, source = dispatcher.evaluate(
-                    request, deadline=deadline
+                    request, deadline=deadline, encoded=True
                 )
                 self._send_json(
                     200, schema.ok_envelope(result, cache=source)

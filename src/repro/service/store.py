@@ -84,7 +84,7 @@ class StoreError(CarbonModelError):
     """The result store cannot serve (corrupt file, closed handle, ...)."""
 
 
-def canonical_text(value) -> str:
+def canonical_text(value, records: "dict | None" = None) -> str:
     """A deterministic, session-stable rendering of a fingerprint value.
 
     Handles exactly the shapes pipeline fingerprints are made of — frozen
@@ -93,39 +93,156 @@ def canonical_text(value) -> str:
     refuses anything else (a silent fallback would risk two different
     requests sharing a key). Floats render via ``repr``, which
     round-trips exactly.
+
+    ``records`` is an optional :func:`record_texts` table: a frozen
+    record found in it (by identity) contributes its already-rendered
+    text instead of being walked again. The result is the same string
+    either way.
     """
+    cls = type(value)
+    # Fast paths for the exact types most of a fingerprint is made of;
+    # each renders exactly as its general branch below does.
+    if cls is float or cls is int:
+        return repr(value)
+    if cls is str:
+        return _json_string(value)
+    if cls is tuple:
+        return "(" + ",".join(
+            [canonical_text(item, records) for item in value]
+        ) + ")"
+    names = _DATACLASS_FIELDS.get(cls)
+    if names is not None:
+        return _dataclass_text(value, names, records)
     if value is None or value is True or value is False:
         return repr(value)
     if isinstance(value, CachedKey):
-        return canonical_text(value.value)
+        return canonical_text(value.value, records)
     if isinstance(value, enum.Enum):
-        return f"{type(value).__name__}.{value.name}"
+        return f"{cls.__name__}.{value.name}"
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, (int, float)):
         return repr(value)
     if isinstance(value, (tuple, list)):
-        return "(" + ",".join(canonical_text(item) for item in value) + ")"
+        return "(" + ",".join(
+            [canonical_text(item, records) for item in value]
+        ) + ")"
     if isinstance(value, dict):
         items = sorted(
-            (canonical_text(k), canonical_text(v)) for k, v in value.items()
+            (canonical_text(k, records), canonical_text(v, records))
+            for k, v in value.items()
         )
         return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
     if is_dataclass(value) and not isinstance(value, type):
-        parts = ",".join(
-            f"{f.name}={canonical_text(getattr(value, f.name))}"
-            for f in dataclass_fields(value)
-        )
-        return f"{type(value).__name__}({parts})"
+        names = tuple(f.name for f in dataclass_fields(value))
+        # Only types that reached this branch are registered, so the
+        # fast path above can never shadow an earlier branch.
+        _DATACLASS_FIELDS[cls] = names
+        return _dataclass_text(value, names, records)
     raise StoreError(
-        f"cannot canonically encode {type(value).__name__!r} into a "
-        f"content key"
+        f"cannot canonically encode {cls.__name__!r} into a content key"
     )
 
 
-def content_key(value) -> str:
+#: ``json.dumps`` of a plain ``str``, minus the encoder set-up per call.
+_json_string = json.encoder.encode_basestring_ascii
+
+#: Dataclass type → field names, for every type :func:`canonical_text`
+#: has rendered through its dataclass branch.
+_DATACLASS_FIELDS: "dict[type, tuple[str, ...]]" = {}
+
+
+def _dataclass_text(value, names: "tuple[str, ...]", records) -> str:
+    if records is not None:
+        entry = records.get(id(value))
+        if entry is not None and entry[0] is value:
+            return entry[1]
+    parts = ",".join([
+        f"{name}={canonical_text(getattr(value, name), records)}"
+        for name in names
+    ])
+    return f"{type(value).__name__}({parts})"
+
+
+def content_key(value, records: "dict | None" = None) -> str:
     """SHA-256 digest of :func:`canonical_text` — the store's address."""
-    return hashlib.sha256(canonical_text(value).encode("utf-8")).hexdigest()
+    return hashlib.sha256(
+        canonical_text(value, records).encode("utf-8")
+    ).hexdigest()
+
+
+def _immutable(value) -> bool:
+    """Whether ``value``'s canonical text can never change."""
+    if value is None or isinstance(value, (str, int, float, enum.Enum)):
+        return True
+    if type(value) is tuple:
+        return all(_immutable(item) for item in value)
+    return (
+        is_dataclass(value)
+        and not isinstance(value, type)
+        and type(value).__dataclass_params__.frozen
+        and all(
+            _immutable(getattr(value, f.name))
+            for f in dataclass_fields(value)
+        )
+    )
+
+
+def _frozen_records(params) -> "dict[int, object]":
+    """Every deeply immutable record reachable from ``params``, by id.
+
+    Walks the parameter set's fields, its lookup tables' contents and
+    the records' own fields. (The set itself holds mutable tables, so it
+    is walked but never taken.)
+    """
+    found: "dict[int, object]" = {}
+    seen: "set[int]" = set()
+    stack = [params]
+    while stack:
+        value = stack.pop()
+        if is_dataclass(value) and not isinstance(value, type):
+            if id(value) in seen:
+                continue
+            seen.add(id(value))
+            if _immutable(value):
+                found[id(value)] = value
+            stack.extend(getattr(value, f.name) for f in dataclass_fields(value))
+        elif isinstance(value, dict):
+            stack.extend(value.values())
+        elif isinstance(value, (tuple, list)):
+            stack.extend(value)
+        elif (
+            not isinstance(value, (type, enum.Enum, str, int, float))
+            and hasattr(value, "__dict__")
+        ):
+            # A lookup table (TechnologyTable, BondingTable, ...).
+            stack.extend(vars(value).values())
+    return found
+
+
+def record_texts(params) -> "dict[int, tuple[object, str]]":
+    """The rendered canonical text of ``params``' frozen records.
+
+    Maps ``id(record)`` → ``(record, canonical_text(record))`` for every
+    deeply immutable record the parameter set reaches — process nodes,
+    integration specs, bonding and package records, the substrate/M3D/
+    bandwidth blocks. Pass it as ``records=`` to :func:`canonical_text`,
+    :func:`content_key` or :func:`repro.tenancy.namespace_key`: the
+    records a fingerprint takes from the set then cost one lookup each
+    instead of a fresh rendering.
+
+    Entries are keyed by identity and checked with ``is``, never by
+    value — equal-comparing records may render differently (``1.0``
+    versus ``1``). Only deeply immutable records are taken, so a
+    record's text never goes stale. The table holds the records but not
+    the set; whoever keeps the set keeps its table beside it (the
+    dispatcher builds one when it is constructed). Records a lookup
+    table gains later (``register``) are rendered on every use.
+    """
+    return {
+        key: (record, canonical_text(record))
+        for key, record in _frozen_records(params).items()
+    }
 
 
 _SCHEMA_SQL = """

@@ -60,12 +60,17 @@ _SEP = "\x1f"
 TENANT_MIRROR_FIELDS = frozenset({"points", "computed", "store_hits"})
 
 
-def namespace_key(value, tenant: "str | None" = None) -> str:
+def namespace_key(
+    value, tenant: "str | None" = None, records: "dict | None" = None
+) -> str:
     """The store digest for ``value`` under ``tenant``'s namespace.
 
     ``tenant=None`` reads the active request context (anonymous when
-    unset). Lazy store import: the dispatcher imports this module, and
-    the store must stay importable on its own.
+    unset). ``records`` is an optional
+    :func:`repro.service.store.record_texts` table; it speeds up the
+    rendering and never changes the digest. Lazy store import: the
+    dispatcher imports this module, and the store must stay importable
+    on its own.
     """
     from ..service.store import canonical_text, content_key
 
@@ -73,8 +78,8 @@ def namespace_key(value, tenant: "str | None" = None) -> str:
         ctx = current_tenant()
         tenant = ctx.tenant if ctx is not None else ANONYMOUS_TENANT
     if tenant == ANONYMOUS_TENANT:
-        return content_key(value)
-    text = f"tenant:{tenant}{_SEP}{canonical_text(value)}"
+        return content_key(value, records)
+    text = f"tenant:{tenant}{_SEP}{canonical_text(value, records)}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
