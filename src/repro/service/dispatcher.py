@@ -11,8 +11,10 @@ parsed schema requests:
 * concurrent *identical* misses are coalesced: the first thread computes
   through the evaluator, later threads wait on its
   :class:`~concurrent.futures.Future` — one engine call, N responses;
-* batch/sweep requests are deduplicated point-wise, and the remaining
-  misses go through ``BatchEvaluator.evaluate_many`` as one batch;
+* batch/sweep requests are deduplicated point-wise, their distinct keys
+  are read from the store in one call, and the remaining misses go
+  through ``BatchEvaluator.evaluate_many`` as one batch and into the
+  store as one write;
 * every computed payload feeds the store, so the *next* process serves
   it from disk.
 
@@ -21,8 +23,10 @@ Responses are JSON-ready dicts, bit-identical to
 payloads come from the engine (which calls the very same stage
 functions), and stored payloads round-trip through JSON, which preserves
 floats exactly (``repr`` shortest-float round-tripping). The HTTP
-``/evaluate`` route skips that round trip: it asks for a store hit as
-the stored JSON text and splices it into the response as is.
+``/evaluate``, ``/batch`` and ``/sweep`` routes skip that round trip:
+they ask for reports as JSON text — a store hit as stored, a computed
+batch report as the text it was stored as — and splice it into the
+response as is.
 """
 
 from __future__ import annotations
@@ -362,11 +366,7 @@ class Dispatcher:
 
         ``encoded`` returns the stored text itself (for the HTTP
         envelope to splice in); otherwise the decoded dict. A row that
-        is not a JSON object counts as a miss, so the caller recomputes
-        and overwrites it — the store is a cache of recomputable
-        results. On the encoded path the text is decoded only the first
-        time this process serves it: :attr:`_verified` remembers the
-        exact text checked per key, and any other text is checked anew.
+        is not a JSON object counts as a miss (see :meth:`_checked_hit`).
         """
         if self.store is None:
             return None
@@ -376,33 +376,74 @@ class Dispatcher:
                 span.attrs["hit"] = payload is not None
         if payload is None:
             return None
-        if encoded and self._verified.get(key) == payload:
-            result = EncodedJSON(payload)
-        else:
-            try:
-                result = json.loads(payload)
-            except ValueError:
-                result = None
-            if not isinstance(result, dict):
-                print(
-                    f"[carbon3d] result store row {key[:16]}... is not a "
-                    f"JSON object; recomputing it",
-                    file=sys.stderr,
-                    flush=True,
-                )
-                return None
-            if encoded:
-                if len(self._verified) >= _VERIFIED_MAX:
-                    self._verified.clear()
-                self._verified[key] = payload
-                result = EncodedJSON(payload)
-        self.stats.inc("store_hits")
+        result = self._checked_hit(key, payload, encoded)
+        if result is not None:
+            self.stats.inc("store_hits")
         return result
+
+    def _store_get_many(
+        self, keys: "list[str]", encoded: bool = False
+    ) -> "list[dict | EncodedJSON | None]":
+        """:meth:`_store_get` of every key, in one store read."""
+        if self.store is None:
+            return [None] * len(keys)
+        with obs_trace.span("store.get") as span:
+            payloads = self.store.get_many(keys)
+            if span is not None:
+                span.attrs["hits"] = len(payloads) - payloads.count(None)
+        results = [
+            None if payload is None
+            else self._checked_hit(key, payload, encoded)
+            for key, payload in zip(keys, payloads)
+        ]
+        hits = len(results) - results.count(None)
+        if hits:
+            self.stats.inc("store_hits", hits)
+        return results
+
+    def _checked_hit(
+        self, key: str, payload: str, encoded: bool
+    ) -> "dict | EncodedJSON | None":
+        """A stored row as a result, or ``None`` if it is not an object.
+
+        A row that is not a JSON object counts as a miss, so the caller
+        recomputes and overwrites it — the store is a cache of
+        recomputable results. With ``encoded`` the row comes back as
+        :class:`EncodedJSON` text, and it is decoded only the first time
+        this process serves it: :attr:`_verified` remembers the exact
+        text checked per key, and any other text is checked anew.
+        """
+        if encoded and self._verified.get(key) == payload:
+            return EncodedJSON(payload)
+        try:
+            result = json.loads(payload)
+        except ValueError:
+            result = None
+        if not isinstance(result, dict):
+            print(
+                f"[carbon3d] result store row {key[:16]}... is not a "
+                f"JSON object; recomputing it",
+                file=sys.stderr,
+                flush=True,
+            )
+            return None
+        if not encoded:
+            return result
+        if len(self._verified) >= _VERIFIED_MAX:
+            self._verified.clear()
+        self._verified[key] = payload
+        return EncodedJSON(payload)
 
     def _store_put(self, key: str, result: dict) -> None:
         if self.store is not None:
             with obs_trace.span("store.put"):
                 self.store.put(key, json.dumps(result))
+
+    def _store_put_many(self, rows: "list[tuple[str, str]]") -> None:
+        """Write ``(key, JSON text)`` rows in one store transaction."""
+        if self.store is not None:
+            with obs_trace.span("store.put"):
+                self.store.put_many(rows)
 
     def _compute_through(
         self, key: str, compute, deadline: "Deadline | None" = None,
@@ -613,41 +654,51 @@ class Dispatcher:
 
     @_instrumented("batch")
     def batch(
-        self, request: BatchRequest, *, deadline: "Deadline | None" = None
+        self, request: BatchRequest, *,
+        deadline: "Deadline | None" = None, encoded: bool = False,
     ) -> "list[dict]":
-        """Deduplicated batch → one entry per input point, input order."""
+        """Deduplicated batch → one entry per input point, input order.
+
+        Each entry's report is a dict, except that with ``encoded`` it is
+        :class:`~repro.service.schema.EncodedJSON` text — the stored row
+        of a hit, or the very text a computed report was stored as — for
+        the server's envelope to splice in.
+        """
         self._admit(len(request.points))
         self.stats.inc("requests")
         self.stats.inc("points", len(request.points))
-        return self._batch_points(request.points, deadline)
+        return self._batch_points(request.points, deadline, encoded)
 
     def _batch_points(
-        self, points, deadline: "Deadline | None" = None
+        self, points, deadline: "Deadline | None" = None,
+        encoded: bool = False,
     ) -> "list[dict]":
-        """The batch body (store pass + dedup + one engine call), unmetered.
+        """The batch body (one store read, one engine call, one store
+        write), unmetered.
 
         Keep semantics in lockstep with the streaming twin
         :meth:`_iter_points` (see its comment; parity is test-pinned).
         """
         keys = [self._point_key(point) for point in points]
 
-        # Store pass + in-batch dedup: first occurrence of each missing
-        # key is evaluated; repeats reuse it.
-        results: "dict[str, dict]" = {}
+        # In-batch dedup: the first occurrence of each key is looked up
+        # (and, on a miss, evaluated); repeats reuse it.
+        first: "dict[str, EvaluateRequest]" = {}
+        for key, point in zip(keys, points):
+            first.setdefault(key, point)
+        if len(first) < len(keys):
+            self.stats.inc("deduplicated", len(keys) - len(first))
+
+        results: "dict[str, dict | EncodedJSON]" = {}
         sources: "dict[str, str]" = {}
         to_compute: "list[tuple[str, EvaluateRequest]]" = []
-        pending: set = set()
-        for key, point in zip(keys, points):
-            if key in results or key in pending:
-                self.stats.inc("deduplicated")
-                continue
-            cached = self._store_get(key)
+        unique = list(first)
+        for key, cached in zip(unique, self._store_get_many(unique, encoded)):
             if cached is not None:
                 results[key] = cached
                 sources[key] = SOURCE_STORE
             else:
-                to_compute.append((key, point))
-                pending.add(key)
+                to_compute.append((key, first[key]))
 
         if to_compute:
             from ..engine import EvalPoint
@@ -670,12 +721,21 @@ class Dispatcher:
                 )
                 for _, point in to_compute
             ])
+            publish = encoded or self.store is not None
+            rows = []
             for (key, _), report in zip(to_compute, reports):
                 result = report.to_dict()
-                self._store_put(key, result)
+                if publish:
+                    # Encoded once: the stored row and the response
+                    # share the text.
+                    text = json.dumps(result)
+                    rows.append((key, text))
+                    if encoded:
+                        result = EncodedJSON(text)
                 results[key] = result
                 sources[key] = SOURCE_COMPUTED
-                self.stats.inc("computed")
+            self._store_put_many(rows)
+            self.stats.inc("computed", len(to_compute))
             if deadline is not None:
                 # After publishing: the batch landed in the store either
                 # way; only this response turns into a typed timeout.
@@ -713,11 +773,13 @@ class Dispatcher:
     ) -> "Iterator[dict]":
         # The incremental twin of _batch_points: same store pass, same
         # in-request dedup (repeats reuse the first occurrence's result
-        # AND tag), same stats — but points evaluate one at a time so
-        # each can be yielded as it finishes, where _batch_points sends
+        # AND tag), same stats — but points are read, evaluated and
+        # stored one at a time so each can be yielded as it finishes,
+        # where _batch_points reads every key in one store call, sends
         # all misses through one (possibly worker-parallel)
-        # evaluate_many. Any change to dedup/tagging semantics must land
-        # in BOTH; the streamed-vs-enveloped parity tests pin them equal.
+        # evaluate_many and stores them in one write. Any change to
+        # dedup/tagging semantics must land in BOTH; the
+        # streamed-vs-enveloped parity tests pin them equal.
         results: "dict[str, dict]" = {}
         sources: "dict[str, str]" = {}
         for index, point in enumerate(points):
@@ -759,13 +821,19 @@ class Dispatcher:
 
     @_instrumented("sweep")
     def sweep(
-        self, request: SweepRequest, *, deadline: "Deadline | None" = None
+        self, request: SweepRequest, *,
+        deadline: "Deadline | None" = None, encoded: bool = False,
     ) -> "list[dict]":
-        """Expand the grid server-side and run it as a batch."""
-        return self.batch(
-            BatchRequest(points=tuple(self._sweep_points(request))),
-            deadline=deadline,
-        )
+        """Expand the grid server-side and run it as a batch.
+
+        Admitted and counted here, once: the batch body runs unmetered,
+        so a sweep is never also recorded as a batch.
+        """
+        points = self._sweep_points(request)
+        self._admit(len(points))
+        self.stats.inc("requests")
+        self.stats.inc("points", len(points))
+        return self._batch_points(points, deadline, encoded)
 
     def _sweep_points(self, request: SweepRequest) -> "list[EvaluateRequest]":
         points = []

@@ -143,10 +143,11 @@ class EncodedJSON(str):
     """JSON text produced by ``json.dumps`` with default settings.
 
     ``Dispatcher.evaluate(..., encoded=True)`` hands a store hit back in
-    this form so the envelope can carry it as is: :func:`dumps_envelope`
-    splices the text where ``json.dumps`` would have rendered the
-    decoded value, and the bytes come out the same (``json.dumps`` of
-    ``json.loads`` of such text reproduces it exactly).
+    this form, and ``Dispatcher.batch``/``sweep`` every entry's report,
+    so the envelope can carry it as is: :func:`dumps_envelope` splices
+    the text where ``json.dumps`` would have rendered the decoded value,
+    and the bytes come out the same (``json.dumps`` of ``json.loads`` of
+    such text reproduces it exactly).
     """
 
     __slots__ = ()
@@ -161,16 +162,42 @@ def ok_envelope(result, **extra) -> dict:
 
 
 def dumps_envelope(envelope: dict) -> str:
-    """``json.dumps(envelope)``, with an :class:`EncodedJSON` result
-    spliced in verbatim instead of decoded and re-encoded."""
+    """``json.dumps(envelope)``, with :class:`EncodedJSON` text spliced
+    in verbatim instead of decoded and re-encoded.
+
+    The text is the result itself (``/evaluate``) or sits in a result
+    list (the entry reports of ``/batch`` and ``/sweep``); any other
+    result is encoded by ``json.dumps`` alone.
+    """
     result = envelope.get("result")
-    if type(result) is not EncodedJSON:
+    if type(result) is not EncodedJSON and type(result) is not list:
         return json.dumps(envelope)
-    return "{" + ", ".join(
-        f"{json.dumps(name)}: "
-        f"{value if value is result else json.dumps(value)}"
-        for name, value in envelope.items()
-    ) + "}"
+    return _splice(envelope)
+
+
+#: ``json.dumps`` of a plain ``str``, minus the encoder set-up per call.
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _splice(value) -> str:
+    """``json.dumps(value)``, copying :class:`EncodedJSON` text as is.
+
+    Walks dicts (with string keys) and lists to find the text; every
+    other value is rendered by ``json.dumps`` with its default settings.
+    """
+    cls = type(value)
+    if cls is EncodedJSON:
+        return value
+    if cls is str:
+        return _json_string(value)
+    if cls is list:
+        return "[" + ", ".join([_splice(item) for item in value]) + "]"
+    if cls is dict and all(type(name) is str for name in value):
+        return "{" + ", ".join([
+            f"{_json_string(name)}: {_splice(item)}"
+            for name, item in value.items()
+        ]) + "}"
+    return json.dumps(value)
 
 
 def error_envelope(error: Exception) -> dict:

@@ -577,10 +577,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
                     )
                     self._send_stream("batch", total, entries)
                 else:
+                    # Entries carry their reports as JSON text: a hit as
+                    # stored, a computed report as the row it was stored
+                    # as — the envelope splices both in.
                     self._send_json(
                         200,
                         schema.ok_envelope(
-                            dispatcher.batch(request, deadline=deadline)
+                            dispatcher.batch(
+                                request, deadline=deadline, encoded=True
+                            )
                         ),
                     )
             elif self.path == "/sweep":
@@ -594,7 +599,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
                     self._send_json(
                         200,
                         schema.ok_envelope(
-                            dispatcher.sweep(request, deadline=deadline)
+                            dispatcher.sweep(
+                                request, deadline=deadline, encoded=True
+                            )
                         ),
                     )
             elif self.path == "/montecarlo":

@@ -508,6 +508,10 @@ class ResultStore:
     #: enough that the amortized SQL cost per lookup stays negligible.
     FLUSH_PENDING_EVERY = 32
 
+    #: Keys per ``SELECT ... IN`` statement of :meth:`get_many`, well
+    #: under SQLite's bound on bound parameters (999 before 3.32).
+    IN_CHUNK = 500
+
     def _flush_lifetime(self) -> None:
         for name, amount in self._pending.items():
             if amount:
@@ -534,36 +538,61 @@ class ResultStore:
     def get(self, key: str) -> "str | None":
         """The stored payload for ``key``, marking it most-recently-used.
 
-        A corruption mid-``get`` heals the store and reports a miss (the
-        rebuilt database is empty by construction) — callers recompute,
-        exactly as for any cold key.
+        A one-key :meth:`get_many`. A corruption mid-``get`` heals the
+        store and reports a miss (the rebuilt database is empty by
+        construction) — callers recompute, exactly as for any cold key.
         """
+        return self.get_many((key,))[0]
 
-        def op() -> "str | None":
-            row = self._conn.execute(
-                "SELECT payload FROM results WHERE key = ?", (key,)
-            ).fetchone()
-            if row is None:
-                return None
-            self._clock += 1
-            self._conn.execute(
+    def get_many(self, keys) -> "list[str | None]":
+        """The stored payload of each key (``None`` on a miss), in order.
+
+        One ``SELECT ... WHERE key IN (...)`` per :data:`IN_CHUNK` keys,
+        then one LRU touch of every hit, in key order, under a single
+        COMMIT (none when nothing hit). Hit/miss counts and recency come
+        out as ``len(keys)`` one-key reads would leave them. The
+        ``store.get`` fault site, busy retries and healing apply to the
+        call as a whole: a corruption heals the store and reports every
+        key a miss.
+        """
+        keys = list(keys)
+
+        def op() -> "list[str | None]":
+            found: "dict[str, str]" = {}
+            for start in range(0, len(keys), self.IN_CHUNK):
+                chunk = keys[start:start + self.IN_CHUNK]
+                found.update(self._conn.execute(
+                    "SELECT key, payload FROM results WHERE key IN "
+                    f"({','.join('?' * len(chunk))})",
+                    chunk,
+                ))
+            if not found:
+                return [None] * len(keys)
+            payloads = []
+            touches = []
+            for key in keys:
+                payload = found.get(key)
+                payloads.append(payload)
+                if payload is not None:
+                    self._clock += 1
+                    touches.append((self._clock, key))
+            self._conn.executemany(
                 "UPDATE results SET last_used = ?, use_count = use_count + 1 "
                 "WHERE key = ?",
-                (self._clock, key),
+                touches,
             )
             self._conn.commit()
-            return row[0]
+            return payloads
 
         with self._lock:
-            payload = self._run("store.get", op)
-            if payload is None:
-                self.misses += 1
-                self._pending["misses"] += 1
-            else:
-                self.hits += 1
-                self._pending["hits"] += 1
+            payloads = self._run("store.get", op)
+            misses = payloads.count(None)
+            self.hits += len(payloads) - misses
+            self.misses += misses
+            self._pending["hits"] += len(payloads) - misses
+            self._pending["misses"] += misses
             self._maybe_flush_lifetime()
-            return payload
+            return payloads
 
     def peek(self, key: str) -> "str | None":
         """The stored payload without touching stats or LRU recency.
@@ -645,27 +674,45 @@ class ResultStore:
 
     def put(self, key: str, payload: str) -> None:
         """Insert (or refresh) a payload, evicting LRU entries past the bound."""
+        self.put_many(((key, payload),))
+
+    def put_many(self, rows) -> None:
+        """Insert (or refresh) ``(key, payload)`` rows in one transaction.
+
+        One ``executemany`` upsert (recency in row order), one
+        ``COUNT(*)`` and, past ``max_entries``, one delete of the least
+        recently used rows, then one COMMIT. The delete drops exactly as
+        many rows as ``len(rows)`` one-key puts of new keys would have
+        evicted one by one (see :meth:`_evictions_due`), and the same
+        rows: the oldest, never the last row put.
+        """
+        rows = list(rows)
+        if not rows:
+            return
 
         def op() -> None:
-            self._clock += 1
-            self._conn.execute(
+            now = time.time()
+            values = []
+            for key, payload in rows:
+                self._clock += 1
+                values.append((key, payload, now, self._clock))
+            self._conn.executemany(
                 "INSERT INTO results (key, payload, created, last_used, "
                 "use_count) VALUES (?, ?, ?, ?, 0) "
                 "ON CONFLICT(key) DO UPDATE SET payload = excluded.payload, "
                 "last_used = excluded.last_used",
-                (key, payload, time.time(), self._clock),
+                values,
             )
             count = self._conn.execute(
                 "SELECT COUNT(*) FROM results"
             ).fetchone()[0]
-            overflow = count - self.policy.max_entries
-            if overflow > 0:
-                drop = max(self.policy.evict_batch, overflow)
+            drop = self._evictions_due(count, len(rows))
+            if drop:
                 cursor = self._conn.execute(
                     "DELETE FROM results WHERE key IN ("
                     "SELECT key FROM results WHERE key != ? "
                     "ORDER BY last_used ASC LIMIT ?)",
-                    (key, drop),
+                    (rows[-1][0], drop),
                 )
                 self.evictions += cursor.rowcount
                 self._pending["evictions"] += cursor.rowcount
@@ -674,6 +721,26 @@ class ResultStore:
         with self._lock:
             self._run("store.put", op)
             self._maybe_flush_lifetime()
+
+    def _evictions_due(self, count: int, added: int) -> int:
+        """Rows to evict once ``added`` puts have left ``count`` rows.
+
+        Replays the one-key rule — a put that takes the store past
+        ``max_entries`` evicts ``max(evict_batch, overflow)`` rows — over
+        the puts one by one, as if each added a row.
+        """
+        bound = self.policy.max_entries
+        if count <= bound:
+            return 0
+        batch = self.policy.evict_batch
+        rows, due = count - added, 0
+        for _ in range(added):
+            rows += 1
+            if rows > bound:
+                drop = max(batch, rows - bound)
+                rows -= drop
+                due += drop
+        return due
 
     # -- usage rows: fleet-wide tenant accounting -----------------------------
 
