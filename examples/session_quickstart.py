@@ -7,13 +7,15 @@ Walks the `repro.api` surface end to end:
 2. future-based submission — ``session.submit(study)`` returns a
    StudyHandle whose ``partial()`` yields sweep points *as they finish*;
 3. a **service** Session — the very same StudySpec payloads against an
-   in-process HTTP server (with shared-secret auth), checked
+   in-process HTTP server (with a registry-issued API token), checked
    bit-identical to the local answers.
 
 Run:  python examples/session_quickstart.py
 """
 
+import tempfile
 import threading
+from pathlib import Path
 
 from repro import ChipDesign
 from repro.api import Session, StudySpec
@@ -54,10 +56,15 @@ with Session() as local:
     sweep_local = handle.result()
 
     # 3. Same studies, served over HTTP (token-authenticated). --------------
-    server = make_server(token="quickstart-secret")
+    #    The token belongs to the anonymous tenant, whose store keys are
+    #    the same unsalted keys a local session computes.
+    workdir = tempfile.TemporaryDirectory(prefix="carbon3d_")
+    server = make_server(
+        tokens_path=str(Path(workdir.name) / "tokens.sqlite3")
+    )
+    secret, _ = server.tokens.issue("quickstart", "anonymous")
     threading.Thread(target=server.serve_forever, daemon=True).start()
-    remote = Session(executor="service", url=server.url,
-                     token="quickstart-secret")
+    remote = Session(executor="service", url=server.url, token=secret)
     try:
         served = remote.evaluate(stacked)
         sweep_served = remote.sweep(
@@ -70,3 +77,4 @@ with Session() as local:
               f"{sweep_served.to_payload() == sweep_local.to_payload()}")
     finally:
         server.close()
+        workdir.cleanup()

@@ -14,8 +14,7 @@ Sub-commands mirror the paper's artifacts:
   ``BENCH_service.json``);
 * ``serve`` — run the carbon-as-a-service HTTP server (persistent
   content-addressed result store; ``--tokens`` for the multi-tenant
-  token registry, ``--token`` for legacy shared-secret auth;
-  see :mod:`repro.service`);
+  token registry; see :mod:`repro.service`);
 * ``tokens issue|revoke|list|rotate`` — administer the multi-tenant
   token registry (named, hashed API tokens with per-tenant quotas;
   see :mod:`repro.tenancy`);
@@ -400,22 +399,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     workers = resolve_worker_count(getattr(args, "workers", 1))
     store_text = store_path if store_path else "(in-memory only)"
     tokens_path = getattr(args, "tokens", None)
-    if args.token:
-        print("note: --token is the legacy shared secret; prefer a "
-              "--tokens registry with named per-tenant tokens "
-              "(carbon3d tokens issue)", file=sys.stderr, flush=True)
 
     def _banner(url: str) -> None:
         print(f"carbon3d service listening on {url}", flush=True)
         print(f"  store   : {store_text}", flush=True)
         if workers > 1:
             print(f"  workers : {workers} pre-forked processes", flush=True)
-        if tokens_path:
-            auth_text = f"token registry {tokens_path}"
-        elif args.token:
-            auth_text = "X-Carbon3D-Token required (legacy shared secret)"
-        else:
-            auth_text = "open"
+        auth_text = f"token registry {tokens_path}" if tokens_path else "open"
         print(f"  auth    : {auth_text}", flush=True)
         print("  routes  : /evaluate /batch /sweep /montecarlo /compare "
               "/tornado /optimize /healthz /healthz/live /healthz/ready "
@@ -440,7 +430,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             store_path=store_path,
             max_entries=args.max_entries,
             verbose=args.verbose,
-            token=args.token,
             tokens_path=tokens_path,
             max_inflight=args.max_inflight,
             drain_timeout_s=args.drain_timeout,
@@ -467,7 +456,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store_path=store_path,
         max_entries=args.max_entries,
         verbose=args.verbose,
-        token=args.token,
         tokens_path=tokens_path,
         max_inflight=args.max_inflight,
         drain_timeout_s=args.drain_timeout,
@@ -900,7 +888,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compare.add_argument(
         "--token", default=None,
-        help="shared-secret token for an authenticated --service server",
+        help="API token (`carbon3d tokens issue`)",
     )
     p_compare.set_defaults(func=_cmd_compare)
 
@@ -979,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_opt.add_argument(
         "--token", default=None,
-        help="shared-secret token for an authenticated --service server",
+        help="API token (`carbon3d tokens issue`)",
     )
     p_opt.set_defaults(func=_cmd_optimize)
 
@@ -1020,8 +1008,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.set_defaults(func=_cmd_bench)
 
+    # No abbreviations: a prefix match would read the removed
+    # ``--token SECRET`` as ``--tokens SECRET``, a registry path.
     p_serve = sub.add_parser(
-        "serve", help="run the carbon evaluation HTTP service"
+        "serve", help="run the carbon evaluation HTTP service",
+        allow_abbrev=False,
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8787)
@@ -1039,14 +1030,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--verbose", action="store_true",
                          help="log every request to stderr")
-    p_serve.add_argument(
-        "--token", default=None,
-        help="DEPRECATED legacy shared secret: required as "
-             "X-Carbon3D-Token on every route except /healthz and "
-             "/metrics (401 otherwise); folded into the token registry "
-             "as an anonymous-tenant token — prefer --tokens with named "
-             "per-tenant tokens (carbon3d tokens issue)",
-    )
     p_serve.add_argument(
         "--tokens", default=None, metavar="PATH",
         help="multi-tenant token registry (SQLite; administer with "
@@ -1107,7 +1090,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_loadgen.add_argument(
         "--token", default=None,
-        help="shared-secret token for an authenticated --url service",
+        help="API token (`carbon3d tokens issue`)",
     )
     p_loadgen.add_argument(
         "--output", default="BENCH_service.json",
@@ -1215,8 +1198,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_submit.add_argument(
         "--token", default=None,
-        help="token secret for an authenticated server (a registry "
-        "token from `carbon3d tokens issue`, or a legacy shared secret)",
+        help="API token (`carbon3d tokens issue`)",
     )
     p_submit.add_argument(
         "--json", action="store_true", help="emit the full JSON report"

@@ -21,6 +21,7 @@ Round-trips are exact: ``design_from_dict(design_to_dict(d)) == d``.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from ..config.integration import AssemblyFlow, StackingStyle
@@ -70,9 +71,21 @@ def _require_name(value, what: str) -> None:
         raise DesignError(f"{what} must be a name or a number, got {value!r}")
 
 
+def finite(value: "int | float") -> bool:
+    """Whether a JSON number is finite: not NaN, ±inf or an int past float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _optional_number(value, what: str):
-    if value is not None and not isinstance(value, (int, float)):
+    if value is None:
+        return None
+    if not isinstance(value, (int, float)):
         raise DesignError(f"{what} must be a number, got {value!r}")
+    if not finite(value):
+        raise DesignError(f"{what} must be finite, got {value!r}")
     return value
 
 
@@ -99,6 +112,10 @@ def die_from_dict(data: dict) -> Die:
         ):
             raise DesignError(
                 f"die {name!r}: {key} must be a number, got {value!r}"
+            )
+        if value is not None and not finite(value):
+            raise DesignError(
+                f"die {name!r}: {key} must be finite, got {value!r}"
             )
         return value
 

@@ -86,31 +86,28 @@ def _merge_labels(
     return _label_key(merged)
 
 
-class Counter:
-    """A monotonically increasing, thread-safe counter."""
+class _Scalar:
+    """One number per label set: the body of :class:`Counter` and
+    :class:`Gauge`, rendered with the subclass's ``kind``.
+    """
 
-    kind = "counter"
+    kind = ""
+    #: Value of a fresh series (its ``/stats`` snapshot before any write).
+    initial: "int | float" = 0
 
     def __init__(self, name: str = "", help: str = "", fn=None) -> None:
         self.name = name
         self.help = help
         self._lock = threading.Lock()
-        self._value = 0
+        self._value = self.initial
         self._fn = fn
-        self._children: "dict[tuple, Counter]" = {}
-
-    def inc(self, amount: "int | float" = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        with self._lock:
-            self._value += amount
+        self._children: "dict[tuple, _Scalar]" = {}
 
     def set_function(self, fn) -> None:
-        """Sample a monotonic value from ``fn()`` at collect time.
+        """Sample ``fn()`` at every collection instead of a stored value.
 
-        For counters whose source of truth already lives elsewhere
-        (e.g. ``EngineStats`` fields) — the callback twin of
-        :meth:`Gauge.set_function`.
+        For readings whose source of truth already lives elsewhere
+        (e.g. ``EngineStats`` fields, cache sizes).
         """
         with self._lock:
             self._fn = fn
@@ -126,12 +123,12 @@ class Counter:
         except Exception:
             return 0
 
-    def labels(self, **labels) -> "Counter":
+    def labels(self, **labels):
         key = _label_key(labels)
         with self._lock:
             child = self._children.get(key)
             if child is None:
-                child = Counter(self.name, self.help)
+                child = type(self)(self.name, self.help)
                 self._children[key] = child
             return child
 
@@ -149,7 +146,7 @@ class Counter:
     def render(self, extra: "tuple[tuple[str, str], ...]" = ()) -> "list[str]":
         lines = [
             f"# HELP {self.name} {self.help}",
-            f"# TYPE {self.name} counter",
+            f"# TYPE {self.name} {self.kind}",
         ]
         for key, value in self._series():
             key = _merge_labels(extra, key)
@@ -167,27 +164,27 @@ class Counter:
         }
 
 
-class Gauge:
+class Counter(_Scalar):
+    """A monotonically increasing, thread-safe counter."""
+
+    kind = "counter"
+
+    def inc(self, amount: "int | float" = 1) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up")
+        with self._lock:
+            self._value += amount
+
+
+class Gauge(_Scalar):
     """A settable value or a callback sampled at collect time."""
 
     kind = "gauge"
-
-    def __init__(self, name: str = "", help: str = "", fn=None) -> None:
-        self.name = name
-        self.help = help
-        self._lock = threading.Lock()
-        self._value: float = 0.0
-        self._fn = fn
-        self._children: "dict[tuple, Gauge]" = {}
+    initial = 0.0
 
     def set(self, value: "int | float") -> None:
         with self._lock:
             self._value = value
-
-    def set_function(self, fn) -> None:
-        """Sample ``fn()`` at every collection instead of a stored value."""
-        with self._lock:
-            self._fn = fn
 
     def inc(self, amount: "int | float" = 1) -> None:
         with self._lock:
@@ -196,55 +193,6 @@ class Gauge:
     def dec(self, amount: "int | float" = 1) -> None:
         with self._lock:
             self._value -= amount
-
-    @property
-    def value(self) -> "int | float":
-        with self._lock:
-            fn = self._fn
-            if fn is None:
-                return self._value
-        try:
-            return fn()
-        except Exception:
-            return 0
-
-    def labels(self, **labels) -> "Gauge":
-        key = _label_key(labels)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = Gauge(self.name, self.help)
-                self._children[key] = child
-            return child
-
-    def _series(self):
-        with self._lock:
-            children = dict(self._children)
-        if children:
-            for key, child in sorted(children.items()):
-                yield key, child.value
-        else:
-            yield (), self.value
-
-    def render(self, extra: "tuple[tuple[str, str], ...]" = ()) -> "list[str]":
-        lines = [
-            f"# HELP {self.name} {self.help}",
-            f"# TYPE {self.name} gauge",
-        ]
-        for key, value in self._series():
-            key = _merge_labels(extra, key)
-            lines.append(
-                f"{self.name}{_render_labels(key)} {_format_value(value)}"
-            )
-        return lines
-
-    def snapshot(self):
-        series = list(self._series())
-        if len(series) == 1 and series[0][0] == ():
-            return series[0][1]
-        return {
-            _render_labels(key) or "total": value for key, value in series
-        }
 
 
 class Histogram:

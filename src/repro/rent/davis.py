@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from ..errors import ParameterError
+from ..errors import DesignError, ParameterError
 
 
 def _validate(gate_count: float, rent_exponent: float) -> None:
@@ -98,8 +98,14 @@ def average_wirelength_gate_pitches(
     as N^(p−1/2) for p > 0.5 and saturates to O(1) for p < 0.5.
     """
     _validate(gate_count, rent_exponent)
-    numerator = _region_moments(gate_count, rent_exponent, moment=1)
-    denominator = _region_moments(gate_count, rent_exponent, moment=0)
+    try:
+        numerator = _region_moments(gate_count, rent_exponent, moment=1)
+        denominator = _region_moments(gate_count, rent_exponent, moment=0)
+    except OverflowError:
+        raise DesignError(
+            f"gate count {gate_count:g} overflows the wirelength model "
+            f"(p={rent_exponent})"
+        ) from None
     if denominator <= 0.0:
         raise ParameterError(
             f"degenerate wirelength distribution for N={gate_count}, "

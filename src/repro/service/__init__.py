@@ -21,7 +21,7 @@ and drive in-process:
   stdlib-only threaded HTTP JSON API (``/evaluate``, ``/batch``,
   ``/sweep``, ``/montecarlo``, ``/compare``, ``/tornado``, ``/healthz``,
   ``/stats``; NDJSON point streams for ``"stream": true`` batch/sweep
-  requests, optional shared-secret ``--token`` auth) and a small Python
+  requests, optional per-tenant token auth) and a small Python
   client with bounded-backoff retries, wired into the CLI as
   ``carbon3d serve`` and ``carbon3d submit`` — and, one level up, into
   the :class:`repro.api.Session` facade;

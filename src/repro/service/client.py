@@ -32,8 +32,8 @@ processed, come back later", so a resend after the advertised
 also waits out ``Retry-After`` and retries, but is **breaker-neutral**:
 it reports one tenant's budget, not service health, so it never opens
 the circuit. Other HTTP error *responses* (400/401/...) are never
-retried. ``token=...`` attaches an API token (or the legacy shared
-secret) as the ``X-Carbon3D-Token`` header.
+retried. ``token=...`` attaches a registry-issued API token (``carbon3d
+tokens issue``) as the ``X-Carbon3D-Token`` header.
 
 A :class:`~repro.resilience.CircuitBreaker` sits over the retry loop:
 consecutive transport failures (or 503 sheds) open it, after which

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from ..core.design import ChipDesign
 from ..core.operational import Workload
 from ..errors import CarbonModelError, ParameterError
-from ..io.designs import design_from_dict
+from ..io.designs import design_from_dict, finite
 from ..pipeline.registry import DEFAULT_BACKEND, get_backend
 from ..studies.sweep import DEFAULT_INTEGRATIONS
 from ..tenancy.namespace import active_tenant
@@ -97,7 +97,7 @@ class SchemaError(CarbonModelError):
 
 
 class AuthError(CarbonModelError):
-    """The request lacks (or mismatches) the service's shared-secret token.
+    """The request lacks a valid token while the token registry enforces.
 
     Served as a typed 401 payload; the client surfaces it as a
     :class:`~repro.service.client.ServiceError` with ``status == 401``.
@@ -261,6 +261,9 @@ def _number(value, where: str, minimum=None) -> float:
             f"{where} must be a number, got {type(value).__name__}",
             field=where,
         )
+    if not finite(value):
+        raise SchemaError(f"{where} must be finite, got {value}",
+                          field=where)
     if minimum is not None and value <= minimum:
         raise SchemaError(f"{where} must be > {minimum}, got {value}",
                           field=where)
@@ -311,7 +314,8 @@ def _location(value, where: str):
     """A grid location: a name or a raw g CO₂/kWh number."""
     if isinstance(value, str) and value:
         return value
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
+    if (not isinstance(value, bool) and isinstance(value, (int, float))
+            and finite(value)):
         return float(value)
     raise SchemaError(
         f"{where} must be a grid name or a g CO2/kWh number, got {value!r}",

@@ -57,10 +57,9 @@ namespaces store keys, enforces quotas (typed 429 + ``Retry-After``,
 distinct from the overload 503), and meters usage per tenant without
 any parameter threading. ``GET /healthz*`` and ``GET /metrics`` stay
 open for probes and scrapers; everything else answers 401 with a typed
-``AuthError`` payload when the registry is enforcing. The legacy
-``token=`` shared secret (``--token``, deprecated) is folded into the
-registry as an anonymous-tenant row, preserving the old single-secret
-behavior bit for bit.
+``AuthError`` payload when the registry is enforcing. A token issued
+for the ``anonymous`` tenant authenticates into the open server's
+unsalted namespace, so its store rows are shared with open serving.
 """
 
 from __future__ import annotations
@@ -89,8 +88,7 @@ from . import schema
 from .dispatcher import Dispatcher
 from .store import ResultStore
 
-#: Header carrying the caller's API token (legacy shared secrets and
-#: registry-issued ``c3d_...`` tokens ride the same header).
+#: Header carrying the caller's registry-issued ``c3d_...`` API token.
 TOKEN_HEADER = "X-Carbon3D-Token"
 
 #: Request bodies above this size are refused outright (16 MiB of JSON
@@ -796,7 +794,6 @@ class CarbonService(ThreadingHTTPServer):
         store: "ResultStore | None" = None,
         max_entries: int = 100_000,
         verbose: bool = False,
-        token: "str | None" = None,
         max_inflight: int = 32,
         queue_wait_s: float = 0.1,
         retry_after_s: float = 1.0,
@@ -833,23 +830,15 @@ class CarbonService(ThreadingHTTPServer):
                 store_path, max_entries=max_entries, faults=self.faults
             )
         self.store = store
-        #: Legacy shared secret (``--token``, deprecated); kept as an
-        #: attribute for introspection, enforced through the registry.
-        self.token = token
         #: Token registry — the tenancy control plane's source of truth.
         #: ``token_registry=`` shares a caller-owned instance (tests),
         #: ``tokens_path=`` opens/creates the SQLite file (each fleet
-        #: worker opens its own connection after the fork), and a bare
-        #: legacy ``token=`` gets a process-local in-memory registry so
-        #: the old single-secret deployments run unchanged.
+        #: worker opens its own connection after the fork); with neither
+        #: the server is open.
         self._owns_tokens = token_registry is None
         self.tokens = token_registry
         if self.tokens is None and tokens_path is not None:
             self.tokens = TokenRegistry(tokens_path)
-        if token is not None:
-            if self.tokens is None:
-                self.tokens = TokenRegistry()
-            self.tokens.ensure_shared_secret(token)
         self.dispatcher = Dispatcher(
             params=params, fab_location=fab_location, store=store,
             faults=self.faults,

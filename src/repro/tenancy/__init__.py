@@ -1,8 +1,8 @@
 """Multi-tenant control plane for the carbon evaluation service.
 
-Turns the single-shared-secret service (PR 5) into a multi-customer
-deployment, the shape ACT-style organizational carbon services take when
-many product teams share one modeling endpoint:
+Turns the single-endpoint service into a multi-customer deployment, the
+shape ACT-style organizational carbon services take when many product
+teams share one modeling endpoint:
 
 * :mod:`~repro.tenancy.tokens` — SQLite-backed :class:`TokenRegistry`
   of named, salted-SHA-256-hashed API tokens (issue / revoke / list /
@@ -10,7 +10,7 @@ many product teams share one modeling endpoint:
   see one truth;
 * :mod:`~repro.tenancy.namespace` — per-tenant result isolation by
   salting the store's content-address digests with the tenant id, with
-  the anonymous/legacy namespace kept byte-identical to pre-tenancy
+  the anonymous namespace kept byte-identical to pre-tenancy
   keys; plus the contextvar-scoped :class:`TenantContext` the request
   path rides on;
 * :mod:`~repro.tenancy.quota` — token-bucket rate limits and

@@ -7,9 +7,9 @@ salts that digest with the tenant id, so two tenants submitting the
 *same* design get two disjoint store rows — no cross-tenant cache hits,
 no way to probe another tenant's cache by timing. Two deliberate rules:
 
-* The **anonymous** tenant (open servers, the legacy ``--token`` shared
-  secret, and every local in-process session) keeps the *unsalted*
-  digest — byte-identical to the pre-tenancy key. That preserves the
+* The **anonymous** tenant (open servers, tokens issued with
+  ``--tenant anonymous``, and every local in-process session) keeps the
+  *unsalted* digest — byte-identical to the pre-tenancy key. That preserves the
   local/service parity pin (same fingerprint → same store row either
   way) and lets a pre-tenancy store be *adopted* rather than rebuilt
   when opened under the bumped ``STORE_FORMAT_VERSION`` (see

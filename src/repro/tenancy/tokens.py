@@ -17,11 +17,12 @@ repeat resolve costs one pragma instead of a row read. The secret is
 hashed and compared on every call; no secret is kept.
 
 **Secret format.** ``c3d_<id>_<hex32>`` — the embedded id turns resolve
-into one primary-key lookup plus one hash compare. Legacy shared
-secrets (``carbon3d serve --token``) have no id, so they fall back to a
-scan over active rows; :meth:`TokenRegistry.ensure_shared_secret` seeds
-them with a *deterministic* id and salt derived from the secret, which
-makes the seeding idempotent when N forked workers race to do it.
+into one primary-key lookup plus one hash compare. A secret of any other
+shape resolves to ``None`` without touching SQLite, so a junk header
+costs an unauthenticated caller no more than a wrong ``c3d_`` one.
+A row seeded by the retired ``serve --token`` option, still present in
+an older registry file, is listed and counts toward enforcement but
+never resolves; ``carbon3d tokens revoke`` retires it.
 
 **Enforcement rule.** A registry enforces auth once it has *ever* held a
 row — revoking the last token locks the service down rather than
@@ -39,7 +40,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-from .namespace import ANONYMOUS_TENANT
 from .quota import TenantQuota
 
 __all__ = [
@@ -118,7 +118,7 @@ class TokenRecord:
 class TokenRegistry:
     """Issue/resolve/revoke/rotate named tokens over one SQLite file."""
 
-    def __init__(self, path: str = ":memory:") -> None:
+    def __init__(self, path: str) -> None:
         self.path = str(path)
         self._lock = threading.Lock()
         self._conn = sqlite3.connect(
@@ -173,35 +173,6 @@ class TokenRegistry:
                               salt, _hash_secret(salt, secret))
         return secret, record
 
-    def ensure_shared_secret(
-        self,
-        secret: str,
-        tenant: str = ANONYMOUS_TENANT,
-        name: str = "legacy-shared-secret",
-    ) -> TokenRecord:
-        """Fold a ``--token`` shared secret in as an anonymous-tenant row.
-
-        Deterministic id/salt (derived from the secret) + ``INSERT OR
-        IGNORE`` make this idempotent across racing fleet workers: every
-        worker converges on the identical row.
-        """
-        token_id = hashlib.sha256(f"legacy-id:{secret}".encode()).hexdigest()[:8]
-        salt = hashlib.sha256(f"legacy-salt:{secret}".encode()).hexdigest()[:16]
-        with self._lock:
-            self._conn.execute(
-                "INSERT OR IGNORE INTO tokens "
-                "(id, name, tenant, scopes, quota, salt, token_hash, created) "
-                "VALUES (?, ?, ?, '[]', NULL, ?, ?, ?)",
-                (token_id, name, tenant, salt,
-                 _hash_secret(salt, secret), time.time()),
-            )
-            self._conn.commit()
-            self._enforcing = True
-            row = self._conn.execute(
-                "SELECT * FROM tokens WHERE id = ?", (token_id,)
-            ).fetchone()
-        return self._record(row)
-
     def _insert(self, token_id, name, tenant, scopes, quota, salt,
                 token_hash) -> TokenRecord:
         with self._lock:
@@ -239,25 +210,18 @@ class TokenRegistry:
 
         ``c3d_<id>_...`` secrets resolve from this handle's row cache
         (one ``PRAGMA data_version`` to prove it fresh) or one
-        primary-key read; anything else (legacy shared secrets) scans
-        active rows. Every hash compare is constant-time.
+        primary-key read, then one constant-time hash compare; a secret
+        of any other shape is ``None`` without a query.
         """
-        if not secret:
-            return None
         parts = secret.split("_", 2)
-        if len(parts) == 3 and parts[0] == _PREFIX:
-            entry = self._cached(parts[1])
-            if entry is None:
-                return None
-            salt, token_hash, record = entry
-            if hmac.compare_digest(token_hash, _hash_secret(salt, secret)):
-                return record
+        if len(parts) != 3 or parts[0] != _PREFIX:
             return None
-        for row in self._query_all(
-            "SELECT * FROM tokens WHERE revoked IS NULL", ()
-        ):
-            if self._verify(row, secret):
-                return self._record(row)
+        entry = self._cached(parts[1])
+        if entry is None:
+            return None
+        salt, token_hash, record = entry
+        if hmac.compare_digest(token_hash, _hash_secret(salt, secret)):
+            return record
         return None
 
     def enforcing(self) -> bool:
@@ -354,12 +318,6 @@ class TokenRegistry:
     def _query_one(self, sql: str, params):
         with self._lock:
             return self._conn.execute(sql, params).fetchone()
-
-    @staticmethod
-    def _verify(row, secret: str) -> bool:
-        return hmac.compare_digest(
-            row["token_hash"], _hash_secret(row["salt"], secret)
-        )
 
     @staticmethod
     def _record(row) -> TokenRecord:

@@ -5,7 +5,7 @@ The acceptance bar of the facade PR lives here: every study kind
 **bit-identical payloads** through ``Session(executor="local")`` and
 ``Session(executor="service")``, and ``StudyHandle.partial()`` streams
 batch/sweep points from the service as they finish — order- and
-completeness-tested — plus the shared-secret token auth paths and the
+completeness-tested — plus the registry-token auth paths and the
 client's bounded-backoff retry behaviour.
 """
 
@@ -326,37 +326,43 @@ class TestStudyHandle:
 
 class TestTokenAuth:
     @pytest.fixture()
-    def secured(self):
-        server = make_server(token="hunter2")
+    def secured(self, tmp_path):
+        """A server enforcing one issued token → ``(server, secret)``."""
+        server = make_server(tokens_path=str(tmp_path / "tokens.sqlite3"))
+        secret, _ = server.tokens.issue("api-tests", "anonymous")
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
-            yield server
+            yield server, secret
         finally:
             server.close()
             thread.join(timeout=5.0)
 
     def test_missing_token_is_typed_401(self, secured):
-        session = Session(executor="service", url=secured.url)
+        server, _ = secured
+        session = Session(executor="service", url=server.url)
         with pytest.raises(ServiceError) as excinfo:
             session.evaluate(stacked_design())
         assert excinfo.value.status == 401
         assert excinfo.value.error_type == "AuthError"
 
     def test_wrong_token_is_401_and_stats_protected(self, secured):
-        client = ServiceClient(secured.url, token="*******")
-        with pytest.raises(ServiceError) as excinfo:
-            client.stats()
-        assert excinfo.value.status == 401
+        server, secret = secured
+        for wrong in ("*******", secret[:-1] + "x"):
+            client = ServiceClient(server.url, token=wrong)
+            with pytest.raises(ServiceError) as excinfo:
+                client.stats()
+            assert excinfo.value.status == 401
 
     def test_healthz_stays_open(self, secured):
-        health = ServiceClient(secured.url).healthz()
+        server, _ = secured
+        health = ServiceClient(server.url).healthz()
         assert health["status"] == "ok"
         assert health["auth"] is True
 
     def test_matching_token_serves_every_kind(self, secured):
-        session = Session(executor="service", url=secured.url,
-                          token="hunter2")
+        server, secret = secured
+        session = Session(executor="service", url=server.url, token=secret)
         local = Session()
         spec = StudySpec.evaluate(stacked_design())
         assert session.run(spec).to_payload() == local.run(spec).to_payload()

@@ -195,8 +195,11 @@ class TestDeadlines:
 
 
 class TestHealthSplit:
-    def test_liveness_and_readiness_endpoints(self):
-        server, thread = start_server(token="sekrit")
+    def test_liveness_and_readiness_endpoints(self, tmp_path):
+        server, thread = start_server(
+            tokens_path=str(tmp_path / "tokens.sqlite3")
+        )
+        server.tokens.issue("chaos", "anonymous")
         try:
             client = ServiceClient(server.url)  # deliberately tokenless
             live = client._request("GET", "/healthz/live")["result"]

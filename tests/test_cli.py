@@ -370,12 +370,14 @@ class TestListingCommands:
 
 
 class TestTokenFlow:
-    def test_submit_with_token_round_trip(self, design_json, capsys):
+    def test_submit_with_token_round_trip(self, design_json, capsys,
+                                          tmp_path):
         import threading
 
         from repro.service.server import make_server
 
-        server = make_server(token="cli-secret")
+        server = make_server(tokens_path=str(tmp_path / "tokens.sqlite3"))
+        secret, _ = server.tokens.issue("cli", "anonymous")
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -388,13 +390,13 @@ class TestTokenFlow:
             # Right token: the full report comes back.
             assert main(
                 ["submit", str(design_json), "--url", server.url,
-                 "--token", "cli-secret"]
+                 "--token", secret]
             ) == 0
             assert "total" in capsys.readouterr().out
             # compare --service threads the token through the facade.
             assert main(
                 ["compare", str(design_json), "--service", server.url,
-                 "--token", "cli-secret", "--backends", "repro3d", "--json"]
+                 "--token", secret, "--backends", "repro3d", "--json"]
             ) == 0
             data = json.loads(capsys.readouterr().out)
             assert data["backends"][0]["backend"] == "repro3d"
@@ -402,10 +404,8 @@ class TestTokenFlow:
             server.close()
             thread.join(timeout=5.0)
 
-    def test_serve_parser_accepts_token(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["serve", "--token", "s3", "--no-store"]
-        )
-        assert args.token == "s3"
+    def test_serve_parser_rejects_token(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["serve", "--token", "x", "--no-store"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --token" in capsys.readouterr().err

@@ -163,6 +163,14 @@ WRONG_FIELDS = [
     (("workload",), 5),
     (("workload",), {"name": "w"}),
     (("workload",), {"name": "w", "total_tera_ops": "lots"}),
+    (("workload",), {"name": "w", "total_tera_ops": float("nan")}),
+    (("workload",), {"name": "w", "total_tera_ops": float("inf")}),
+    (("workload",), {"name": "w", "total_tera_ops": 1.0,
+                     "lifetime_years": float("inf")}),
+    (("design", "throughput_tops"), float("inf")),
+    (("design", "package", "area_mm2"), float("nan")),
+    (("design", "dies", 0, "efficiency_tops_per_w"), float("inf")),
+    (("design", "dies", 0, "gate_count"), 1e300),
     (("fab_location",), []),
     (("fab_location",), True),
     (("label",), 7),
@@ -170,6 +178,22 @@ WRONG_FIELDS = [
     (("backend",), "no_such_backend"),
     (("extra",), 1),
 ]
+
+
+@pytest.mark.parametrize(
+    "literal", [b"1e400", b"-1e400", b"1" + b"0" * 400],
+    ids=["1e400", "-1e400", "401-digit-int"],
+)
+def test_out_of_range_number_literals_are_a_typed_4xx(server, literal):
+    """``1e400`` decodes to inf and a 401-digit int overflows a float."""
+    for workload in (
+        b'{"name": "w", "total_tera_ops": %s}',
+        b'{"name": "w", "total_tera_ops": 1.0, "lifetime_years": %s}',
+    ):
+        body = (b'{"schema": 1, "type": "evaluate", "design": '
+                + encode(design()) + b', "workload": '
+                + workload % literal + b"}")
+        assert_typed_4xx(*post(server, "/evaluate", body))
 
 
 def with_field(point: dict, path: tuple, value) -> dict:

@@ -386,8 +386,11 @@ class TestMetricsEndpoint:
 
     def test_metrics_open_on_token_servers(self, tmp_path):
         server = make_server(
-            store_path=str(tmp_path / "auth.sqlite3"), token="sekrit"
+            store_path=str(tmp_path / "auth.sqlite3"),
+            tokens_path=str(tmp_path / "tokens.sqlite3"),
         )
+        server.tokens.issue("obs", "anonymous")
+        assert server.auth_enforced
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

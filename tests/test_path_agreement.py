@@ -8,6 +8,8 @@ agree bit for bit — the dispatcher twice: once as computed, once as
 served from the store. So must a served ``/evaluate``, computed and
 then, for the same bytes again, served from the store through the
 remembered parse and key, and the in-process ``LocalExecutor``.
+Store keys of one design never agree across tenants, and the anonymous
+tenant's key is the unsalted content key.
 """
 
 from __future__ import annotations
@@ -29,15 +31,16 @@ from repro.api.executors import LocalExecutor
 from repro.errors import DesignError
 from repro.io.designs import design_to_dict
 from repro.service import make_server
-from repro.service.dispatcher import Dispatcher
+from repro.service.dispatcher import Dispatcher, evaluate_fingerprint
 from repro.service.schema import (
     PARSE_MEMO_BODY_MAX,
     BatchRequest,
     EvaluateRequest,
     workload_to_value,
 )
-from repro.service.store import ResultStore
+from repro.service.store import ResultStore, content_key
 from repro.studies.sweep import DEFAULT_INTEGRATIONS
+from repro.tenancy import ANONYMOUS_TENANT, namespace_key
 
 NODES = ("5nm", "7nm", "10nm", "14nm", "28nm")
 PACKAGES = ("fcbga", "server_mcm", "pop_mobile", "fowlp")
@@ -186,3 +189,28 @@ def test_served_evaluate_and_local_executor_agree(point):
         executor.close()
     assert cache == "computed"
     assert result == json.loads(text)
+
+
+#: Non-empty tenant ids (``issue`` rejects an empty one): the anonymous
+#: id, free text, and ids built around ``namespace_key``'s ``\x1f``
+#: separator and ``tenant:`` prefix.
+tenant_ids = st.one_of(
+    st.just(ANONYMOUS_TENANT),
+    st.text(min_size=1, max_size=16),
+    st.text(alphabet="a\x1f:tenant", min_size=1, max_size=12),
+)
+
+
+@given(design=designs(), a=tenant_ids, b=tenant_ids)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_tenant_store_keys_are_disjoint(design, a, b):
+    fingerprint = evaluate_fingerprint(
+        design, DEFAULT_PARAMETERS, "taiwan", None
+    )
+    key_a = namespace_key(fingerprint, a)
+    assert namespace_key(fingerprint, a) == key_a
+    assert (namespace_key(fingerprint, b) == key_a) == (a == b)
+    assert namespace_key(fingerprint, ANONYMOUS_TENANT) == content_key(
+        fingerprint
+    )

@@ -4,8 +4,10 @@ The tentpole guarantees under test:
 
 * **Tokens.** The SQLite registry issues/revokes/rotates named, hashed
   tokens; a second connection (another process, by construction) sees
-  every mutation; the legacy shared secret seeds idempotently; auth
-  enforcement is monotonic — revoking the last token locks down.
+  every mutation; auth enforcement is monotonic — revoking the last
+  token locks down. An anonymous-tenant token keeps the open server's
+  store rows, and a row left by the retired ``serve --token`` never
+  resolves but can be revoked.
 * **Namespaces.** The anonymous namespace keeps the pre-tenancy store
   digests bit-for-bit (local/service parity, v3 adoption); named
   tenants hash to disjoint keys, so two tenants never share a store
@@ -20,9 +22,11 @@ The tentpole guarantees under test:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sqlite3
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -140,23 +144,6 @@ class TestTokenRegistry:
         finally:
             admin.close()
             worker.close()
-
-    def test_shared_secret_seeding_is_idempotent(self, tmp_path):
-        """N racing fleet workers converge on one identical legacy row."""
-        path = str(tmp_path / "tk.sqlite3")
-        first = TokenRegistry(path)
-        second = TokenRegistry(path)
-        try:
-            a = first.ensure_shared_secret("open-sesame")
-            b = second.ensure_shared_secret("open-sesame")
-            assert a.id == b.id
-            assert a.tenant == ANONYMOUS_TENANT
-            assert len(first.list()) == 1
-            # Legacy secrets carry no embedded id: the scan path.
-            assert second.resolve("open-sesame").id == a.id
-        finally:
-            first.close()
-            second.close()
 
     def test_enforcement_is_monotonic(self, tmp_path):
         registry = TokenRegistry(str(tmp_path / "tk.sqlite3"))
@@ -435,11 +422,48 @@ class TestServerTenancy:
         assert stats["tenants"]["acme"]["points"] == 1
 
 
+def seed_retired_secret_row(path: str, secret: str) -> None:
+    """Write the row the retired ``serve --token SECRET`` seeded."""
+    salt = hashlib.sha256(f"legacy-salt:{secret}".encode()).hexdigest()[:16]
+    conn = sqlite3.connect(path)
+    conn.execute(
+        "INSERT INTO tokens (id, name, tenant, scopes, quota, salt, "
+        "token_hash, created) VALUES (?, ?, ?, '[]', NULL, ?, ?, ?)",
+        (
+            hashlib.sha256(f"legacy-id:{secret}".encode()).hexdigest()[:8],
+            "legacy-shared-secret",
+            ANONYMOUS_TENANT,
+            salt,
+            hashlib.sha256(f"{salt}:{secret}".encode()).hexdigest(),
+            time.time(),
+        ),
+    )
+    conn.commit()
+    conn.close()
+
+
 class TestLegacySharedSecret:
-    def test_token_kwarg_still_guards_and_runs_anonymous(self, tmp_path):
-        server = make_server(
-            store_path=str(tmp_path / "store.sqlite3"), token="open-sesame"
-        )
+    def test_anonymous_token_keeps_the_open_store_rows(
+        self, tmp_path, capsys
+    ):
+        """The migration off ``serve --token``: same namespace, store hits."""
+        store_path = str(tmp_path / "store.sqlite3")
+        tokens_path = str(tmp_path / "tokens.sqlite3")
+        server = make_server(store_path=store_path)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with ServiceClient(server.url) as client:
+                assert client.evaluate(design_payload())["cache"] == "computed"
+        finally:
+            server.close()
+            thread.join(timeout=5.0)
+        assert cli_main(
+            ["tokens", "--tokens", tokens_path, "issue", "migrated",
+             "--tenant", ANONYMOUS_TENANT, "--json"]
+        ) == 0
+        secret = json.loads(capsys.readouterr().out)["secret"]
+        server = make_server(store_path=store_path, tokens_path=tokens_path)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -447,14 +471,59 @@ class TestLegacySharedSecret:
                 with pytest.raises(ServiceError) as info:
                     bare.evaluate(design_payload())
                 assert info.value.status == 401
-            with ServiceClient(server.url, token="open-sesame") as client:
-                assert client.evaluate(design_payload())["cache"] == "computed"
+            with ServiceClient(server.url, token=secret) as client:
+                assert client.evaluate(design_payload())["cache"] == "store"
                 report = client.usage()
             assert report["tenant"] == ANONYMOUS_TENANT
-            assert report["usage"]["requests"] == 1
+            # The usage ledger lives in the store too: the count goes on
+            # from the open server's request.
+            assert report["usage"]["requests"] == 2
         finally:
             server.close()
             thread.join(timeout=5.0)
+
+    def test_retired_secret_row_enforces_never_resolves_and_revokes(
+        self, tmp_path, capsys
+    ):
+        path = str(tmp_path / "tokens.sqlite3")
+        TokenRegistry(path).close()
+        seed_retired_secret_row(path, "open-sesame")
+        registry = TokenRegistry(path)
+        try:
+            assert registry.enforcing()
+            (row,) = registry.list()
+            assert (row.name, row.tenant, row.active) == (
+                "legacy-shared-secret", ANONYMOUS_TENANT, True
+            )
+            assert registry.resolve("open-sesame") is None
+            server = make_server(token_registry=registry)
+            thread = threading.Thread(
+                target=server.serve_forever, daemon=True
+            )
+            thread.start()
+            try:
+                with ServiceClient(
+                    server.url, token="open-sesame", retries=0
+                ) as client:
+                    with pytest.raises(ServiceError) as info:
+                        client.evaluate(design_payload())
+                    assert info.value.status == 401
+            finally:
+                server.close()
+                thread.join(timeout=5.0)
+            assert cli_main(
+                ["tokens", "--tokens", path, "revoke",
+                 "legacy-shared-secret"]
+            ) == 0
+            capsys.readouterr()
+            assert registry.list(include_revoked=False) == []
+            assert registry.enforcing()
+        finally:
+            registry.close()
+
+    def test_token_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="token"):
+            make_server(token="open-sesame")
 
     def test_open_server_needs_no_token(self, tmp_path):
         server = make_server(store_path=str(tmp_path / "store.sqlite3"))

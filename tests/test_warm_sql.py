@@ -249,6 +249,46 @@ class TestTokenCacheFreshness:
             assert secret.split("_", 2)[2] not in repr(entry)
 
 
+class TestResolveStatements:
+    """The SQL one ``resolve`` runs, by the shape of the secret."""
+
+    def test_a_secret_not_shaped_c3d_runs_no_statement(
+        self, two_registries
+    ):
+        a, b = two_registries
+        for n in range(3):
+            b.issue(f"edge-{n}", "acme")
+        assert a.enforcing()
+        trace = SQLTrace(a._conn)
+        try:
+            for secret in ("junk", "", "c3d", "c3d_", "abc_1234_ff", "_"):
+                assert a.resolve(secret) is None
+        finally:
+            trace.stop()
+        assert trace.statements == []
+
+    def test_a_c3d_secret_runs_one_pragma_and_one_keyed_read(
+        self, two_registries
+    ):
+        a, b = two_registries
+        secret, record = b.issue("edge", "acme")
+        trace = SQLTrace(a._conn)
+        try:
+            assert a.resolve(secret) == record
+            cold = list(trace.statements)
+            assert a.resolve(secret) == record
+            assert a.resolve(secret[:-1] + "x") is None
+            warm = trace.statements[len(cold):]
+        finally:
+            trace.stop()
+        assert cold == [
+            "PRAGMA data_version",
+            "SELECT * FROM tokens WHERE id = "
+            f"'{record.id}' AND revoked IS NULL",
+        ]
+        assert warm == ["PRAGMA data_version"] * 2
+
+
 # -- usage totals mirrored per store handle ----------------------------------
 
 
