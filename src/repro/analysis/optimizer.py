@@ -225,6 +225,25 @@ class ParetoPoint:
         }
 
 
+def front_record(
+    front: "list[dict]", evaluated: int, errors: int, chunks: int
+) -> dict:
+    """The JSON record of a search outcome: the objectives, the counts
+    and the sorted front of point records.
+
+    :meth:`ParetoFront.to_dict` renders a finished search with it, and a
+    streamed search's last snapshot renders the same way.
+    """
+    return {
+        "objectives": {name: goal for name, goal in PARETO_OBJECTIVES},
+        "evaluated": evaluated,
+        "errors": errors,
+        "chunks": chunks,
+        "front_size": len(front),
+        "front": front,
+    }
+
+
 @dataclass(frozen=True)
 class ParetoFront:
     """Final (or per-chunk snapshot) outcome of a :class:`ParetoSearch`."""
@@ -235,14 +254,10 @@ class ParetoFront:
     chunks: int
 
     def to_dict(self) -> dict:
-        return {
-            "objectives": {name: goal for name, goal in PARETO_OBJECTIVES},
-            "evaluated": self.evaluated,
-            "errors": self.errors,
-            "chunks": self.chunks,
-            "front_size": len(self.points),
-            "front": [point.to_dict() for point in self.points],
-        }
+        return front_record(
+            [point.to_dict() for point in self.points],
+            self.evaluated, self.errors, self.chunks,
+        )
 
     def format_table(self) -> str:
         header = (

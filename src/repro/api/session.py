@@ -43,7 +43,7 @@ from ..service.dispatcher import Dispatcher, front_payload
 from .executors import LocalExecutor, ServiceExecutor
 from .handle import StudyHandle
 from .results import Result, ResultSet
-from .spec import DEFAULT_SEED, StudySpec, fill_default_backend, payload_kind
+from .spec import StudySpec, fill_default_backend, payload_kind
 
 #: The CLI/server default endpoint.
 DEFAULT_URL = "http://127.0.0.1:8787"
@@ -386,22 +386,16 @@ class Session:
             return ResultSet.from_entries(kind.name, entries)
         # Deferred: the optimizer rides on numpy, which pure-service
         # sessions otherwise never import.
-        from ..analysis.optimizer import PARETO_OBJECTIVES
+        from ..analysis.optimizer import front_record
 
-        last = {"chunk": 0, "evaluated": 0, "errors": 0, "front_size": 0,
-                "front": []}
+        last = {"chunk": 0, "evaluated": 0, "errors": 0, "front": []}
         for last in stream:
             handle._push(Result(
                 kind="front", payload=last, index=last.get("chunk"),
             ))
-        front = {
-            "objectives": {name: goal for name, goal in PARETO_OBJECTIVES},
-            "evaluated": last["evaluated"],
-            "errors": last["errors"],
-            "chunks": last["chunk"],
-            "front_size": last["front_size"],
-            "front": last["front"],
-        }
+        front = front_record(
+            last["front"], last["evaluated"], last["errors"], last["chunk"]
+        )
         return Result(
             kind=kind.name,
             payload=front_payload(schema.parse_request(payload), front),
@@ -428,109 +422,40 @@ class Session:
         return kind, fill_default_backend(kind, payload, self.backend)
 
     # -- per-kind conveniences -----------------------------------------------
+    # Each runs its kind's StudySpec constructor; the fields are that
+    # constructor's keyword arguments.
 
-    def evaluate(
-        self,
-        design,
-        workload="av",
-        fab_location=None,
-        label: "str | None" = None,
-        backend: "str | None" = None,
-    ) -> Result:
+    def evaluate(self, design, **fields) -> Result:
         """One point → the full report :class:`Result`."""
-        return self.run(StudySpec.evaluate(
-            design, workload=workload, fab_location=fab_location,
-            label=label, backend=backend,
-        ))
+        return self.run(StudySpec.evaluate(design, **fields))
 
-    def batch(self, points, backend: "str | None" = None) -> ResultSet:
+    def batch(self, points, **fields) -> ResultSet:
         """Many points (deduplicated) → ordered :class:`ResultSet`."""
-        return self.run(StudySpec.batch(points, backend=backend))
+        return self.run(StudySpec.batch(points, **fields))
 
-    def sweep(
-        self,
-        design,
-        integrations: "list[str] | None" = None,
-        fab_locations: "list | None" = None,
-        workload="av",
-        backend: "str | None" = None,
-    ) -> ResultSet:
+    def sweep(self, design, **fields) -> ResultSet:
         """Integration × fab-location grid → ordered :class:`ResultSet`."""
-        return self.run(StudySpec.sweep(
-            design, integrations=integrations, fab_locations=fab_locations,
-            workload=workload, backend=backend,
-        ))
+        return self.run(StudySpec.sweep(design, **fields))
 
-    def monte_carlo(
-        self,
-        design,
-        samples: int = 200,
-        seed: int = DEFAULT_SEED,
-        workload="av",
-        fab_location=None,
-        backend: "str | None" = None,
-        return_samples: bool = False,
-    ) -> Result:
+    def monte_carlo(self, design, **fields) -> Result:
         """Monte-Carlo band from the backend's own factor set."""
-        return self.run(StudySpec.monte_carlo(
-            design, samples=samples, seed=seed, workload=workload,
-            fab_location=fab_location, backend=backend,
-            return_samples=return_samples,
-        ))
+        return self.run(StudySpec.monte_carlo(design, **fields))
 
-    def compare(
-        self,
-        design,
-        backends: "list[str] | None" = None,
-        workload="none",
-        fab_location=None,
-        draws: int = 0,
-        seed: int = DEFAULT_SEED,
-    ) -> Result:
+    def compare(self, design, **fields) -> Result:
         """One design across carbon backends (optional MC bands)."""
-        return self.run(StudySpec.compare(
-            design, backends=backends, workload=workload,
-            fab_location=fab_location, draws=draws, seed=seed,
-        ))
+        return self.run(StudySpec.compare(design, **fields))
 
-    def tornado(
-        self,
-        design,
-        workload="av",
-        fab_location=None,
-        backend: "str | None" = None,
-    ) -> Result:
+    def tornado(self, design, **fields) -> Result:
         """One-at-a-time sensitivity over the backend's own factors."""
-        return self.run(StudySpec.tornado(
-            design, workload=workload, fab_location=fab_location,
-            backend=backend,
-        ))
+        return self.run(StudySpec.tornado(design, **fields))
 
-    def optimize(
-        self,
-        design,
-        workload="av",
-        integrations: "list[str] | None" = None,
-        die_counts: "list[int] | None" = None,
-        wafer_diameters_mm: "list[float] | None" = None,
-        fab_locations: "list | None" = None,
-        max_configs: "int | None" = None,
-        chunk: "int | None" = None,
-        seed: int = DEFAULT_SEED,
-    ) -> Result:
+    def optimize(self, design, **fields) -> Result:
         """Vectorized Pareto search over the case-study design grid.
 
-        The result payload carries the sorted non-dominated front over
-        (total carbon min, performance max, silicon cost min); use
-        ``submit(StudySpec.optimize(...))`` to stream running front
+        Use ``submit(StudySpec.optimize(...))`` to stream running front
         snapshots chunk by chunk instead.
         """
-        return self.run(StudySpec.optimize(
-            design, workload=workload, integrations=integrations,
-            die_counts=die_counts, wafer_diameters_mm=wafer_diameters_mm,
-            fab_locations=fab_locations, max_configs=max_configs,
-            chunk=chunk, seed=seed,
-        ))
+        return self.run(StudySpec.optimize(design, **fields))
 
     # -- native-report path (local sessions; the studies' building block) ----
 

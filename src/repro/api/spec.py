@@ -21,7 +21,7 @@ instances; workloads are ``"av"``, ``"none"``/``None``, a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..core.design import ChipDesign
 from ..errors import ParameterError
@@ -141,29 +141,32 @@ class StudySpec:
 
     Build specs with the per-kind constructors (:meth:`evaluate`,
     :meth:`batch`, :meth:`sweep`, :meth:`monte_carlo`, :meth:`compare`,
-    :meth:`tornado`) rather than the raw dataclass; they normalize
-    designs/workloads into their wire records so ``to_payload()`` is
-    pure assembly.
+    :meth:`tornado`, :meth:`optimize`) rather than the raw dataclass:
+    they are the one Python signature of each kind, whose defaults are
+    the :data:`~repro.service.schema.STUDY_KINDS` ones, and they
+    normalize designs/workloads into their wire records so
+    ``to_payload()`` is pure assembly. A field the kind does not carry
+    stays ``None``.
     """
 
     kind: str
     design: "dict | None" = None
     points: "tuple[dict, ...] | None" = None
-    workload: "str | dict | None" = "av"
+    workload: "str | dict | None" = None
     fab_location: "str | float | None" = None
     label: "str | None" = None
     backend: "str | None" = None
     integrations: "tuple[str, ...] | None" = None
     fab_locations: "tuple | None" = None
-    samples: int = 200
-    draws: int = 0
-    seed: int = DEFAULT_SEED
+    samples: "int | None" = None
+    draws: "int | None" = None
+    seed: "int | None" = None
     backends: "tuple[str, ...] | None" = None
-    return_samples: bool = False
+    return_samples: "bool | None" = None
     #: Ask the service for a point stream (batch/sweep/optimize only);
     #: the local executor streams regardless, so this only shapes the
     #: HTTP reply.
-    stream: bool = False
+    stream: "bool | None" = None
     #: optimize-only axes/knobs (None → the grid's documented defaults).
     die_counts: "tuple[int, ...] | None" = None
     wafer_diameters_mm: "tuple[float, ...] | None" = None
@@ -183,11 +186,13 @@ class StudySpec:
     def evaluate(
         cls,
         design,
+        *,
         workload="av",
         fab_location=None,
         label: "str | None" = None,
         backend: "str | None" = None,
     ) -> "StudySpec":
+        """One point → its full lifecycle report."""
         return cls(
             kind="evaluate",
             design=design_value(design),
@@ -198,8 +203,11 @@ class StudySpec:
         )
 
     @classmethod
-    def batch(cls, points, backend: "str | None" = None) -> "StudySpec":
-        """``points``: designs, point records, or evaluate specs.
+    def batch(
+        cls, points, *, backend: "str | None" = None, stream: bool = False
+    ) -> "StudySpec":
+        """Many points, deduplicated. ``points``: designs, point records,
+        or evaluate specs.
 
         ``backend`` is a default applied to points that do not name
         their own.
@@ -212,17 +220,20 @@ class StudySpec:
             records.append(record)
         if not records:
             raise ParameterError("a batch needs at least one point")
-        return cls(kind="batch", points=tuple(records))
+        return cls(kind="batch", points=tuple(records), stream=stream)
 
     @classmethod
     def sweep(
         cls,
         design,
+        *,
         integrations: "list[str] | None" = None,
         fab_locations: "list | None" = None,
         workload="av",
         backend: "str | None" = None,
+        stream: bool = False,
     ) -> "StudySpec":
+        """Integration × fab-location grid around a 2D reference."""
         return cls(
             kind="sweep",
             design=design_value(design),
@@ -230,12 +241,14 @@ class StudySpec:
             fab_locations=_sequence(fab_locations),
             workload=workload_value(workload),
             backend=backend,
+            stream=stream,
         )
 
     @classmethod
     def monte_carlo(
         cls,
         design,
+        *,
         samples: int = 200,
         seed: int = DEFAULT_SEED,
         workload="av",
@@ -243,6 +256,7 @@ class StudySpec:
         backend: "str | None" = None,
         return_samples: bool = False,
     ) -> "StudySpec":
+        """Monte-Carlo band from the backend's own factor set."""
         return cls(
             kind="monte_carlo",
             design=design_value(design),
@@ -258,12 +272,16 @@ class StudySpec:
     def compare(
         cls,
         design,
+        *,
         backends: "list[str] | None" = None,
         workload="none",
         fab_location=None,
         draws: int = 0,
         seed: int = DEFAULT_SEED,
     ) -> "StudySpec":
+        """One design across carbon backends (every registered one when
+        ``backends`` is None); ``draws > 0`` adds per-backend
+        Monte-Carlo bands."""
         return cls(
             kind="compare",
             design=design_value(design),
@@ -278,10 +296,12 @@ class StudySpec:
     def tornado(
         cls,
         design,
+        *,
         workload="av",
         fab_location=None,
         backend: "str | None" = None,
     ) -> "StudySpec":
+        """One-at-a-time sensitivity over the backend's own factors."""
         return cls(
             kind="tornado",
             design=design_value(design),
@@ -294,6 +314,7 @@ class StudySpec:
     def optimize(
         cls,
         design,
+        *,
         workload="av",
         integrations: "list[str] | None" = None,
         die_counts: "list[int] | None" = None,
@@ -304,7 +325,9 @@ class StudySpec:
         seed: int = DEFAULT_SEED,
         stream: bool = False,
     ) -> "StudySpec":
-        """Pareto-frontier search from a single-die 2D reference."""
+        """Pareto-frontier search from a single-die 2D reference over
+        (total carbon min, performance max, silicon cost min); ``None``
+        axes take the grid defaults."""
         return cls(
             kind="optimize",
             design=design_value(design),
@@ -342,13 +365,13 @@ class StudySpec:
 
         The kind's fields in table order: a field with a default is
         always sent, an optional one (default ``None`` or ``False``) only
-        when set.
+        when set to another value than ``None`` or its default.
         """
         payload: dict = {"schema": SCHEMA_VERSION, "type": self.info.wire}
         for name, default in self.info.fields:
             value = getattr(self, name)
             always = default is not None and default is not False
-            if always or value != default:
+            if always or value is not None and value != default:
                 if isinstance(value, tuple):
                     value = list(value)
                 payload[name] = value

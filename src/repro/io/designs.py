@@ -82,7 +82,8 @@ def finite(value: "int | float") -> bool:
 def _optional_number(value, what: str):
     if value is None:
         return None
-    if not isinstance(value, (int, float)):
+    # JSON true/false are Python bools, which are ints: not numbers here.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DesignError(f"{what} must be a number, got {value!r}")
     if not finite(value):
         raise DesignError(f"{what} must be finite, got {value!r}")

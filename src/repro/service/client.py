@@ -62,7 +62,7 @@ import urllib.parse
 from ..errors import CarbonModelError
 from ..obs import trace as obs_trace
 from ..resilience.breaker import CircuitBreaker
-from .schema import DEADLINE_HEADER, DEFAULT_SEED, SCHEMA_VERSION
+from .schema import DEADLINE_HEADER, SCHEMA_VERSION, STUDY_KINDS
 
 
 class ServiceError(CarbonModelError):
@@ -497,114 +497,38 @@ class ServiceClient:
         """
         return self._request("GET", "/usage")["result"]
 
-    def evaluate(
-        self,
-        design,
-        workload="av",
-        fab_location=None,
-        label: "str | None" = None,
-        backend: "str | None" = None,
-    ) -> dict:
-        """One point; returns the envelope (``result`` + ``cache`` tag).
+    # One method per study kind, named by its wire type. Each builds its
+    # payload with the kind's StudySpec constructor, whose keyword
+    # arguments are the fields; the envelope (``result`` + ``cache``
+    # tag) comes back.
 
-        ``backend`` selects a registered carbon backend (``"act"``,
-        ``"lca"``, ...); omitted means the 3D-Carbon model.
-        """
-        return self.submit_payload(_specs().evaluate(
-            design, workload=workload, fab_location=fab_location,
-            label=label, backend=backend,
-        ).to_payload())
+    def evaluate(self, design, **fields) -> dict:
+        return self.submit_payload(_specs().evaluate(design, **fields)
+                                   .to_payload())
 
-    def batch(self, points: "list[dict]") -> dict:
-        """``points`` are wire-format dicts (design/workload/fab_location)."""
-        return self.submit_payload(_specs().batch(points).to_payload())
+    def batch(self, points, **fields) -> dict:
+        return self.submit_payload(_specs().batch(points, **fields)
+                                   .to_payload())
 
-    def sweep(
-        self,
-        design,
-        integrations: "list[str] | None" = None,
-        fab_locations: "list | None" = None,
-        workload="av",
-        backend: "str | None" = None,
-    ) -> dict:
-        return self.submit_payload(_specs().sweep(
-            design, integrations=integrations, fab_locations=fab_locations,
-            workload=workload, backend=backend,
-        ).to_payload())
+    def sweep(self, design, **fields) -> dict:
+        return self.submit_payload(_specs().sweep(design, **fields)
+                                   .to_payload())
 
-    def montecarlo(
-        self,
-        design,
-        workload="av",
-        fab_location=None,
-        samples: int = 200,
-        seed: int = DEFAULT_SEED,
-        backend: "str | None" = None,
-        return_samples: bool = False,
-    ) -> dict:
-        return self.submit_payload(_specs().monte_carlo(
-            design, samples=samples, seed=seed, workload=workload,
-            fab_location=fab_location, backend=backend,
-            return_samples=return_samples,
-        ).to_payload())
+    def montecarlo(self, design, **fields) -> dict:
+        return self.submit_payload(_specs().monte_carlo(design, **fields)
+                                   .to_payload())
 
-    def compare(
-        self,
-        design,
-        backends: "list[str] | None" = None,
-        workload="none",
-        fab_location=None,
-        draws: int = 0,
-        seed: int = DEFAULT_SEED,
-    ) -> dict:
-        """One design across backends, server-side, in one engine batch.
+    def compare(self, design, **fields) -> dict:
+        return self.submit_payload(_specs().compare(design, **fields)
+                                   .to_payload())
 
-        ``backends=None`` compares every backend the server registers;
-        ``draws > 0`` adds a per-backend Monte-Carlo band drawn from
-        each backend's own factor set.
-        """
-        return self.submit_payload(_specs().compare(
-            design, backends=backends, workload=workload,
-            fab_location=fab_location, draws=draws, seed=seed,
-        ).to_payload())
+    def tornado(self, design, **fields) -> dict:
+        return self.submit_payload(_specs().tornado(design, **fields)
+                                   .to_payload())
 
-    def tornado(
-        self,
-        design,
-        workload="av",
-        fab_location=None,
-        backend: "str | None" = None,
-    ) -> dict:
-        """One-at-a-time sensitivity study over the backend's own factors."""
-        return self.submit_payload(_specs().tornado(
-            design, workload=workload, fab_location=fab_location,
-            backend=backend,
-        ).to_payload())
-
-    def optimize(
-        self,
-        design,
-        workload="av",
-        integrations: "list[str] | None" = None,
-        die_counts: "list[int] | None" = None,
-        wafer_diameters_mm: "list[float] | None" = None,
-        fab_locations: "list | None" = None,
-        max_configs: "int | None" = None,
-        chunk: "int | None" = None,
-        seed: int = DEFAULT_SEED,
-    ) -> dict:
-        """Server-side Pareto search over the case-study design grid.
-
-        ``None`` axes take the grid defaults; the result envelope's
-        ``result.front`` is the sorted non-dominated set over (carbon,
-        performance, cost).
-        """
-        return self.submit_payload(_specs().optimize(
-            design, workload=workload, integrations=integrations,
-            die_counts=die_counts, wafer_diameters_mm=wafer_diameters_mm,
-            fab_locations=fab_locations, max_configs=max_configs,
-            chunk=chunk, seed=seed,
-        ).to_payload())
+    def optimize(self, design, **fields) -> dict:
+        return self.submit_payload(_specs().optimize(design, **fields)
+                                   .to_payload())
 
     # -- streaming -----------------------------------------------------------
 
@@ -618,6 +542,13 @@ class ServiceClient:
         kind = payload.get("type")
         if not isinstance(kind, str) or not kind:
             raise ServiceError("request payload needs a \"type\" field")
+        streams = kind in STUDY_KINDS and STUDY_KINDS[kind].streams
+        if streams and payload.get("stream") is True:
+            # The server answers NDJSON, which is not one envelope.
+            raise ServiceError(
+                f"a \"stream\": true {kind} request answers a stream; "
+                f"send it with stream_payload()"
+            )
         return self._post(f"/{kind}", dict(payload))
 
     def stream_payload(self, payload: dict):
@@ -665,40 +596,17 @@ class ServiceClient:
         finally:
             response.close()
 
-    def stream_batch(self, points: "list[dict]"):
+    def stream_batch(self, points, **fields):
         """Stream a batch point-by-point as the server finishes each."""
-        return self.stream_payload(_specs().batch(points).to_payload())
+        return self.stream_payload(_specs().batch(points, **fields)
+                                   .to_payload())
 
-    def stream_sweep(
-        self,
-        design,
-        integrations: "list[str] | None" = None,
-        fab_locations: "list | None" = None,
-        workload="av",
-        backend: "str | None" = None,
-    ):
+    def stream_sweep(self, design, **fields):
         """Stream an expanded sweep grid point-by-point."""
-        return self.stream_payload(_specs().sweep(
-            design, integrations=integrations, fab_locations=fab_locations,
-            workload=workload, backend=backend,
-        ).to_payload())
+        return self.stream_payload(_specs().sweep(design, **fields)
+                                   .to_payload())
 
-    def stream_optimize(
-        self,
-        design,
-        workload="av",
-        integrations: "list[str] | None" = None,
-        die_counts: "list[int] | None" = None,
-        wafer_diameters_mm: "list[float] | None" = None,
-        fab_locations: "list | None" = None,
-        max_configs: "int | None" = None,
-        chunk: "int | None" = None,
-        seed: int = DEFAULT_SEED,
-    ):
+    def stream_optimize(self, design, **fields):
         """Stream a Pareto search chunk-by-chunk (running front snapshots)."""
-        return self.stream_payload(_specs().optimize(
-            design, workload=workload, integrations=integrations,
-            die_counts=die_counts, wafer_diameters_mm=wafer_diameters_mm,
-            fab_locations=fab_locations, max_configs=max_configs,
-            chunk=chunk, seed=seed,
-        ).to_payload())
+        return self.stream_payload(_specs().optimize(design, **fields)
+                                   .to_payload())

@@ -169,12 +169,13 @@ def montecarlo_fingerprint(
 def front_payload(request: OptimizeRequest, front: dict) -> dict:
     """The optimize result: the request's echo plus the front's record.
 
-    ``front`` is ``ParetoFront.to_dict()``, or its twin assembled from a
-    streamed search's last snapshot, so the enveloped and the streamed
-    result render the same.
+    ``front`` is :func:`~repro.analysis.optimizer.front_record` of the
+    finished search (``ParetoFront.to_dict()``) or of a streamed search's
+    last snapshot, so the enveloped and the streamed result render the
+    same.
     """
     return {
-        "design": request.reference.name,
+        "design": request.design.name,
         "workload": workload_to_value(request.workload),
         "max_configs": request.max_configs,
         "seed": request.seed,
@@ -930,9 +931,9 @@ class Dispatcher:
         for name in request.integrations:
             spec = self.params.integration_spec(name)
             if spec.is_2d:
-                design = request.reference
+                design = request.design
             else:
-                design = ChipDesign.homogeneous_split(request.reference, name)
+                design = ChipDesign.homogeneous_split(request.design, name)
             for location in request.fab_locations:
                 label_location = (
                     location if location is not None else self.fab_location
@@ -1178,7 +1179,7 @@ class Dispatcher:
 
         integrations, die_counts, wafers, locations = axes
         return ParetoSearch.from_axes(
-            request.reference,
+            request.design,
             params=self.params,
             workload=request.workload,
             integrations=integrations,
@@ -1208,7 +1209,7 @@ class Dispatcher:
             "optimize",
             SCHEMA_VERSION,
             parameters_to_dict(self.params),
-            design_to_dict(request.reference),
+            design_to_dict(request.design),
             workload_to_value(request.workload),
             integrations,
             die_counts,

@@ -91,6 +91,12 @@ class ServiceFleet:
         self.socket = socket.create_server(
             (self.host, self.port), backlog=self.backlog
         )
+        # Every worker selects on this socket, and one connection wakes
+        # them all. On a blocking socket the workers that lose the race
+        # block in accept(), and SIGTERM's shutdown() waits on them for
+        # good; non-blocking, they get BlockingIOError, which the serve
+        # loop drops, and go back to select().
+        self.socket.setblocking(False)
         self.port = self.socket.getsockname()[1]
         for index in range(self.workers):
             self._spawn(index)

@@ -211,6 +211,9 @@ def error_envelope(error: Exception) -> dict:
 
 # -- field helpers -----------------------------------------------------------
 
+#: The default of a payload field every request must carry.
+REQUIRED = object()
+
 
 def _reject_unknown(data: dict, allowed: "tuple[str, ...]",
                     where: str) -> None:
@@ -323,32 +326,25 @@ def _location(value, where: str):
     )
 
 
-def _fab_location(data: dict, where: str = "fab_location"):
-    """The optional ``fab_location`` field (``None`` when absent)."""
-    value = data.get("fab_location")
-    return None if value is None else _location(value, where)
-
-
-def _array(data: dict, key: str, kind: str, of: str = " of names",
+def _array(values, where: str, kind: str, of: str = " of names",
            item=None) -> "tuple | None":
-    """The optional non-empty array ``key`` of a ``kind`` request.
+    """An optional non-empty array field of a ``kind`` request.
 
     ``item(value, where)`` parses each entry; without one, entries must
-    be non-empty strings. ``None`` when the field is absent.
+    be non-empty strings. ``None`` stays ``None`` (the field is unset).
     """
-    values = data.get(key)
     if values is None:
         return None
     if not isinstance(values, list) or not values or item is None and not all(
         isinstance(value, str) and value for value in values
     ):
         raise SchemaError(
-            f"{kind} \"{key}\" must be a non-empty array{of}", field=key
+            f"{kind} \"{where}\" must be a non-empty array{of}", field=where
         )
     if item is None:
         return tuple(values)
     return tuple(
-        item(value, f"{key}[{index}]") for index, value in enumerate(values)
+        item(value, f"{where}[{index}]") for index, value in enumerate(values)
     )
 
 
@@ -431,7 +427,7 @@ class BatchRequest:
 class SweepRequest:
     """A reference design fanned over integrations × fab locations."""
 
-    reference: ChipDesign
+    design: ChipDesign
     integrations: tuple[str, ...]
     fab_locations: tuple
     workload: "Workload | None"
@@ -480,15 +476,15 @@ class CompareRequest:
 class OptimizeRequest:
     """A vectorized Pareto search over the case-study design grid.
 
-    ``None`` axes take the grid defaults (see
-    :meth:`repro.vec.DesignGrid.from_axes`; fab locations default to the
-    server's configured location). ``max_configs`` subsamples the
+    ``design`` is the 2D reference. ``None`` axes take the grid defaults
+    (see :meth:`repro.vec.DesignGrid.from_axes`; fab locations default
+    to the server's configured location). ``max_configs`` subsamples the
     expanded grid deterministically under ``seed``; ``chunk`` sets the
     vectorized evaluation block size (the front is chunk-invariant, the
     reported chunk count is not).
     """
 
-    reference: ChipDesign
+    design: ChipDesign
     workload: "Workload | None"
     integrations: "tuple[str, ...] | None" = None
     die_counts: "tuple[int, ...] | None" = None
@@ -500,204 +496,171 @@ class OptimizeRequest:
     stream: bool = False
 
 
-def _parse_design(value, where: str) -> ChipDesign:
+# -- field rules -------------------------------------------------------------
+
+
+def _design(value, where: str, kind: str) -> ChipDesign:
+    if value is REQUIRED:
+        # An evaluate point's fields carry its name ("request.design",
+        # "points[0].design"); another kind's are bare.
+        owner = where.rpartition(".")[0] or f"{kind} request"
+        raise SchemaError(f"{owner} missing \"design\"", field=where)
     return design_from_dict(_require_mapping(value, where))
 
 
-def _parse_point(
-    data: dict, where: str = "request"
-) -> EvaluateRequest:
-    _reject_unknown(data, STUDY_KINDS["evaluate"].keys, where)
-    if "design" not in data:
-        raise SchemaError(f"{where} missing \"design\"",
-                          field=f"{where}.design")
-    label = data.get("label")
-    if label is not None and not isinstance(label, str):
-        raise SchemaError(f"{where}.label must be a string",
-                          field=f"{where}.label")
-    fab_location = _fab_location(data, f"{where}.fab_location")
-    return EvaluateRequest(
-        design=_parse_design(data["design"], f"{where}.design"),
-        workload=workload_from_value(
-            data.get("workload", "av"), f"{where}.workload"
-        ),
-        fab_location=fab_location,
-        label=label,
-        backend=backend_from_value(data.get("backend"), f"{where}.backend"),
+def _label(value, where: str, kind: str) -> "str | None":
+    if value is not None and not isinstance(value, str):
+        raise SchemaError(f"{where} must be a string", field=where)
+    return value
+
+
+def _points(value, where: str, kind: str) -> "tuple[EvaluateRequest, ...]":
+    if not isinstance(value, list) or not value:
+        raise SchemaError(
+            f"{kind} request needs a non-empty \"points\" array", field=where
+        )
+    if len(value) > MAX_BATCH_POINTS:
+        raise SchemaError(
+            f"{kind} is limited to {MAX_BATCH_POINTS} points per request, "
+            f"got {len(value)}",
+            field=where,
+        )
+    point = STUDY_KINDS["evaluate"]
+    parsed = []
+    for index, data in enumerate(value):
+        at = f"{where}[{index}]"
+        data = _require_mapping(data, at)
+        # A point is an evaluate request without the envelope keys.
+        parsed.append(EvaluateRequest(
+            **_fields(point, data, point.names, at, f"{at}.")
+        ))
+    return tuple(parsed)
+
+
+def _draws(value, where: str, kind: str) -> int:
+    draws = _integer(value, where, 0, MAX_MC_SAMPLES)
+    if draws == 1:
+        raise SchemaError(
+            f"{kind} \"{where}\" must be 0 (no bands) or >= 2", field=where
+        )
+    return draws
+
+
+def _limit(value, where: str, kind: str) -> "int | None":
+    """An optional grid-size knob (``max_configs``, ``chunk``)."""
+    return None if value is None else _integer(
+        value, where, 1, MAX_GRID_POINTS
     )
+
+
+#: Field name → its rule, ``rule(value, where, kind)``: the value of the
+#: field in a request of wire type ``kind`` (its :data:`STUDY_KINDS`
+#: default when absent) → the parsed value, with errors naming the field
+#: ``where``. One rule per name, in whichever kinds carry the field.
+FIELD_RULES = {
+    "design": _design,
+    "workload": lambda value, where, kind: workload_from_value(value, where),
+    "fab_location": lambda value, where, kind: (
+        None if value is None else _location(value, where)
+    ),
+    "label": _label,
+    "backend": lambda value, where, kind: backend_from_value(value, where),
+    "points": _points,
+    "stream": lambda value, where, kind: _boolean(value, where),
+    "integrations": lambda value, where, kind: _array(value, where, kind),
+    "fab_locations": lambda value, where, kind: _array(
+        value, where, kind, "", _location
+    ),
+    # The engine needs >= 2 draws for a distribution summary.
+    "samples": lambda value, where, kind: _integer(
+        value, where, 2, MAX_MC_SAMPLES
+    ),
+    # numpy's default_rng rejects negative seeds.
+    "seed": lambda value, where, kind: _integer(value, where, 0, 2**62),
+    "return_samples": lambda value, where, kind: _boolean(value, where),
+    "backends": lambda value, where, kind: _array(
+        value, where, kind, " of backend names", backend_from_value
+    ),
+    "draws": _draws,
+    "die_counts": lambda value, where, kind: _array(
+        value, where, kind, " of integers",
+        lambda count, at: _integer(count, at, 2, 64),
+    ),
+    "wafer_diameters_mm": lambda value, where, kind: _array(
+        value, where, kind, " of numbers",
+        lambda diameter, at: _number(diameter, at, minimum=0.0),
+    ),
+    "max_configs": _limit,
+    "chunk": _limit,
+}
+
+
+def _fields(kind: "StudyKind", data: dict, allowed: "tuple[str, ...]",
+            where: str, prefix: str = "") -> dict:
+    """Every field of a ``kind`` record in ``data``, parsed by its rule.
+
+    ``allowed`` are the keys ``data`` may carry, ``where`` names ``data``
+    in an unknown-key error, and ``prefix`` goes before each field name
+    in a field's errors.
+    """
+    _reject_unknown(data, allowed, where)
+    return {
+        name: FIELD_RULES[name](data.get(name, default), prefix + name,
+                                kind.wire)
+        for name, default in kind.fields
+    }
+
+
+def _request(wire: str, data, prefix: str = "") -> dict:
+    """The fields of a ``wire`` request: envelope checked, each field
+    parsed by its rule, table defaults filled in."""
+    data = _require_mapping(data, "request")
+    _check_envelope(data, wire)
+    kind = STUDY_KINDS[wire]
+    return _fields(kind, data, kind.keys, "request", prefix)
 
 
 def parse_evaluate_request(data) -> EvaluateRequest:
-    data = _require_mapping(data, "request")
-    _check_envelope(data, "evaluate")
-    return _parse_point(data)
+    # Its fields are named as a batch point's are: "request.<field>".
+    return EvaluateRequest(**_request("evaluate", data, "request."))
 
 
 def parse_batch_request(data) -> BatchRequest:
-    data = _require_mapping(data, "request")
-    _check_envelope(data, "batch")
-    _reject_unknown(data, STUDY_KINDS["batch"].keys, "request")
-    points = data.get("points")
-    if not isinstance(points, list) or not points:
-        raise SchemaError(
-            "batch request needs a non-empty \"points\" array",
-            field="points",
-        )
-    if len(points) > MAX_BATCH_POINTS:
-        raise SchemaError(
-            f"batch is limited to {MAX_BATCH_POINTS} points per request, "
-            f"got {len(points)}",
-            field="points",
-        )
-    parsed = []
-    for index, point in enumerate(points):
-        where = f"points[{index}]"
-        point = _require_mapping(point, where)
-        _reject_unknown(point, STUDY_KINDS["evaluate"].names, where)
-        parsed.append(_parse_point(dict(point), where))
-    return BatchRequest(
-        points=tuple(parsed),
-        stream=_boolean(data.get("stream", False), "stream"),
-    )
+    return BatchRequest(**_request("batch", data))
 
 
 def parse_sweep_request(data) -> SweepRequest:
-    data = _require_mapping(data, "request")
-    _check_envelope(data, "sweep")
-    _reject_unknown(data, STUDY_KINDS["sweep"].keys, "request")
-    if "design" not in data:
-        raise SchemaError("sweep request missing \"design\"", field="design")
-    reference = _parse_design(data["design"], "design")
-    integrations = _array(data, "integrations", "sweep")
-    if integrations is None:
-        integrations = tuple(DEFAULT_INTEGRATIONS)
-    fab_locations = _array(data, "fab_locations", "sweep", "", _location)
-    if fab_locations is None:
-        fab_locations = (None,)
-    if len(integrations) * len(fab_locations) > MAX_BATCH_POINTS:
+    fields = _request("sweep", data)
+    if fields["integrations"] is None:
+        fields["integrations"] = tuple(DEFAULT_INTEGRATIONS)
+    if fields["fab_locations"] is None:
+        fields["fab_locations"] = (None,)
+    if (len(fields["integrations"]) * len(fields["fab_locations"])
+            > MAX_BATCH_POINTS):
         raise SchemaError(
             f"sweep expands past the {MAX_BATCH_POINTS}-point batch limit",
             field="integrations",
         )
-    return SweepRequest(
-        reference=reference,
-        integrations=integrations,
-        fab_locations=fab_locations,
-        workload=workload_from_value(data.get("workload", "av")),
-        backend=backend_from_value(data.get("backend")),
-        stream=_boolean(data.get("stream", False), "stream"),
-    )
+    return SweepRequest(**fields)
 
 
 def parse_montecarlo_request(data) -> MonteCarloRequest:
-    data = _require_mapping(data, "request")
-    _check_envelope(data, "montecarlo")
-    _reject_unknown(data, STUDY_KINDS["montecarlo"].keys, "request")
-    if "design" not in data:
-        raise SchemaError("montecarlo request missing \"design\"",
-                          field="design")
-    fab_location = _fab_location(data)
-    return MonteCarloRequest(
-        design=_parse_design(data["design"], "design"),
-        workload=workload_from_value(data.get("workload", "av")),
-        fab_location=fab_location,
-        samples=_integer(
-            # The engine needs >= 2 draws for a distribution summary.
-            data.get("samples", 200), "samples", 2, MAX_MC_SAMPLES
-        ),
-        seed=_integer(
-            # numpy's default_rng rejects negative seeds.
-            data.get("seed", DEFAULT_SEED), "seed", 0, 2**62
-        ),
-        backend=backend_from_value(data.get("backend")),
-        return_samples=_boolean(
-            data.get("return_samples", False), "return_samples"
-        ),
-    )
+    return MonteCarloRequest(**_request("montecarlo", data))
 
 
 def parse_tornado_request(data) -> TornadoRequest:
-    data = _require_mapping(data, "request")
-    _check_envelope(data, "tornado")
-    _reject_unknown(data, STUDY_KINDS["tornado"].keys, "request")
-    if "design" not in data:
-        raise SchemaError("tornado request missing \"design\"", field="design")
-    fab_location = _fab_location(data)
-    return TornadoRequest(
-        design=_parse_design(data["design"], "design"),
-        workload=workload_from_value(data.get("workload", "av")),
-        fab_location=fab_location,
-        backend=backend_from_value(data.get("backend")),
-    )
+    return TornadoRequest(**_request("tornado", data))
 
 
 def parse_compare_request(data) -> CompareRequest:
-    data = _require_mapping(data, "request")
-    _check_envelope(data, "compare")
-    _reject_unknown(data, STUDY_KINDS["compare"].keys, "request")
-    if "design" not in data:
-        raise SchemaError("compare request missing \"design\"", field="design")
-    backends = _array(
-        data, "backends", "compare", " of backend names", backend_from_value
-    )
-    fab_location = _fab_location(data)
-    draws = _integer(data.get("draws", 0), "draws", 0, MAX_MC_SAMPLES)
-    if draws == 1:
-        raise SchemaError(
-            "compare \"draws\" must be 0 (no bands) or >= 2", field="draws"
-        )
-    return CompareRequest(
-        design=_parse_design(data["design"], "design"),
-        backends=backends,
-        workload=workload_from_value(data.get("workload", "none")),
-        fab_location=fab_location,
-        draws=draws,
-        seed=_integer(data.get("seed", DEFAULT_SEED), "seed", 0, 2**62),
-    )
+    return CompareRequest(**_request("compare", data))
 
 
 def parse_optimize_request(data) -> OptimizeRequest:
-    data = _require_mapping(data, "request")
-    _check_envelope(data, "optimize")
-    _reject_unknown(data, STUDY_KINDS["optimize"].keys, "request")
-    if "design" not in data:
-        raise SchemaError("optimize request missing \"design\"",
-                          field="design")
-    reference = _parse_design(data["design"], "design")
-    integrations = _array(data, "integrations", "optimize")
-    die_counts = _array(
-        data, "die_counts", "optimize", " of integers",
-        lambda value, where: _integer(value, where, 2, 64),
-    )
-    wafers = _array(
-        data, "wafer_diameters_mm", "optimize", " of numbers",
-        lambda value, where: _number(value, where, minimum=0.0),
-    )
-    fab_locations = _array(data, "fab_locations", "optimize", "", _location)
-    max_configs = data.get("max_configs")
-    if max_configs is not None:
-        max_configs = _integer(max_configs, "max_configs", 1, MAX_GRID_POINTS)
-    chunk = data.get("chunk")
-    if chunk is not None:
-        chunk = _integer(chunk, "chunk", 1, MAX_GRID_POINTS)
-    return OptimizeRequest(
-        reference=reference,
-        workload=workload_from_value(data.get("workload", "av")),
-        integrations=integrations,
-        die_counts=die_counts,
-        wafer_diameters_mm=wafers,
-        fab_locations=fab_locations,
-        max_configs=max_configs,
-        chunk=chunk,
-        seed=_integer(data.get("seed", DEFAULT_SEED), "seed", 0, 2**62),
-        stream=_boolean(data.get("stream", False), "stream"),
-    )
+    return OptimizeRequest(**_request("optimize", data))
 
 
 # -- the study-kind table ----------------------------------------------------
-
-#: The default of a payload field every request must carry.
-REQUIRED = object()
 
 
 @dataclass(frozen=True)
@@ -717,7 +680,10 @@ class StudyKind:
       point entries; every other shape is one object);
     * ``fields`` — ``(payload field, default)`` pairs in payload order;
       :data:`REQUIRED` marks a field with no default. A field whose
-      default is ``None`` or ``False`` is sent only when set;
+      default is ``None`` or ``False`` is sent only when set. Each field
+      is parsed by its name's rule in :data:`FIELD_RULES`, and the
+      parser builds its record as ``record(**fields)``, so a kind whose
+      fields all have rules needs no parsing code of its own;
     * ``streams`` — ``"stream": true`` answers NDJSON entries;
     * ``cached`` — the result envelope carries a ``cache`` tag;
     * ``encoded`` — the handler can hand reports back as

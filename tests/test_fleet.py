@@ -33,6 +33,7 @@ from repro.service.client import ServiceClient
 from repro.service.dispatcher import Dispatcher
 from repro.service.fleet import ServiceFleet, resolve_worker_count
 from repro.service.loadgen import bench_fleet, run_load
+from repro.service.server import CarbonService
 from repro.service.schema import parse_evaluate_request
 from repro.service.store import ResultStore
 
@@ -316,6 +317,26 @@ class TestSupervision:
             # process we cannot signal).
             with pytest.raises((ProcessLookupError, PermissionError)):
                 os.kill(pid, 0)
+
+    def test_a_worker_woken_without_a_connection_returns(self):
+        """Workers share a non-blocking socket: one woken for a
+        connection another worker accepted returns from its accept at
+        once, so SIGTERM's shutdown() never waits on a blocked loop."""
+        instance = ServiceFleet(workers=1)
+        instance.start(supervise=False)
+        try:
+            worker = CarbonService(
+                listen_socket=instance.socket, worker_index=1
+            )
+            # No connection is pending: the forked worker is idle too.
+            thread = threading.Thread(
+                target=worker._handle_request_noblock, daemon=True
+            )
+            thread.start()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        finally:
+            instance.close()
 
     def test_resolve_worker_count(self):
         assert resolve_worker_count(3) == 3

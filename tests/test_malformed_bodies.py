@@ -160,6 +160,8 @@ WRONG_FIELDS = [
     (("design", "name"), ["x"]),
     (("design", "package", "class"), {"name": "fcbga"}),
     (("design", "package", "area_mm2"), [900]),
+    (("design", "package", "area_mm2"), True),
+    (("design", "throughput_tops"), True),
     (("workload",), 5),
     (("workload",), {"name": "w"}),
     (("workload",), {"name": "w", "total_tera_ops": "lots"}),

@@ -191,7 +191,7 @@ class TestWithinRequestSharing:
         self, store_dispatcher, streamed
     ):
         request = SweepRequest(
-            reference=reference("sweep_ref"),
+            design=reference("sweep_ref"),
             integrations=("hybrid_3d",),
             fab_locations=LOCATIONS,
             workload=AV,
