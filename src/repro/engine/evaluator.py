@@ -24,10 +24,13 @@ points cannot distinguish:
   ``worker_mode="process"`` (or ``workers="process"``) fans chunks over
   forked process workers for true parallelism — see
   :mod:`repro.engine.parallel`;
-* :meth:`BatchEvaluator.scoped` hands out a child with the same
-  configuration and empty caches for one request's points, whose counts
-  land back in the parent's stats — for callers that already cache
-  across requests elsewhere (a store-backed service dispatcher).
+* :meth:`BatchEvaluator.scoped` hands out a lean request pass for one
+  request's points — for callers that already deduplicate and cache
+  across requests elsewhere (a store-backed service dispatcher). It has
+  the same configuration, but its memo layers are plain dicts keyed by
+  value on the design (plus fab carbon intensity or workload), with no
+  fingerprints, LRU layers or ``ResolveCache``; its counts land back in
+  the parent's stats.
 
 Results are bit-identical to the scalar ``CarbonModel`` path: the engine
 calls the very same stage functions with the very same inputs — caching
@@ -122,17 +125,18 @@ class EngineStats:
 
 
 class _Caches:
-    """The per-stage memo layers, all LRU-bounded by one shared policy."""
+    """The per-stage memo layers, each built by ``layer()``: LRU-bounded
+    under one shared policy, or plain dicts for one request."""
 
     __slots__ = ("resolved", "embodied", "embodied_totals", "bandwidth",
                  "operational")
 
-    def __init__(self, policy: EvictionPolicy) -> None:
-        self.resolved = LRUCache(policy)
-        self.embodied = LRUCache(policy)
-        self.embodied_totals = LRUCache(policy)
-        self.bandwidth = LRUCache(policy)
-        self.operational = LRUCache(policy)
+    def __init__(self, layer) -> None:
+        self.resolved = layer()
+        self.embodied = layer()
+        self.embodied_totals = layer()
+        self.bandwidth = layer()
+        self.operational = layer()
 
 
 class _BackendStageMemo:
@@ -266,8 +270,8 @@ class BatchEvaluator:
         #: set instead of freezing its caches at the first fill.
         self.cache_limit = cache_limit
         self.eviction_policy = EvictionPolicy(max_entries=cache_limit)
-        self.resolve_cache = ResolveCache(policy=self.eviction_policy)
-        self._caches = _Caches(self.eviction_policy)
+        self.resolve_cache = self._resolve_cache()
+        self._caches = _Caches(self._layer)
         #: Per-(backend name, stage name) LRU layers for non-default
         #: backends; the resolve stage is served by the shared caches.
         self._backend_caches: "dict[tuple[str, str], LRUCache]" = {}
@@ -277,8 +281,8 @@ class BatchEvaluator:
         # Identity-keyed interning of draw-stable lookups. Values hold
         # strong references to the keyed objects, so an id can never be
         # recycled while its entry is alive.
-        self._ci_cache = LRUCache(self.eviction_policy)
-        self._statics = LRUCache(self.eviction_policy)
+        self._ci_cache = self._layer()
+        self._statics = self._layer()
         #: Optional :class:`~repro.obs.metrics.MetricsRegistry`. When
         #: attached, stage computations (memo misses) record into a
         #: per-stage latency histogram; with neither a registry nor an
@@ -326,31 +330,20 @@ class BatchEvaluator:
 
     @contextmanager
     def scoped(self):
-        """An evaluator for one request: this configuration, empty caches.
+        """An evaluator for one request: this configuration, a lean memo.
 
-        Yields a child with the same params, fab location, efficiency
-        plugin, workers, worker mode, chunk size, cache bound, point and
-        shard deadlines, faults and metrics. Its memo layers start empty
-        and are dropped with it, so repeats *within* the request still
-        share resolution while nothing feeds this evaluator's long-lived
-        layers. On exit the child's counts — structure hits and misses
-        and recovered worker shards included — are added into this
+        Yields a :class:`_RequestPass` with the same params, fab location,
+        efficiency plugin, workers, worker mode, chunk size, cache bound,
+        point and shard deadlines, faults and metrics. Its memo layers
+        are plain dicts that start empty and are dropped with it, so
+        repeats *within* the request still share stage results while
+        nothing feeds this evaluator's long-lived layers; it keeps no
+        structural :class:`~repro.core.resolve.ResolveCache`, so it
+        counts no structure hits or misses. On exit the child's counts
+        (recovered worker shards included) are added into this
         evaluator's :attr:`stats`.
         """
-        child = BatchEvaluator(
-            params=self.params,
-            fab_location=self.fab_location,
-            efficiency_plugin=self.efficiency_plugin,
-            workers=self.workers,
-            worker_mode=self.worker_mode,
-            chunk_size=self.chunk_size,
-            cache_limit=self.cache_limit,
-            faults=self.faults,
-            point_timeout_s=self.point_timeout_s,
-            shard_deadline_s=self.shard_deadline_s,
-        )
-        child.metrics = self.metrics
-        child._stage_hists = self._stage_hists
+        child = _RequestPass(self)
         try:
             yield child
         finally:
@@ -359,33 +352,39 @@ class BatchEvaluator:
                 for field, value in child._stats.__dict__.items():
                     if value:
                         setattr(stats, field, getattr(stats, field) + value)
-                # Structure counts live on the resolve cache (see
-                # ``stats``).
-                self.resolve_cache.hits += child.resolve_cache.hits
-                self.resolve_cache.misses += child.resolve_cache.misses
 
     # -- cache plumbing ------------------------------------------------------
 
     @property
     def stats(self) -> EngineStats:
         """Hit/miss counters, with the structural sub-cache synced in."""
-        self._stats.structure_hits = self.resolve_cache.hits
-        self._stats.structure_misses = self.resolve_cache.misses
+        if self.resolve_cache is not None:
+            self._stats.structure_hits = self.resolve_cache.hits
+            self._stats.structure_misses = self.resolve_cache.misses
         return self._stats
 
     def clear(self) -> None:
         """Drop every memoized result (stats reset too)."""
-        self.resolve_cache.clear()
-        self._caches = _Caches(self.eviction_policy)
+        if self.resolve_cache is not None:
+            self.resolve_cache.clear()
+        self._caches = _Caches(self._layer)
         self._backend_caches = {}
         self._stats = EngineStats()
         self._ci_cache.clear()
         self._statics.clear()
 
+    def _layer(self) -> LRUCache:
+        """One memo layer under this evaluator's eviction policy."""
+        return LRUCache(self.eviction_policy)
+
+    def _resolve_cache(self) -> "ResolveCache | None":
+        """The structural sub-cache :func:`resolve_design` reuses."""
+        return ResolveCache(policy=self.eviction_policy)
+
     def _backend_cache(self, backend_name: str, stage_name: str) -> LRUCache:
         cache = self._backend_caches.get((backend_name, stage_name))
         if cache is None:
-            cache = LRUCache(self.eviction_policy)
+            cache = self._layer()
             self._backend_caches[(backend_name, stage_name)] = cache
         return cache
 
@@ -418,10 +417,34 @@ class BatchEvaluator:
             self._statics[(id(design), id(spec))] = entry
         return entry
 
+    # The memo key of each stage. A stage result is reused exactly when
+    # its key repeats; :class:`_RequestPass` overrides these with value
+    # keys for one request's points.
+
     def _rkey(self, design: ChipDesign, params: ParameterSet) -> "fp.CachedKey":
         """Resolve fingerprint with the static (design, spec) part interned."""
         spec = params.integration_spec(design.integration)
         return fp.resolve_key(design, params, self._static(design, spec)[0])
+
+    def _ekey(self, rkey, design: ChipDesign, params: ParameterSet,
+              ci: float):
+        return fp.embodied_key(rkey, design, params, ci)
+
+    def _bkey(self, rkey, params: ParameterSet):
+        return fp.bandwidth_key(rkey, params)
+
+    def _okey(self, rkey, design: ChipDesign, params: ParameterSet,
+              workload: Workload, bandwidth: BandwidthResult):
+        spec = rkey.value[0].value[1]
+        return fp.operational_key(
+            rkey, self._static(design, spec)[1], spec, params, workload,
+            self._ci(params, workload.use_location), bandwidth,
+            self.efficiency_plugin,
+        )
+
+    def _fingerprint(self, rkey, design: ChipDesign, params: ParameterSet):
+        """The resolve fingerprint a backend's own stage keys build on."""
+        return rkey
 
     def _on_shard_lost(self, shard: int, reason: str) -> None:
         """fork_map recovery hook: count reassigned shards in stats."""
@@ -479,7 +502,7 @@ class BatchEvaluator:
         resolved: "ResolvedDesign | None" = None,
         transient: bool = False,
     ) -> EmbodiedReport:
-        ekey = fp.embodied_key(rkey, design, params, ci)
+        ekey = self._ekey(rkey, design, params, ci)
         cached = self._caches.embodied.get(ekey)
         if cached is None:
             if self.faults.active:
@@ -510,7 +533,7 @@ class BatchEvaluator:
         resolved: "ResolvedDesign | None" = None,
         transient: bool = False,
     ) -> BandwidthResult:
-        bkey = fp.bandwidth_key(rkey, params)
+        bkey = self._bkey(rkey, params)
         cached = self._caches.bandwidth.get(bkey)
         if cached is None:
             if self.faults.active:
@@ -549,12 +572,7 @@ class BatchEvaluator:
         resolved: "ResolvedDesign | None" = None,
         transient: bool = False,
     ) -> OperationalReport:
-        spec = rkey.value[0].value[1]
-        use_ci = self._ci(params, workload.use_location)
-        okey = fp.operational_key(
-            rkey, self._static(design, spec)[1], spec, params,
-            workload, use_ci, bandwidth, self.efficiency_plugin,
-        )
+        okey = self._okey(rkey, design, params, workload, bandwidth)
         cached = self._caches.operational.get(okey)
         if cached is None:
             if self.faults.active:
@@ -611,7 +629,7 @@ class BatchEvaluator:
         self._stats.points_evaluated += 1
         return LifecycleReport(
             design_name=design.name,
-            integration=rkey.value[0].value[1].name,
+            integration=resolved.spec.name,
             embodied=self._embodied(
                 design, params, rkey, ci, resolved, transient
             ),
@@ -643,7 +661,7 @@ class BatchEvaluator:
         resolved = self._resolved(design, params, rkey, transient)
 
         # Prefer an already-built full report's total when present.
-        ekey = fp.embodied_key(rkey, design, params, ci)
+        ekey = self._ekey(rkey, design, params, ci)
         embodied = self._caches.embodied.get(ekey)
         if embodied is not None:
             embodied_kg = embodied.total_kg
@@ -727,7 +745,8 @@ class BatchEvaluator:
         if backend.has_stage("resolve"):
             rkey = self._rkey(design, params)
             run.seed(
-                "resolve", rkey, self._resolved(design, params, rkey, transient)
+                "resolve", self._fingerprint(rkey, design, params),
+                self._resolved(design, params, rkey, transient),
             )
         summary = run.summary()
         self._stats.points_evaluated += 1
@@ -887,3 +906,63 @@ class BatchEvaluator:
                     )
                 )
         return [report for chunk in chunk_results for report in chunk]
+
+
+class _RequestPass(BatchEvaluator):
+    """One request's points, priced with the parent's configuration.
+
+    A store-backed dispatcher has already deduplicated the request by
+    content key and pins one parameter set, so a stage result is reused
+    only when one design is priced at several fab locations or
+    workloads. The memo layers are plain dicts keyed by value on exactly
+    that: the design (with the parameter set, by identity) for resolve
+    and bandwidth, that plus the fab carbon intensity for embodied, and
+    that plus the workload for operational. No fingerprint, LRU layer or
+    structural ``ResolveCache`` is built. Stages still run through the
+    :class:`BatchEvaluator` methods, so fault hooks, spans, histograms,
+    point deadlines and worker fan-out are the parent's.
+    """
+
+    def __init__(self, parent: BatchEvaluator) -> None:
+        #: id → parameter set: holds each keyed set so its id stays unique.
+        self._param_sets: "dict[int, ParameterSet]" = {}
+        super().__init__(
+            params=parent.params,
+            fab_location=parent.fab_location,
+            efficiency_plugin=parent.efficiency_plugin,
+            workers=parent.workers,
+            worker_mode=parent.worker_mode,
+            chunk_size=parent.chunk_size,
+            cache_limit=parent.cache_limit,
+            faults=parent.faults,
+            point_timeout_s=parent.point_timeout_s,
+            shard_deadline_s=parent.shard_deadline_s,
+        )
+        self.metrics = parent.metrics
+        self._stage_hists = parent._stage_hists
+
+    def _layer(self) -> dict:
+        return {}
+
+    def _resolve_cache(self) -> None:
+        return None
+
+    def _rkey(self, design: ChipDesign, params: ParameterSet) -> "fp.CachedKey":
+        self._param_sets.setdefault(id(params), params)
+        # Hashes the design once per point; the keys below reuse it.
+        return fp.CachedKey((design, id(params)))
+
+    def _ekey(self, rkey, design, params, ci):
+        return (rkey, ci)
+
+    def _bkey(self, rkey, params):
+        return rkey
+
+    def _okey(self, rkey, design, params, workload, bandwidth):
+        # Looked up for its error alone: an unknown use location fails
+        # before the stage runs, as on the long-lived path.
+        self._ci(params, workload.use_location)
+        return (rkey, workload)
+
+    def _fingerprint(self, rkey, design, params):
+        return fp.resolve_key(design, params)

@@ -359,6 +359,12 @@ def workload_from_value(value, where: str = "workload") -> "Workload | None":
         return None
     if value == "av":
         return Workload.autonomous_vehicle()
+    if isinstance(value, str):
+        raise SchemaError(
+            f'{where} must be "av", "none", null or a workload object, '
+            f"got {value!r}",
+            field=where,
+        )
     data = _require_mapping(value, where)
     _reject_unknown(data, _WORKLOAD_KEYS, where)
     for key in ("name", "total_tera_ops"):

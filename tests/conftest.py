@@ -1,4 +1,12 @@
-"""Shared fixtures: parameter sets, reference designs, workloads."""
+"""Shared fixtures: parameter sets, reference designs, workloads.
+
+Hypothesis profiles: tier-1 loads ``tier1``, which draws the same
+examples on every run and keeps no example database, so a run's result
+depends only on the code. ``pytest --hypothesis-profile=explore`` draws
+fresh random examples, :data:`EXPLORE_SCALE` times as many per test as
+its ``@settings`` budget; an input it finds failing is pinned in tier-1
+as an ``@example`` on that test.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +15,46 @@ import pytest
 from repro import ChipDesign, ParameterSet, Workload
 from repro.config.integration import AssemblyFlow, StackingStyle
 from repro.core.design import Die, DieKind, PackageSpec
+
+try:
+    from hypothesis import is_hypothesis_test, settings
+except ImportError:  # modules without property tests run without it
+    settings = None
+else:
+    settings.register_profile("tier1", derandomize=True, database=None)
+    settings.register_profile("explore", derandomize=False, database=None)
+    settings.load_profile("tier1")
+
+#: How many times its tier-1 budget of examples each property test
+#: draws under the ``explore`` profile.
+EXPLORE_SCALE = 10
+
+
+def pytest_collection_modifyitems(config, items) -> None:
+    """Under ``explore``, raise each property test's example budget.
+
+    The per-test ``@settings(max_examples=...)`` budgets win over any
+    profile, so they are scaled on the collected tests instead. A
+    property test that cannot be scaled stops the run, so the explore
+    budget never silently falls back to tier-1's.
+    """
+    if settings is None or settings.get_current_profile_name() != "explore":
+        return
+    # A parametrized test is one function behind several items.
+    tests = {id(item.function): (item.nodeid, item.function)
+             for item in items
+             if is_hypothesis_test(getattr(item, "function", None))}
+    for nodeid, test in tests.values():
+        # Where hypothesis keeps a @given test's effective settings.
+        current = getattr(test, "_hypothesis_internal_use_settings", None)
+        if current is None:
+            raise pytest.UsageError(
+                f"cannot raise the example budget of {nodeid}: "
+                "hypothesis no longer keeps its settings where expected"
+            )
+        test._hypothesis_internal_use_settings = settings(
+            current, max_examples=current.max_examples * EXPLORE_SCALE
+        )
 
 
 @pytest.fixture(scope="session")

@@ -315,12 +315,24 @@ class TestStudyHandle:
         assert handle.done()
 
     def test_result_timeout(self):
+        # The study is held until result(timeout=0.0) has raised, so the
+        # timeout never races the study finishing first.
         session = Session()
+        release = threading.Event()
+        run = session.run
+
+        def held_run(study):
+            assert release.wait(timeout=60.0)
+            return run(study)
+
+        session.run = held_run
         handle = session.submit(StudySpec.monte_carlo(
-            stacked_design(), samples=512
+            stacked_design(), samples=64
         ))
         with pytest.raises(TimeoutError):
             handle.result(timeout=0.0)
+        assert not handle.done()
+        release.set()
         assert handle.result(timeout=60.0) is not None
 
 

@@ -5,9 +5,13 @@ fab location × workload. The scalar ``CarbonModel``, a long-lived
 ``BatchEvaluator`` (its memo shared across every example) and the
 store-backed ``Dispatcher.batch`` (request-scoped engine memo) must
 agree bit for bit — the dispatcher twice: once as computed, once as
-served from the store. So must a served ``/evaluate``, computed and
-then, for the same bytes again, served from the store through the
-remembered parse and key, and the in-process ``LocalExecutor``.
+served from the store. So must one design priced at several fab
+locations and workloads in a single ``/batch`` or ``/sweep``, enveloped
+or streamed, where the request pass shares its stage results by value;
+a served ``/evaluate``, computed and then, for the same bytes again,
+served from the store through the remembered parse and key; the
+in-process ``LocalExecutor``; and the vectorized core's columns
+(``evaluate_grid``) over designs × wafer diameters × fab locations.
 Store keys of one design never agree across tenants, and the anonymous
 tenant's key is the unsalted content key.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import math
 import tempfile
 import threading
 
@@ -28,19 +33,22 @@ from repro.core.model import CarbonModel
 from repro.core.operational import Workload
 from repro.engine import BatchEvaluator
 from repro.api.executors import LocalExecutor
-from repro.errors import DesignError
-from repro.io.designs import design_to_dict
+from repro.errors import DesignError, ParameterError
+from repro.io.designs import design_from_dict, design_to_dict
 from repro.service import make_server
 from repro.service.dispatcher import Dispatcher, evaluate_fingerprint
 from repro.service.schema import (
     PARSE_MEMO_BODY_MAX,
     BatchRequest,
     EvaluateRequest,
+    SweepRequest,
     workload_to_value,
 )
 from repro.service.store import ResultStore, content_key
 from repro.studies.sweep import DEFAULT_INTEGRATIONS
 from repro.tenancy import ANONYMOUS_TENANT, namespace_key
+from repro.vec import DesignGrid
+from repro.vec.evaluate import evaluate_grid
 
 NODES = ("5nm", "7nm", "10nm", "14nm", "28nm")
 PACKAGES = ("fcbga", "server_mcm", "pop_mobile", "fowlp")
@@ -74,9 +82,9 @@ DIE_COUNTS = {
 
 
 @st.composite
-def designs(draw) -> ChipDesign:
-    integration = draw(st.sampled_from(DEFAULT_INTEGRATIONS))
-    reference = ChipDesign.planar_2d(
+def references(draw) -> ChipDesign:
+    """A single-die 2D reference design."""
+    return ChipDesign.planar_2d(
         f"gen_{draw(st.integers(0, 10**6))}",
         draw(st.sampled_from(NODES)),
         # Below ~1,000 mm² at every node: the 2D reference (and a 2.5D
@@ -85,6 +93,12 @@ def designs(draw) -> ChipDesign:
         package_class=draw(st.sampled_from(PACKAGES)),
         throughput_tops=254.0,
     )
+
+
+@st.composite
+def designs(draw) -> ChipDesign:
+    integration = draw(st.sampled_from(DEFAULT_INTEGRATIONS))
+    reference = draw(references())
     if integration == "2d":
         return reference
     return ChipDesign.homogeneous_split(
@@ -130,6 +144,156 @@ def test_scalar_engine_and_store_backed_batch_agree(batch):
     assert [entry["report"] for entry in served] == [
         json.loads(json.dumps(report)) for report in expected
     ]
+
+
+def scalar(design: ChipDesign, location, workload) -> dict:
+    return CarbonModel(design, fab_location=location).evaluate(
+        workload
+    ).to_dict()
+
+
+def priced(dispatcher: Dispatcher, wire: str, request, streamed: bool):
+    """A ``/batch`` or ``/sweep`` answer's entries, enveloped or streamed."""
+    if not streamed:
+        return getattr(dispatcher, wire)(request)
+    _, entries = getattr(dispatcher, f"stream_{wire}")(request)
+    entries = list(entries)
+    assert [entry.pop("index") for entry in entries] == list(
+        range(len(entries))
+    )
+    return entries
+
+
+def fab_ci(location) -> float:
+    return DEFAULT_PARAMETERS.grid(location).kg_co2_per_kwh
+
+
+@given(
+    design=designs(),
+    pairs=st.lists(
+        st.tuples(st.sampled_from(LOCATIONS), st.sampled_from(WORKLOADS)),
+        min_size=2, max_size=6,
+    ),
+    streamed=st.booleans(),
+)
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_one_design_at_many_locations_and_workloads_in_one_batch(
+    design, pairs, streamed
+):
+    # Every point carries its own parse of the design, as a served
+    # request does: the request pass shares by value, not identity.
+    wire = design_to_dict(design)
+    request = BatchRequest(points=tuple(
+        EvaluateRequest(design=design_from_dict(wire), workload=workload,
+                        fab_location=location)
+        for location, workload in pairs
+    ))
+    with ResultStore() as store:
+        dispatcher = Dispatcher(store=store)
+        entries = priced(dispatcher, "batch", request, streamed)
+        stats = dispatcher.evaluator.stats
+    assert [entry["report"] for entry in entries] == [
+        scalar(design, location, workload) for location, workload in pairs
+    ]
+    # Points are keyed by the fab carbon intensity, not its spelling
+    # (iceland is 30 g/kWh): a repeat is deduplicated before the engine.
+    distinct = {(fab_ci(location), workload) for location, workload in pairs}
+    assert stats.points_evaluated == len(distinct)
+    assert (stats.resolve_misses, stats.bandwidth_misses) == (1, 1)
+    assert stats.embodied_misses == len({ci for ci, _ in distinct})
+    assert stats.operational_misses == len(
+        {workload for _, workload in distinct if workload is not None}
+    )
+
+
+@given(
+    reference=references(),
+    integrations=st.lists(st.sampled_from(DEFAULT_INTEGRATIONS),
+                          min_size=1, max_size=3, unique=True),
+    locations=st.lists(st.sampled_from(LOCATIONS), min_size=2, max_size=4,
+                       unique=True),
+    workload=st.sampled_from(WORKLOADS),
+    streamed=st.booleans(),
+)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_one_design_at_many_locations_in_one_sweep(
+    reference, integrations, locations, workload, streamed
+):
+    request = SweepRequest(
+        design=reference, integrations=tuple(integrations),
+        fab_locations=tuple(locations), workload=workload, stream=streamed,
+    )
+    with ResultStore() as store:
+        dispatcher = Dispatcher(store=store)
+        entries = priced(dispatcher, "sweep", request, streamed)
+        stats = dispatcher.evaluator.stats
+    expected = []
+    for name in integrations:
+        design = (
+            reference if name == "2d"
+            else ChipDesign.homogeneous_split(reference, name)
+        )
+        expected += [scalar(design, loc, workload) for loc in locations]
+    assert [entry["report"] for entry in entries] == expected
+    assert stats.points_evaluated == len(integrations) * len(
+        {fab_ci(location) for location in locations}
+    )
+    assert stats.resolve_misses == len(integrations)
+
+
+#: The columns :func:`evaluate_grid` computes that a scalar report has.
+def report_columns(report, design: ChipDesign) -> dict:
+    return {
+        "total_kg": report.total_kg,
+        "embodied_kg": report.embodied_kg,
+        "operational_kg": report.operational_kg,
+        "die_kg": report.embodied.die_kg,
+        "bonding_kg": report.embodied.bonding_kg,
+        "packaging_kg": report.embodied.packaging_kg,
+        "interposer_kg": report.embodied.interposer_kg,
+        "performance_tops": design.throughput_tops
+        * (1.0 - report.bandwidth.degradation),
+    }
+
+
+@given(
+    grid_designs=st.lists(designs(), min_size=1, max_size=3,
+                          unique_by=lambda design: design.name),
+    wafers=st.lists(st.sampled_from((100.0, 150.0, 200.0, 300.0, 450.0)),
+                    min_size=1, max_size=3, unique=True),
+    locations=st.lists(st.sampled_from(LOCATIONS), min_size=1, max_size=3,
+                       unique=True),
+    workload=st.sampled_from(WORKLOADS),
+)
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_vec_columns_agree_with_the_scalar_model(
+    grid_designs, wafers, locations, workload
+):
+    grid = DesignGrid.from_designs(
+        grid_designs, wafer_diameters_mm=wafers, fab_locations=locations,
+        workload=workload,
+    )
+    result = evaluate_grid(grid)
+    for index, point in enumerate(grid.points):
+        params = DEFAULT_PARAMETERS.with_wafer_diameter(
+            point.wafer_diameter_mm
+        )
+        try:
+            report = CarbonModel(
+                point.design, params, point.fab_location
+            ).evaluate(workload)
+        except (DesignError, ParameterError) as error:
+            assert result.errors[index] == str(error), point.label
+            assert math.isnan(result.column("total_kg")[index])
+            continue
+        assert result.errors[index] is None, point.label
+        for name, value in report_columns(report, point.design).items():
+            assert float(result.column(name)[index]) == value, (
+                name, point.label
+            )
 
 
 def served(body: bytes) -> "list[tuple[str, bytes]]":

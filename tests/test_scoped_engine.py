@@ -4,12 +4,15 @@ With a result store, the store is the cross-request cache: a point an
 earlier request computed is a store hit and never reaches the engine.
 The dispatcher therefore computes each ``/evaluate``, ``/batch`` and
 ``/sweep`` request's points through :meth:`BatchEvaluator.scoped` — a
-child with the long-lived evaluator's configuration and empty caches,
-whose counts fold back into the long-lived ``EngineStats``. These tests
-pin what that must keep, as work counts rather than timings:
+request pass with the long-lived evaluator's configuration and empty
+plain-dict memo layers keyed by value, whose counts fold back into the
+long-lived ``EngineStats``. These tests pin what that must keep, as work
+counts rather than timings:
 
 * the long-lived evaluator's memo layers stay empty under cold traffic,
   while its stats still count every computed point;
+* the request pass builds no stage fingerprint, LRU layer or structural
+  ``ResolveCache``, so it counts no structure hits or misses;
 * repeats within one request still share resolution;
 * a dispatcher without a store keeps its long-lived memo;
 * the child inherits the parent's workers, worker mode and deadlines;
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import re
 import sqlite3
+from collections import Counter
 
 import pytest
 
@@ -31,6 +35,7 @@ from repro.core.design import ChipDesign
 from repro.core.model import CarbonModel
 from repro.core.operational import Workload
 from repro.engine import BatchEvaluator, EvalPoint
+from repro.engine import evaluator as evaluator_module
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.faults import FaultPlan, FaultRule
 from repro.service.dispatcher import Dispatcher
@@ -86,23 +91,27 @@ def cold_batches(count: int, size: int = 6) -> "list[BatchRequest]":
 
 
 def memo_sizes(evaluator: BatchEvaluator) -> dict:
-    """Entry count of every memo layer, the ResolveCache's included."""
+    """Entry count of every memo layer, the ResolveCache's included (a
+    request pass has none)."""
     caches = evaluator._caches
-    resolve = evaluator.resolve_cache
     sizes = {
         name: len(getattr(caches, name)) for name in caches.__slots__
     }
     sizes.update({
-        "statics": len(evaluator._statics),
         "ci": len(evaluator._ci_cache),
+        "statics": len(evaluator._statics),
         "backend_stages": sum(
             len(cache) for cache in evaluator._backend_caches.values()
         ),
-        "die_structure": len(resolve.die_structure),
-        "floorplans": len(resolve.floorplans),
-        "validations": len(resolve.validations),
-        "die_fast": len(resolve.die_fast),
     })
+    resolve = evaluator.resolve_cache
+    if resolve is not None:
+        sizes.update({
+            "die_structure": len(resolve.die_structure),
+            "floorplans": len(resolve.floorplans),
+            "validations": len(resolve.validations),
+            "die_fast": len(resolve.die_fast),
+        })
     return sizes
 
 
@@ -148,8 +157,9 @@ class TestColdTraffic:
         for request in batches:
             store_dispatcher.batch(request)
         for request in batches[1:]:
-            # The same work: each request's distinct points, computed
-            # through an evaluator that lives for that request only.
+            # The same work as each request's distinct points computed
+            # through an evaluator that lives for that request only,
+            # structure counts aside: the request pass has no such layer.
             fresh = BatchEvaluator()
             distinct = list(dict.fromkeys(request.points))
             fresh.evaluate_many([
@@ -158,7 +168,8 @@ class TestColdTraffic:
                 for p in distinct
             ])
             for field, value in fresh.stats.as_dict().items():
-                reference_counts[field] += value
+                if not field.startswith("structure_"):
+                    reference_counts[field] += value
         after = store_dispatcher.evaluator.stats.as_dict()
         delta = {field: after[field] - before[field] for field in after}
         assert delta == reference_counts
@@ -170,7 +181,7 @@ class TestColdTraffic:
         assert (stats.resolve_misses, stats.resolve_hits) == (
             computed - 3, 3
         )
-        assert stats.structure_misses == 2 * computed - 2 * 3
+        assert (stats.structure_misses, stats.structure_hits) == (0, 0)
 
     def test_single_evaluate_is_scoped_too(self, store_dispatcher):
         request = point(split("single", 6e9))
@@ -182,6 +193,94 @@ class TestColdTraffic:
         _, source = store_dispatcher.evaluate(request)
         assert source == "store"
         assert store_dispatcher.evaluator.stats.resolve_misses == 1
+
+
+class EngineProbe:
+    """Counts what the engine module builds: stage fingerprints, LRU
+    layers, and the structural cache each ``resolve_design`` gets."""
+
+    FINGERPRINTS = ("resolve_key", "embodied_key", "bandwidth_key",
+                    "operational_key", "operational_prefix")
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls: Counter = Counter()
+        fingerprints = evaluator_module.fp
+        probe = self
+
+        class CountingFingerprints:
+            def __getattr__(self, name):
+                value = getattr(fingerprints, name)
+                if name not in EngineProbe.FINGERPRINTS:
+                    return value
+
+                def counted(*args, **kwargs):
+                    probe.calls[f"fp.{name}"] += 1
+                    return value(*args, **kwargs)
+
+                return counted
+
+        lru, resolve = evaluator_module.LRUCache, evaluator_module.resolve_design
+
+        def counting_lru(*args, **kwargs):
+            self.calls["LRUCache"] += 1
+            return lru(*args, **kwargs)
+
+        def counting_resolve(design, params, cache=None):
+            self.calls["resolve_design"] += 1
+            if cache is not None:
+                self.calls["resolve_design with a ResolveCache"] += 1
+            return resolve(design, params, cache=cache)
+
+        monkeypatch.setattr(evaluator_module, "fp", CountingFingerprints())
+        monkeypatch.setattr(evaluator_module, "LRUCache", counting_lru)
+        monkeypatch.setattr(evaluator_module, "resolve_design",
+                            counting_resolve)
+
+
+class TestRequestPassWork:
+    """A store-backed request pass builds no memo machinery it cannot use."""
+
+    def test_cold_batch_builds_no_fingerprint_and_no_resolve_cache(
+        self, store_dispatcher, monkeypatch
+    ):
+        probe = EngineProbe(monkeypatch)
+        batches = cold_batches(2)
+        for request in batches:
+            store_dispatcher.batch(request)
+        _, entries = store_dispatcher.stream_batch(cold_batches(3)[2])
+        list(entries)
+        computed = store_dispatcher.stats.computed
+        assert computed == 3 * 7
+        assert probe.calls == {"resolve_design": computed - 3}
+        resolve_cache = store_dispatcher.evaluator.resolve_cache
+        assert (resolve_cache.hits, resolve_cache.misses) == (0, 0)
+
+    def test_the_probe_sees_the_long_lived_memo(self, monkeypatch):
+        # The same traffic without a store runs on the long-lived memo,
+        # which builds every fingerprint and hands resolution its cache.
+        dispatcher = Dispatcher()
+        probe = EngineProbe(monkeypatch)
+        dispatcher.batch(cold_batches(1)[0])
+        assert probe.calls["fp.resolve_key"] > 0
+        assert probe.calls["fp.embodied_key"] > 0
+        assert probe.calls["resolve_design"] == 6
+        assert probe.calls["resolve_design with a ResolveCache"] == 6
+
+    def test_explicit_backend_points_keep_their_stage_memo(
+        self, store_dispatcher
+    ):
+        design = split("explicit", 6e9)
+        request = BatchRequest(points=tuple(
+            EvaluateRequest(design=design, workload=AV, fab_location=location,
+                            backend="act")
+            for location in ("taiwan", "usa")
+        ))
+        entries = store_dispatcher.batch(request)
+        assert [entry["cache"] for entry in entries] == ["computed"] * 2
+        stats = store_dispatcher.evaluator.stats
+        assert (stats.resolve_misses, stats.resolve_hits) == (1, 1)
+        assert stats.backend_stage_misses == 2
+        assert all_empty(store_dispatcher.evaluator)
 
 
 class TestWithinRequestSharing:
@@ -274,14 +373,16 @@ class TestScopedEvaluator:
                          "point_timeout_s", "shard_deadline_s",
                          "eviction_policy"):
                 assert getattr(child, attr) == getattr(parent, attr), attr
+            assert child.resolve_cache is None
             assert all_empty(child)
             assert child.stats.as_dict() == dict.fromkeys(
                 child.stats.as_dict(), 0
             )
 
     def test_counts_fold_even_when_the_request_fails(self):
-        # Two packagings of one die: the second resolve reuses the die's
-        # structure (a structure hit).
+        # Two packagings of one die: a long-lived evaluator's second
+        # resolve reuses the die's structure (a structure hit); the
+        # request pass has no structure layer.
         designs = [
             ChipDesign.planar_2d("fails", "7nm", gate_count=6e9,
                                  package_class=package)
@@ -296,10 +397,15 @@ class TestScopedEvaluator:
         fresh = BatchEvaluator()
         for design in designs:
             fresh.report(design, workload=AV)
-        assert parent.stats.as_dict() == fresh.stats.as_dict()
+        expected = fresh.stats.as_dict()
+        assert (expected.pop("structure_misses"),
+                expected.pop("structure_hits")) == (1, 1)
+        assert parent.stats.as_dict() == dict(
+            expected, structure_misses=0, structure_hits=0
+        )
         assert parent.stats.resolve_misses == 2
         assert (parent.stats.structure_misses,
-                parent.stats.structure_hits) == (1, 1)
+                parent.stats.structure_hits) == (0, 0)
         assert all_empty(parent)
 
     def test_lost_worker_shard_counts_in_the_parent(self, tmp_path):
