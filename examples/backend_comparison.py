@@ -49,7 +49,7 @@ def main() -> None:
     print()
     print(comparison.format_table())
     print()
-    print(f"engine: {evaluator.stats.summary()}")
+    print(f"engine: {evaluator.stats.as_dict()}")
     print("(one resolve for the whole table — the backends share the "
           "resolution stage)")
 

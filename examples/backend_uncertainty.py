@@ -58,7 +58,7 @@ def main() -> None:
         band = comparison.band(name)
         print(f"{get_backend(name).label:<12} {band.summary()}")
     print()
-    print(f"engine: {evaluator.stats.summary()}")
+    print(f"engine: {evaluator.stats.as_dict()}")
 
 
 if __name__ == "__main__":

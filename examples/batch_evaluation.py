@@ -68,7 +68,7 @@ def main() -> int:
           f"{best[1].total_kg:8.1f} kg CO2e")
     print(f"highest-carbon point      : {worst[0].label:<28} "
           f"{worst[1].total_kg:8.1f} kg CO2e")
-    print(evaluator.stats.summary())
+    print(f"engine: {evaluator.stats.as_dict()}")
 
     # Reuse the warm engine for uncertainty on the best configuration.
     result = monte_carlo(

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config.integration import AssemblyFlow, StackingStyle
+from ..config.integration import StackingStyle
 from ..config.parameters import DEFAULT_PARAMETERS, ParameterSet
 from ..core.design import ChipDesign
 from ..core.operational import Workload
 from ..core.report import LifecycleReport
 from ..errors import DesignError, ParameterError
 from ..vec.evaluate import GridResult, evaluate_grid
-from ..vec.grid import DesignGrid
+from ..vec.grid import DesignGrid, assembly_options
 
 #: The deterministic seed the sampled search defaults to (the package's
 #: shared draw seed; see :data:`repro.api.spec.DEFAULT_SEED`).
@@ -111,14 +111,6 @@ class SearchResult:
         return "\n".join(lines)
 
 
-def _assembly_options(spec) -> "list[AssemblyFlow]":
-    if spec.is_3d and spec.name != "m3d":
-        return [AssemblyFlow.D2W, AssemblyFlow.W2W]
-    if spec.is_2_5d:
-        return list(spec.allowed_assembly)
-    return [AssemblyFlow.NA]
-
-
 def search_configurations(
     reference: ChipDesign,
     workload: Workload | None = None,
@@ -161,7 +153,7 @@ def search_configurations(
     for name in integrations:
         spec = params.integration_spec(name)
         for approach in approaches:
-            for flow in _assembly_options(spec):
+            for flow in assembly_options(spec):
                 try:
                     if approach == "homogeneous":
                         design = ChipDesign.homogeneous_split(
@@ -292,8 +284,10 @@ def _merge_front(
     index) order; a candidate survives if no front member weakly
     dominates it (ties on all three objectives count as dominated, so
     the first-seen of an exactly-equal pair wins) and evicts the members
-    it strictly dominates. O(chunk × |front|) with numpy inner loops —
-    fronts stay small, so this is never the bottleneck.
+    it strictly dominates. O(chunk × |front|), one Python iteration and
+    a few numpy calls per finite candidate: even over a one-point front
+    this loop dominates an ``optimize`` study (336 of 771 ms under
+    cProfile on a 20,500-point round, 2-CPU VM, Python 3.11).
     """
     total = result.columns["total_kg"]
     perf = result.columns["performance_tops"]

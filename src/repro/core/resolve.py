@@ -134,21 +134,22 @@ def structure_node_key(node: ProcessNode) -> tuple:
 class ResolveCache:
     """Memo store for the structural (parameter-stable) parts of resolution.
 
-    Three layers, all keyed by value (every record involved is a frozen
+    Two layers, both keyed by value (every record involved is a frozen
     dataclass and therefore hashable):
 
     * ``die_structure`` — ``(die, spec, stacking, is_top, node-structure)``
       → ``(AreaBreakdown, BeolEstimate)``; the Davis wirelength math runs
       once per distinct key across a whole study;
-    * ``floorplans`` — ``(areas, gap, names)`` → :class:`Floorplan`;
-    * ``validations`` — ``(design, spec, nodes)`` → the validated spec.
+    * ``floorplans`` — ``(areas, gap, names)`` → :class:`Floorplan`.
 
-    Every layer is a bounded :class:`repro.caching.LRUCache` sharing one
+    Each layer (and the ``die_fast`` identity row) is a bounded
+    :class:`repro.caching.LRUCache` sharing one
     :class:`repro.caching.EvictionPolicy`: studies whose every point
     carries a distinct key (e.g. Monte-Carlo draws perturbing a spec
     field) recycle the least-recently-used entries instead of growing
     without limit — and, unlike a stop-inserting bound, recent keys keep
-    hitting however long the evaluator lives.
+    hitting however long the evaluator lives. Validation is remembered
+    for the last ``(design, spec)`` pair only, by identity.
 
     Yields are *not* cached here: they are cheap and depend on the very
     fields (defect density, bond yield) studies most often perturb.
@@ -161,7 +162,6 @@ class ResolveCache:
         self.policy = policy if policy is not None else EvictionPolicy(limit)
         self.die_structure = LRUCache(self.policy)
         self.floorplans = LRUCache(self.policy)
-        self.validations = LRUCache(self.policy)
         self.hits = 0
         self.misses = 0
         #: Last (design, spec) validated — batch loops hammer one design
@@ -181,7 +181,6 @@ class ResolveCache:
     def clear(self) -> None:
         self.die_structure.clear()
         self.floorplans.clear()
-        self.validations.clear()
         self.hits = 0
         self.misses = 0
         self.last_validation = None
@@ -325,11 +324,8 @@ def resolve_design(
         spec = params.integration_spec(design.integration)
         last = cache.last_validation
         if last is None or last[0] is not design or last[1] is not spec:
-            vkey = (design, spec)
-            if vkey not in cache.validations:
-                design.validate(params)
-                cache.validations[vkey] = spec
-            cache.last_validation = vkey
+            design.validate(params)
+            cache.last_validation = (design, spec)
     n = design.die_count
     resolved = tuple([
         _resolve_die(

@@ -13,12 +13,13 @@ points cannot distinguish:
   the Davis model;
 * **embodied**, **bandwidth** and **operational** stages are memoized on
   their own input fingerprints (see :mod:`repro.pipeline.fingerprint`);
+  :meth:`BatchEvaluator.total_kg` reuses a cached embodied report and
+  otherwise prices the record-free embodied total without storing it;
 * every other registered :class:`repro.pipeline.CarbonBackend` (the
-  Sec. 4 baselines) evaluates through the same machinery: the shared
-  resolve memo plus per-(backend, stage) LRU layers keyed on the
-  backend's own stage fingerprints — pass ``backend=`` (or set it on an
-  :class:`EvalPoint`) to get a uniform
-  :class:`~repro.pipeline.backends.BackendReport`;
+  Sec. 4 baselines) runs its own stage pipeline with the resolve stage
+  seeded from the shared resolve memo (its later stages are not
+  memoized) — pass ``backend=`` (or set it on an :class:`EvalPoint`)
+  to get a uniform :class:`~repro.pipeline.backends.BackendReport`;
 * an opt-in ``workers=`` mode evaluates large grids in chunks on a
   thread pool (caches are shared; results keep submission order), and
   ``worker_mode="process"`` (or ``workers="process"``) fans chunks over
@@ -102,79 +103,24 @@ class EngineStats:
     operational_misses: int = 0
     structure_hits: int = 0
     structure_misses: int = 0
-    backend_stage_hits: int = 0
-    backend_stage_misses: int = 0
     points_evaluated: int = 0
     worker_shards_recovered: int = 0
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
 
-    def summary(self) -> str:
-        parts = [
-            f"points={self.points_evaluated}",
-            f"resolve {self.resolve_hits}/{self.resolve_hits + self.resolve_misses}",
-            f"structure {self.structure_hits}/"
-            f"{self.structure_hits + self.structure_misses}",
-            f"embodied {self.embodied_hits}/"
-            f"{self.embodied_hits + self.embodied_misses}",
-            f"operational {self.operational_hits}/"
-            f"{self.operational_hits + self.operational_misses}",
-        ]
-        return "cache hits: " + "  ".join(parts)
-
 
 class _Caches:
     """The per-stage memo layers, each built by ``layer()``: LRU-bounded
     under one shared policy, or plain dicts for one request."""
 
-    __slots__ = ("resolved", "embodied", "embodied_totals", "bandwidth",
-                 "operational")
+    __slots__ = ("resolved", "embodied", "bandwidth", "operational")
 
     def __init__(self, layer) -> None:
         self.resolved = layer()
         self.embodied = layer()
-        self.embodied_totals = layer()
         self.bandwidth = layer()
         self.operational = layer()
-
-
-class _BackendStageMemo:
-    """PipelineRun memo adapter over the engine's per-(backend, stage) caches.
-
-    Keys arrive as ``(stage_name, stage_key)`` pairs; each (backend,
-    stage) pair gets its own LRU layer under the shared eviction policy,
-    and hits/misses land in the engine's stats. ``transient`` points
-    still *read* warm entries but never store their own: baseline
-    estimate keys embed the resolve fingerprint, so per-draw keys are
-    unique and storing them would only evict the warm working set.
-    """
-
-    __slots__ = ("evaluator", "backend_name", "transient")
-
-    def __init__(self, evaluator: "BatchEvaluator", backend_name: str,
-                 transient: bool = False) -> None:
-        self.evaluator = evaluator
-        self.backend_name = backend_name
-        self.transient = transient
-
-    def get(self, key):
-        stage_name, stage_key = key
-        cache = self.evaluator._backend_cache(self.backend_name, stage_name)
-        value = cache.get(stage_key)
-        stats = self.evaluator._stats
-        if value is None:
-            stats.backend_stage_misses += 1
-        else:
-            stats.backend_stage_hits += 1
-        return value
-
-    def __setitem__(self, key, value) -> None:
-        if self.transient:
-            return
-        stage_name, stage_key = key
-        cache = self.evaluator._backend_cache(self.backend_name, stage_name)
-        cache[stage_key] = value
 
 
 #: The repro3d stages whose memo misses are observed (span + histogram).
@@ -272,9 +218,6 @@ class BatchEvaluator:
         self.eviction_policy = EvictionPolicy(max_entries=cache_limit)
         self.resolve_cache = self._resolve_cache()
         self._caches = _Caches(self._layer)
-        #: Per-(backend name, stage name) LRU layers for non-default
-        #: backends; the resolve stage is served by the shared caches.
-        self._backend_caches: "dict[tuple[str, str], LRUCache]" = {}
         self._stats = EngineStats()
         #: Serializes :meth:`scoped` children adding their counts in.
         self._absorb_lock = threading.Lock()
@@ -368,7 +311,6 @@ class BatchEvaluator:
         if self.resolve_cache is not None:
             self.resolve_cache.clear()
         self._caches = _Caches(self._layer)
-        self._backend_caches = {}
         self._stats = EngineStats()
         self._ci_cache.clear()
         self._statics.clear()
@@ -380,13 +322,6 @@ class BatchEvaluator:
     def _resolve_cache(self) -> "ResolveCache | None":
         """The structural sub-cache :func:`resolve_design` reuses."""
         return ResolveCache(policy=self.eviction_policy)
-
-    def _backend_cache(self, backend_name: str, stage_name: str) -> LRUCache:
-        cache = self._backend_caches.get((backend_name, stage_name))
-        if cache is None:
-            cache = self._layer()
-            self._backend_caches[(backend_name, stage_name)] = cache
-        return cache
 
     def _ci(self, params: ParameterSet, location) -> float:
         """Grid carbon intensity, interned per (grid table, location)."""
@@ -652,7 +587,10 @@ class BatchEvaluator:
         same floats in the same order as the full report path; the
         equivalence tests pin the two bit for bit. Monte-Carlo draws take
         this path: per draw, the per-die/per-bond record objects of a
-        ``LifecycleReport`` are pure allocation cost.
+        ``LifecycleReport`` are pure allocation cost. A cached embodied
+        report is reused; a miss prices the total under the same
+        ``stage.embodied`` fault hook, span and histogram as
+        :meth:`report`, and is not stored.
         """
         params = params if params is not None else self.params
         location = fab_location if fab_location is not None else self.fab_location
@@ -667,14 +605,11 @@ class BatchEvaluator:
             embodied_kg = embodied.total_kg
             self._stats.embodied_hits += 1
         else:
-            embodied_kg = self._caches.embodied_totals.get(ekey)
-            if embodied_kg is None:
+            if self.faults.active:
+                self.faults.hit("stage.embodied")
+            with self._observe_stage("embodied"):
                 embodied_kg = embodied_total_kg(resolved, params, ci)
-                if not transient:
-                    self._caches.embodied_totals[ekey] = embodied_kg
-                self._stats.embodied_misses += 1
-            else:
-                self._stats.embodied_hits += 1
+            self._stats.embodied_misses += 1
 
         operational_kg = 0.0
         if workload is not None:
@@ -704,10 +639,9 @@ class BatchEvaluator:
         CarbonBackend` instance (``None`` → ``repro3d``). The default
         3D-Carbon backend takes the engine's specialized memo path; every
         other backend runs its explicit stage pipeline with the resolve
-        stage seeded from the shared resolution caches and later stages
-        memoized per (backend, stage) fingerprint. Results are
-        bit-identical to the backend's direct ``evaluate`` (same stage
-        functions, same inputs).
+        stage seeded from the shared resolve memo; its later stages run
+        unmemoized. Results are bit-identical to the backend's direct
+        ``evaluate`` (same stage functions, same inputs).
         """
         # ``None`` means "the engine's own 3D-Carbon path" — including
         # this evaluator's efficiency plugin, matching ``report()`` and
@@ -739,9 +673,7 @@ class BatchEvaluator:
             ci_fab=self._ci(params, location),
             workload=workload,
         )
-        run = PipelineRun(
-            backend, ctx, memo=_BackendStageMemo(self, backend.name, transient)
-        )
+        run = PipelineRun(backend, ctx)
         if backend.has_stage("resolve"):
             rkey = self._rkey(design, params)
             run.seed(

@@ -81,10 +81,10 @@ class PipelineRun:
 
     ``memo`` (optional) is any mapping-like object with ``get(key)`` and
     ``__setitem__`` over ``(stage_name, stage_key)`` pairs — a plain dict
-    for :class:`repro.core.model.CarbonModel`, the engine's bounded
-    per-(backend, stage) LRU layers for :class:`repro.engine.
-    BatchEvaluator`. Memoization only changes *whether* a stage function
-    runs, never what it computes.
+    for :class:`repro.core.model.CarbonModel`. :class:`repro.engine.
+    BatchEvaluator` passes none: it seeds the resolve stage from its own
+    memo (:meth:`seed`) and runs the later stages unmemoized. Memoization only
+    changes *whether* a stage function runs, never what it computes.
     """
 
     __slots__ = ("backend", "ctx", "_memo", "_outputs", "_keys")

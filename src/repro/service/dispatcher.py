@@ -344,7 +344,7 @@ class Dispatcher:
             "Lifetime hit ratio of each engine memo layer",
         )
         for layer in ("resolve", "structure", "embodied", "bandwidth",
-                      "operational", "backend_stage"):
+                      "operational"):
             hit_ratio.labels(layer=layer).set_function(
                 functools.partial(self._cache_hit_ratio, layer)
             )

@@ -21,7 +21,9 @@ from repro.analysis.uncertainty import (
 )
 from repro.core.model import CarbonModel
 from repro.engine import BatchEvaluator, EvalPoint
+from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import fingerprint as fp
+from repro.resilience import FaultError, FaultPlan, FaultRule
 from repro.rent.davis import WirelengthDistribution, _region_moments
 from repro.uncertainty.plan import PerturbationPlan as ParameterPerturber
 from repro.uncertainty.plan import draw_multipliers as triangular_multipliers
@@ -290,7 +292,37 @@ def test_transient_points_do_not_grow_caches(stacked):
         )
         evaluator.total_kg(stacked, params=params, transient=True)
     assert len(evaluator._caches.resolved) == 0
-    assert len(evaluator._caches.embodied_totals) == 0
+    assert len(evaluator._caches.embodied) == 0
+
+
+def test_total_kg_embodied_miss_is_a_faulted_stage(stacked, workload):
+    """``total_kg`` prices embodied under the same hook as ``report``."""
+    evaluator = BatchEvaluator(faults=FaultPlan(rules=(
+        FaultRule("stage.embodied", message="embodied stage down"),
+    )))
+    with pytest.raises(FaultError, match="embodied stage down"):
+        evaluator.total_kg(stacked, workload=workload, transient=True)
+    # The rule is spent: the retry prices the same total as the report.
+    total = evaluator.total_kg(stacked, workload=workload, transient=True)
+    assert total == BatchEvaluator().report(stacked, workload=workload).total_kg
+
+
+def test_total_kg_observes_every_stage_it_computes(stacked, workload):
+    registry = MetricsRegistry()
+    evaluator = BatchEvaluator(metrics=registry)
+    evaluator.total_kg(stacked, workload=workload)
+    hist = registry.get("carbon3d_stage_duration_seconds")
+    counts = {
+        stage: hist.labels(stage=stage, backend="repro3d").count
+        for stage in ("resolve", "embodied", "bandwidth", "operational")
+    }
+    assert counts == {
+        "resolve": 1, "embodied": 1, "bandwidth": 1, "operational": 1,
+    }
+    # A cached embodied report is reused: no new embodied observation.
+    evaluator.report(stacked, workload=workload)
+    evaluator.total_kg(stacked, workload=workload)
+    assert hist.labels(stage="embodied", backend="repro3d").count == 2
 
 
 def test_cache_limit_bounds_every_engine_cache(reference, workload):
@@ -313,7 +345,6 @@ def test_cache_limit_bounds_every_engine_cache(reference, workload):
     assert len(evaluator._ci_cache) <= limit
     assert len(evaluator.resolve_cache.die_structure) <= limit
     assert len(evaluator.resolve_cache.floorplans) <= limit
-    assert len(evaluator.resolve_cache.validations) <= limit
     assert len(evaluator.resolve_cache.die_fast) <= limit
 
 

@@ -1,11 +1,12 @@
 """Golden regression values: pin the calibrated model outputs.
 
-These values are produced by the default ParameterSet and recorded in
-EXPERIMENTS.md. They are intentionally tight (0.5 % relative): any change
-to a calibrated constant that silently shifts the reproduction will fail
-here first, pointing straight at the calibration contract. When a
-deliberate recalibration happens, update EXPERIMENTS.md and these pins
-together.
+These values are produced by the default ParameterSet; the side-by-side
+paper-vs-measured table that ``pytest benchmarks -s`` prints at session
+end shows them next to the paper's. They are intentionally tight (0.5 %
+relative): any change to a calibrated constant that silently shifts the
+reproduction will fail here first, pointing straight at the calibration
+contract. When a deliberate recalibration happens, re-read that table
+and update these pins together.
 """
 
 import pytest

@@ -384,6 +384,16 @@ class TestMetricsEndpoint:
             assert name in text, f"{name} missing from /metrics"
         assert "carbon3d_dispatcher_requests_total 1" in text
 
+    def test_hit_ratio_gauge_labels_the_kept_memo_layers(self):
+        snapshot = Dispatcher().metrics.snapshot()
+        ratios = snapshot["carbon3d_engine_cache_hit_ratio"]
+        assert sorted(ratios) == sorted(
+            f'{{layer="{layer}"}}' for layer in (
+                "resolve", "structure", "embodied", "bandwidth",
+                "operational",
+            )
+        )
+
     def test_metrics_open_on_token_servers(self, tmp_path):
         server = make_server(
             store_path=str(tmp_path / "auth.sqlite3"),

@@ -3,8 +3,9 @@
 Every tolerance here is a *reproduction band*: the substrate is a
 calibrated analytical model, so shapes (who wins, signs, orderings,
 valid/invalid structure) are asserted tightly while absolute ratios get
-a few percentage points of slack. EXPERIMENTS.md records the exact
-measured values next to the paper's.
+a few percentage points of slack. ``pytest benchmarks -s`` prints the
+exact measured values next to the paper's in a side-by-side table at
+session end.
 """
 
 import math

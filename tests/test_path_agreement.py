@@ -14,6 +14,12 @@ in-process ``LocalExecutor``; and the vectorized core's columns
 (``evaluate_grid``) over designs × wafer diameters × fab locations.
 Store keys of one design never agree across tenants, and the anonymous
 tenant's key is the unsalted content key.
+
+The paths could agree and all be wrong, so the same generated designs
+also check invariants the paper's equations imply: report components
+sum exactly to their totals (Eqs. 1, 3, 4, 16), every yield lies in
+(0, 1] (Eq. 15 and Table 3), and each die's D2W effective yield is at
+least its W2W yield for the same dies and bond yield (Table 3).
 """
 
 from __future__ import annotations
@@ -27,10 +33,13 @@ import threading
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.config.integration import AssemblyFlow
 from repro.config.parameters import DEFAULT_PARAMETERS
 from repro.core.design import ChipDesign
 from repro.core.model import CarbonModel
 from repro.core.operational import Workload
+from repro.core.resolve import resolve_design
+from repro.core.yield_model import three_d_stack_yields
 from repro.engine import BatchEvaluator
 from repro.api.executors import LocalExecutor
 from repro.errors import DesignError, ParameterError
@@ -378,3 +387,70 @@ def test_tenant_store_keys_are_disjoint(design, a, b):
     assert namespace_key(fingerprint, ANONYMOUS_TENANT) == content_key(
         fingerprint
     )
+
+
+@given(design=designs(), workload=st.sampled_from(WORKLOADS),
+       fab_location=st.sampled_from(LOCATIONS))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_report_components_sum_to_their_totals(design, workload,
+                                               fab_location):
+    data = CarbonModel(design, fab_location=fab_location).evaluate(
+        workload
+    ).to_dict()
+    breakdown = data["embodied_breakdown_kg"]
+    assert data["embodied_kg"] == sum(breakdown.values())
+    assert breakdown["die"] == sum(die["carbon_kg"] for die in data["per_die"])
+    operational_kg = 0.0
+    if workload is not None:
+        operational = data["operational"]
+        operational_kg = data["operational_kg"]
+        assert operational_kg == operational["use_ci_kg_per_kwh"] * (
+            operational["compute_energy_kwh"] + operational["io_energy_kwh"]
+        )
+    assert data["total_kg"] == data["embodied_kg"] + operational_kg
+    # The record-free Eq. 1 total sums the same components.
+    assert BatchEvaluator().total_kg(
+        design, workload=workload, fab_location=fab_location
+    ) == data["total_kg"]
+
+
+@given(design=designs())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_every_yield_lies_in_the_unit_interval(design):
+    resolved = resolve_design(design, DEFAULT_PARAMETERS)
+    yields = resolved.stack_yields
+    values = [die.raw_yield for die in resolved.dies]
+    values += [*yields.per_die, *yields.per_bond]
+    if yields.substrate is not None:
+        values.append(yields.substrate)
+    assert all(0.0 < value <= 1.0 for value in values), values
+
+
+@given(design=designs().filter(
+    lambda design: DEFAULT_PARAMETERS.integration_spec(
+        design.integration
+    ).is_3d and design.integration != "m3d"
+))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+def test_d2w_yields_at_least_w2w(design):
+    resolved = resolve_design(design, DEFAULT_PARAMETERS)
+    raw = [die.raw_yield for die in resolved.dies]
+    bond_yield = DEFAULT_PARAMETERS.bonding.get(
+        resolved.spec.bonding, design.assembly
+    ).bond_yield
+    assert resolved.stack_yields == three_d_stack_yields(
+        raw, bond_yield, design.assembly
+    )
+    # Same dies, same bond yield: only the Table 3 composition differs.
+    d2w, w2w = (
+        three_d_stack_yields(raw, bond_yield, flow)
+        for flow in (AssemblyFlow.D2W, AssemblyFlow.W2W)
+    )
+    assert all(mine >= blind for mine, blind in zip(d2w.per_die,
+                                                     w2w.per_die))
+    assert all(mine >= blind for mine, blind in zip(d2w.per_bond,
+                                                     w2w.per_bond))

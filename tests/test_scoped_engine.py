@@ -100,16 +100,12 @@ def memo_sizes(evaluator: BatchEvaluator) -> dict:
     sizes.update({
         "ci": len(evaluator._ci_cache),
         "statics": len(evaluator._statics),
-        "backend_stages": sum(
-            len(cache) for cache in evaluator._backend_caches.values()
-        ),
     })
     resolve = evaluator.resolve_cache
     if resolve is not None:
         sizes.update({
             "die_structure": len(resolve.die_structure),
             "floorplans": len(resolve.floorplans),
-            "validations": len(resolve.validations),
             "die_fast": len(resolve.die_fast),
         })
     return sizes
@@ -266,7 +262,7 @@ class TestRequestPassWork:
         assert probe.calls["resolve_design"] == 6
         assert probe.calls["resolve_design with a ResolveCache"] == 6
 
-    def test_explicit_backend_points_keep_their_stage_memo(
+    def test_explicit_backend_points_share_one_resolve(
         self, store_dispatcher
     ):
         design = split("explicit", 6e9)
@@ -279,7 +275,7 @@ class TestRequestPassWork:
         assert [entry["cache"] for entry in entries] == ["computed"] * 2
         stats = store_dispatcher.evaluator.stats
         assert (stats.resolve_misses, stats.resolve_hits) == (1, 1)
-        assert stats.backend_stage_misses == 2
+        assert stats.points_evaluated == 2
         assert all_empty(store_dispatcher.evaluator)
 
 
