@@ -1,0 +1,125 @@
+"""Exact-stdout characterization of the CLI's study subcommands.
+
+Every local study command — ``evaluate``, ``compare``, ``sensitivity``
+and ``optimize`` — is pinned byte for byte, in text and ``--json``
+form, against ``tests/golden/cli_stdout.json``. Refactoring how the CLI
+prices or renders a study must leave these outputs unchanged.
+
+Regenerate the goldens (only when an output change is intended) with::
+
+    PYTHONPATH=src python tests/test_cli_characterization.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+
+GOLDEN = Path(__file__).parent / "golden" / "cli_stdout.json"
+
+DESIGN = {
+    "name": "cli_chip",
+    "integration": "hybrid_3d",
+    "stacking": "f2f",
+    "assembly": "d2w",
+    "package": {"class": "fcbga"},
+    "throughput_tops": 254.0,
+    "dies": [
+        {"name": "top", "node": "7nm", "gate_count": 8.5e9,
+         "workload_share": 0.5, "efficiency_tops_per_w": 2.74},
+        {"name": "bottom", "node": "7nm", "gate_count": 8.5e9,
+         "workload_share": 0.5, "efficiency_tops_per_w": 2.74},
+    ],
+}
+
+OPTIMIZE_AXES = [
+    "--integrations", "hybrid_3d,mcm", "--die-counts", "2",
+    "--wafers", "300,450", "--locations", "taiwan,iceland",
+    "--max-configs", "24", "--chunk", "10", "--seed", "11",
+]
+
+#: case id → argv; ``{design}`` is replaced by the design file's path.
+CASES = {
+    "evaluate-av-text": ["evaluate", "{design}"],
+    "evaluate-av-json": ["evaluate", "{design}", "--json"],
+    "evaluate-none-text": ["evaluate", "{design}", "--workload", "none"],
+    "evaluate-none-json": [
+        "evaluate", "{design}", "--workload", "none", "--json",
+    ],
+    "evaluate-iceland-text": [
+        "--fab-location", "iceland", "evaluate", "{design}",
+    ],
+    "evaluate-iceland-json": [
+        "--fab-location", "iceland", "evaluate", "{design}", "--json",
+    ],
+    "compare-text": ["compare", "{design}"],
+    "compare-json": ["compare", "{design}", "--json"],
+    "compare-draws-text": ["compare", "{design}", "--draws", "12"],
+    "compare-draws-json": ["compare", "{design}", "--draws", "12", "--json"],
+    "compare-backends-text": [
+        "compare", "{design}", "--backends", "repro3d,act",
+    ],
+    "compare-backends-json": [
+        "compare", "{design}", "--backends", "repro3d,act", "--json",
+    ],
+    "sensitivity-text": ["sensitivity", "{design}"],
+    "optimize-text": ["optimize", "orin", *OPTIMIZE_AXES],
+    "optimize-json": ["optimize", "orin", "--json", *OPTIMIZE_AXES],
+    "optimize-stream-text": ["optimize", "orin", "--stream", *OPTIMIZE_AXES],
+}
+
+
+def _argv(case: str, design_path: Path) -> "list[str]":
+    return [
+        str(design_path) if arg == "{design}" else arg for arg in CASES[case]
+    ]
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture()
+def design_path(tmp_path) -> Path:
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(DESIGN))
+    return path
+
+
+def test_every_case_has_a_golden(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_stdout_is_pinned(case, golden, design_path, capsys):
+    assert main(_argv(case, design_path)) == 0
+    assert capsys.readouterr().out == golden[case]
+
+
+def _regenerate() -> None:  # pragma: no cover - maintenance entry point
+    import contextlib
+    import io
+    import tempfile
+
+    outputs = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        design_path = Path(scratch) / "design.json"
+        design_path.write_text(json.dumps(DESIGN))
+        for case in sorted(CASES):
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                assert main(_argv(case, design_path)) == 0
+            outputs[case] = buffer.getvalue()
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(
+        json.dumps(outputs, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"wrote {len(outputs)} cases to {GOLDEN}", file=sys.stderr)
+
+
+if __name__ == "__main__":  # pragma: no cover
+    _regenerate()
