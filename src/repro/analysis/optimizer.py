@@ -251,23 +251,6 @@ class ParetoFront:
             self.evaluated, self.errors, self.chunks,
         )
 
-    def format_table(self) -> str:
-        header = (
-            f"{'configuration':<44} {'total kg':>10} {'perf TOPS':>10} "
-            f"{'cost mm2':>10}"
-        )
-        lines = [header, "-" * len(header)]
-        for point in self.points:
-            lines.append(
-                f"{point.label:<44.44} {point.total_kg:10.2f} "
-                f"{point.performance_tops:10.1f} {point.cost_mm2:10.1f}"
-            )
-        lines.append(
-            f"-- {len(self.points)} non-dominated of {self.evaluated} "
-            f"evaluated ({self.errors} invalid)"
-        )
-        return "\n".join(lines)
-
 
 def _front_sort_key(point: ParetoPoint):
     return (

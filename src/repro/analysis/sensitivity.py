@@ -26,6 +26,7 @@ from typing import Callable
 from ..config.parameters import DEFAULT_PARAMETERS, ParameterSet
 from ..core.design import ChipDesign
 from ..core.operational import Workload
+from ..core.report import render_swings
 from ..errors import ParameterError
 from ..uncertainty.factors import (  # noqa: F401 (back-compat re-exports)
     FactorSet,
@@ -115,6 +116,17 @@ class SensitivityResult:
             return 0.0
         return (self.swing_kg / self.base_kg) / span
 
+    def to_dict(self) -> dict:
+        """The factor entry of the ``/tornado`` payload."""
+        return {
+            "factor": self.factor,
+            "low_multiplier": self.low_multiplier,
+            "high_multiplier": self.high_multiplier,
+            "low_kg": self.low_kg,
+            "high_kg": self.high_kg,
+            "swing_kg": self.swing_kg,
+        }
+
 
 def tornado(
     design: ChipDesign,
@@ -188,17 +200,8 @@ def tornado(
 
 
 def format_tornado(results: "list[SensitivityResult]") -> str:
-    """Text tornado chart."""
-    if not results:
-        return "(no factors)"
-    base = results[0].base_kg
-    widest = max(abs(r.swing_kg) for r in results) or 1.0
-    lines = [f"base total: {base:.2f} kg CO2e",
-             f"{'factor':<34} {'low kg':>9} {'high kg':>9} {'swing':>8}"]
-    for r in results:
-        bar = "#" * max(1, int(24 * abs(r.swing_kg) / widest))
-        lines.append(
-            f"{r.factor:<34.34} {r.low_kg:9.2f} {r.high_kg:9.2f} "
-            f"{r.swing_kg:8.2f} {bar}"
-        )
-    return "\n".join(lines)
+    """Text tornado chart (the ``swings`` renderer)."""
+    return render_swings({
+        "base_kg": results[0].base_kg if results else None,
+        "factors": [result.to_dict() for result in results],
+    })

@@ -384,21 +384,18 @@ class Session:
                     index=entry.get("index"),
                 ))
             return ResultSet.from_entries(kind.name, entries)
-        # Deferred: the optimizer rides on numpy, which pure-service
-        # sessions otherwise never import.
-        from ..analysis.optimizer import front_record
 
-        last = {"chunk": 0, "evaluated": 0, "errors": 0, "front": []}
-        for last in stream:
-            handle._push(Result(
-                kind="front", payload=last, index=last.get("chunk"),
-            ))
-        front = front_record(
-            last["front"], last["evaluated"], last["errors"], last["chunk"]
-        )
+        def pushed():
+            for snapshot in stream:
+                handle._push(Result(
+                    kind="front", payload=snapshot,
+                    index=snapshot.get("chunk"),
+                ))
+                yield snapshot
+
         return Result(
             kind=kind.name,
-            payload=front_payload(schema.parse_request(payload), front),
+            payload=front_payload(schema.parse_request(payload), pushed()),
         )
 
     def _payload(self, study) -> "tuple[schema.StudyKind, dict]":

@@ -4,30 +4,47 @@ Sub-commands mirror the paper's artifacts:
 
 * ``evaluate DESIGN.json`` — run 3D-Carbon on a JSON design description;
 * ``validate-epyc`` / ``validate-lakefield`` — the Fig. 4 comparisons;
+* ``compare DESIGN`` — the Sec. 4-style cross-model table: every carbon
+  backend on one design, with optional Monte-Carlo bands (``--draws``);
 * ``drive --approach homogeneous|heterogeneous`` — the Fig. 5 grid;
 * ``table5`` — the Sec. 5.2 decision table;
+* ``search REFERENCE.json`` — the exhaustive lowest-carbon configuration
+  search around a 2D reference;
 * ``optimize`` — vectorized Pareto search over the integration ×
   die-count × wafer × grid design space (the ``/optimize`` study;
   ``--stream`` prints a running front snapshot per evaluated chunk);
+* ``sensitivity DESIGN.json`` — the one-at-a-time tornado study;
+* ``export drive|table5 OUT`` — a study's rows as CSV or JSON;
 * ``bench`` — naive-vs-engine perf benches (writes ``BENCH_engine.json``;
   with ``--service``, the warm-vs-cold store throughput bench →
   ``BENCH_service.json``);
 * ``serve`` — run the carbon-as-a-service HTTP server (persistent
   content-addressed result store; ``--tokens`` for the multi-tenant
   token registry; see :mod:`repro.service`);
+* ``loadgen`` — drive concurrent keep-alive load against a server (or
+  a sweep of local fleets) and record p50/p99 and rps;
 * ``tokens issue|revoke|list|rotate`` — administer the multi-tenant
   token registry (named, hashed API tokens with per-tenant quotas;
   see :mod:`repro.tenancy`);
 * ``usage`` — a tenant's usage counters from a running server
   (``GET /usage``; admin tokens see every tenant);
-* ``submit`` — send a design JSON to a running server over HTTP (via
-  the :class:`repro.api.Session` facade);
+* ``submit`` — send a design JSON to a running server over HTTP (a
+  remote ``evaluate``);
 * ``trace`` — run a study locally under a trace and print its span tree
   with per-stage self-times (see :mod:`repro.obs`);
 * ``backends`` — list registered carbon backends with their factor-set
   digests (``--json`` for machines);
 * ``studies`` — list the StudySpec study kinds every entry point speaks;
 * ``nodes`` / ``technologies`` — inspect the parameter databases.
+
+The study subcommands (``evaluate``, ``submit``, ``compare``,
+``sensitivity``, ``optimize``, ``trace``) build a
+:class:`~repro.api.StudySpec` and run it through a
+:class:`~repro.api.Session`: locally, or on the server a ``--service``
+or ``--url`` names. ``--json`` prints the result's wire payload;
+otherwise it prints through its result shape's text renderer
+(:data:`repro.core.report.RENDERERS`), the same local or remote. The
+global ``--fab-location`` takes a grid name or a g CO2/kWh number.
 
 The JSON design schema matches :class:`repro.core.design.ChipDesign`::
 
@@ -54,17 +71,16 @@ import json
 import sys
 
 from .analysis.optimizer import search_configurations
-from .analysis.sensitivity import format_tornado, tornado
+from .api import Session, StudySpec
 from .config.parameters import DEFAULT_PARAMETERS
-from .core.model import CarbonModel
 from .core.operational import Workload
+from .core.report import RENDERERS
 from .errors import CarbonModelError
 from .io.designs import design_from_dict
 from .io.results import drive_study_rows, table5_rows, write_csv, write_json
 from .studies.decision import table5_study
 from .studies.drive import drive_study
 from .studies.validation import (
-    compare_backends,
     epyc_7452_design,
     epyc_validation,
     lakefield_design,
@@ -72,22 +88,19 @@ from .studies.validation import (
 )
 
 
+def _load_json(path: str) -> dict:
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    with open(args.design, encoding="utf-8") as handle:
-        data = json.load(handle)
-    design = design_from_dict(data)
-    workload = None
-    if args.workload == "av":
-        workload = Workload.autonomous_vehicle()
-    elif args.workload == "none":
-        workload = None
-    model = CarbonModel(design, fab_location=args.fab_location)
-    report = model.evaluate(workload)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
-    return 0
+    """One design's lifecycle report: ``evaluate`` locally, ``submit``
+    on the server at ``--url``."""
+    spec = StudySpec.evaluate(
+        _load_json(args.design), workload=args.workload,
+        fab_location=args.fab_location, backend=getattr(args, "backend", None),
+    )
+    return _run_study(args, spec)
 
 
 def _cmd_validate_epyc(args: argparse.Namespace) -> int:
@@ -112,75 +125,68 @@ def _cmd_validate_lakefield(args: argparse.Namespace) -> int:
     return 0
 
 
-def _session_for_args(args: argparse.Namespace):
-    """The Session the command runs through: local, or --service URL."""
-    from .api import Session
+def _session_for_args(args: argparse.Namespace) -> Session:
+    """The Session a study command runs through: local, or the server
+    at the command's ``--service``/``--url``."""
+    url = getattr(args, "service", None) or getattr(args, "url", None)
+    if url is None:
+        return Session(fab_location=args.fab_location)
+    return Session(
+        executor="service", url=url, token=args.token,
+        timeout=getattr(args, "timeout", 60.0),
+    )
 
-    service = getattr(args, "service", None)
-    if service is not None:
-        return Session(
-            executor="service",
-            url=service,
-            token=getattr(args, "token", None),
-        )
-    return Session(fab_location=args.fab_location)
+
+def _run_study(args: argparse.Namespace, spec: StudySpec) -> int:
+    """Run ``spec`` through the command's session and print its result:
+    the wire payload with ``--json``, else its shape's text renderer
+    (plus where a server answered from)."""
+    with _session_for_args(args) as session:
+        if getattr(args, "stream", False):
+            handle = session.submit(spec)
+            for snapshot in handle.partial():
+                entry = snapshot.payload
+                print(
+                    f"  chunk {entry['chunk']:>4d}  evaluated "
+                    f"{entry['evaluated']:>9,d}  errors "
+                    f"{entry['errors']:>6,d}  front {entry['front_size']:>4d}",
+                    file=sys.stderr, flush=True,
+                )
+            result = handle.result()
+        else:
+            result = session.run(spec)
+        payload = result.to_payload()
+        if getattr(args, "json", False):
+            print(json.dumps(payload, indent=2))
+            return 0
+        print(RENDERERS[spec.info.result](payload))
+        if not session.is_local:
+            cache = result.cache or ", ".join(
+                row["cache"] for row in payload.get("backends", ())
+            )
+            print(f"served by     : {session.client.base_url}")
+            print(f"served from   : {cache or 'computed'}")
+    return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    """Sec. 4-style cross-model table: one batched engine call.
-
-    ``--json`` routes through the :class:`repro.api.Session` facade —
-    the exact ``/compare`` payload whether computed locally or by
-    ``--service URL`` (the location-transparency the facade pins).
-    """
+    """Sec. 4-style cross-model table: one batched engine call, local or
+    on the ``--service`` server."""
     if args.design == "epyc":
         design = epyc_7452_design()
     elif args.design == "lakefield":
         design = lakefield_design()
     else:
-        with open(args.design, encoding="utf-8") as handle:
-            design = design_from_dict(json.load(handle))
-    backends = None
-    if args.backends is not None:
-        backends = [name.strip() for name in args.backends.split(",") if name.strip()]
-
-    if args.json or args.service is not None:
-        session = _session_for_args(args)
-        result = session.compare(
-            design,
-            backends=backends,
-            workload=args.workload,
-            fab_location=args.fab_location if args.service else None,
-            draws=args.draws,
-            seed=args.seed,
-        )
-        if args.json:
-            print(json.dumps(result.to_payload(), indent=2))
-            return 0
-        payload = result.to_payload()
-        print(f"cross-model comparison — {payload['design']} "
-              f"(served by {args.service})")
-        for row in payload["backends"]:
-            report = row["report"]
-            line = (f"  {row['label']:<14.14} total {report['total_kg']:9.2f} "
-                    f"kg CO2e [{row['cache']}]")
-            uncertainty = row.get("uncertainty")
-            if uncertainty:
-                line += (f"  p05 {uncertainty['p05_kg']:9.2f}  "
-                         f"p50 {uncertainty['p50_kg']:9.2f}  "
-                         f"p95 {uncertainty['p95_kg']:9.2f}")
-            print(line)
-        return 0
-
-    workload = (
-        Workload.autonomous_vehicle() if args.workload == "av" else None
+        design = _load_json(args.design)
+    spec = StudySpec.compare(
+        design,
+        backends=_axis_list(args.backends),
+        workload=args.workload,
+        fab_location=args.fab_location,
+        draws=args.draws,
+        seed=args.seed,
     )
-    result = compare_backends(
-        design, backends=backends, workload=workload,
-        fab_location=args.fab_location, draws=args.draws, seed=args.seed,
-    )
-    print(result.format_table())
-    return 0
+    return _run_study(args, spec)
 
 
 def _cmd_drive(args: argparse.Namespace) -> int:
@@ -197,10 +203,9 @@ def _cmd_table5(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    with open(args.design, encoding="utf-8") as handle:
-        reference = design_from_dict(json.load(handle))
     result = search_configurations(
-        reference, Workload.autonomous_vehicle(),
+        design_from_dict(_load_json(args.design)),
+        Workload.autonomous_vehicle(),
         fab_location=args.fab_location,
     )
     print(result.format_table())
@@ -221,8 +226,7 @@ def _optimize_reference(name: str):
 
     if name.lower() in (d.name.lower() for d in NVIDIA_DRIVE_SERIES):
         return drive_2d_design(name)
-    with open(name, encoding="utf-8") as handle:
-        return design_from_dict(json.load(handle))
+    return _load_json(name)
 
 
 def _axis_list(text: "str | None", coerce=None) -> "list | None":
@@ -244,80 +248,30 @@ def _location_value(text: str) -> "str | float":
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    """Vectorized Pareto search through the Session facade.
-
-    Local by default; ``--service URL`` sends the same wire payload to
-    ``POST /optimize`` — the returned front is bit-identical either way.
-    """
-    from .api import StudySpec
-
-    reference = _optimize_reference(args.design)
+    """Vectorized Pareto search, local or on the ``--service`` server
+    (``POST /optimize``); the front is bit-identical either way."""
     spec = StudySpec.optimize(
-        reference,
+        _optimize_reference(args.design),
         workload=args.workload,
         integrations=_axis_list(args.integrations),
         die_counts=_axis_list(args.die_counts, int),
         wafer_diameters_mm=_axis_list(args.wafers, float),
-        fab_locations=_axis_list(args.locations, _location_value),
+        fab_locations=(
+            _axis_list(args.locations, _location_value)
+            or [args.fab_location]
+        ),
         max_configs=args.max_configs,
         chunk=args.chunk,
         seed=args.seed,
     )
-    with _session_for_args(args) as session:
-        if args.stream:
-            handle = session.submit(spec)
-            for snapshot in handle.partial():
-                if snapshot.kind != "front":
-                    continue
-                entry = snapshot.payload
-                print(
-                    f"  chunk {entry['chunk']:>4d}  evaluated "
-                    f"{entry['evaluated']:>9,d}  errors "
-                    f"{entry['errors']:>6,d}  front {entry['front_size']:>4d}",
-                    file=sys.stderr, flush=True,
-                )
-            result = handle.result()
-        else:
-            result = session.run(spec)
-    payload = result.to_payload()
-    if args.json:
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(
-        f"Pareto front — {payload['design']} "
-        f"({payload['evaluated']:,} configurations, "
-        f"{payload['errors']:,} invalid, {payload['chunks']} chunks)"
-    )
-    objectives = ", ".join(
-        f"{name} {goal}" for name, goal in payload["objectives"].items()
-    )
-    print(f"objectives: {objectives}")
-    header = (f"{'label':<34} {'wafer':>6} {'location':<10} "
-              f"{'total kg':>9} {'perf TOPS':>9} {'cost mm2':>9}")
-    print(header)
-    print("-" * len(header))
-    for point in payload["front"]:
-        location = point["fab_location"]
-        if isinstance(location, float):
-            location = f"{location:g}g"
-        print(
-            f"{point['label']:<34.34} {point['wafer_diameter_mm']:>6.0f} "
-            f"{location:<10.10} {point['total_kg']:>9.2f} "
-            f"{point['performance_tops']:>9.1f} {point['cost_mm2']:>9.1f}"
-        )
-    print(f"{payload['front_size']} non-dominated configurations")
-    return 0
+    return _run_study(args, spec)
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> int:
-    with open(args.design, encoding="utf-8") as handle:
-        design = design_from_dict(json.load(handle))
-    results = tornado(
-        design, workload=Workload.autonomous_vehicle(),
-        fab_location=args.fab_location,
+    spec = StudySpec.tornado(
+        _load_json(args.design), fab_location=args.fab_location
     )
-    print(format_tornado(results))
-    return 0
+    return _run_study(args, spec)
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
@@ -655,33 +609,6 @@ def _cmd_usage(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_submit(args: argparse.Namespace) -> int:
-    """Send one design to a running server, through the Session facade."""
-    from .api import Session
-
-    with open(args.design, encoding="utf-8") as handle:
-        design = json.load(handle)
-    session = Session(
-        executor="service", url=args.url, timeout=args.timeout,
-        token=args.token,
-    )
-    workload = "none" if args.workload == "none" else "av"
-    point = session.evaluate(design, workload=workload, backend=args.backend)
-    result = point.to_payload()
-    if args.json:
-        print(json.dumps(result, indent=2))
-    else:
-        print(f"design        : {result['design']}")
-        print(f"integration   : {result['integration']}")
-        print(f"valid         : {'yes' if result['valid'] else 'NO (bandwidth)'}")
-        print(f"embodied      : {result['embodied_kg']:9.3f} kg CO2e")
-        if "operational_kg" in result:
-            print(f"operational   : {result['operational_kg']:9.3f} kg CO2e")
-        print(f"total         : {result['total_kg']:9.3f} kg CO2e")
-        print(f"served from   : {point.cache or 'computed'}")
-    return 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Run a study locally under a trace; print its span tree.
 
@@ -690,16 +617,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     pipeline stage, memo lookup, store access, and dispatcher call the
     study touched shows up as a span with total and self time.
     """
-    from .api import Session, StudySpec
     from .obs import trace as obs_trace
 
-    with open(args.study, encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = _load_json(args.study)
     if "type" in payload:
         study = StudySpec.from_payload(payload)
     else:
         study = StudySpec.evaluate(payload, workload=args.workload)
-    with Session(fab_location=args.fab_location) as session:
+    with _session_for_args(args) as session:
         with obs_trace.trace(f"carbon3d trace {study.kind}") as root:
             session.run(study)
         spans = obs_trace.collector.spans(root.trace_id)
@@ -831,6 +756,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fab-location",
         default="taiwan",
+        type=_location_value,
         help="manufacturing grid (name or g CO2/kWh; default: taiwan)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -941,7 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument(
         "--locations", default=None, metavar="LIST",
         help="comma-separated fab grids (names or g CO2/kWh numbers; "
-             "default: the session's --fab-location)",
+             "default: --fab-location)",
     )
     p_opt.add_argument(
         "--max-configs", type=int, default=None,
@@ -1203,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument(
         "--json", action="store_true", help="emit the full JSON report"
     )
-    p_submit.set_defaults(func=_cmd_submit)
+    p_submit.set_defaults(func=_cmd_evaluate)
 
     p_trace = sub.add_parser(
         "trace",

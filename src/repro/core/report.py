@@ -2,8 +2,17 @@
 
 :class:`LifecycleReport` bundles the embodied breakdown (Eq. 3), the
 operational result (Eq. 16), and the bandwidth check (Sec. 3.4), with
-serialization (``to_dict``) and a plain-text rendering used by the CLI and
-the benchmark harness.
+serialization (``to_dict``).
+
+This module also holds the text renderers of every study result shape
+the CLI prints, one per shape in
+:data:`repro.service.schema.STUDY_KINDS` (:data:`RENDERERS`). Each reads
+the shape's JSON payload, so a result renders the same whether it was
+computed locally or by a server; the library formatters
+(:meth:`LifecycleReport.render`,
+:func:`~repro.analysis.sensitivity.format_tornado`,
+:meth:`~repro.studies.validation.BackendComparison.format_table`) call
+them too.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from dataclasses import dataclass
 
 from .bandwidth import BandwidthResult
 from .embodied import EmbodiedReport
-from .operational import OperationalReport
+from .operational import OperationalReport, Workload
 
 
 @dataclass(frozen=True)
@@ -84,28 +93,7 @@ class LifecycleReport:
 
     def render(self) -> str:
         """Human-readable multi-line summary."""
-        lines = [
-            f"design        : {self.design_name}",
-            f"integration   : {self.integration}",
-            f"valid         : {'yes' if self.valid else 'NO (bandwidth)'}",
-            f"embodied      : {self.embodied_kg:9.3f} kg CO2e",
-        ]
-        for component, kg in self.embodied.breakdown().items():
-            lines.append(f"  - {component:<11}: {kg:9.3f} kg CO2e")
-        if self.operational is not None:
-            lines.append(
-                f"operational   : {self.operational.total_kg:9.3f} kg CO2e "
-                f"({self.operational.workload_name}, "
-                f"{self.operational.lifetime_years:g} y)"
-            )
-        if self.bandwidth.constrained:
-            lines.append(
-                f"bandwidth     : {self.bandwidth.achieved_tb_s:8.2f} / "
-                f"{self.bandwidth.required_tb_s:8.2f} TB/s "
-                f"(deg {self.bandwidth.degradation * 100:.1f}%)"
-            )
-        lines.append(f"total         : {self.total_kg:9.3f} kg CO2e")
-        return "\n".join(lines)
+        return render_report(self.to_dict())
 
 
 def format_report_table(
@@ -131,3 +119,135 @@ def format_report_table(
             f"{'yes' if report.valid else 'NO':>6}"
         )
     return "\n".join(lines)
+
+
+# -- the study result renderers ----------------------------------------------
+
+
+def render_report(payload: dict) -> str:
+    """A ``report`` payload (lifecycle or backend report) as text."""
+    lines = [
+        f"design        : {payload['design']}",
+        f"integration   : {payload['integration']}",
+        f"valid         : {'yes' if payload['valid'] else 'NO (bandwidth)'}",
+        f"embodied      : {payload['embodied_kg']:9.3f} kg CO2e",
+    ]
+    for component, kg in payload["embodied_breakdown_kg"].items():
+        lines.append(f"  - {component:<11}: {kg:9.3f} kg CO2e")
+    if payload.get("operational_kg") is not None:
+        use = payload.get("operational")
+        lines.append(
+            f"operational   : {payload['operational_kg']:9.3f} kg CO2e"
+            + (f" ({use['workload']}, {use['lifetime_years']:g} y)"
+               if use else "")
+        )
+    bandwidth = payload.get("bandwidth")
+    if bandwidth and bandwidth["constrained"]:
+        lines.append(
+            f"bandwidth     : {bandwidth['achieved_tb_s']:8.2f} / "
+            f"{bandwidth['required_tb_s']:8.2f} TB/s "
+            f"(deg {bandwidth['degradation'] * 100:.1f}%)"
+        )
+    lines.append(f"total         : {payload['total_kg']:9.3f} kg CO2e")
+    return "\n".join(lines)
+
+
+def _workload_name(value) -> "str | None":
+    """The name of a wire workload value (``"av"``, null or a record)."""
+    if isinstance(value, dict):
+        return value["name"]
+    return Workload.autonomous_vehicle().name if value == "av" else None
+
+
+def render_table(payload: dict) -> str:
+    """A ``table`` payload (the cross-model comparison) as text, in
+    kg CO₂e ('—' = not modeled), with the uncertainty bands if drawn."""
+    workload = _workload_name(payload["workload"])
+    header = (
+        f"{'model':<14} {'die':>9} {'bond':>8} {'pkg':>8} {'subst':>8} "
+        f"{'embodied':>9} {'oper':>9} {'total':>9}"
+    )
+    lines = [
+        f"cross-model comparison — {payload['design']}"
+        + (f" under {workload}" if workload else ""),
+        header,
+        "-" * len(header),
+    ]
+    rows = payload["backends"]
+    for row in rows:
+        report = row["report"]
+        parts = report["embodied_breakdown_kg"]
+        oper = report.get("operational_kg")
+        oper_text = f"{oper:9.2f}" if oper is not None else f"{'—':>9}"
+        lines.append(
+            f"{row['label']:<14.14} {parts.get('die', 0.0):9.2f} "
+            f"{parts.get('bonding', 0.0):8.2f} "
+            f"{parts.get('packaging', 0.0):8.2f} "
+            f"{parts.get('interposer', 0.0):8.2f} "
+            f"{report['embodied_kg']:9.2f} {oper_text} "
+            f"{report['total_kg']:9.2f}"
+        )
+    if rows and "uncertainty" in rows[0]:
+        lines += ["", "uncertainty (each backend draws its own factor set):"]
+        for row in rows:
+            band = row["uncertainty"]
+            lines.append(
+                f"{row['label']:<14.14} n={band['samples']:<5d} "
+                f"p05 {band['p05_kg']:9.2f}  p50 {band['p50_kg']:9.2f}  "
+                f"p95 {band['p95_kg']:9.2f}"
+            )
+    return "\n".join(lines)
+
+
+def render_swings(payload: dict) -> str:
+    """A ``swings`` payload (the tornado study) as a text tornado chart."""
+    factors = payload["factors"]
+    if not factors:
+        return "(no factors)"
+    widest = max(abs(factor["swing_kg"]) for factor in factors) or 1.0
+    lines = [f"base total: {payload['base_kg']:.2f} kg CO2e",
+             f"{'factor':<34} {'low kg':>9} {'high kg':>9} {'swing':>8}"]
+    for factor in factors:
+        bar = "#" * max(1, int(24 * abs(factor["swing_kg"]) / widest))
+        lines.append(
+            f"{factor['factor']:<34.34} {factor['low_kg']:9.2f} "
+            f"{factor['high_kg']:9.2f} {factor['swing_kg']:8.2f} {bar}"
+        )
+    return "\n".join(lines)
+
+
+def render_front(payload: dict) -> str:
+    """A ``front`` payload (the Pareto search) as a text table."""
+    objectives = ", ".join(
+        f"{name} {goal}" for name, goal in payload["objectives"].items()
+    )
+    header = (f"{'label':<34} {'wafer':>6} {'location':<10} "
+              f"{'total kg':>9} {'perf TOPS':>9} {'cost mm2':>9}")
+    lines = [
+        f"Pareto front — {payload['design']} "
+        f"({payload['evaluated']:,} configurations, "
+        f"{payload['errors']:,} invalid, {payload['chunks']} chunks)",
+        f"objectives: {objectives}",
+        header,
+        "-" * len(header),
+    ]
+    for point in payload["front"]:
+        location = point["fab_location"]
+        if isinstance(location, float):
+            location = f"{location:g}g"
+        lines.append(
+            f"{point['label']:<34.34} {point['wafer_diameter_mm']:>6.0f} "
+            f"{location:<10.10} {point['total_kg']:>9.2f} "
+            f"{point['performance_tops']:>9.1f} {point['cost_mm2']:>9.1f}"
+        )
+    lines.append(f"{payload['front_size']} non-dominated configurations")
+    return "\n".join(lines)
+
+
+#: Result shape (``StudyKind.result``) → its text renderer.
+RENDERERS = {
+    "report": render_report,
+    "table": render_table,
+    "swings": render_swings,
+    "front": render_front,
+}

@@ -166,20 +166,28 @@ def montecarlo_fingerprint(
     )
 
 
-def front_payload(request: OptimizeRequest, front: dict) -> dict:
-    """The optimize result: the request's echo plus the front's record.
+def front_payload(request: OptimizeRequest, snapshots) -> dict:
+    """The optimize result: the request's echo plus the record of the
+    last of a search's per-chunk ``snapshots``.
 
-    ``front`` is :func:`~repro.analysis.optimizer.front_record` of the
-    finished search (``ParetoFront.to_dict()``) or of a streamed search's
-    last snapshot, so the enveloped and the streamed result render the
-    same.
+    The enveloped and the streamed result are built here from the same
+    snapshots, so they render the same.
     """
+    # Deferred: the optimizer rides on numpy, which pure-service
+    # sessions otherwise never import.
+    from ..analysis.optimizer import front_record
+
+    last = {"chunk": 0, "evaluated": 0, "errors": 0, "front": []}
+    for last in snapshots:
+        pass
     return {
         "design": request.design.name,
         "workload": workload_to_value(request.workload),
         "max_configs": request.max_configs,
         "seed": request.seed,
-        **front,
+        **front_record(
+            last["front"], last["evaluated"], last["errors"], last["chunk"]
+        ),
     }
 
 
@@ -1053,17 +1061,7 @@ class Dispatcher:
                 "backend": request.backend,
                 "workload": workload_to_value(request.workload),
                 "base_kg": results[0].base_kg if results else None,
-                "factors": [
-                    {
-                        "factor": entry.factor,
-                        "low_multiplier": entry.low_multiplier,
-                        "high_multiplier": entry.high_multiplier,
-                        "low_kg": entry.low_kg,
-                        "high_kg": entry.high_kg,
-                        "swing_kg": entry.swing_kg,
-                    }
-                    for entry in results
-                ],
+                "factors": [entry.to_dict() for entry in results],
             }
 
         return self._compute_through(key, compute, deadline)
@@ -1220,75 +1218,84 @@ class Dispatcher:
             request.seed,
         ))
 
+    def _optimize_snapshots(
+        self, request: OptimizeRequest, axes: tuple,
+        deadline: "Deadline | None" = None,
+    ) -> "tuple[int, Iterator[dict]]":
+        """The one optimize body: (chunk count, per-chunk snapshot
+        iterator) of an admitted search.
+
+        The admission rule, stated once: a computed search, enveloped or
+        streamed, is admitted for its full grid point count (and counts
+        those ``points``) before any chunk runs. The enveloped
+        :meth:`optimize` pays one more point up front for its store
+        lookup, so a store hit costs that point alone.
+
+        Each snapshot is one evaluated chunk's running front; the last
+        one's ``front`` is the full sorted front. ``deadline`` is checked
+        before each chunk, so a stream stops with a typed trailer and
+        every snapshot already written stays valid.
+        """
+        search = self._optimize_search(request, axes)
+        points = len(search.grid.points)
+        if request.max_configs is not None:
+            points = min(points, request.max_configs)
+        self._admit(points)
+        self.stats.inc("points", points)
+
+        def snapshots() -> "Iterator[dict]":
+            chunks = search.stream(
+                max_configs=request.max_configs, seed=request.seed
+            )
+            while True:
+                if deadline is not None:
+                    deadline.check("streamed request")
+                try:
+                    yield next(chunks)
+                except StopIteration:
+                    return
+
+        return -(-points // search.chunk), snapshots()
+
     @_instrumented("optimize")
     def optimize(
         self, request: OptimizeRequest, *, deadline: "Deadline | None" = None
     ) -> "tuple[dict, str]":
         """Vectorized Pareto search → (front payload, cache tag).
 
-        The grid expands and evaluates inside ``compute`` (a store hit
-        pays nothing); ``points`` counts actually-evaluated grid points,
-        so it is incremented there too.
-
-        Quota note: the grid only expands inside ``compute`` (a store
-        hit must stay free), so admission charges one bucket point here;
-        the tenant's *absolute* point ceiling still sees every evaluated
-        grid point through the mirrored ``points`` counter on the next
-        request.
+        ``compute`` drains :meth:`_optimize_snapshots`, so the grid only
+        expands on a store miss. The request's deadline stays with
+        :meth:`_compute_through`: a search that finishes is published
+        even when this request must answer with a timeout.
         """
         self._admit(1)
         self.stats.inc("requests")
         axes = self._optimize_axes(request)
-        key = self._optimize_key(request, axes)
 
         def compute() -> dict:
-            search = self._optimize_search(request, axes)
-            front = search.run(
-                max_configs=request.max_configs, seed=request.seed
+            return front_payload(
+                request, self._optimize_snapshots(request, axes)[1]
             )
-            self.stats.inc("points", front.evaluated)
-            return front_payload(request, front.to_dict())
 
-        return self._compute_through(key, compute, deadline)
+        return self._compute_through(
+            self._optimize_key(request, axes), compute, deadline
+        )
 
     def stream_optimize(
         self, request: OptimizeRequest, *, deadline: "Deadline | None" = None
     ) -> "tuple[int, 'Iterator[dict]']":
-        """Streaming search: (chunk count, per-chunk snapshot iterator).
+        """Streaming search: :meth:`_optimize_snapshots`, as NDJSON.
 
-        Each NDJSON entry is one evaluated chunk's running front
-        snapshot, so the stream's framing total counts *chunks* (each
-        snapshot carries its own cumulative ``evaluated`` point count);
-        the final entry's ``front`` is the full sorted front,
-        bit-identical to the enveloped :meth:`optimize` result's.
-        Streams always compute fresh (front snapshots are incremental
-        state, not per-point results the store could replay).
+        The stream's framing total counts *chunks* (each snapshot carries
+        its own cumulative ``evaluated`` point count). Streams always
+        compute fresh: front snapshots are incremental state, not
+        per-point results the store could replay.
         """
-        axes = self._optimize_axes(request)
-        search = self._optimize_search(request, axes)
-        points = len(search.grid.points)
-        if request.max_configs is not None:
-            points = min(points, request.max_configs)
-        self._begin(points)
-        total = -(-points // search.chunk)
-
-        def entries() -> "Iterator[dict]":
-            snapshots = search.stream(
-                max_configs=request.max_configs, seed=request.seed
-            )
-            while True:
-                if deadline is not None:
-                    # Before each chunk's evaluation: a streamed search
-                    # stops with a typed trailer once the budget runs
-                    # out, keeping every snapshot already written valid.
-                    deadline.check("streamed request")
-                try:
-                    snapshot = next(snapshots)
-                except StopIteration:
-                    return
-                yield snapshot
-
-        return total, entries()
+        total, snapshots = self._optimize_snapshots(
+            request, self._optimize_axes(request), deadline
+        )
+        self.stats.inc("requests")
+        return total, snapshots
 
     def stats_dict(self) -> dict:
         """JSON-ready dispatcher + engine + store statistics."""

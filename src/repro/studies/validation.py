@@ -25,6 +25,7 @@ from ..config.parameters import DEFAULT_PARAMETERS, ParameterSet
 from ..core.design import ChipDesign, Die, DieKind, PackageSpec
 from ..core.embodied import EmbodiedReport, embodied_carbon
 from ..core.operational import Workload
+from ..core.report import render_table
 from ..core.resolve import resolve_design
 from ..pipeline.backends import BackendReport
 from ..pipeline.registry import backend_names, get_backend
@@ -163,35 +164,23 @@ class BackendComparison:
         return rows
 
     def format_table(self) -> str:
-        """Fixed-width cross-model table (kg CO₂e; '—' = not modeled)."""
-        header = (
-            f"{'model':<14} {'die':>9} {'bond':>8} {'pkg':>8} {'subst':>8} "
-            f"{'embodied':>9} {'oper':>9} {'total':>9}"
-        )
-        lines = [
-            f"cross-model comparison — {self.design_name}"
-            + (f" under {self.workload_name}" if self.workload_name else ""),
-            header,
-            "-" * len(header),
-        ]
-        for label, die, bond, pkg, subst, emb, oper, total in self.rows():
-            oper_text = f"{oper:9.2f}" if oper is not None else f"{'—':>9}"
-            lines.append(
-                f"{label:<14.14} {die:9.2f} {bond:8.2f} {pkg:8.2f} "
-                f"{subst:8.2f} {emb:9.2f} {oper_text} {total:9.2f}"
-            )
-        if self.bands is not None:
-            lines.append("")
-            lines.append(
-                "uncertainty (each backend draws its own factor set):"
-            )
-            for entry, band in zip(self.reports, self.bands):
-                lines.append(
-                    f"{get_backend(entry.backend).label:<14.14} "
-                    f"n={band.n:<5d} p05 {band.p05:9.2f}  "
-                    f"p50 {band.p50:9.2f}  p95 {band.p95:9.2f}"
-                )
-        return "\n".join(lines)
+        """Fixed-width cross-model table (the ``table`` renderer)."""
+        bands = self.bands or (None,) * len(self.reports)
+        return render_table({
+            "design": self.design_name,
+            "workload": (
+                {"name": self.workload_name} if self.workload_name else None
+            ),
+            "backends": [
+                {
+                    "label": get_backend(entry.backend).label,
+                    "report": entry.to_dict(),
+                    **({"uncertainty": band.to_payload()}
+                       if band is not None else {}),
+                }
+                for entry, band in zip(self.reports, bands)
+            ],
+        })
 
 
 def compare_backends(

@@ -100,6 +100,23 @@ class TestCommands:
         default = json.loads(capsys.readouterr().out)["embodied_kg"]
         assert clean < default
 
+    def test_numeric_fab_location(self, design_json, capsys):
+        """The global flag takes a g CO2/kWh number, as its help says."""
+        args = build_parser().parse_args(["--fab-location", "500", "nodes"])
+        assert args.fab_location == 500.0
+        design = str(design_json)
+        for argv in (["evaluate", design, "--json"],
+                     ["compare", design, "--backends", "repro3d", "--json"],
+                     ["sensitivity", design]):
+            assert main(["--fab-location", "500", *argv]) == 0
+            assert capsys.readouterr().err == ""
+        embodied = []
+        for intensity in ("5", "900"):
+            assert main(["--fab-location", intensity, "evaluate", design,
+                         "--json"]) == 0
+            embodied.append(json.loads(capsys.readouterr().out)["embodied_kg"])
+        assert embodied[0] < embodied[1]
+
     def test_error_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"name": "x", "dies": [

@@ -18,8 +18,14 @@ tenant's key is the unsalted content key.
 The paths could agree and all be wrong, so the same generated designs
 also check invariants the paper's equations imply: report components
 sum exactly to their totals (Eqs. 1, 3, 4, 16), every yield lies in
-(0, 1] (Eq. 15 and Table 3), and each die's D2W effective yield is at
-least its W2W yield for the same dies and bond yield (Table 3).
+(0, 1] (Eq. 15 and Table 3), each die's D2W effective yield is at
+least its W2W yield for the same dies and bond yield (Table 3),
+and embodied carbon strictly rises with the fab's carbon intensity
+(Eqs. 4–5 price fab energy at that intensity). Embodied carbon should
+also be no lower when one die's gate count grows (Eqs. 7–9 grow its
+area, Eq. 15 lowers its yield); the model breaks that on tiled 2.5D
+floorplans, so the check is pinned as an expected failure on its
+counterexample until the model is mended.
 """
 
 from __future__ import annotations
@@ -29,8 +35,10 @@ import json
 import math
 import tempfile
 import threading
+from dataclasses import replace
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config.integration import AssemblyFlow
@@ -454,3 +462,60 @@ def test_d2w_yields_at_least_w2w(design):
                                                      w2w.per_die))
     assert all(mine >= blind for mine, blind in zip(d2w.per_bond,
                                                      w2w.per_bond))
+
+
+def embodied_kg(design: ChipDesign, fab_location) -> float:
+    return CarbonModel(design, fab_location=fab_location).evaluate(
+        None
+    ).embodied_kg
+
+
+#: Named grids and whole g CO2/kWh numbers in the valid 5–900 range
+#: (distinct ones differ by at least 1 g/kWh, far above float resolution).
+fab_locations = st.sampled_from(LOCATIONS) | st.integers(5, 900).map(float)
+
+
+@given(design=designs(), a=fab_locations, b=fab_locations)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_embodied_strictly_rises_with_fab_carbon_intensity(design, a, b):
+    assume(fab_ci(a) != fab_ci(b))
+    if fab_ci(a) > fab_ci(b):
+        a, b = b, a
+    assert embodied_kg(design, a) < embodied_kg(design, b)
+
+
+#: The counterexample the property found: a 4-die InFO split of a
+#: 500M-gate 5 nm reference. Growing die 0 by 1.5x shifts its row
+#: neighbour, the tiled floorplan loses 0.29 mm of facing die edge, and
+#: the Eq. 14 RDL substrate (scale x gap x adjacent length) shrinks from
+#: 156.7 to 147.9 mm2: embodied falls from 1.062 to 1.034 kg CO2e.
+INFO_GROWTH_COUNTEREXAMPLE = ChipDesign.homogeneous_split(
+    ChipDesign.planar_2d("gen_0", "5nm", gate_count=500e6,
+                         package_class="fcbga", throughput_tops=254.0),
+    "info", n_dies=4,
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="model finding: a growing die can shrink the floorplan's "
+           "adjacent length, and with it the Eq. 14 2.5D substrate",
+)
+@given(design=designs(), index=st.integers(0, 3),
+       growth=st.floats(min_value=1.0, max_value=1.5))
+@example(design=INFO_GROWTH_COUNTEREXAMPLE, index=0, growth=1.5)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_embodied_no_lower_when_one_die_gains_gates(design, index, growth):
+    index %= design.die_count
+    dies = list(design.dies)
+    dies[index] = replace(
+        dies[index], gate_count=dies[index].gate_count * growth
+    )
+    grown = replace(design, dies=tuple(dies))
+    try:
+        grown.validate(DEFAULT_PARAMETERS)
+    except DesignError:
+        assume(False)  # the bigger die no longer fits; no comparison
+    assert embodied_kg(grown, "taiwan") >= embodied_kg(design, "taiwan")

@@ -23,6 +23,7 @@ The tentpole guarantees under test:
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import sqlite3
 import threading
@@ -728,3 +729,82 @@ class TestFleetTenancy:
             assert answers[0]["quota_rejected"] == 1
         finally:
             fleet.close()
+
+
+class TestOptimizeAdmission:
+    """The one ``/optimize`` admission rule, pinned for a quota'd tenant.
+
+    An enveloped store hit pays its one lookup point; a computed search,
+    enveloped or streamed, is admitted for its full point count before
+    any chunk runs (the enveloped form on top of its lookup point).
+    """
+
+    POINTS = 10
+
+    @pytest.fixture()
+    def dispatcher(self, tmp_path):
+        from repro.service.dispatcher import Dispatcher
+
+        class RecordingQuotas(QuotaManager):
+            """Records each bucket charge; a frozen clock never refills."""
+
+            def __init__(self) -> None:
+                super().__init__(clock=lambda: 0.0)
+                self.charges = []
+
+            def admit(self, tenant, quota, points, usage=None) -> None:
+                self.charges.append(points)
+                super().admit(tenant, quota, points, usage=usage)
+
+        store = ResultStore(str(tmp_path / "store.sqlite3"))
+        dispatcher = Dispatcher(store=store)
+        dispatcher.quotas = RecordingQuotas()
+        yield dispatcher
+        store.close()
+
+    @pytest.fixture()
+    def request_(self):
+        from repro.api import StudySpec
+        from repro.service.schema import parse_request
+        from repro.studies.drive import drive_2d_design
+
+        spec = StudySpec.optimize(
+            drive_2d_design("orin"), integrations=["hybrid_3d", "mcm"],
+            die_counts=[2], wafer_diameters_mm=[300.0],
+            fab_locations=["taiwan", "iceland"], max_configs=self.POINTS,
+            chunk=4, seed=11,
+        )
+        return parse_request(spec.to_payload())
+
+    def charged(self, dispatcher, call):
+        """(bucket charges, billed ``points``, call result) of one request."""
+        dispatcher.quotas.charges.clear()
+        ctx = TenantContext(
+            tenant="acme", quota=TenantQuota(rate_per_s=1.0, burst=1000.0)
+        )
+        with tenant_scope(ctx):
+            result = call()
+        return dispatcher.quotas.charges, ctx.counters.get("points", 0), result
+
+    def test_hit_compute_and_stream_charges(self, dispatcher, request_):
+        charges, points, (payload, cache) = self.charged(
+            dispatcher, lambda: dispatcher.optimize(request_)
+        )
+        assert cache == "computed"
+        assert payload["evaluated"] == self.POINTS
+        assert (charges, points) == ([1, self.POINTS], self.POINTS)
+
+        charges, points, (_, cache) = self.charged(
+            dispatcher, lambda: dispatcher.optimize(request_)
+        )
+        assert cache == "store"
+        assert (charges, points) == ([1], 0)
+
+        charges, points, (chunks, snapshots) = self.charged(
+            dispatcher, lambda: dispatcher.stream_optimize(request_)
+        )
+        # Admitted and counted before the first chunk runs.
+        assert (charges, points) == ([self.POINTS], self.POINTS)
+        assert inspect.getgeneratorstate(snapshots) == inspect.GEN_CREATED
+        assert chunks == 3
+        assert list(snapshots)[-1]["front"] == payload["front"]
