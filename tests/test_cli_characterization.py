@@ -1,8 +1,9 @@
 """Exact-stdout characterization of the CLI's study subcommands.
 
-Every local study command — ``evaluate``, ``compare``, ``sensitivity``
-and ``optimize`` — is pinned byte for byte, in text and ``--json``
-form, against ``tests/golden/cli_stdout.json``. Refactoring how the CLI
+Every local study command — ``evaluate``, ``compare``, ``sensitivity``,
+``optimize`` and ``search`` — is pinned byte for byte, in text and
+``--json`` form where it has one, against
+``tests/golden/cli_stdout.json``. Refactoring how the CLI
 prices or renders a study must leave these outputs unchanged.
 
 Regenerate the goldens (only when an output change is intended) with::
@@ -35,13 +36,26 @@ DESIGN = {
     ],
 }
 
+#: A single-die 2D reference: what ``search`` splits.
+REFERENCE = {
+    "name": "cli_ref",
+    "integration": "2d",
+    "package": {"class": "fcbga"},
+    "throughput_tops": 254.0,
+    "dies": [
+        {"name": "soc", "node": "7nm", "gate_count": 17e9,
+         "efficiency_tops_per_w": 2.74},
+    ],
+}
+
 OPTIMIZE_AXES = [
     "--integrations", "hybrid_3d,mcm", "--die-counts", "2",
     "--wafers", "300,450", "--locations", "taiwan,iceland",
     "--max-configs", "24", "--chunk", "10", "--seed", "11",
 ]
 
-#: case id → argv; ``{design}`` is replaced by the design file's path.
+#: case id → argv; ``{design}`` and ``{reference}`` are replaced by the
+#: paths of the files holding :data:`DESIGN` and :data:`REFERENCE`.
 CASES = {
     "evaluate-av-text": ["evaluate", "{design}"],
     "evaluate-av-json": ["evaluate", "{design}", "--json"],
@@ -69,13 +83,26 @@ CASES = {
     "optimize-text": ["optimize", "orin", *OPTIMIZE_AXES],
     "optimize-json": ["optimize", "orin", "--json", *OPTIMIZE_AXES],
     "optimize-stream-text": ["optimize", "orin", "--stream", *OPTIMIZE_AXES],
+    "search-text": ["search", "{reference}"],
+    "search-iceland-text": [
+        "--fab-location", "iceland", "search", "{reference}",
+    ],
 }
 
 
-def _argv(case: str, design_path: Path) -> "list[str]":
-    return [
-        str(design_path) if arg == "{design}" else arg for arg in CASES[case]
-    ]
+def _write_designs(directory: Path) -> "dict[str, str]":
+    """Write both design files; placeholder → path."""
+    paths = {}
+    for placeholder, record in (("{design}", DESIGN),
+                                ("{reference}", REFERENCE)):
+        path = directory / f"{placeholder.strip('{}')}.json"
+        path.write_text(json.dumps(record))
+        paths[placeholder] = str(path)
+    return paths
+
+
+def _argv(case: str, paths: "dict[str, str]") -> "list[str]":
+    return [paths.get(arg, arg) for arg in CASES[case]]
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +111,8 @@ def golden() -> dict:
 
 
 @pytest.fixture()
-def design_path(tmp_path) -> Path:
-    path = tmp_path / "design.json"
-    path.write_text(json.dumps(DESIGN))
-    return path
+def design_paths(tmp_path) -> "dict[str, str]":
+    return _write_designs(tmp_path)
 
 
 def test_every_case_has_a_golden(golden):
@@ -95,8 +120,8 @@ def test_every_case_has_a_golden(golden):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_stdout_is_pinned(case, golden, design_path, capsys):
-    assert main(_argv(case, design_path)) == 0
+def test_stdout_is_pinned(case, golden, design_paths, capsys):
+    assert main(_argv(case, design_paths)) == 0
     assert capsys.readouterr().out == golden[case]
 
 
@@ -107,12 +132,11 @@ def _regenerate() -> None:  # pragma: no cover - maintenance entry point
 
     outputs = {}
     with tempfile.TemporaryDirectory() as scratch:
-        design_path = Path(scratch) / "design.json"
-        design_path.write_text(json.dumps(DESIGN))
+        paths = _write_designs(Path(scratch))
         for case in sorted(CASES):
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer):
-                assert main(_argv(case, design_path)) == 0
+                assert main(_argv(case, paths)) == 0
             outputs[case] = buffer.getvalue()
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(

@@ -154,6 +154,58 @@ def study_keys(tenant: str) -> "list[str]":
     return sorted(row[0] for row in rows)
 
 
+#: ``/optimize`` requests whose store keys are pinned: (server default
+#: fab location, request axes). The first takes every grid default, the
+#: second sets every axis and knob, the third takes the defaults on a
+#: server whose own fab location is not ``taiwan``.
+OPTIMIZE_CASES = {
+    "default-axes": ("taiwan", {}),
+    "explicit-axes": ("taiwan", {
+        "integrations": ("hybrid_3d", "mcm"),
+        "die_counts": (2, 3),
+        "wafer_diameters_mm": (300.0, 450.0),
+        "fab_locations": ("taiwan", 250.0),
+        "max_configs": 24,
+        "chunk": 10,
+        "seed": 11,
+    }),
+    "iceland-server": ("iceland", {}),
+}
+
+#: Store keys of :data:`OPTIMIZE_CASES`: a search stored once keeps
+#: being served, so these never change.
+PINNED_OPTIMIZE_KEYS = {
+    "default-axes":
+        "b057948622969936a0b2c9c6b9aa488b42ef55badacd9e824866c5ae9b94d350",
+    "explicit-axes":
+        "5358b85081994a2cd7de72057713d439e3f36d2105639efcb5d0758dec9cd559",
+    "iceland-server":
+        "8ac20a3c91966d47c7829965b432a0cc02f2bf1d80f8978e051f237e40d6c063",
+}
+
+
+def optimize_request(
+    case: str, store: "ResultStore | None" = None
+) -> "tuple[Dispatcher, schema.OptimizeRequest]":
+    location, axes = OPTIMIZE_CASES[case]
+    dispatcher = Dispatcher(store=store, fab_location=location)
+    return dispatcher, schema.OptimizeRequest(
+        design=ChipDesign.planar_2d(
+            "opt_ref", "7nm", gate_count=17e9, throughput_tops=254.0
+        ),
+        workload=Workload.autonomous_vehicle(),
+        **axes,
+    )
+
+
+def optimize_key(case: str) -> str:
+    """The store key ``Dispatcher.optimize`` looks up for one case."""
+    dispatcher, request = optimize_request(case)
+    return dispatcher._optimize_key(
+        request, dispatcher._optimize_axes(request)
+    )
+
+
 #: A second copy of the default set: equal values, no shared records,
 #: so every key computed against it is a cold rendering.
 COLD_PARAMS = copy.deepcopy(DEFAULT_PARAMETERS)
@@ -169,6 +221,20 @@ class TestKeysUnchanged:
     @pytest.mark.parametrize("tenant", sorted(PINNED_STUDY_KEYS))
     def test_study_keys_match_the_pinned_store_keys(self, tenant):
         assert study_keys(tenant) == PINNED_STUDY_KEYS[tenant]
+
+    @pytest.mark.parametrize("case", sorted(OPTIMIZE_CASES))
+    def test_optimize_keys_match_the_pinned_store_keys(self, case):
+        assert optimize_key(case) == PINNED_OPTIMIZE_KEYS[case]
+
+    def test_optimize_stores_its_front_under_that_key(self):
+        dispatcher, request = optimize_request("explicit-axes", ResultStore())
+        dispatcher.optimize(request)
+        rows = dispatcher.store._conn.execute(
+            "SELECT key FROM results"
+        ).fetchall()
+        assert [row[0] for row in rows] == [
+            PINNED_OPTIMIZE_KEYS["explicit-axes"]
+        ]
 
     def test_store_format_version_is_unchanged(self):
         assert store_module.STORE_FORMAT_VERSION == 4
