@@ -1,43 +1,55 @@
 """Carbon-aware configuration search and Pareto-frontier optimization.
 
-Two generations of search share this module:
+Both searches walk one design space and keep one dominance fold:
 
-* :func:`search_configurations` — the original exhaustive walk over the
-  discrete integration space (one scalar engine evaluation per
-  candidate), returning the carbon-minimal configuration and the
-  embodied-vs-operational front.
-* :class:`ParetoSearch` — the batch-native optimizer: it enumerates (or
-  deterministically samples) 10⁵–10⁶ configurations across integration ×
-  division × assembly × wafer size × fab location, prices them in chunks
-  through the vectorized core (:mod:`repro.vec`), and maintains the
-  non-dominated front over three objectives — total lifecycle carbon
-  (min), bandwidth-degraded throughput (max) and effective wafer silicon
-  area per good unit (min, the cost proxy). Fronts stream incrementally
-  per chunk; the final front is deterministic for a given (grid,
-  max_configs, seed), which the service parity tests pin bit for bit.
+* The space is :func:`repro.vec.grid.split_variants` — integration ×
+  division approach × assembly flow × die count, split from a
+  single-die 2D reference.
+* The fold is :func:`pareto_fold`, a sorted skyline sweep over
+  objective columns in which the first-seen of an exactly equal pair
+  wins.
+
+:func:`search_configurations` (``carbon3d search``) prices the
+two-die and heterogeneous splits at one fab location, one scalar
+engine report per candidate, and returns the carbon-minimal
+configuration and the embodied-vs-operational front.
+:class:`ParetoSearch` (``optimize``, ``POST /optimize``) expands the
+same space across wafer sizes and fab locations into a
+:class:`~repro.vec.DesignGrid` of 10⁵–10⁶ points, prices it in chunks
+through the vectorized core (:mod:`repro.vec`), and keeps the front
+over three objectives — total lifecycle carbon (min),
+bandwidth-degraded throughput (max) and effective wafer silicon area
+per good unit (min, the cost proxy). Fronts stream incrementally per
+chunk; the final front is deterministic for a given (grid,
+max_configs, seed), which the service parity tests pin bit for bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..config.integration import StackingStyle
 from ..config.parameters import DEFAULT_PARAMETERS, ParameterSet
 from ..core.design import ChipDesign
 from ..core.operational import Workload
 from ..core.report import LifecycleReport
-from ..errors import DesignError, ParameterError
+from ..errors import ParameterError
+from ..seeds import DEFAULT_SEED
 from ..vec.evaluate import GridResult, evaluate_grid
-from ..vec.grid import DesignGrid, assembly_options
-
-#: The deterministic seed the sampled search defaults to (the package's
-#: shared draw seed; see :data:`repro.api.spec.DEFAULT_SEED`).
-DEFAULT_SEED = 20240623
+from ..vec.grid import (
+    GRID_INTEGRATIONS,
+    DesignGrid,
+    split_variants,
+    variant_name,
+)
 
 #: Default chunk size for streaming grid evaluation.
 DEFAULT_CHUNK = 25_000
+
+#: Rows :func:`pareto_fold` converts to Python floats at a time.
+_FOLD_BLOCK = 2048
 
 #: Objective → direction, in report order.
 PARETO_OBJECTIVES = (
@@ -75,23 +87,16 @@ class SearchResult:
         return [c for c in self.candidates if c.valid]
 
     def pareto_front(self) -> "list[Candidate]":
-        """Non-dominated valid candidates in (embodied, operational)."""
+        """Non-dominated valid candidates in (embodied, operational),
+        by embodied carbon (see :func:`pareto_fold`: candidates with a
+        non-finite objective are left off, and the first of an exactly
+        equal pair wins)."""
         valid = self.valid_candidates()
-        front = []
-        for candidate in valid:
-            dominated = any(
-                other.report.embodied_kg <= candidate.report.embodied_kg
-                and other.report.operational_kg
-                <= candidate.report.operational_kg
-                and (other.report.embodied_kg < candidate.report.embodied_kg
-                     or other.report.operational_kg
-                     < candidate.report.operational_kg)
-                for other in valid
-            )
-            if not dominated:
-                front.append(candidate)
-        front.sort(key=lambda c: c.report.embodied_kg)
-        return front
+        embodied = np.array([c.report.embodied_kg for c in valid])
+        operational = np.array([c.report.operational_kg for c in valid])
+        return [valid[i] for i in pareto_fold(
+            embodied, operational, np.zeros(len(valid))
+        )]
 
     def format_table(self) -> str:
         header = (
@@ -134,49 +139,26 @@ def search_configurations(
     params = params if params is not None else DEFAULT_PARAMETERS
     if reference.die_count != 1:
         raise ParameterError("the search needs a single-die 2D reference")
-    if integrations is None:
-        integrations = [
-            "micro_3d", "hybrid_3d", "m3d", "mcm", "info", "emib",
-            "si_interposer",
-        ]
     if evaluator is None:
         evaluator = BatchEvaluator(params=params, fab_location=fab_location)
 
-    candidates: list[Candidate] = []
-    if include_2d:
-        report = evaluator.report(
-            reference, workload=workload, params=params,
+    designs = [("2d", reference)] if include_2d else []
+    for name, approach, flow, _, design in split_variants(
+        reference,
+        GRID_INTEGRATIONS if integrations is None else integrations,
+        (2,), approaches, params,
+    ):
+        label = f"{name}/{approach[:5]}/{flow.value}"
+        designs.append((label, design.with_overrides(
+            name=variant_name(reference, label)
+        )))
+    candidates = [
+        Candidate(label, design, evaluator.report(
+            design, workload=workload, params=params,
             fab_location=fab_location,
-        )
-        candidates.append(Candidate("2d", reference, report))
-
-    for name in integrations:
-        spec = params.integration_spec(name)
-        for approach in approaches:
-            for flow in assembly_options(spec):
-                try:
-                    if approach == "homogeneous":
-                        design = ChipDesign.homogeneous_split(
-                            reference, name,
-                            stacking=StackingStyle.F2F, assembly=flow,
-                        )
-                    else:
-                        design = ChipDesign.heterogeneous_split(
-                            reference, name,
-                            stacking=StackingStyle.F2F, assembly=flow,
-                        )
-                except DesignError:
-                    continue
-                label = f"{name}/{approach[:5]}/{flow.value}"
-                design = design.with_overrides(
-                    name=f"{reference.name}_{label.replace('/', '_')}"
-                )
-                report = evaluator.report(
-                    design, workload=workload, params=params,
-                    fab_location=fab_location,
-                )
-                candidates.append(Candidate(label, design, report))
-
+        ))
+        for label, design in designs
+    ]
     valid = [c for c in candidates if c.valid]
     best = min(valid, key=lambda c: c.total_kg) if valid else None
     return SearchResult(candidates=tuple(candidates), best=best)
@@ -258,71 +240,86 @@ def _front_sort_key(point: ParetoPoint):
     )
 
 
+def pareto_fold(total, cost, perf) -> "list[int]":
+    """Rows of the non-dominated set of objective columns, in fold order.
+
+    Minimises ``total`` and ``cost`` and maximises ``perf``; a row with
+    a non-finite objective is never kept. Rows are visited in (total,
+    cost, -perf, row) order. In that order no later row can strictly
+    dominate an earlier one, so a row is kept exactly when no kept row
+    weakly dominates it, and the earlier row of an exactly equal pair
+    wins. Every kept row has a total no greater than the row visited, so
+    the check is a 2-D query against the kept rows' (cost, perf)
+    staircase: one bisection per row.
+    """
+    total = np.asarray(total, dtype=float)
+    cost = np.asarray(cost, dtype=float)
+    perf = np.asarray(perf, dtype=float)
+    rows = np.flatnonzero(
+        np.isfinite(total) & np.isfinite(cost) & np.isfinite(perf)
+    )
+    order = rows[np.lexsort((rows, -perf[rows], cost[rows], total[rows]))]
+    # The staircase: kept (cost, perf) pairs no other kept pair weakly
+    # dominates, costs and perfs both strictly increasing.
+    costs: "list[float]" = []
+    perfs: "list[float]" = []
+    kept = []
+    # Rows become Python floats a block at a time, which bounds the
+    # fold's memory at a few blocks' worth of objects.
+    for first in range(0, order.size, _FOLD_BLOCK):
+        block = order[first:first + _FOLD_BLOCK]
+        for row, c, p in zip(
+            block.tolist(), cost[block].tolist(), perf[block].tolist()
+        ):
+            above = bisect_right(costs, c)
+            if above and perfs[above - 1] >= p:
+                continue
+            start = end = bisect_left(costs, c, 0, above)
+            while end < len(perfs) and perfs[end] <= p:
+                end += 1
+            costs[start:end] = [c]
+            perfs[start:end] = [p]
+            kept.append(row)
+    return kept
+
+
 def _merge_front(
     front: "list[ParetoPoint]", result: GridResult, offset: int
 ) -> "list[ParetoPoint]":
     """Fold one evaluated chunk into the non-dominated front.
 
-    Candidates are visited in a deterministic (total, cost, -perf,
-    index) order; a candidate survives if no front member weakly
-    dominates it (ties on all three objectives count as dominated, so
-    the first-seen of an exactly-equal pair wins) and evicts the members
-    it strictly dominates. O(chunk × |front|), one Python iteration and
-    a few numpy calls per finite candidate: even over a one-point front
-    this loop dominates an ``optimize`` study (336 of 771 ms under
-    cProfile on a 20,500-point round, 2-CPU VM, Python 3.11).
+    The front and the chunk go through one :func:`pareto_fold`, front
+    first and the chunk in index order, so the first-seen of an
+    exactly-equal pair wins. Surviving front members keep their order;
+    the chunk's new members follow in fold order.
     """
     total = result.columns["total_kg"]
     perf = result.columns["performance_tops"]
     cost = result.columns["cost_mm2"]
-    finite = np.isfinite(total) & np.isfinite(perf) & np.isfinite(cost)
-    candidates = np.flatnonzero(finite)
-    if candidates.size == 0:
-        return front
-    candidates = candidates[np.lexsort((
-        candidates, -perf[candidates], cost[candidates], total[candidates],
-    ))]
-
-    f_total = np.array([p.total_kg for p in front])
-    f_perf = np.array([p.performance_tops for p in front])
-    f_cost = np.array([p.cost_mm2 for p in front])
+    n = len(front)
+    kept = pareto_fold(
+        np.concatenate(([p.total_kg for p in front], total)),
+        np.concatenate(([p.cost_mm2 for p in front], cost)),
+        np.concatenate(([p.performance_tops for p in front], perf)),
+    )
+    merged = [front[k] for k in sorted(k for k in kept if k < n)]
     points = result.grid.points
-    for i in candidates:
-        t, p, c = float(total[i]), float(perf[i]), float(cost[i])
-        if front:
-            # Weak dominance: strictly dominated, or an exact tie on all
-            # three objectives (the first-seen point of an equal pair
-            # already sits on the front) — discard either way.
-            if np.any((f_total <= t) & (f_perf >= p) & (f_cost <= c)):
-                continue
-            evicted = (
-                (t <= f_total) & (p >= f_perf) & (c <= f_cost)
-                & ((t < f_total) | (p > f_perf) | (c < f_cost))
-            )
-            if evicted.any():
-                keep = np.flatnonzero(~evicted)
-                front = [front[j] for j in keep]
-                f_total = f_total[keep]
-                f_perf = f_perf[keep]
-                f_cost = f_cost[keep]
+    for i in (k - n for k in kept if k >= n):
         grid_point = points[i]
-        front.append(ParetoPoint(
-            index=offset + int(i),
+        merged.append(ParetoPoint(
+            index=offset + i,
             label=grid_point.label,
             design=grid_point.design.name,
             integration=grid_point.design.integration,
             wafer_diameter_mm=grid_point.wafer_diameter_mm,
             fab_location=grid_point.fab_location,
-            total_kg=t,
+            total_kg=float(total[i]),
             embodied_kg=float(result.columns["embodied_kg"][i]),
             operational_kg=float(result.columns["operational_kg"][i]),
-            performance_tops=p,
-            cost_mm2=c,
+            performance_tops=float(perf[i]),
+            cost_mm2=float(cost[i]),
         ))
-        f_total = np.append(f_total, t)
-        f_perf = np.append(f_perf, p)
-        f_cost = np.append(f_cost, c)
-    return front
+    return merged
 
 
 class ParetoSearch:
@@ -367,22 +364,14 @@ class ParetoSearch:
     ) -> "ParetoSearch":
         """Build the search grid from the case-study axes (see
         :meth:`repro.vec.DesignGrid.from_axes`)."""
-        from ..vec.grid import GRID_DIE_COUNTS
-
         params = params if params is not None else DEFAULT_PARAMETERS
         grid = DesignGrid.from_axes(
             reference,
             params=params,
             integrations=integrations,
-            die_counts=(
-                tuple(die_counts) if die_counts is not None
-                else GRID_DIE_COUNTS
-            ),
+            die_counts=die_counts,
             wafer_diameters_mm=wafer_diameters_mm,
-            fab_locations=(
-                tuple(fab_locations) if fab_locations is not None
-                else ("taiwan",)
-            ),
+            fab_locations=fab_locations,
             workload=workload,
         )
         return cls(grid, params=params, chunk=chunk, evaluator=evaluator)

@@ -29,6 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from ..config.parameters import DEFAULT_PARAMETERS, ParameterSet
+from ..seeds import DEFAULT_SEED
 from ..core.design import ChipDesign
 from ..core.model import CarbonModel
 from ..core.operational import Workload
@@ -115,7 +116,7 @@ def monte_carlo(
     params: ParameterSet | None = None,
     fab_location: "str | float" = "taiwan",
     samples: int = 200,
-    seed: int = 20240623,
+    seed: int = DEFAULT_SEED,
     evaluator=None,
     chunk_size: int | None = None,
     workers: "int | str | None" = None,
@@ -168,7 +169,7 @@ def _monte_carlo_scalar(
     params: ParameterSet | None = None,
     fab_location: "str | float" = "taiwan",
     samples: int = 200,
-    seed: int = 20240623,
+    seed: int = DEFAULT_SEED,
 ) -> UncertaintyResult:
     """The legacy scalar Monte-Carlo path (reference implementation).
 
@@ -217,7 +218,7 @@ def comparison_robustness(
     params: ParameterSet | None = None,
     fab_location: "str | float" = "taiwan",
     samples: int = 200,
-    seed: int = 20240623,
+    seed: int = DEFAULT_SEED,
     evaluator=None,
     factors=None,
     backend=None,

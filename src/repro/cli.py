@@ -78,6 +78,7 @@ from .core.report import RENDERERS
 from .errors import CarbonModelError
 from .io.designs import design_from_dict
 from .io.results import drive_study_rows, table5_rows, write_csv, write_json
+from .seeds import DEFAULT_SEED
 from .studies.decision import table5_study
 from .studies.drive import drive_study
 from .studies.validation import (
@@ -806,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte-Carlo draws per backend (0 = no uncertainty bands); "
              "each backend draws from its own factor set",
     )
-    p_compare.add_argument("--seed", type=int, default=20240623)
+    p_compare.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_compare.add_argument(
         "--service", default=None, metavar="URL",
         help="send the comparison to a running carbon3d service "
@@ -877,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk", type=int, default=None,
         help="evaluation chunk size (default: 25000)",
     )
-    p_opt.add_argument("--seed", type=int, default=20240623)
+    p_opt.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_opt.add_argument(
         "--stream", action="store_true",
         help="print a running front snapshot per chunk (stderr) while "

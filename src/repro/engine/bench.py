@@ -39,6 +39,7 @@ from ..core.model import CarbonModel
 from ..core.operational import Workload
 from ..errors import ParameterError
 from ..rent import davis
+from ..seeds import DEFAULT_SEED
 from .evaluator import BatchEvaluator, EvalPoint
 
 #: Integration technologies of the grid bench (the full Table 1 span).
@@ -94,7 +95,7 @@ def _grid_points(workload: Workload) -> "list[EvalPoint]":
     return points
 
 
-def bench_monte_carlo(samples: int = 500, seed: int = 20240623,
+def bench_monte_carlo(samples: int = 500, seed: int = DEFAULT_SEED,
                       repeats: int = 3) -> dict:
     """Time the naive scalar MC against the engine MC; assert equivalence.
 
@@ -257,7 +258,7 @@ def bench_grid_vectorized(
     repeats: int = 3,
     wafer_steps: int = 251,
     naive_points: int = 400,
-    seed: int = 20240623,
+    seed: int = DEFAULT_SEED,
 ) -> dict:
     """Time the vectorized core on a ~10⁵-point design-space grid.
 

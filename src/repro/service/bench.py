@@ -34,6 +34,7 @@ import time
 
 from ..errors import ParameterError
 from ..obs.metrics import Histogram
+from ..seeds import DEFAULT_SEED
 from .client import ServiceClient
 from .server import make_server
 
@@ -70,7 +71,7 @@ def _requests(evaluates: int, mc_requests: int, samples: int) -> list:
         ("montecarlo", {
             "design": _design_payload(i),
             "samples": samples,
-            "seed": 20240623 + i,
+            "seed": DEFAULT_SEED + i,
         })
         for i in range(mc_requests)
     )

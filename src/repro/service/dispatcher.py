@@ -1131,46 +1131,26 @@ class Dispatcher:
     # -- optimize ------------------------------------------------------------
 
     def _optimize_axes(self, request: OptimizeRequest) -> tuple:
-        """Resolve the request's grid axes against the grid defaults (and
-        the server's default fab location), guarding the expansion bound."""
+        """The request's grid axes, defaults resolved (fab locations
+        default to the server's), checked against the expansion bound
+        before the grid expands."""
         # Deferred: the vec package pulls in numpy, which evaluate-only
         # deployments never need.
-        from ..units import WAFER_DIAMETERS_MM
-        from ..vec.grid import GRID_DIE_COUNTS, GRID_INTEGRATIONS
+        from ..vec.grid import expansion_bound, grid_axes
 
-        integrations = tuple(
-            request.integrations
-            if request.integrations is not None
-            else GRID_INTEGRATIONS
+        axes = grid_axes(
+            request.integrations, request.die_counts,
+            request.wafer_diameters_mm,
+            (self.fab_location,) if request.fab_locations is None
+            else request.fab_locations,
         )
-        die_counts = tuple(
-            request.die_counts
-            if request.die_counts is not None
-            else GRID_DIE_COUNTS
-        )
-        wafers = tuple(
-            request.wafer_diameters_mm
-            if request.wafer_diameters_mm is not None
-            else WAFER_DIAMETERS_MM
-        )
-        locations = tuple(
-            request.fab_locations
-            if request.fab_locations is not None
-            else (self.fab_location,)
-        )
-        # Upper bound on the expanded grid: one 2D point plus, per
-        # integration, at most two assembly flows × (every homogeneous
-        # die count + one heterogeneous split) — crossed with the
-        # physical axes. Checked before expansion so an oversized
-        # request never materialises millions of points.
-        variants = 1 + len(integrations) * 2 * (len(die_counts) + 1)
-        bound = variants * len(wafers) * len(locations)
+        bound = expansion_bound(axes)
         if bound > MAX_GRID_POINTS:
             raise SchemaError(
                 f"optimize grid may expand to {bound} points, past the "
                 f"{MAX_GRID_POINTS}-point limit; narrow an axis"
             )
-        return integrations, die_counts, wafers, locations
+        return axes
 
     def _optimize_search(self, request: OptimizeRequest, axes: tuple):
         from ..analysis.optimizer import DEFAULT_CHUNK, ParetoSearch

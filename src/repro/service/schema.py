@@ -61,6 +61,7 @@ from ..core.operational import Workload
 from ..errors import CarbonModelError, ParameterError
 from ..io.designs import design_from_dict, finite
 from ..pipeline.registry import DEFAULT_BACKEND, get_backend
+from ..seeds import DEFAULT_SEED
 from ..studies.sweep import DEFAULT_INTEGRATIONS
 from ..tenancy.namespace import active_tenant
 
@@ -84,8 +85,6 @@ MAX_GRID_POINTS = 1_000_000
 #: 504 payload.
 DEADLINE_HEADER = "X-Carbon3D-Deadline-Ms"
 
-#: The deterministic seed every draw-based request defaults to.
-DEFAULT_SEED = 20240623
 
 
 class SchemaError(CarbonModelError):

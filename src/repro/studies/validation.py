@@ -29,6 +29,7 @@ from ..core.report import render_table
 from ..core.resolve import resolve_design
 from ..pipeline.backends import BackendReport
 from ..pipeline.registry import backend_names, get_backend
+from ..seeds import DEFAULT_SEED
 from .sweep import _evaluator_for
 
 #: EPYC 7452 physical inputs (Sec. 4.1 and product documentation).
@@ -191,7 +192,7 @@ def compare_backends(
     fab_location: "str | float" = "taiwan",
     evaluator=None,
     draws: int = 0,
-    seed: int = 20240623,
+    seed: int = DEFAULT_SEED,
 ) -> BackendComparison:
     """Evaluate ``design`` under every (or selected) carbon backend.
 

@@ -9,6 +9,11 @@ die count × assembly flow × wafer size × fab location — from a single-die
 five-die hybrid-bonded stack); :meth:`DesignGrid.from_designs` crosses
 explicit designs with the physical axes instead.
 
+The design space is enumerated in one place, :func:`split_variants`,
+which the exhaustive ``carbon3d search`` walks too, and the axis
+defaults are resolved in one place, :func:`grid_axes`, which the
+``/optimize`` route reads together with :func:`expansion_bound`.
+
 Wafer diameters are validated up front against the same [100, 500] mm
 bound :class:`~repro.config.parameters.ParameterSet` enforces, so a grid
 that plans cleanly also evaluates cleanly through the scalar comparison
@@ -39,6 +44,9 @@ GRID_INTEGRATIONS = (
 #: Homogeneous die counts :meth:`DesignGrid.from_axes` tries by default.
 GRID_DIE_COUNTS = (2, 3, 4)
 
+#: Fab locations a grid prices at by default.
+GRID_FAB_LOCATIONS = ("taiwan",)
+
 #: The ``ParameterSet`` wafer-diameter bound, mirrored here so grids fail
 #: at construction instead of deep inside a batch.
 _WAFER_MIN_MM = 100.0
@@ -66,6 +74,78 @@ def assembly_options(spec) -> "list[AssemblyFlow]":
     if spec.is_2_5d:
         return list(spec.allowed_assembly)
     return [AssemblyFlow.NA]
+
+
+def grid_axes(
+    integrations=None,
+    die_counts=None,
+    wafer_diameters_mm=None,
+    fab_locations=None,
+) -> tuple:
+    """``(integrations, die_counts, wafer_diameters_mm, fab_locations)``
+    as tuples, each ``None`` axis taking its default."""
+    return (
+        tuple(GRID_INTEGRATIONS if integrations is None else integrations),
+        tuple(GRID_DIE_COUNTS if die_counts is None else die_counts),
+        tuple(
+            WAFER_DIAMETERS_MM if wafer_diameters_mm is None
+            else wafer_diameters_mm
+        ),
+        tuple(GRID_FAB_LOCATIONS if fab_locations is None else fab_locations),
+    )
+
+
+def expansion_bound(axes: tuple) -> int:
+    """The most points :meth:`DesignGrid.from_axes` can expand resolved
+    ``axes`` to, without expanding them: the 2D reference plus, per
+    integration, at most two assembly flows × (every homogeneous die
+    count + the heterogeneous split), crossed with the physical axes."""
+    integrations, die_counts, wafers, locations = axes
+    variants = 1 + len(integrations) * 2 * (len(die_counts) + 1)
+    return variants * len(wafers) * len(locations)
+
+
+def split_variants(
+    reference: ChipDesign,
+    integrations,
+    die_counts,
+    approaches,
+    params: ParameterSet,
+):
+    """Yield ``(integration, approach, flow, n_dies, design)`` for every
+    split of a single-die 2D reference the design rules accept.
+
+    Per integration, approach and assembly flow, a homogeneous split is
+    tried at each die count; any other approach is the paper's fixed
+    logic+memory split, where die counts don't apply (``n_dies`` is
+    None). Splits the rules reject (:class:`~repro.errors.DesignError`)
+    are skipped. Designs keep the split factory's name.
+    """
+    for name in integrations:
+        spec = params.integration_spec(name)
+        for approach in approaches:
+            counts = die_counts if approach == "homogeneous" else (None,)
+            for flow in assembly_options(spec):
+                for n_dies in counts:
+                    try:
+                        if n_dies is None:
+                            design = ChipDesign.heterogeneous_split(
+                                reference, name,
+                                stacking=StackingStyle.F2F, assembly=flow,
+                            )
+                        else:
+                            design = ChipDesign.homogeneous_split(
+                                reference, name, n_dies=n_dies,
+                                stacking=StackingStyle.F2F, assembly=flow,
+                            )
+                    except DesignError:
+                        continue
+                    yield name, approach, flow, n_dies, design
+
+
+def variant_name(reference: ChipDesign, label: str) -> str:
+    """The design name of the split a grid or search labels ``label``."""
+    return f"{reference.name}_{label.replace('/', '_')}"
 
 
 def _check_wafer(diameter) -> float:
@@ -140,21 +220,18 @@ class DesignGrid:
         cls,
         designs,
         wafer_diameters_mm=None,
-        fab_locations=("taiwan",),
+        fab_locations=GRID_FAB_LOCATIONS,
         workload="av",
     ) -> "DesignGrid":
-        """Cross explicit designs with the wafer and fab-location axes."""
-        wafers = tuple(
-            _check_wafer(d)
-            for d in (
-                wafer_diameters_mm
-                if wafer_diameters_mm is not None
-                else WAFER_DIAMETERS_MM
-            )
+        """Cross explicit designs with the wafer and fab-location axes
+        (``None`` takes the axis default, see :func:`grid_axes`)."""
+        _, _, wafers, locations = grid_axes(
+            wafer_diameters_mm=wafer_diameters_mm,
+            fab_locations=fab_locations,
         )
+        wafers = tuple(_check_wafer(d) for d in wafers)
         if not wafers:
             raise ParameterError("at least one wafer diameter is required")
-        locations = tuple(fab_locations)
         if not locations:
             raise ParameterError("at least one fab location is required")
         points = []
@@ -188,12 +265,13 @@ class DesignGrid:
         die_counts=GRID_DIE_COUNTS,
         approaches=("homogeneous", "heterogeneous"),
         wafer_diameters_mm=None,
-        fab_locations=("taiwan",),
+        fab_locations=GRID_FAB_LOCATIONS,
         workload="av",
         include_2d: bool = True,
     ) -> "DesignGrid":
         """Expand the case-study axes from a single-die 2D reference.
 
+        A ``None`` axis takes its default (see :func:`grid_axes`).
         Division variants that the design rules reject (e.g. more dies
         than the integration allows) are silently skipped — the grid
         holds only constructible designs; genuinely invalid *points*
@@ -205,45 +283,18 @@ class DesignGrid:
             raise ParameterError(
                 "a design grid needs a single-die 2D reference"
             )
-        if integrations is None:
-            integrations = GRID_INTEGRATIONS
+        integrations, die_counts, _, _ = grid_axes(integrations, die_counts)
         designs: "list[tuple[str, ChipDesign]]" = []
         if include_2d:
             designs.append(("2d", reference))
-        for name in integrations:
-            spec = params.integration_spec(name)
-            for approach in approaches:
-                for flow in assembly_options(spec):
-                    if approach == "homogeneous":
-                        variants = [
-                            (f"{name}/homog{n}/{flow.value}", n)
-                            for n in die_counts
-                        ]
-                    else:
-                        # The heterogeneous division is the paper's fixed
-                        # logic+memory split; die counts don't apply.
-                        variants = [(f"{name}/heter/{flow.value}", None)]
-                    for label, n_dies in variants:
-                        try:
-                            if n_dies is not None:
-                                design = ChipDesign.homogeneous_split(
-                                    reference, name, n_dies=n_dies,
-                                    stacking=StackingStyle.F2F,
-                                    assembly=flow,
-                                )
-                            else:
-                                design = ChipDesign.heterogeneous_split(
-                                    reference, name,
-                                    stacking=StackingStyle.F2F,
-                                    assembly=flow,
-                                )
-                        except DesignError:
-                            continue
-                        design = design.with_overrides(
-                            name=f"{reference.name}_"
-                                 f"{label.replace('/', '_')}"
-                        )
-                        designs.append((label, design))
+        for name, _, flow, n_dies, design in split_variants(
+            reference, integrations, die_counts, approaches, params
+        ):
+            division = "heter" if n_dies is None else f"homog{n_dies}"
+            label = f"{name}/{division}/{flow.value}"
+            designs.append((label, design.with_overrides(
+                name=variant_name(reference, label)
+            )))
         return cls.from_designs(
             designs,
             wafer_diameters_mm=wafer_diameters_mm,

@@ -131,8 +131,8 @@ def _regenerate() -> None:  # pragma: no cover - maintenance entry point
     import tempfile
 
     outputs = {}
-    with tempfile.TemporaryDirectory() as scratch:
-        paths = _write_designs(Path(scratch))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _write_designs(Path(tmp))
         for case in sorted(CASES):
             buffer = io.StringIO()
             with contextlib.redirect_stdout(buffer):

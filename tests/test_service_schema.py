@@ -8,6 +8,7 @@ from repro.core.operational import Workload
 from repro.errors import DesignError
 from repro.service import schema
 from repro.service.schema import (
+    MAX_GRID_POINTS,
     SCHEMA_VERSION,
     SchemaError,
     error_envelope,
@@ -316,6 +317,64 @@ class TestOptimizeParsing:
         ))
         with pytest.raises(SchemaError, match="narrow an axis"):
             Dispatcher().optimize(request)
+
+
+class _Expanded(Exception):
+    """Raised in place of expanding a grid: the bound let it through."""
+
+
+class TestOptimizeExpansionBound:
+    """``/optimize`` refuses a grid that may expand past
+    ``MAX_GRID_POINTS`` before expanding it, and admits one at the limit.
+
+    The grid's expansion is replaced by :class:`_Expanded`, so reaching
+    it proves admission without building a million points.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_expansion(self, monkeypatch):
+        from repro.vec.grid import DesignGrid
+
+        def expand(*args, **kwargs):
+            raise _Expanded
+
+        monkeypatch.setattr(DesignGrid, "from_axes", expand)
+
+    @staticmethod
+    def request(integrations, die_counts, wafers, locations):
+        return parse_optimize_request(TestOptimizeParsing.base(
+            integrations=list(integrations),
+            die_counts=list(die_counts),
+            wafer_diameters_mm=[float(d) for d in wafers],
+            fab_locations=[float(ci) for ci in locations],
+        ))
+
+    def test_one_point_past_the_limit_is_a_schema_error(self):
+        from repro.service.dispatcher import Dispatcher
+
+        # (1 + 5 × 2 × (9 + 1)) variants × 1 wafer × 9,901 locations.
+        request = self.request(
+            ("micro_3d", "hybrid_3d", "m3d", "mcm", "info"),
+            range(2, 11), [300], range(9_901),
+        )
+        dispatcher = Dispatcher()
+        for run in (dispatcher.optimize, dispatcher.stream_optimize):
+            with pytest.raises(SchemaError) as caught:
+                run(request)
+            assert str(caught.value) == (
+                f"optimize grid may expand to {MAX_GRID_POINTS + 1} points, "
+                f"past the {MAX_GRID_POINTS}-point limit; narrow an axis"
+            )
+
+    def test_a_grid_at_the_limit_is_admitted(self):
+        from repro.service.dispatcher import Dispatcher
+
+        # (1 + 1 × 2 × (1 + 1)) variants × 400 wafers × 500 locations.
+        request = self.request(
+            ["mcm"], [2], [100 + d / 4 for d in range(400)], range(500),
+        )
+        with pytest.raises(_Expanded):
+            Dispatcher().stream_optimize(request)
 
 
 class TestMonteCarloParsing:

@@ -64,6 +64,13 @@ class TestDesignGrid:
         with pytest.raises(ParameterError, match="fab location"):
             DesignGrid.from_axes(orin_2d, fab_locations=[])
 
+    @pytest.mark.parametrize("axis", [
+        "integrations", "die_counts", "wafer_diameters_mm", "fab_locations",
+    ])
+    def test_none_axis_takes_its_default(self, orin_2d, axis):
+        grid = DesignGrid.from_axes(orin_2d, **{axis: None})
+        assert grid.points == DesignGrid.from_axes(orin_2d).points
+
     def test_sample_is_deterministic_and_order_preserving(self, orin_2d):
         grid = mixed_grid(orin_2d)
         a = grid.sample(10, seed=7)
