@@ -37,6 +37,7 @@ import time
 from ..config.parameters import ParameterSet
 from ..errors import ParameterError
 from ..obs import trace as obs_trace
+from ..resilience.deadline import BUDGET_MS_RULE, Deadline, valid_budget_ms
 from ..service import schema
 from ..service.client import ServiceClient
 from ..service.dispatcher import Dispatcher, front_payload
@@ -99,9 +100,9 @@ class Session:
         self.executor_name = executor
         self._executor: "LocalExecutor | ServiceExecutor | None" = None
         self._executor_lock = threading.Lock()
-        if deadline_ms is not None and deadline_ms <= 0:
+        if deadline_ms is not None and not valid_budget_ms(deadline_ms):
             raise ParameterError(
-                f"deadline_ms must be > 0 milliseconds, got {deadline_ms}"
+                f"deadline_ms must be {BUDGET_MS_RULE}, got {deadline_ms}"
             )
         self.deadline_ms = deadline_ms
         if executor == "local":
@@ -208,8 +209,6 @@ class Session:
         """A fresh per-study Deadline, or None (service: client header)."""
         if self.deadline_ms is None or not self.is_local:
             return None
-        from ..resilience.deadline import Deadline
-
         return Deadline.after_ms(self.deadline_ms)
 
     @property

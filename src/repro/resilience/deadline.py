@@ -17,9 +17,31 @@ the behaviour by delaying inside a checked region.
 
 from __future__ import annotations
 
+import threading
 import time
 
 from ..errors import EvaluationTimeout
+
+#: The longest budget a deadline carries, in seconds: the ceiling of the
+#: ``timeout=`` that waits on a coalesced future take.
+MAX_BUDGET_S = threading.TIMEOUT_MAX
+
+
+def valid_budget_s(budget_s: float) -> bool:
+    """Whether ``budget_s`` is a usable budget: finite, > 0 and at most
+    :data:`MAX_BUDGET_S` seconds (``nan`` and ``inf`` are not)."""
+    return 0 < budget_s <= MAX_BUDGET_S
+
+
+def valid_budget_ms(budget_ms: float) -> bool:
+    """:func:`valid_budget_s` for a budget in milliseconds."""
+    return valid_budget_s(budget_ms / 1000.0)
+
+
+#: The rule a millisecond budget breaks, for error messages.
+BUDGET_MS_RULE = (
+    f"a finite number of milliseconds in (0, {MAX_BUDGET_S * 1000:g}]"
+)
 
 
 class Deadline:
@@ -28,8 +50,11 @@ class Deadline:
     __slots__ = ("budget_s", "_clock", "_t0")
 
     def __init__(self, budget_s: float, clock=time.monotonic) -> None:
-        if budget_s <= 0:
-            raise ValueError(f"deadline budget must be > 0s, got {budget_s}")
+        if not valid_budget_s(budget_s):
+            raise ValueError(
+                f"deadline budget must be finite, > 0s and at most "
+                f"{MAX_BUDGET_S:g}s, got {budget_s}"
+            )
         self.budget_s = float(budget_s)
         self._clock = clock
         self._t0 = clock()

@@ -62,6 +62,7 @@ import urllib.parse
 from ..errors import CarbonModelError
 from ..obs import trace as obs_trace
 from ..resilience.breaker import CircuitBreaker
+from ..resilience.deadline import BUDGET_MS_RULE, valid_budget_ms
 from .schema import DEADLINE_HEADER, SCHEMA_VERSION, STUDY_KINDS
 
 
@@ -134,13 +135,36 @@ STALE_SOCKET_ERRORS = (
 )
 
 
-class _KeepAliveConnection(http.client.HTTPConnection):
+class _OneWriteMixin:
+    """Send a request's head and ``bytes`` body in one socket write.
+
+    ``http.client`` sends the buffered head and then the body as two
+    ``send`` calls. The bytes on the wire are the same either way; only
+    their segmentation differs. Chunked, file-like and iterable bodies
+    keep the stdlib path.
+    """
+
+    def _send_output(self, message_body=None, encode_chunked=False):
+        if isinstance(message_body, bytes) and not encode_chunked:
+            self._buffer.extend((b"", message_body))
+            message = b"\r\n".join(self._buffer)
+            del self._buffer[:]
+            self.send(message)
+            return
+        super()._send_output(message_body, encode_chunked=encode_chunked)
+
+
+class _KeepAliveConnection(_OneWriteMixin, http.client.HTTPConnection):
     """HTTPConnection that disables Nagle on connect.
 
     Requests on a warm connection are latency-bound, not
     bandwidth-bound: never let Nagle hold a small POST body back for
-    the server's delayed ACK (~40ms per exchange). Connection stays
-    lazy — the socket appears on first use, like the base class.
+    the server's delayed ACK (~40ms per exchange). With Nagle off, each
+    ``send`` leaves as its own segment, so the head and body go out in
+    one write (:class:`_OneWriteMixin`): two segments would leave the
+    server blocked between parsing the head and reading the body.
+    Connection stays lazy — the socket appears on first use, like the
+    base class.
     """
 
     def connect(self) -> None:
@@ -148,7 +172,7 @@ class _KeepAliveConnection(http.client.HTTPConnection):
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
-class _KeepAliveHTTPSConnection(http.client.HTTPSConnection):
+class _KeepAliveHTTPSConnection(_OneWriteMixin, http.client.HTTPSConnection):
     def connect(self) -> None:  # pragma: no cover - no TLS in tests
         super().connect()
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -288,9 +312,9 @@ class ServiceClient:
             raise ValueError(f"retries must be an integer, got {retries!r}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if deadline_ms is not None and deadline_ms <= 0:
+        if deadline_ms is not None and not valid_budget_ms(deadline_ms):
             raise ValueError(
-                f"deadline_ms must be > 0 milliseconds, got {deadline_ms}"
+                f"deadline_ms must be {BUDGET_MS_RULE}, got {deadline_ms}"
             )
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
@@ -349,9 +373,17 @@ class ServiceClient:
 
     def _send(self, conn, method: str, path: str,
               body: "bytes | None", headers: dict):
-        """One request/response exchange on ``conn`` (the test seam)."""
-        conn.request(method, path, body=body, headers=headers)
-        return conn.getresponse()
+        """One request/response exchange on ``conn`` (the test seam).
+
+        ``client.send`` times the request's socket write (connecting
+        first on a fresh connection); ``client.receive`` waits for the
+        answer's head. The server writes head and body together, so a
+        small envelope's body is in the read buffer by then.
+        """
+        with obs_trace.span("client.send"):
+            conn.request(method, path, body=body, headers=headers)
+        with obs_trace.span("client.receive"):
+            return conn.getresponse()
 
     def _roundtrip(self, method: str, path: str, body: "bytes | None",
                    headers: dict) -> _PooledResponse:
@@ -400,14 +432,12 @@ class ServiceClient:
         service health).
         """
         self.breaker.check()
-        body, headers = self._build_headers(payload, accept)
+        with obs_trace.span("client.encode"):
+            body, headers = self._build_headers(payload, accept)
         attempt = 0
         while True:
             try:
-                with obs_trace.span(
-                    f"http.request {path}", method=method, attempt=attempt
-                ):
-                    response = self._roundtrip(method, path, body, headers)
+                response = self._roundtrip(method, path, body, headers)
             except (OSError, http.client.HTTPException) as error:
                 self.breaker.record_failure()
                 if attempt >= self.retries or not self._retryable(
@@ -468,9 +498,10 @@ class ServiceClient:
 
     def _request(self, method: str, path: str,
                  payload: "dict | None" = None) -> dict:
-        with self._open(method, path, payload) as response:
-            body = response.read()
-        envelope = json.loads(body.decode("utf-8"))
+        with obs_trace.span(f"http.request {path}", method=method):
+            response = self._open(method, path, payload)
+            with obs_trace.span("client.decode"), response:
+                envelope = json.loads(response.read().decode("utf-8"))
         if not envelope.get("ok", False):
             raise _error_from_envelope(envelope)
         return envelope
@@ -568,9 +599,10 @@ class ServiceClient:
         if payload.get("stream", False) is False:
             # A malformed flag stays for the server to reject.
             payload["stream"] = True
-        response = self._open(
-            "POST", f"/{kind}", payload, accept="application/x-ndjson"
-        )
+        with obs_trace.span(f"http.request /{kind}", method="POST"):
+            response = self._open(
+                "POST", f"/{kind}", payload, accept="application/x-ndjson"
+            )
         try:
             header = json.loads(response.readline().decode("utf-8"))
             if not header.get("ok", False):

@@ -79,7 +79,7 @@ from ..errors import CarbonModelError, EvaluationTimeout
 from ..obs import trace as obs_trace
 from ..obs.logging import JsonRequestLog
 from ..obs.metrics import MetricsRegistry
-from ..resilience.deadline import Deadline
+from ..resilience.deadline import BUDGET_MS_RULE, Deadline, valid_budget_ms
 from ..resilience.faults import resolve_injector
 from ..tenancy.namespace import TenantContext, tenant_scope
 from ..tenancy.quota import QuotaExceededError
@@ -426,13 +426,12 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return None
         try:
             budget_ms = float(raw)
-            if budget_ms <= 0:
-                raise ValueError
         except ValueError:
+            budget_ms = float("nan")  # not a number: fails the rule too
+        if not valid_budget_ms(budget_ms):
             raise schema.SchemaError(
-                f"{DEADLINE_HEADER} must be a positive number of "
-                f"milliseconds, got {raw!r}"
-            ) from None
+                f"{DEADLINE_HEADER} must be {BUDGET_MS_RULE}, got {raw!r}"
+            )
         return Deadline.after_ms(budget_ms)
 
     def _send_stream(self, kind: str, total: int, entries) -> None:

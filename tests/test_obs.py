@@ -282,6 +282,22 @@ class TestTraceCorrelation:
         assert record["duration_ms"] >= 0
         assert record["cache"] == "computed"
 
+    def test_client_spans_split_the_request(self, obs_service):
+        _, client, _ = obs_service
+        with obs_trace.trace("client_spans") as root:
+            client.evaluate(design_payload("client_spans"))
+        spans = obs_trace.collector.spans(root.trace_id)
+        request, = [s for s in spans if s.name == "http.request /evaluate"]
+        assert request.parent_id == root.span_id
+        # Siblings run one after another, so they finish (and are
+        # recorded) in the order they started.
+        children = [s for s in spans if s.name.startswith("client.")]
+        assert [s.name for s in children] == [
+            "client.encode", "client.send", "client.receive",
+            "client.decode",
+        ]
+        assert {s.parent_id for s in children} == {request.span_id}
+
     def test_server_mints_trace_id_without_header(self, obs_service):
         _, client, log_stream = obs_service
         envelope = client.evaluate(design_payload("minted"))

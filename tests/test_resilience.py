@@ -195,10 +195,10 @@ class TestFaultInjector:
 
 class TestDeadline:
     def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError, match="budget"):
-            Deadline(0.0)
-        with pytest.raises(ValueError, match="budget"):
-            Deadline(-1.0)
+        # nan and inf never expire; 1e297 s overflows a future's wait.
+        for budget_s in (0.0, -1.0, float("nan"), float("inf"), 1e297):
+            with pytest.raises(ValueError, match="budget"):
+                Deadline(budget_s)
 
     def test_check_raises_typed_timeout_after_budget(self):
         now = [100.0]
@@ -514,8 +514,9 @@ class TestClientValidation:
             self.make(retries=True)
 
     def test_bad_deadline_rejected(self):
-        with pytest.raises(ValueError, match="deadline_ms"):
-            self.make(deadline_ms=0)
+        for budget_ms in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="deadline_ms"):
+                self.make(deadline_ms=budget_ms)
 
     def test_nonpositive_backoff_clamps_to_no_sleep(self, monkeypatch):
         client = self.make(backoff_s=-3.0)
@@ -594,8 +595,9 @@ class TestSessionResilience:
     def test_deadline_ms_validated(self):
         from repro.api import Session
 
-        with pytest.raises(ParameterError, match="deadline_ms"):
-            Session(deadline_ms=0)
+        for budget_ms in (0, float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="deadline_ms"):
+                Session(deadline_ms=budget_ms)
 
     def test_session_threads_faults_into_the_engine(self, small_design):
         from repro.api import Session

@@ -248,6 +248,28 @@ class TestErrors:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 404
 
+    @pytest.mark.parametrize("budget", ["nan", "inf", "1e300"])
+    def test_unbounded_deadline_header_is_400(self, service, budget):
+        server, _ = service
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(
+            server.url + "/evaluate",
+            data=json.dumps({"schema": 1, "type": "evaluate",
+                             "design": design_payload()}).encode("utf-8"),
+            headers={"Content-Type": "application/json",
+                     "X-Carbon3D-Deadline-Ms": budget},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+        error = json.loads(excinfo.value.read())["error"]
+        assert error["type"] == "SchemaError"
+        assert "X-Carbon3D-Deadline-Ms" in error["message"]
+        assert repr(budget) in error["message"]
+
     def test_close_before_serve_does_not_deadlock(self):
         server = make_server()
         server.close()                      # never entered serve_forever
