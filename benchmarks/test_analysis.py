@@ -9,9 +9,11 @@ from repro import ChipDesign, Workload
 from repro.analysis import (
     format_tornado,
     monte_carlo,
-    search_configurations,
+    search_designs,
     tornado,
 )
+from repro.api import Session, StudySpec
+from repro.core.report import render_points
 from repro.studies.drive import drive_2d_design
 
 WL = Workload.autonomous_vehicle()
@@ -36,9 +38,17 @@ def test_monte_carlo_throughput(benchmark, report_sink):
     assert result.std_kg > 0
 
 
+def search(reference) -> "list[dict]":
+    """``carbon3d search``: the search designs as one batch study."""
+    with Session() as session:
+        return session.run(StudySpec.batch([
+            StudySpec.evaluate(design, label=label)
+            for label, design in search_designs(reference)
+        ])).to_payload()
+
+
 def test_configuration_search_throughput(benchmark, report_sink):
-    result = benchmark(search_configurations, drive_2d_design("ORIN"), WL)
-    report_sink("Optimizer — exhaustive configuration search (ORIN)",
-                result.format_table())
-    assert result.best is not None
-    assert result.best.label.startswith("m3d")
+    points = benchmark(search, drive_2d_design("ORIN"))
+    text = render_points(points)
+    report_sink("Optimizer — exhaustive configuration search (ORIN)", text)
+    assert text.splitlines()[-1].startswith("best valid configuration: m3d")

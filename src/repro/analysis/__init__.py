@@ -1,12 +1,10 @@
 """Analysis extensions: sensitivity, uncertainty, configuration search."""
 
 from .optimizer import (
-    Candidate,
     ParetoFront,
     ParetoPoint,
     ParetoSearch,
-    SearchResult,
-    search_configurations,
+    search_designs,
 )
 from .sensitivity import (
     FactorSet,
@@ -25,14 +23,12 @@ from .uncertainty import (
 )
 
 __all__ = [
-    "Candidate",
     "FactorSet",
     "ParetoFront",
     "ParetoPoint",
     "ParetoSearch",
     "FactorSpec",
     "FactorTarget",
-    "SearchResult",
     "SensitivityFactor",
     "SensitivityResult",
     "UncertaintyResult",
@@ -40,6 +36,6 @@ __all__ = [
     "default_factors",
     "format_tornado",
     "monte_carlo",
-    "search_configurations",
+    "search_designs",
     "tornado",
 ]

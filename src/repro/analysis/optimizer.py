@@ -1,6 +1,7 @@
 """Carbon-aware configuration search and Pareto-frontier optimization.
 
-Both searches walk one design space and keep one dominance fold:
+Both searches walk one design space, and the Pareto search keeps one
+dominance fold:
 
 * The space is :func:`repro.vec.grid.split_variants` — integration ×
   division approach × assembly flow × die count, split from a
@@ -9,10 +10,9 @@ Both searches walk one design space and keep one dominance fold:
   objective columns in which the first-seen of an exactly equal pair
   wins.
 
-:func:`search_configurations` (``carbon3d search``) prices the
-two-die and heterogeneous splits at one fab location, one scalar
-engine report per candidate, and returns the carbon-minimal
-configuration and the embodied-vs-operational front.
+:func:`search_designs` (``carbon3d search``) lists the two-die and
+heterogeneous splits, which the CLI prices at one fab location as one
+batch study and ranks by total carbon.
 :class:`ParetoSearch` (``optimize``, ``POST /optimize``) expands the
 same space across wafer sizes and fab locations into a
 :class:`~repro.vec.DesignGrid` of 10⁵–10⁶ points, prices it in chunks
@@ -33,8 +33,6 @@ import numpy as np
 
 from ..config.parameters import DEFAULT_PARAMETERS, ParameterSet
 from ..core.design import ChipDesign
-from ..core.operational import Workload
-from ..core.report import LifecycleReport
 from ..errors import ParameterError
 from ..seeds import DEFAULT_SEED
 from ..vec.evaluate import GridResult, evaluate_grid
@@ -59,109 +57,24 @@ PARETO_OBJECTIVES = (
 )
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One evaluated configuration."""
+def search_designs(reference: ChipDesign) -> "list[tuple[str, ChipDesign]]":
+    """The ``carbon3d search`` space as ``(label, design)`` pairs.
 
-    label: str
-    design: ChipDesign
-    report: LifecycleReport
-
-    @property
-    def valid(self) -> bool:
-        return self.report.valid
-
-    @property
-    def total_kg(self) -> float:
-        return self.report.total_kg
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    """Outcome of an exhaustive configuration search."""
-
-    candidates: tuple[Candidate, ...]
-    best: Candidate | None
-
-    def valid_candidates(self) -> "list[Candidate]":
-        return [c for c in self.candidates if c.valid]
-
-    def pareto_front(self) -> "list[Candidate]":
-        """Non-dominated valid candidates in (embodied, operational),
-        by embodied carbon (see :func:`pareto_fold`: candidates with a
-        non-finite objective are left off, and the first of an exactly
-        equal pair wins)."""
-        valid = self.valid_candidates()
-        embodied = np.array([c.report.embodied_kg for c in valid])
-        operational = np.array([c.report.operational_kg for c in valid])
-        return [valid[i] for i in pareto_fold(
-            embodied, operational, np.zeros(len(valid))
-        )]
-
-    def format_table(self) -> str:
-        header = (
-            f"{'configuration':<40} {'emb kg':>9} {'oper kg':>9} "
-            f"{'total kg':>9} {'valid':>6}"
-        )
-        lines = [header, "-" * len(header)]
-        for candidate in sorted(self.candidates, key=lambda c: c.total_kg):
-            marker = " <== best" if candidate is self.best else ""
-            lines.append(
-                f"{candidate.label:<40.40} "
-                f"{candidate.report.embodied_kg:9.2f} "
-                f"{candidate.report.operational_kg:9.2f} "
-                f"{candidate.total_kg:9.2f} "
-                f"{'yes' if candidate.valid else 'NO':>6}{marker}"
-            )
-        return "\n".join(lines)
-
-
-def search_configurations(
-    reference: ChipDesign,
-    workload: Workload | None = None,
-    params: ParameterSet | None = None,
-    fab_location: "str | float" = "taiwan",
-    integrations: "list[str] | None" = None,
-    approaches: "tuple[str, ...]" = ("homogeneous", "heterogeneous"),
-    include_2d: bool = True,
-    evaluator=None,
-) -> SearchResult:
-    """Exhaustive search over the discrete integration space.
-
-    All candidates evaluate through one :class:`repro.engine.
-    BatchEvaluator` (pass one in to share caches across searches): the
-    homogeneous splits of the same reference share their wirelength
-    structure, so the Davis model runs once per distinct (gate count,
-    Rent exponent) pair instead of once per candidate.
+    The 2D reference comes first (label ``2d``), then every two-die
+    homogeneous and logic+memory heterogeneous split, labelled
+    ``integration/approach/flow`` and named by :func:`variant_name`.
+    The CLI prices them as one batch of evaluate points.
     """
-    from ..engine import BatchEvaluator
-
-    params = params if params is not None else DEFAULT_PARAMETERS
-    if reference.die_count != 1:
-        raise ParameterError("the search needs a single-die 2D reference")
-    if evaluator is None:
-        evaluator = BatchEvaluator(params=params, fab_location=fab_location)
-
-    designs = [("2d", reference)] if include_2d else []
+    designs = [("2d", reference)]
     for name, approach, flow, _, design in split_variants(
-        reference,
-        GRID_INTEGRATIONS if integrations is None else integrations,
-        (2,), approaches, params,
+        reference, GRID_INTEGRATIONS, (2,),
+        ("homogeneous", "heterogeneous"), DEFAULT_PARAMETERS,
     ):
         label = f"{name}/{approach[:5]}/{flow.value}"
         designs.append((label, design.with_overrides(
             name=variant_name(reference, label)
         )))
-    candidates = [
-        Candidate(label, design, evaluator.report(
-            design, workload=workload, params=params,
-            fab_location=fab_location,
-        ))
-        for label, design in designs
-    ]
-    valid = [c for c in candidates if c.valid]
-    best = min(valid, key=lambda c: c.total_kg) if valid else None
-    return SearchResult(candidates=tuple(candidates), best=best)
+    return designs
 
 
 # -- batch-native Pareto search ------------------------------------------------

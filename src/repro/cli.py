@@ -9,7 +9,8 @@ Sub-commands mirror the paper's artifacts:
 * ``drive --approach homogeneous|heterogeneous`` — the Fig. 5 grid;
 * ``table5`` — the Sec. 5.2 decision table;
 * ``search REFERENCE.json`` — the exhaustive lowest-carbon configuration
-  search around a 2D reference;
+  search around a 2D reference (one batch study of its two-die and
+  heterogeneous splits);
 * ``optimize`` — vectorized Pareto search over the integration ×
   die-count × wafer × grid design space (the ``/optimize`` study;
   ``--stream`` prints a running front snapshot per evaluated chunk);
@@ -38,7 +39,7 @@ Sub-commands mirror the paper's artifacts:
 * ``nodes`` / ``technologies`` — inspect the parameter databases.
 
 The study subcommands (``evaluate``, ``submit``, ``compare``,
-``sensitivity``, ``optimize``, ``trace``) build a
+``sensitivity``, ``search``, ``optimize``, ``trace``) build a
 :class:`~repro.api.StudySpec` and run it through a
 :class:`~repro.api.Session`: locally, or on the server a ``--service``
 or ``--url`` names. ``--json`` prints the result's wire payload;
@@ -70,10 +71,9 @@ import argparse
 import json
 import sys
 
-from .analysis.optimizer import search_configurations
+from .analysis.optimizer import search_designs
 from .api import Session, StudySpec
 from .config.parameters import DEFAULT_PARAMETERS
-from .core.operational import Workload
 from .core.report import RENDERERS
 from .errors import CarbonModelError
 from .io.designs import design_from_dict
@@ -162,8 +162,11 @@ def _run_study(args: argparse.Namespace, spec: StudySpec) -> int:
             return 0
         print(RENDERERS[spec.info.result](payload))
         if not session.is_local:
-            cache = result.cache or ", ".join(
-                row["cache"] for row in payload.get("backends", ())
+            rows = payload if isinstance(payload, list) else payload.get(
+                "backends", ()
+            )
+            cache = getattr(result, "cache", None) or ", ".join(
+                dict.fromkeys(row["cache"] for row in rows)
             )
             print(f"served by     : {session.client.base_url}")
             print(f"served from   : {cache or 'computed'}")
@@ -204,16 +207,18 @@ def _cmd_table5(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    result = search_configurations(
-        design_from_dict(_load_json(args.design)),
-        Workload.autonomous_vehicle(),
-        fab_location=args.fab_location,
-    )
-    print(result.format_table())
-    if result.best is not None:
-        print(f"\nbest valid configuration: {result.best.label} "
-              f"({result.best.total_kg:.2f} kg CO2e)")
-    return 0
+    """The lowest-carbon configuration around a 2D reference: its splits
+    as one batch of points at ``--fab-location``, local or on the
+    ``--service`` server."""
+    spec = StudySpec.batch([
+        StudySpec.evaluate(
+            design, fab_location=args.fab_location, label=label
+        )
+        for label, design in search_designs(
+            design_from_dict(_load_json(args.design))
+        )
+    ])
+    return _run_study(args, spec)
 
 
 def _optimize_reference(name: str):
@@ -749,6 +754,24 @@ def _cmd_technologies(_: argparse.Namespace) -> int:
     return 0
 
 
+#: The flags study subcommands share, declared once: flag → its options.
+_STUDY_FLAGS = {
+    "--json": dict(action="store_true", help="emit machine-readable JSON"),
+    "--service": dict(
+        default=None, metavar="URL",
+        help="run the study on a running carbon3d service instead of "
+             "computing locally",
+    ),
+    "--token": dict(default=None, help="API token (`carbon3d tokens issue`)"),
+}
+
+
+def _add_study_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Give a study subcommand the shared ``flags`` (default: all)."""
+    for flag in flags or _STUDY_FLAGS:
+        parser.add_argument(flag, **_STUDY_FLAGS[flag])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carbon3d",
@@ -770,9 +793,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="av",
         help="operational workload (default: the AV case-study workload)",
     )
-    p_eval.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
+    _add_study_flags(p_eval, "--json")
     p_eval.set_defaults(func=_cmd_evaluate)
 
     sub.add_parser(
@@ -800,23 +821,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="operational workload for backends that model the use phase",
     )
     p_compare.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    p_compare.add_argument(
         "--draws", type=int, default=0,
         help="Monte-Carlo draws per backend (0 = no uncertainty bands); "
              "each backend draws from its own factor set",
     )
     p_compare.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_compare.add_argument(
-        "--service", default=None, metavar="URL",
-        help="send the comparison to a running carbon3d service "
-             "(one server-side engine batch) instead of computing locally",
-    )
-    p_compare.add_argument(
-        "--token", default=None,
-        help="API token (`carbon3d tokens issue`)",
-    )
+    _add_study_flags(p_compare)
     p_compare.set_defaults(func=_cmd_compare)
 
     p_drive = sub.add_parser("drive", help="Fig. 5 NVIDIA DRIVE study")
@@ -835,6 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
         "search", help="find the lowest-carbon valid configuration"
     )
     p_search.add_argument("design", help="path to a 2D reference JSON design")
+    _add_study_flags(p_search)
     p_search.set_defaults(func=_cmd_search)
 
     p_opt = sub.add_parser(
@@ -884,18 +895,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a running front snapshot per chunk (stderr) while "
              "the search runs",
     )
-    p_opt.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    p_opt.add_argument(
-        "--service", default=None, metavar="URL",
-        help="run the search on a running carbon3d service "
-             "(POST /optimize) instead of computing locally",
-    )
-    p_opt.add_argument(
-        "--token", default=None,
-        help="API token (`carbon3d tokens issue`)",
-    )
+    _add_study_flags(p_opt)
     p_opt.set_defaults(func=_cmd_optimize)
 
     p_sens = sub.add_parser(
@@ -1123,13 +1123,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", default=None,
         help="carbon backend to evaluate under (default: repro3d)",
     )
-    p_submit.add_argument(
-        "--token", default=None,
-        help="API token (`carbon3d tokens issue`)",
-    )
-    p_submit.add_argument(
-        "--json", action="store_true", help="emit the full JSON report"
-    )
+    _add_study_flags(p_submit, "--token", "--json")
     p_submit.set_defaults(func=_cmd_evaluate)
 
     p_trace = sub.add_parser(

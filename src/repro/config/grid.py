@@ -60,6 +60,10 @@ _BUILTIN_GRIDS: tuple[GridProfile, ...] = (
                 "renewable-leaning EV charging mix used for the AV case study"),
 )
 
+#: Named grids spanning Table 2's 30–700 g/kWh range, cleanest first:
+#: the default axis of the fab-location sweep and the grid benches.
+TABLE2_LOCATIONS = ("iceland", "france", "usa", "taiwan", "india")
+
 
 class GridTable:
     """Lookup of :class:`GridProfile` by location name."""

@@ -276,6 +276,12 @@ _BUILTIN_SPECS: tuple[IntegrationSpec, ...] = (
     ),
 )
 
+#: The full Table 1 span, 2D first, in presentation order: the default
+#: integration axis of the sweeps and the design-space searches.
+TABLE1_INTEGRATIONS: tuple[str, ...] = tuple(
+    spec.name for spec in _BUILTIN_SPECS
+)
+
 #: Convenient aliases accepted by :meth:`IntegrationTable.get`.
 _ALIASES: Mapping[str, str] = {
     "2d": "2d",

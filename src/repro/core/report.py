@@ -244,9 +244,38 @@ def render_front(payload: dict) -> str:
     return "\n".join(lines)
 
 
+def render_points(payload: "list[dict]") -> str:
+    """A ``points`` payload (a batch or sweep) as a table ranked by total
+    carbon, input order breaking ties, and its best valid entry: the
+    first valid one with the least total."""
+    best = min(
+        (entry for entry in payload if entry["report"]["valid"]),
+        key=lambda entry: entry["report"]["total_kg"], default=None,
+    )
+    header = (
+        f"{'configuration':<40} {'emb kg':>9} {'oper kg':>9} "
+        f"{'total kg':>9} {'valid':>6}"
+    )
+    lines = [header, "-" * len(header)]
+    for entry in sorted(payload, key=lambda e: e["report"]["total_kg"]):
+        report = entry["report"]
+        lines.append(
+            f"{entry['label']:<40.40} {report['embodied_kg']:9.2f} "
+            f"{report.get('operational_kg', 0.0):9.2f} "
+            f"{report['total_kg']:9.2f} "
+            f"{'yes' if report['valid'] else 'NO':>6}"
+            + (" <== best" if entry is best else "")
+        )
+    if best is not None:
+        lines += ["", f"best valid configuration: {best['label']} "
+                      f"({best['report']['total_kg']:.2f} kg CO2e)"]
+    return "\n".join(lines)
+
+
 #: Result shape (``StudyKind.result``) → its text renderer.
 RENDERERS = {
     "report": render_report,
+    "points": render_points,
     "table": render_table,
     "swings": render_swings,
     "front": render_front,

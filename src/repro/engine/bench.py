@@ -32,6 +32,8 @@ import time
 
 from ..analysis.sensitivity import default_factors
 from ..analysis.uncertainty import _monte_carlo_scalar, monte_carlo
+from ..config.grid import TABLE2_LOCATIONS
+from ..config.integration import TABLE1_INTEGRATIONS
 from ..config.parameters import DEFAULT_PARAMETERS
 from ..core import dpw
 from ..core.design import ChipDesign
@@ -42,21 +44,10 @@ from ..rent import davis
 from ..seeds import DEFAULT_SEED
 from .evaluator import BatchEvaluator, EvalPoint
 
-#: Integration technologies of the grid bench (the full Table 1 span).
-GRID_INTEGRATIONS = (
-    "2d", "micro_3d", "hybrid_3d", "m3d", "mcm", "info", "emib",
-    "si_interposer",
-)
-#: Fab locations of the grid bench (Table 2's 30–700 g/kWh span).
-GRID_LOCATIONS = ("iceland", "france", "usa", "taiwan", "india")
-
 #: Fab-location axis of the vectorized-grid bench: the named Table 2
 #: grids plus raw g CO2/kWh intensities (both spellings the grid API
 #: accepts, so the bench exercises the interned-CI path for each).
-VEC_GRID_LOCATIONS = (
-    "iceland", "france", "usa", "taiwan", "india",
-    30.0, 120.0, 480.0, 650.0, 700.0,
-)
+VEC_GRID_LOCATIONS = TABLE2_LOCATIONS + (30.0, 120.0, 480.0, 650.0, 700.0)
 #: Wafer axis of the vectorized-grid bench spans [250, 500] mm; at the
 #: default 251 steps the full grid crosses ≥10⁵ points.
 VEC_GRID_WAFER_SPAN_MM = (250.0, 500.0)
@@ -78,12 +69,12 @@ def reference_design() -> ChipDesign:
 def _grid_points(workload: Workload) -> "list[EvalPoint]":
     reference = reference_design()
     points = []
-    for name in GRID_INTEGRATIONS:
+    for name in TABLE1_INTEGRATIONS:
         if name == "2d":
             design = reference
         else:
             design = ChipDesign.homogeneous_split(reference, name)
-        for location in GRID_LOCATIONS:
+        for location in TABLE2_LOCATIONS:
             points.append(
                 EvalPoint(
                     design=design,
@@ -245,8 +236,8 @@ def bench_grid(repeats: int = 3) -> dict:
         raise AssertionError("engine grid diverged from the scalar reference")
     return {
         "points": len(points),
-        "integrations": len(GRID_INTEGRATIONS),
-        "locations": len(GRID_LOCATIONS),
+        "integrations": len(TABLE1_INTEGRATIONS),
+        "locations": len(TABLE2_LOCATIONS),
         "naive_s": naive_s,
         "engine_s": engine_s,
         "speedup": naive_s / engine_s,

@@ -23,6 +23,14 @@ class ParameterError(CarbonModelError):
     """A configuration parameter is out of its physical/documented range."""
 
 
+class ReferenceDesignError(ParameterError):
+    """A design-space walk (sweep, search, Pareto grid) was given a
+    reference it cannot split; ``field`` tags the request field for
+    service error payloads."""
+
+    field = "design"
+
+
 class UnknownTechnologyError(ParameterError):
     """A process node or integration technology name is not in the database."""
 

@@ -71,6 +71,7 @@ from ..tenancy.namespace import (
 )
 from ..tenancy.quota import QuotaManager
 from ..tenancy.usage import UsageLedger
+from ..vec.grid import default_splits, expansion_bound, grid_axes
 from .schema import (
     MAX_GRID_POINTS,
     SCHEMA_VERSION,
@@ -936,12 +937,9 @@ class Dispatcher:
 
     def _sweep_points(self, request: SweepRequest) -> "list[EvaluateRequest]":
         points = []
-        for name in request.integrations:
-            spec = self.params.integration_spec(name)
-            if spec.is_2d:
-                design = request.design
-            else:
-                design = ChipDesign.homogeneous_split(request.design, name)
+        for name, _, design in default_splits(
+            request.design, request.integrations, (2,), self.params
+        ):
             for location in request.fab_locations:
                 label_location = (
                     location if location is not None else self.fab_location
@@ -1134,10 +1132,6 @@ class Dispatcher:
         """The request's grid axes, defaults resolved (fab locations
         default to the server's), checked against the expansion bound
         before the grid expands."""
-        # Deferred: the vec package pulls in numpy, which evaluate-only
-        # deployments never need.
-        from ..vec.grid import expansion_bound, grid_axes
-
         axes = grid_axes(
             request.integrations, request.die_counts,
             request.wafer_diameters_mm,

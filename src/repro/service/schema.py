@@ -56,13 +56,13 @@ import functools
 import json
 from dataclasses import dataclass
 
+from ..config.integration import TABLE1_INTEGRATIONS
 from ..core.design import ChipDesign
 from ..core.operational import Workload
 from ..errors import CarbonModelError, ParameterError
 from ..io.designs import design_from_dict, finite
 from ..pipeline.registry import DEFAULT_BACKEND, get_backend
 from ..seeds import DEFAULT_SEED
-from ..studies.sweep import DEFAULT_INTEGRATIONS
 from ..tenancy.namespace import active_tenant
 
 #: Version of the request/response wire format. Bump on breaking changes;
@@ -637,7 +637,7 @@ def parse_batch_request(data) -> BatchRequest:
 def parse_sweep_request(data) -> SweepRequest:
     fields = _request("sweep", data)
     if fields["integrations"] is None:
-        fields["integrations"] = tuple(DEFAULT_INTEGRATIONS)
+        fields["integrations"] = TABLE1_INTEGRATIONS
     if fields["fab_locations"] is None:
         fields["fab_locations"] = (None,)
     if (len(fields["integrations"]) * len(fields["fab_locations"])

@@ -5,29 +5,31 @@ exercise it the way an architect would: vary one design axis, hold the
 rest, and compare lifecycle carbon. Used by the ablation benches and the
 ``design_space_exploration`` example.
 
-Every sweep evaluates through a :class:`repro.engine.BatchEvaluator`
-(each accepts an ``evaluator=`` to share caches across sweeps): axes
-that cannot change the design resolution — fab location, wafer
-diameter — resolve the design exactly once for the whole sweep.
+The integration and die-count sweeps take their designs from the one
+design-space walk, :func:`repro.vec.grid.default_splits`, which the
+``/sweep`` route walks too. Every sweep evaluates through a
+:class:`repro.engine.BatchEvaluator` (each accepts an ``evaluator=`` to
+share caches across sweeps): axes that cannot change the design
+resolution — fab location, wafer diameter — resolve the design exactly
+once for the whole sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config.integration import AssemblyFlow, StackingStyle
+from ..config.grid import TABLE2_LOCATIONS
+from ..config.integration import TABLE1_INTEGRATIONS
 from ..config.parameters import DEFAULT_PARAMETERS, ParameterSet
 from ..core.design import ChipDesign
 from ..core.operational import Workload
 from ..core.report import LifecycleReport
 from ..errors import ParameterError
+from ..vec.grid import default_splits
 
-#: The full Table 1 integration span, in presentation order — the default
-#: x-axis of :func:`sweep_integrations` and of the service's sweep requests.
-DEFAULT_INTEGRATIONS: tuple[str, ...] = (
-    "2d", "micro_3d", "hybrid_3d", "m3d",
-    "mcm", "info", "emib", "si_interposer",
-)
+#: The default x-axis of :func:`sweep_integrations` and of the service's
+#: sweep requests: the full Table 1 span.
+DEFAULT_INTEGRATIONS = TABLE1_INTEGRATIONS
 
 
 def _evaluator_for(evaluator, params, fab_location="taiwan"):
@@ -59,13 +61,11 @@ def sweep_integrations(
     params = params if params is not None else DEFAULT_PARAMETERS
     evaluator = _evaluator_for(evaluator, params, fab_location)
     if integrations is None:
-        integrations = list(DEFAULT_INTEGRATIONS)
+        integrations = DEFAULT_INTEGRATIONS
     points = []
-    for name in integrations:
-        if params.integration_spec(name).is_2d:
-            design = reference
-        else:
-            design = ChipDesign.homogeneous_split(reference, name)
+    for name, _, design in default_splits(
+        reference, integrations, (2,), params
+    ):
         report = evaluator.report(
             design, workload=workload, params=params, fab_location=fab_location
         )
@@ -91,13 +91,14 @@ def sweep_die_counts(
     if spec.is_2d:
         raise ParameterError("die-count sweeps need a multi-die technology")
     points = []
-    for n in die_counts:
+    for _, n, design in default_splits(
+        reference, (integration,), die_counts, params
+    ):
         if spec.max_dies is not None and n > spec.max_dies:
             continue
-        design = ChipDesign.homogeneous_split(
-            reference, integration, n_dies=n,
-            stacking=StackingStyle.F2F, assembly=AssemblyFlow.D2W,
-        ).with_overrides(name=f"{reference.name}_{integration}_{n}die")
+        design = design.with_overrides(
+            name=f"{reference.name}_{integration}_{n}die"
+        )
         report = evaluator.report(
             design, workload=workload, params=params, fab_location=fab_location
         )
@@ -143,7 +144,7 @@ def sweep_fab_locations(
     base = params if params is not None else DEFAULT_PARAMETERS
     evaluator = _evaluator_for(evaluator, base)
     if locations is None:
-        locations = ["iceland", "france", "usa", "taiwan", "india"]
+        locations = TABLE2_LOCATIONS
     points = []
     for location in locations:
         report = evaluator.report(design, params=base, fab_location=location)

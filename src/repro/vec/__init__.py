@@ -17,9 +17,23 @@ Pareto optimizer (:class:`repro.analysis.optimizer.ParetoSearch`) chunks
 10⁵–10⁶-point grids through it.
 """
 
-from .evaluate import GridResult, evaluate_grid
+from importlib import import_module
+
 from .grid import DesignGrid, GridPoint, resolve_workload
-from .plan import DesignBlock, ShapeGroup, VectorizedBatch
+
+#: numpy-backed name → its module, imported on first use so that the
+#: design-space walk in :mod:`repro.vec.grid` loads without numpy.
+_LAZY = {
+    **dict.fromkeys(("GridResult", "evaluate_grid"), "evaluate"),
+    **dict.fromkeys(("DesignBlock", "ShapeGroup", "VectorizedBatch"), "plan"),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+
 
 __all__ = [
     "DesignBlock",

@@ -9,8 +9,11 @@ die count × assembly flow × wafer size × fab location — from a single-die
 five-die hybrid-bonded stack); :meth:`DesignGrid.from_designs` crosses
 explicit designs with the physical axes instead.
 
-The design space is enumerated in one place, :func:`split_variants`,
-which the exhaustive ``carbon3d search`` walks too, and the axis
+The design space is enumerated in one place, :func:`split_variants`:
+``carbon3d search`` walks it too, and the one-axis sweeps (``/sweep``,
+:mod:`repro.studies.sweep`) take their splits from it through
+:func:`default_splits`. Both refuse a reference that is not a single
+die with one :class:`~repro.errors.ReferenceDesignError`. The axis
 defaults are resolved in one place, :func:`grid_axes`, which the
 ``/optimize`` route reads together with :func:`expansion_bound`.
 
@@ -28,17 +31,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from ..config.integration import AssemblyFlow, StackingStyle
+from ..config.integration import (
+    TABLE1_INTEGRATIONS,
+    AssemblyFlow,
+    StackingStyle,
+)
 from ..config.parameters import DEFAULT_PARAMETERS, ParameterSet
 from ..core.design import ChipDesign
 from ..core.operational import Workload
-from ..errors import DesignError, ParameterError
+from ..errors import DesignError, ParameterError, ReferenceDesignError
 from ..units import WAFER_DIAMETERS_MM
 
 #: The integration technologies :meth:`DesignGrid.from_axes` fans a
 #: reference over by default (2D rides along via ``include_2d``).
-GRID_INTEGRATIONS = (
-    "micro_3d", "hybrid_3d", "m3d", "mcm", "info", "emib", "si_interposer",
+GRID_INTEGRATIONS = tuple(
+    name for name in TABLE1_INTEGRATIONS if name != "2d"
 )
 
 #: Homogeneous die counts :meth:`DesignGrid.from_axes` tries by default.
@@ -121,6 +128,7 @@ def split_variants(
     None). Splits the rules reject (:class:`~repro.errors.DesignError`)
     are skipped. Designs keep the split factory's name.
     """
+    _check_reference(reference)
     for name in integrations:
         spec = params.integration_spec(name)
         for approach in approaches:
@@ -141,6 +149,49 @@ def split_variants(
                     except DesignError:
                         continue
                     yield name, approach, flow, n_dies, design
+
+
+def _check_reference(reference: ChipDesign) -> None:
+    """Refuse a reference the split factories cannot split: every walk
+    of the design space starts from one die."""
+    if reference.die_count != 1:
+        raise ReferenceDesignError(
+            f"design must be a single-die 2D reference to split, "
+            f"{reference.name!r} has {reference.die_count} dies"
+        )
+
+
+def default_splits(
+    reference: ChipDesign, integrations, die_counts, params: ParameterSet
+):
+    """Yield ``(integration, n_dies, design)`` for the one-axis sweeps.
+
+    A 2D integration yields the reference itself (``n_dies`` 1). Any
+    other yields the homogeneous splits :func:`split_variants` makes at
+    ``die_counts`` in the integration's first assembly flow, which are
+    the designs :meth:`ChipDesign.homogeneous_split` builds with its
+    default flow; an integration left with none is an error.
+    """
+    _check_reference(reference)
+    for name in integrations:
+        spec = params.integration_spec(name)
+        if spec.is_2d:
+            yield name, 1, reference
+            continue
+        first = assembly_options(spec)[0]
+        splits = [
+            (n_dies, design)
+            for _, _, flow, n_dies, design in split_variants(
+                reference, (name,), die_counts, ("homogeneous",), params
+            )
+            if flow is first
+        ]
+        if not splits:
+            raise DesignError(
+                f"the design rules allow no {name} split of {reference.name!r}"
+            )
+        for n_dies, design in splits:
+            yield name, n_dies, design
 
 
 def variant_name(reference: ChipDesign, label: str) -> str:
@@ -279,10 +330,6 @@ class DesignGrid:
         errors in the evaluated :class:`~repro.vec.evaluate.GridResult`.
         """
         params = params if params is not None else DEFAULT_PARAMETERS
-        if reference.die_count != 1:
-            raise ParameterError(
-                "a design grid needs a single-die 2D reference"
-            )
         integrations, die_counts, _, _ = grid_axes(integrations, die_counts)
         designs: "list[tuple[str, ChipDesign]]" = []
         if include_2d:

@@ -9,10 +9,12 @@ from repro.analysis import (
     default_factors,
     format_tornado,
     monte_carlo,
-    search_configurations,
+    search_designs,
     tornado,
 )
-from repro.errors import ParameterError
+from repro.api import Session, StudySpec
+from repro.core.report import render_points
+from repro.errors import ParameterError, ReferenceDesignError
 from repro.studies.drive import drive_2d_design
 
 PARAMS = ParameterSet.default()
@@ -115,65 +117,83 @@ class TestMonteCarlo:
         assert probability > 0.9
 
 
+def search_points(reference, fab_location="taiwan") -> "list[dict]":
+    """``carbon3d search``'s batch: every search design, one point each."""
+    spec = StudySpec.batch([
+        StudySpec.evaluate(design, fab_location=fab_location, label=label)
+        for label, design in search_designs(reference)
+    ])
+    with Session() as session:
+        return session.run(spec).to_payload()
+
+
+def entry(label: str, total_kg: float, valid: bool = True) -> dict:
+    return {"label": label, "cache": "computed", "report": {
+        "valid": valid, "embodied_kg": total_kg, "total_kg": total_kg,
+    }}
+
+
 class TestSearch:
     @pytest.fixture(scope="class")
-    def result(self):
-        return search_configurations(drive_2d_design("ORIN"), WL)
+    def points(self):
+        return search_points(drive_2d_design("ORIN"))
 
-    def test_best_is_m3d_homogeneous(self, result):
-        assert result.best is not None
-        assert result.best.label.startswith("m3d/homog")
+    @pytest.fixture(scope="class")
+    def best(self, points):
+        line = render_points(points).splitlines()[-1]
+        label = line.removeprefix("best valid configuration: ")
+        label = label.rsplit(" (", 1)[0]
+        return next(point for point in points if point["label"] == label)
 
-    def test_best_is_valid_and_minimal(self, result):
-        assert result.best.valid
-        for candidate in result.valid_candidates():
-            assert result.best.total_kg <= candidate.total_kg + 1e-9
+    def test_best_is_m3d_homogeneous(self, best):
+        assert best["label"].startswith("m3d/homog")
 
-    def test_includes_2d_baseline(self, result):
-        assert any(c.label == "2d" for c in result.candidates)
-
-    def test_invalid_candidates_excluded_from_best(self, result):
-        invalid = [c for c in result.candidates if not c.valid]
-        assert invalid  # MCM/InFO @ ORIN at least
-        assert all(c is not result.best for c in invalid)
-
-    def test_pareto_front_is_nondominated(self, result):
-        front = result.pareto_front()
-        assert front
-        for a in front:
-            for b in front:
-                if a is b:
-                    continue
-                dominates = (
-                    b.report.embodied_kg <= a.report.embodied_kg
-                    and b.report.operational_kg <= a.report.operational_kg
-                    and (b.report.embodied_kg < a.report.embodied_kg
-                         or b.report.operational_kg < a.report.operational_kg)
+    def test_best_is_valid_and_minimal(self, points, best):
+        assert best["report"]["valid"]
+        for point in points:
+            if point["report"]["valid"]:
+                assert best["report"]["total_kg"] <= (
+                    point["report"]["total_kg"] + 1e-9
                 )
-                assert not dominates
 
-    def test_pareto_sorted_by_embodied(self, result):
-        front = result.pareto_front()
-        embodied = [c.report.embodied_kg for c in front]
-        assert embodied == sorted(embodied)
+    def test_includes_2d_baseline(self, points):
+        assert points[0]["label"] == "2d"
 
-    def test_format_table(self, result):
-        text = result.format_table()
-        assert "<== best" in text
+    def test_invalid_candidates_excluded_from_best(self, points, best):
+        invalid = [p for p in points if not p["report"]["valid"]]
+        assert invalid  # MCM/InFO @ ORIN at least
+        assert all(p["label"] != best["label"] for p in invalid)
+
+    def test_format_table(self, points):
+        text = render_points(points)
+        assert text.count("<== best") == 1
         assert "NO" in text
 
-    def test_multi_die_reference_rejected(self, hybrid_orin):
-        with pytest.raises(ParameterError):
-            search_configurations(hybrid_orin, WL)
-
-    def test_restricted_search(self):
-        result = search_configurations(
-            drive_2d_design("ORIN"), WL,
-            integrations=["hybrid_3d"], approaches=("homogeneous",),
-            include_2d=False,
+    def test_best_is_the_first_valid_minimum(self):
+        """Ranked by total in stable input order; of equal valid minima
+        the first in input order is best, and an invalid entry never is."""
+        text = render_points([
+            entry("b", 2.0), entry("lower-but-invalid", 1.0, valid=False),
+            entry("a", 2.0), entry("c", 3.0),
+        ])
+        rows = text.splitlines()[2:6]
+        assert [row.split()[0] for row in rows] == [
+            "lower-but-invalid", "b", "a", "c",
+        ]
+        assert [row.endswith("<== best") for row in rows] == [
+            False, True, False, False,
+        ]
+        assert text.splitlines()[-1] == (
+            "best valid configuration: b (2.00 kg CO2e)"
         )
-        labels = {c.label for c in result.candidates}
-        assert labels == {"hybrid_3d/homog/d2w", "hybrid_3d/homog/w2w"}
+
+    def test_no_valid_entry_has_no_best(self):
+        text = render_points([entry("x", 1.0, valid=False)])
+        assert "best" not in text
+
+    def test_multi_die_reference_rejected(self, hybrid_orin):
+        with pytest.raises(ReferenceDesignError, match="single-die"):
+            search_designs(hybrid_orin)
 
 
 class TestNonDefaultFactorSets:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import ChipDesign, DEFAULT_PARAMETERS, Workload
-from repro.analysis.optimizer import search_configurations
+from repro.analysis.optimizer import search_designs
 from repro.analysis.sensitivity import (
     FactorTarget,
     SensitivityFactor,
@@ -19,6 +19,7 @@ from repro.analysis.uncertainty import (
     comparison_robustness,
     monte_carlo,
 )
+from repro.api import Session, StudySpec
 from repro.core.model import CarbonModel
 from repro.engine import BatchEvaluator, EvalPoint
 from repro.obs.metrics import MetricsRegistry
@@ -135,15 +136,24 @@ def test_sweep_wafer_diameters_resolves_once(stacked):
 
 
 def test_optimizer_matches_naive_path(reference, workload):
-    result = search_configurations(reference, workload=workload)
-    for candidate in result.candidates:
+    """``carbon3d search``'s batch prices every design bit for bit as
+    the scalar model does."""
+    designs = search_designs(reference)
+    with Session() as session:
+        points = session.run(StudySpec.batch([
+            StudySpec.evaluate(design, workload=workload, label=label)
+            for label, design in designs
+        ])).to_payload()
+    assert [point["label"] for point in points] == [
+        label for label, _ in designs
+    ]
+    assert points[0]["label"] == "2d"
+    for (_, design), point in zip(designs, points):
         naive = CarbonModel(
-            candidate.design, DEFAULT_PARAMETERS, "taiwan"
+            design, DEFAULT_PARAMETERS, "taiwan"
         ).evaluate(workload)
-        assert candidate.report.total_kg == naive.total_kg
-    labels = [c.label for c in result.candidates]
-    assert labels[0] == "2d"
-    assert result.best is not None and result.best.valid
+        assert point["report"]["total_kg"] == naive.total_kg
+    assert any(point["report"]["valid"] for point in points)
 
 
 def test_tornado_matches_naive_path(stacked, workload):

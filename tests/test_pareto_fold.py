@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.analysis import optimizer
 from repro.analysis.optimizer import (
     ParetoPoint,
-    SearchResult,
     _merge_front,
     pareto_fold,
 )
@@ -178,18 +177,25 @@ def candidates_of(pairs):
 @settings(max_examples=300, deadline=None)
 @example(pairs=[(1.0, 1.0), (1.0, 1.0), (2.0, 0.0)])
 def test_pareto_front_equals_the_quadratic_front(pairs):
-    """Same front, except the two deliberate rule changes: a candidate
-    with a non-finite objective is left off, and of an exactly equal
-    pair only the first is kept (the quadratic front kept both)."""
+    """The fold over two objectives (a zero third column) keeps the same
+    front, except the two deliberate rule changes: a candidate with a
+    non-finite objective is left off, and of an exactly equal pair only
+    the first is kept (the quadratic front kept both)."""
     candidates = candidates_of(pairs)
-    result = SearchResult(candidates=tuple(candidates), best=None)
+    kept = pareto_fold(
+        [embodied for embodied, _ in pairs],
+        [operational for _, operational in pairs],
+        np.zeros(len(pairs)),
+    )
     seen = set()
     expected_input = []
     for candidate, pair in zip(candidates, pairs):
         if all(math.isfinite(v) for v in pair) and pair not in seen:
             seen.add(pair)
             expected_input.append(candidate)
-    assert result.pareto_front() == oracle_pareto_front(expected_input)
+    assert [candidates[row] for row in kept] == oracle_pareto_front(
+        expected_input
+    )
 
 
 def test_fold_keeps_the_first_of_an_exact_tie():

@@ -15,6 +15,7 @@ Regenerate the pins (only when an output change is intended) with::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import sqlite3
@@ -23,10 +24,14 @@ import threading
 
 import pytest
 
+from repro.analysis.optimizer import search_designs
 from repro.api import Session
 from repro.core.design import ChipDesign
 from repro.core.operational import Workload
+from repro.errors import ReferenceDesignError
 from repro.service import make_server
+from repro.service.client import ServiceError
+from repro.service.schema import error_payload
 from repro.studies.drive import drive_2d_design
 from repro.studies.sweep import (
     sweep_die_counts,
@@ -127,8 +132,9 @@ def local_sweep(tmp_path, case: str) -> tuple:
         return sweep_outcome(session, path, case)
 
 
-def served_sweep(tmp_path, case: str) -> tuple:
-    path = tmp_path / "served.sqlite3"
+@contextlib.contextmanager
+def served_session(path):
+    """A service Session on an in-process server storing at ``path``."""
     service = make_server(store_path=str(path))
     thread = threading.Thread(target=service.serve_forever, daemon=True)
     thread.start()
@@ -137,10 +143,16 @@ def served_sweep(tmp_path, case: str) -> tuple:
         with Session(
             executor="service", url=f"http://{host}:{port}"
         ) as session:
-            return sweep_outcome(session, path, case)
+            yield session
     finally:
         service.close()
         thread.join(timeout=5.0)
+
+
+def served_sweep(tmp_path, case: str) -> tuple:
+    path = tmp_path / "served.sqlite3"
+    with served_session(path) as session:
+        return sweep_outcome(session, path, case)
 
 
 def study_points(study: str) -> list:
@@ -180,6 +192,47 @@ def test_served_sweep_matches_the_pins(tmp_path, case):
 @pytest.mark.parametrize("study", sorted(PINNED_STUDIES))
 def test_library_sweep_matches_the_pins(study):
     assert study_outcome(study) == PINNED_STUDIES[study]
+
+
+def test_every_walk_refuses_a_multi_die_reference_alike(tmp_path):
+    """A sweep asking only for ``2d`` used to price a multi-die
+    reference as if it were 2D; every walk now refuses it with one
+    typed 400 error naming ``design``."""
+    pair = ChipDesign.homogeneous_split(drive_2d_design("ORIN"), "mcm")
+    expected = {
+        "type": "ReferenceDesignError",
+        "message": "design must be a single-die 2D reference to split, "
+                   "'ORIN_2D_mcm_homog' has 2 dies",
+        "field": "design",
+    }
+    local = []
+    with Session() as session:
+        for study in (
+            lambda: session.sweep(pair, integrations=["2d"]),
+            lambda: session.sweep(pair, integrations=["mcm"]),
+            lambda: session.optimize(pair, max_configs=4),
+        ):
+            with pytest.raises(ReferenceDesignError) as caught:
+                study()
+            local.append(error_payload(caught.value))
+    for study in (
+        lambda: sweep_integrations(pair, ["2d"]),
+        lambda: search_designs(pair),
+    ):
+        with pytest.raises(ReferenceDesignError) as caught:
+            study()
+        local.append(error_payload(caught.value))
+    served = []
+    with served_session(tmp_path / "served.sqlite3") as session:
+        for study in (
+            lambda: session.sweep(pair, integrations=["2d"]),
+            lambda: session.optimize(pair, max_configs=4),
+        ):
+            with pytest.raises(ServiceError) as caught:
+                study()
+            assert caught.value.status == 400
+            served.append(caught.value.payload)
+    assert local + served == [expected] * 7
 
 
 if __name__ == "__main__":  # pragma: no cover - regenerates the pins
