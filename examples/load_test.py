@@ -1,4 +1,4 @@
-"""Load-test a pre-forked carbon3d fleet and read the scaling curve.
+"""Load-test a pre-forked carbon3d fleet, cold and warm.
 
 Drives :mod:`repro.service.loadgen` against a local
 :class:`repro.service.ServiceFleet` the same way the fleet CI job does:

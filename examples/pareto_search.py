@@ -25,8 +25,9 @@ Two searches, one conclusion each:
 
 Everything runs through the vectorized core (`repro.vec`): structural
 resolution once per design, numpy columns over the wafer/CI axes —
-bit-identical to the scalar pipeline, orders of magnitude faster (see
-``BENCH_engine.json``'s ``grid_vectorized`` entry). The same search is
+bit-identical to the scalar pipeline on every point of a 10⁵-point grid
+(``tests/test_full_size_equivalence.py``), with one structural resolve
+per design in place of one per point. The same search is
 one HTTP call on a running server (``POST /optimize``) or one CLI
 line: ``carbon3d optimize DESIGN.json --wafers ...``.
 

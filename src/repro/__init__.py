@@ -50,8 +50,10 @@ fingerprints* — tuples of the frozen records a stage actually reads
   parallelism, sized to the usable CPUs).
 
 Engine results are bit-identical to the scalar :class:`CarbonModel`
-path; ``python -m repro.cli bench`` times one against the other and
-writes ``BENCH_engine.json``.
+path; ``tests/test_full_size_equivalence.py`` checks that at full study
+size and pins the memo work counts that make the engine fast. Speed
+claims live in ``BENCHMARK.json``, measured by ``perfbench/``;
+``BENCH_engine.json`` is frozen history that no code writes.
 """
 
 from .config import (

@@ -16,14 +16,11 @@ Sub-commands mirror the paper's artifacts:
   ``--stream`` prints a running front snapshot per evaluated chunk);
 * ``sensitivity DESIGN.json`` — the one-at-a-time tornado study;
 * ``export drive|table5 OUT`` — a study's rows as CSV or JSON;
-* ``bench`` — naive-vs-engine perf benches (writes ``BENCH_engine.json``;
-  with ``--service``, the warm-vs-cold store throughput bench →
-  ``BENCH_service.json``);
 * ``serve`` — run the carbon-as-a-service HTTP server (persistent
   content-addressed result store; ``--tokens`` for the multi-tenant
   token registry; see :mod:`repro.service`);
-* ``loadgen`` — drive concurrent keep-alive load against a server (or
-  a sweep of local fleets) and record p50/p99 and rps;
+* ``loadgen --url URL`` — drive concurrent keep-alive load against a
+  running server and report p50/p99 and rps;
 * ``tokens issue|revoke|list|rotate`` — administer the multi-tenant
   token registry (named, hashed API tokens with per-tenant quotas;
   see :mod:`repro.tenancy`);
@@ -295,52 +292,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_bench_cli(
-    service: bool,
-    output: "str | None" = None,
-    samples: "int | None" = None,
-    repeats: int = 3,
-    write: bool = True,
-) -> "tuple[str, str]":
-    """Run the engine or service bench; return (summary text, output path).
-
-    The single implementation behind ``carbon3d bench`` and
-    ``benchmarks/perf_report.py`` — defaults (500 MC draws / 400 service
-    draws, ``BENCH_engine.json`` / ``BENCH_service.json``) live only
-    here. ``write=False`` runs the bench without touching the BENCH
-    files (the CI smoke run uses this so a throttled runner's numbers
-    never pollute the perf trajectory).
-    """
-    if service:
-        from .service.bench import format_service_bench, run_service_bench
-
-        output = output if output else "BENCH_service.json"
-        result = run_service_bench(
-            output_path=output if write else None,
-            samples=samples if samples is not None else 400,
-            repeats=repeats,
-        )
-        return format_service_bench(result), output if write else "(not written)"
-    from .engine.bench import format_benches, run_benches
-
-    output = output if output else "BENCH_engine.json"
-    result = run_benches(
-        output_path=output if write else None,
-        samples=samples if samples is not None else 500,
-        repeats=repeats,
-    )
-    return format_benches(result), output if write else "(not written)"
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    text, output = run_bench_cli(
-        args.service, args.output, args.samples, args.repeats
-    )
-    print(text)
-    print(f"wrote {output}")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
@@ -441,59 +392,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from .service.loadgen import (
-        format_fleet_bench,
-        run_fleet_bench,
-        run_load,
-    )
+    from .service.loadgen import run_load
 
-    keep_alive = not args.no_keep_alive
-    if args.url is not None:
-        result = run_load(
-            args.url,
-            requests_n=args.requests,
-            concurrency=args.concurrency,
-            distinct=args.distinct,
-            keep_alive=keep_alive,
-            token=args.token,
-        )
-        result.pop("digests", None)  # per-design hashes, noise on stdout
-        if args.json:
-            print(json.dumps(result, indent=2))
-        else:
-            print(
-                f"loadgen      {result['completed']}/{result['requests']} "
-                f"requests × {result['concurrency']} clients: "
-                f"{result['rps']:.0f} rps "
-                f"(p50 {result['p50_ms']:.1f}ms p99 {result['p99_ms']:.1f}ms, "
-                f"keep_alive={result['keep_alive']})"
-            )
-        return 1 if result["errors"] else 0
-
-    try:
-        worker_counts = [
-            int(part) for part in args.workers_list.split(",") if part.strip()
-        ]
-    except ValueError:
-        print(f"error: --workers-list must be comma-separated integers, "
-              f"got {args.workers_list!r}", file=sys.stderr)
-        return 2
-    output = None if args.no_output else args.output
-    result = run_fleet_bench(
-        output_path=output,
-        worker_counts=worker_counts,
+    result = run_load(
+        args.url,
         requests_n=args.requests,
         concurrency=args.concurrency,
         distinct=args.distinct,
-        keep_alive=keep_alive,
+        keep_alive=not args.no_keep_alive,
+        token=args.token,
     )
+    result.pop("digests", None)  # per-design hashes, noise on stdout
     if args.json:
         print(json.dumps(result, indent=2))
     else:
-        print(format_fleet_bench(result))
-        if output:
-            print(f"\nwrote {output}")
-    return 0
+        print(
+            f"loadgen      {result['completed']}/{result['requests']} "
+            f"requests × {result['concurrency']} clients: "
+            f"{result['rps']:.0f} rps "
+            f"(p50 {result['p50_ms']:.1f}ms p99 {result['p99_ms']:.1f}ms, "
+            f"keep_alive={result['keep_alive']})"
+        )
+    return 1 if result["errors"] else 0
 
 
 def _format_stamp(stamp: "float | None") -> str:
@@ -915,26 +835,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="homogeneous",
     )
     p_export.set_defaults(func=_cmd_export)
-    p_bench = sub.add_parser(
-        "bench",
-        help="perf benches: engine (BENCH_engine.json) or, with "
-             "--service, the service store (BENCH_service.json)",
-    )
-    p_bench.add_argument(
-        "--output", default=None,
-        help="output path (default: BENCH_engine.json / BENCH_service.json)",
-    )
-    p_bench.add_argument(
-        "--samples", type=int, default=None,
-        help="Monte-Carlo draws per MC bench/request",
-    )
-    p_bench.add_argument("--repeats", type=int, default=3)
-    p_bench.add_argument(
-        "--service", action="store_true",
-        help="bench HTTP throughput warm-vs-cold store instead of the engine",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
-
     # No abbreviations: a prefix match would read the removed
     # ``--token SECRET`` as ``--tokens SECRET``, a registry path.
     p_serve = sub.add_parser(
@@ -994,19 +894,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_loadgen = sub.add_parser(
         "loadgen",
-        help="drive concurrent keep-alive load; record p50/p99 and "
-             "rps-vs-workers curves",
+        help="drive concurrent keep-alive load against a running "
+             "server; report p50/p99 and rps",
     )
     p_loadgen.add_argument(
-        "--url", default=None,
-        help="existing service to load instead of forking local fleets",
-    )
-    p_loadgen.add_argument(
-        "--workers-list", default="1,2,4", metavar="N,N,...",
-        help="fleet sizes to sweep when no --url is given (default: 1,2,4)",
+        "--url", required=True, help="the running service to load",
     )
     p_loadgen.add_argument("--requests", type=int, default=64,
-                           help="request budget per pass (default: 64)")
+                           help="request budget (default: 64)")
     p_loadgen.add_argument("--concurrency", type=int, default=8,
                            help="concurrent clients (default: 8)")
     p_loadgen.add_argument("--distinct", type=int, default=8,
@@ -1018,15 +913,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_loadgen.add_argument(
         "--token", default=None,
         help="API token (`carbon3d tokens issue`)",
-    )
-    p_loadgen.add_argument(
-        "--output", default="BENCH_service.json",
-        help="trajectory file for the fleet sweep "
-             "(default: BENCH_service.json; --url mode never writes)",
-    )
-    p_loadgen.add_argument(
-        "--no-output", action="store_true",
-        help="print results without touching the trajectory file",
     )
     p_loadgen.add_argument("--json", action="store_true",
                            help="emit the full JSON result")

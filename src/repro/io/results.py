@@ -101,59 +101,3 @@ def read_csv(path: "str | Path") -> "list[dict]":
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
 
-
-#: Most trajectory entries a BENCH file keeps (oldest evicted first).
-BENCH_TRAJECTORY_LIMIT = 100
-
-
-def write_bench_report(result: dict, path: "str | Path") -> dict:
-    """Write a perf-bench report, *appending* to the file's trajectory.
-
-    Earlier PRs overwrote ``BENCH_engine.json`` / ``BENCH_service.json``
-    wholesale, losing the cross-PR perf history the ROADMAP asks to
-    track. This writer keeps the latest result at the top level (so
-    existing readers keep working) and maintains a ``trajectory`` list of
-    timestamped entries: the prior file's own entries — or, for a
-    pre-trajectory file, its single top-level result — plus this run.
-    Unreadable prior files are treated as absent, never as fatal, and
-    the history is capped at :data:`BENCH_TRAJECTORY_LIMIT` entries
-    (oldest dropped) so a frequently-run bench cannot grow the file
-    without bound.
-    """
-    import datetime
-
-    entry = dict(result)
-    entry["timestamp"] = (
-        datetime.datetime.now(datetime.timezone.utc)
-        .isoformat(timespec="seconds")
-    )
-    trajectory: "list[dict]" = []
-    path = Path(path)
-    if path.exists():
-        try:
-            previous = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            previous = None
-        if isinstance(previous, dict):
-            prior = previous.get("trajectory")
-            if isinstance(prior, list):
-                trajectory = [e for e in prior if isinstance(e, dict)]
-            elif "bench" in previous:
-                # Pre-trajectory format: one bare result — keep it.
-                trajectory = [dict(previous)]
-        for prior_entry in trajectory:
-            # Entries must always carry a timestamp so curves stay
-            # comparable across PRs; a migrated pre-trajectory entry
-            # never had one — stamp it with the file's own mtime (the
-            # best surviving record of when that run happened).
-            if "timestamp" not in prior_entry:
-                prior_entry["timestamp"] = (
-                    datetime.datetime.fromtimestamp(
-                        path.stat().st_mtime, datetime.timezone.utc
-                    ).isoformat(timespec="seconds")
-                )
-    trajectory.append(entry)
-    payload = dict(result)
-    payload["trajectory"] = trajectory[-BENCH_TRAJECTORY_LIMIT:]
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return payload

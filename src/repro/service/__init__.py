@@ -25,16 +25,18 @@ and drive in-process:
   client with bounded-backoff retries, wired into the CLI as
   ``carbon3d serve`` and ``carbon3d submit`` — and, one level up, into
   the :class:`repro.api.Session` facade;
-* :mod:`~repro.service.bench` — the warm-vs-cold-store throughput bench
-  behind ``carbon3d bench --service`` (writes ``BENCH_service.json``);
 * :mod:`~repro.service.fleet` — the pre-forked multi-worker front end
   (``carbon3d serve --workers N``): one listening socket bound by the
   parent, N forked workers sharing it, parent-side restart supervision,
   SIGTERM fan-out with graceful drain, and cross-process
   exactly-one-compute via the store's claim rows;
 * :mod:`~repro.service.loadgen` — the concurrent keep-alive load
-  harness (``carbon3d loadgen``) recording p50/p99 latency and
-  rps-vs-workers curves into ``BENCH_service.json``.
+  harness (``carbon3d loadgen --url``) reporting p50/p99 latency, rps
+  and per-design response digests for one running endpoint.
+
+The service's speed is measured end to end by ``perfbench/`` against the
+workloads ``BENCHMARK.json`` declares; ``BENCH_service.json`` is frozen
+history that no code writes.
 
 Multi-tenant operation rides on :mod:`repro.tenancy`: the server
 resolves ``X-Carbon3D-Token`` against a SQLite
@@ -67,7 +69,7 @@ Quickstart (see ``examples/service_roundtrip.py`` for the full tour)::
 from .client import ServiceClient, ServiceError
 from .dispatcher import Dispatcher
 from .fleet import ServiceFleet, resolve_worker_count
-from .loadgen import bench_fleet, run_fleet_bench, run_load
+from .loadgen import run_load
 from .schema import SCHEMA_VERSION, AuthError, SchemaError, parse_request
 from .server import CarbonService, make_server, serve_forever
 from .store import ResultStore, StoreError, content_key
@@ -83,12 +85,10 @@ __all__ = [
     "ServiceError",
     "ServiceFleet",
     "StoreError",
-    "bench_fleet",
     "content_key",
     "make_server",
     "parse_request",
     "resolve_worker_count",
-    "run_fleet_bench",
     "run_load",
     "serve_forever",
 ]

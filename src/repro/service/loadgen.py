@@ -1,54 +1,50 @@
-"""Load harness: concurrent keep-alive clients against a worker fleet.
+"""Load harness: concurrent keep-alive clients against one endpoint.
 
-Two layers:
+:func:`run_load` drives one running endpoint with N concurrent
+keep-alive clients over a fixed request budget and reports
+client-observed throughput (rps) and latency percentiles (p50/p99) —
+the numbers an operator sizing a deployment actually cares about.
+Responses are digested per distinct design so separate runs can be
+compared for bit-identity without holding every payload.
 
-* :func:`run_load` drives one running endpoint with N concurrent
-  keep-alive clients over a fixed request budget and reports
-  client-observed throughput (rps) and latency percentiles (p50/p99) —
-  the numbers an operator sizing a deployment actually cares about.
-  Responses are digested per distinct design so separate runs can be
-  compared for bit-identity without holding every payload.
-* :func:`bench_fleet` sweeps a fleet over worker counts (1, 2, 4, ...):
-  for each count it forks a fresh :class:`ServiceFleet` on a fresh
-  store, runs a **cold** pass (every answer computed, claim rows
-  arbitrating cross-worker dedup) and a **warm** pass (every answer from
-  the shared store), and asserts every worker count returns payloads
-  bit-identical to the 1-worker baseline. The rps-vs-workers curves land
-  in ``BENCH_service.json`` as a ``service_fleet`` trajectory entry via
-  :func:`run_fleet_bench`.
-
-The recorded schema carries ``workers``, ``keep_alive``,
-``concurrency`` and ``cpus`` next to the rps figures: a 4-worker curve
-measured on a 1-CPU host (where forking buys no parallelism, only
-dedup and isolation) must never be read as a like-for-like scaling
-claim against a 4-CPU run.
-
-Invoked by ``python -m repro.cli loadgen`` and the CI fleet smoke job;
-``examples/load_test.py`` drives it against a local fleet.
+Invoked by ``python -m repro.cli loadgen --url URL`` and the CI fleet
+smoke job; ``examples/load_test.py`` drives it against a local fleet.
+Speed claims about the service live in ``BENCHMARK.json`` and are
+measured by ``perfbench/``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-import tempfile
 import threading
 import time
 
 from ..errors import ParameterError
 from ..obs.metrics import Histogram
-from .bench import _design_payload
 from .client import ServiceClient
-from .fleet import ServiceFleet
+
+#: Gate count of the 2-die hybrid-bonded reference each request varies.
+_BASE_GATES = 17.0e9
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+def _design_payload(index: int) -> dict:
+    """Distinct 2-die hybrid-3D designs (distinct gate counts → no sharing)."""
+    gates = _BASE_GATES * (1.0 + 0.01 * index)
+    return {
+        "name": f"bench_{index}",
+        "integration": "hybrid_3d",
+        "stacking": "f2f",
+        "assembly": "d2w",
+        "package": {"class": "fcbga"},
+        "throughput_tops": 254.0,
+        "dies": [
+            {"name": "top", "node": "7nm", "gate_count": gates / 2,
+             "workload_share": 0.5},
+            {"name": "bottom", "node": "7nm", "gate_count": gates / 2,
+             "workload_share": 0.5},
+        ],
+    }
 
 
 def _digest(result: dict) -> str:
@@ -151,131 +147,3 @@ def run_load(
         "digests": digests,
         "errors": errors,
     }
-
-
-def bench_fleet(
-    worker_counts: "tuple | list" = (1, 2, 4),
-    requests_n: int = 64,
-    concurrency: int = 8,
-    distinct: int = 8,
-    keep_alive: bool = True,
-) -> dict:
-    """rps-vs-workers curves: cold + warm pass per fleet size.
-
-    Every worker count gets a fresh fleet on a fresh store. The
-    1-worker cold digests are the identity baseline: every later pass —
-    any worker count, cold or warm — must answer bit-identical payloads
-    or the curve entry reports ``identical=False`` (and the whole
-    result ``identical=False``).
-    """
-    if not worker_counts:
-        raise ParameterError("need at least one worker count")
-    counts = sorted(set(int(c) for c in worker_counts))
-    if counts[0] < 1:
-        raise ParameterError(f"worker counts must be >= 1, got {counts[0]}")
-    curves = []
-    baseline: "dict[int, str] | None" = None
-    with tempfile.TemporaryDirectory(prefix="carbon3d_fleet_") as tmp:
-        for workers in counts:
-            store_path = os.path.join(tmp, f"fleet_{workers}.sqlite3")
-            fleet = ServiceFleet(workers=workers, store_path=store_path)
-            fleet.start()
-            try:
-                cold = run_load(
-                    fleet.url, requests_n=requests_n,
-                    concurrency=concurrency, distinct=distinct,
-                    keep_alive=keep_alive,
-                )
-                warm = run_load(
-                    fleet.url, requests_n=requests_n,
-                    concurrency=concurrency, distinct=distinct,
-                    keep_alive=keep_alive,
-                )
-            finally:
-                fleet.close()
-            if cold["errors"] or warm["errors"]:
-                raise AssertionError(
-                    f"loadgen errors at {workers} worker(s): "
-                    f"{(cold['errors'] + warm['errors'])[:3]}"
-                )
-            if baseline is None:
-                baseline = cold["digests"]
-            identical = (
-                cold["digests"] == baseline and warm["digests"] == baseline
-            )
-            curves.append({
-                "workers": workers,
-                "cold_rps": cold["rps"],
-                "warm_rps": warm["rps"],
-                "cold_p50_ms": cold["p50_ms"],
-                "cold_p99_ms": cold["p99_ms"],
-                "warm_p50_ms": warm["p50_ms"],
-                "warm_p99_ms": warm["p99_ms"],
-                "identical": identical,
-            })
-    single = curves[0]["warm_rps"]
-    best = max(curves, key=lambda c: c["warm_rps"])
-    return {
-        "requests": requests_n,
-        "concurrency": concurrency,
-        "distinct_designs": distinct,
-        "keep_alive": keep_alive,
-        "cpus": usable_cpus(),
-        "workers": counts,
-        "curves": curves,
-        "identical": all(c["identical"] for c in curves),
-        "best_workers": best["workers"],
-        "best_warm_rps": best["warm_rps"],
-        "scaling_vs_1": best["warm_rps"] / single if single > 0 else 0.0,
-    }
-
-
-def run_fleet_bench(
-    output_path: "str | None" = "BENCH_service.json",
-    worker_counts: "tuple | list" = (1, 2, 4),
-    requests_n: int = 64,
-    concurrency: int = 8,
-    distinct: int = 8,
-    keep_alive: bool = True,
-) -> dict:
-    """Run the fleet bench and (optionally) append it to the trajectory."""
-    result = {
-        "bench": "service_fleet",
-        "fleet": bench_fleet(
-            worker_counts=worker_counts, requests_n=requests_n,
-            concurrency=concurrency, distinct=distinct,
-            keep_alive=keep_alive,
-        ),
-    }
-    if output_path:
-        from ..io.results import write_bench_report
-
-        write_bench_report(result, output_path)
-    return result
-
-
-def format_fleet_bench(result: dict) -> str:
-    """One-block human rendering of the rps-vs-workers curves."""
-    f = result["fleet"]
-    lines = [
-        f"fleet        {f['requests']} requests × {f['concurrency']} "
-        f"clients ({f['distinct_designs']} designs, "
-        f"keep_alive={f['keep_alive']}, {f['cpus']} cpu(s)): "
-        f"identical={f['identical']}"
-    ]
-    for curve in f["curves"]:
-        lines.append(
-            f"             {curve['workers']}w: "
-            f"cold {curve['cold_rps']:.0f} rps "
-            f"(p50 {curve['cold_p50_ms']:.1f}ms "
-            f"p99 {curve['cold_p99_ms']:.1f}ms) → "
-            f"warm {curve['warm_rps']:.0f} rps "
-            f"(p50 {curve['warm_p50_ms']:.1f}ms "
-            f"p99 {curve['warm_p99_ms']:.1f}ms)"
-        )
-    lines.append(
-        f"             best: {f['best_workers']} worker(s) at "
-        f"{f['best_warm_rps']:.0f} rps warm "
-        f"({f['scaling_vs_1']:.2f}× the 1-worker warm rps)"
-    )
-    return "\n".join(lines)

@@ -5,15 +5,17 @@ flat tuple of :class:`GridPoint` records (design × wafer diameter × fab
 location) sharing one workload. :meth:`DesignGrid.from_axes` expands the
 paper's case-study axes — integration technology × division approach ×
 die count × assembly flow × wafer size × fab location — from a single-die
-2D reference, skipping combinations the design rules reject (e.g. a
-five-die hybrid-bonded stack); :meth:`DesignGrid.from_designs` crosses
-explicit designs with the physical axes instead.
+2D reference; a split past its integration's die limit (a three-die
+monolithic 3D stack, say) stays in the grid and prices as a per-point
+error. :meth:`DesignGrid.from_designs` crosses explicit designs with the
+physical axes instead.
 
 The design space is enumerated in one place, :func:`split_variants`:
 ``carbon3d search`` walks it too, and the one-axis sweeps (``/sweep``,
 :mod:`repro.studies.sweep`) take their splits from it through
 :func:`default_splits`. Both refuse a reference that is not a single
-die with one :class:`~repro.errors.ReferenceDesignError`. The axis
+die given by its gate count with one
+:class:`~repro.errors.ReferenceDesignError`. The axis
 defaults are resolved in one place, :func:`grid_axes`, which the
 ``/optimize`` route reads together with :func:`expansion_bound`.
 
@@ -120,13 +122,17 @@ def split_variants(
     params: ParameterSet,
 ):
     """Yield ``(integration, approach, flow, n_dies, design)`` for every
-    split of a single-die 2D reference the design rules accept.
+    split the factories build from a single-die 2D reference.
 
     Per integration, approach and assembly flow, a homogeneous split is
     tried at each die count; any other approach is the paper's fixed
     logic+memory split, where die counts don't apply (``n_dies`` is
-    None). Splits the rules reject (:class:`~repro.errors.DesignError`)
-    are skipped. Designs keep the split factory's name.
+    None). Splits a factory refuses (:class:`~repro.errors.DesignError`,
+    e.g. a ``"2d"`` integration) are skipped. Die-count limits are not
+    checked here: a split past its integration's Table 1 limit (a
+    hybrid-bonded F2F or m3d stack of three or four dies) is yielded, and
+    rejected only when it is evaluated, as a per-point error. Designs
+    keep the split factory's name.
     """
     _check_reference(reference)
     for name in integrations:
@@ -153,11 +159,16 @@ def split_variants(
 
 def _check_reference(reference: ChipDesign) -> None:
     """Refuse a reference the split factories cannot split: every walk
-    of the design space starts from one die."""
+    of the design space starts from one die given by its gate count."""
     if reference.die_count != 1:
         raise ReferenceDesignError(
             f"design must be a single-die 2D reference to split, "
             f"{reference.name!r} has {reference.die_count} dies"
+        )
+    if reference.dies[0].gate_count is None:
+        raise ReferenceDesignError(
+            f"design must be a gate-count-specified 2D reference to split, "
+            f"{reference.name!r} gives its die by area"
         )
 
 

@@ -218,10 +218,14 @@ class TestServiceCommands:
         assert args.store == "carbon3d_store.sqlite3"
         assert args.no_store is False
 
-    def test_bench_parser_service_flag(self):
-        args = build_parser().parse_args(["bench", "--service"])
-        assert args.service is True
-        assert args.output is None
+    def test_loadgen_parser_needs_a_url(self, capsys):
+        args = build_parser().parse_args(["loadgen", "--url", "http://x"])
+        assert (args.url, args.requests, args.no_keep_alive) == (
+            "http://x", 64, False
+        )
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["loadgen"])
+        assert "--url" in capsys.readouterr().err
 
     def test_submit_roundtrip(self, design_json, tmp_path, capsys):
         import threading

@@ -32,7 +32,7 @@ import pytest
 from repro.service.client import ServiceClient
 from repro.service.dispatcher import Dispatcher
 from repro.service.fleet import ServiceFleet, resolve_worker_count
-from repro.service.loadgen import bench_fleet, run_load
+from repro.service.loadgen import run_load
 from repro.service.server import CarbonService
 from repro.service.schema import parse_evaluate_request
 from repro.service.store import ResultStore
@@ -358,26 +358,26 @@ class TestLoadHarness:
         assert set(result["digests"]) == {0, 1, 2}
         assert sum(result["sources"].values()) == 12
 
-    def test_bench_fleet_curves_and_identity(self):
-        result = bench_fleet(worker_counts=(1, 2), requests_n=12,
-                             concurrency=3, distinct=3)
-        assert [c["workers"] for c in result["curves"]] == [1, 2]
-        assert result["identical"] is True
-        assert result["cpus"] >= 1
-        assert result["keep_alive"] is True
-        for curve in result["curves"]:
-            assert curve["warm_rps"] > 0
-            assert curve["cold_p99_ms"] >= curve["cold_p50_ms"]
-
-    @pytest.mark.skipif(
-        len(os.sched_getaffinity(0)) < 4,
-        reason="rps scaling across workers needs >= 4 usable CPUs",
-    )
-    def test_four_workers_scale_warm_rps(self):
-        result = bench_fleet(worker_counts=(1, 4), requests_n=96,
-                             concurrency=16, distinct=8)
-        one, four = result["curves"]
-        assert four["warm_rps"] >= 2.5 * one["warm_rps"]
+    def test_one_and_two_workers_answer_the_same_digests(self, tmp_path):
+        """A fresh 1-worker and a fresh 2-worker fleet, each on its own
+        store, answer every design with the same payload digest on the
+        cold pass and again on the warm pass."""
+        passes = {}
+        for workers in (1, 2):
+            store = str(tmp_path / f"fleet_{workers}.sqlite3")
+            with ServiceFleet(workers=workers, store_path=store) as fleet:
+                passes[workers] = [
+                    run_load(fleet.url, requests_n=12, concurrency=3,
+                             distinct=3)
+                    for _ in ("cold", "warm")
+                ]
+        baseline = passes[1][0]["digests"]
+        assert set(baseline) == {0, 1, 2}
+        for workers, (cold, warm) in passes.items():
+            assert cold["errors"] == warm["errors"] == [], workers
+            assert cold["sources"].get("computed") == 3, workers
+            assert warm["sources"] == {"store": 12}, workers
+            assert cold["digests"] == warm["digests"] == baseline, workers
 
 
 class TestKeepAliveClient:

@@ -18,6 +18,7 @@ import pytest
 from repro.core.model import CarbonModel
 from repro.core.operational import Workload
 from repro.io.designs import design_from_dict
+from repro.seeds import DEFAULT_SEED
 from repro.service import ServiceClient, ServiceError, make_server
 
 
@@ -131,6 +132,51 @@ class TestRestartPersistence:
         finally:
             server.close()
             thread.join(timeout=5.0)
+
+    def test_restart_serves_a_whole_request_mix_from_store(self, tmp_path):
+        """24 distinct evaluates and 8 400-draw Monte-Carlo summaries: a
+        restarted server on the same store answers every one from the
+        store with the cold pass's payload, and its engine does no work."""
+        store_path = str(tmp_path / "store.sqlite3")
+        designs = [
+            design_payload(f"mix_{i}", 17e9 * (1 + 0.01 * i))
+            for i in range(24)
+        ]
+        requests = [("evaluate", {"design": design}) for design in designs]
+        requests += [
+            ("montecarlo", {"design": design, "samples": 400,
+                            "seed": DEFAULT_SEED + i})
+            for i, design in enumerate(designs[:8])
+        ]
+
+        def serve_all():
+            server = make_server(store_path=store_path)
+            thread = threading.Thread(target=server.serve_forever,
+                                      daemon=True)
+            thread.start()
+            client = ServiceClient(server.url)
+            try:
+                answers = [
+                    getattr(client, kind)(**kwargs) for kind, kwargs in requests
+                ]
+                return answers, client.stats()
+            finally:
+                client.close()
+                server.close()
+                thread.join(timeout=5.0)
+
+        cold, cold_stats = serve_all()
+        warm, warm_stats = serve_all()
+        assert [a["result"] for a in warm] == [a["result"] for a in cold]
+        assert [a["cache"] for a in cold] == ["computed"] * 32
+        assert [a["cache"] for a in warm] == ["store"] * 32
+        # 24 evaluates + 8 × (base + 400 draws) points, all on the cold
+        # pass; the warm pass reads 32 rows and prices nothing.
+        assert cold_stats["engine"]["points_evaluated"] == 3232
+        assert (warm_stats["store"]["hits"], warm_stats["store"]["misses"]) \
+            == (32, 0)
+        assert warm_stats["dispatcher"]["computed"] == 0
+        assert set(warm_stats["engine"].values()) == {0}
 
 
 class TestBatchAndSweep:

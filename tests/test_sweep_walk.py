@@ -194,6 +194,39 @@ def test_library_sweep_matches_the_pins(study):
     assert study_outcome(study) == PINNED_STUDIES[study]
 
 
+def walk_refusals(tmp_path, reference) -> list:
+    """The error payload of every design-space walk of ``reference``:
+    local sweeps, optimize and search, then served sweep and optimize."""
+    local = []
+    with Session() as session:
+        for study in (
+            lambda: session.sweep(reference, integrations=["2d"]),
+            lambda: session.sweep(reference, integrations=["mcm"]),
+            lambda: session.optimize(reference, max_configs=4),
+        ):
+            with pytest.raises(ReferenceDesignError) as caught:
+                study()
+            local.append(error_payload(caught.value))
+    for study in (
+        lambda: sweep_integrations(reference, ["2d"]),
+        lambda: search_designs(reference),
+    ):
+        with pytest.raises(ReferenceDesignError) as caught:
+            study()
+        local.append(error_payload(caught.value))
+    served = []
+    with served_session(tmp_path / "served.sqlite3") as session:
+        for study in (
+            lambda: session.sweep(reference, integrations=["2d"]),
+            lambda: session.optimize(reference, max_configs=4),
+        ):
+            with pytest.raises(ServiceError) as caught:
+                study()
+            assert caught.value.status == 400
+            served.append(caught.value.payload)
+    return local + served
+
+
 def test_every_walk_refuses_a_multi_die_reference_alike(tmp_path):
     """A sweep asking only for ``2d`` used to price a multi-die
     reference as if it were 2D; every walk now refuses it with one
@@ -205,34 +238,23 @@ def test_every_walk_refuses_a_multi_die_reference_alike(tmp_path):
                    "'ORIN_2D_mcm_homog' has 2 dies",
         "field": "design",
     }
-    local = []
-    with Session() as session:
-        for study in (
-            lambda: session.sweep(pair, integrations=["2d"]),
-            lambda: session.sweep(pair, integrations=["mcm"]),
-            lambda: session.optimize(pair, max_configs=4),
-        ):
-            with pytest.raises(ReferenceDesignError) as caught:
-                study()
-            local.append(error_payload(caught.value))
-    for study in (
-        lambda: sweep_integrations(pair, ["2d"]),
-        lambda: search_designs(pair),
-    ):
-        with pytest.raises(ReferenceDesignError) as caught:
-            study()
-        local.append(error_payload(caught.value))
-    served = []
-    with served_session(tmp_path / "served.sqlite3") as session:
-        for study in (
-            lambda: session.sweep(pair, integrations=["2d"]),
-            lambda: session.optimize(pair, max_configs=4),
-        ):
-            with pytest.raises(ServiceError) as caught:
-                study()
-            assert caught.value.status == 400
-            served.append(caught.value.payload)
-    assert local + served == [expected] * 7
+    assert walk_refusals(tmp_path, pair) == [expected] * 7
+
+
+def test_every_walk_refuses_an_area_specified_reference_alike(tmp_path):
+    """The split factories need a gate count: search and ``/optimize``
+    used to drop every split of a reference given by area and answer
+    its 2D point alone. Every walk now refuses it like a multi-die one."""
+    by_area = ChipDesign.planar_2d(
+        "by_area", "7nm", area_mm2=400.0, throughput_tops=254.0
+    )
+    expected = {
+        "type": "ReferenceDesignError",
+        "message": "design must be a gate-count-specified 2D reference "
+                   "to split, 'by_area' gives its die by area",
+        "field": "design",
+    }
+    assert walk_refusals(tmp_path, by_area) == [expected] * 7
 
 
 if __name__ == "__main__":  # pragma: no cover - regenerates the pins
