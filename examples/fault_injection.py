@@ -3,16 +3,13 @@
 Walks the resilience catalog end to end with seeded
 :class:`repro.resilience.FaultPlan` rules:
 
-1. a forked Monte-Carlo worker is **crashed mid-shard** — the parent
-   reassigns the lost shard and the 300-draw distribution still matches
-   the serial run bit for bit;
-2. the result store's database is **corrupted mid-operation** — it
+1. the result store's database is **corrupted mid-operation** — it
    quarantines the file aside to ``.corrupt`` and rebuilds, answering
    with a recompute instead of an error;
-3. an HTTP server is given a **slow engine and a one-request admission
+2. an HTTP server is given a **slow engine and a one-request admission
    gate** — a concurrent request is shed with 503 + Retry-After, and a
    deadline-carrying request gets a typed 504 ``EvaluationTimeout``;
-4. the client's **circuit breaker** opens on the shed streak and fails
+3. the client's **circuit breaker** opens on the shed streak and fails
    fast without touching the socket.
 
 Everything is deterministic: same plan + same call sequence = same
@@ -26,37 +23,12 @@ import threading
 import time
 from pathlib import Path
 
-from repro import ChipDesign
-from repro.analysis.uncertainty import monte_carlo
-from repro.engine import BatchEvaluator
-from repro.engine.parallel import fork_available
 from repro.resilience import CircuitBreaker, CircuitOpenError, FaultPlan
 from repro.service import ServiceClient, ServiceError, make_server
 from repro.service.store import ResultStore
 
-design = ChipDesign.planar_2d("fault_demo", "14nm", area_mm2=100.0)
-
-# 1. Worker-crash recovery: kill forked worker 1 on its first item.
-print("1. worker crash mid-Monte-Carlo")
-serial = monte_carlo(design, samples=300, seed=7)
-if fork_available():
-    crashy = BatchEvaluator(faults=FaultPlan.coerce({
-        "name": "kill-worker-1",
-        "rules": [{"site": "worker.item", "action": "crash", "worker": 1}],
-    }))
-    recovered = monte_carlo(
-        design, samples=300, seed=7, evaluator=crashy,
-        workers=4, worker_mode="process",
-    )
-    identical = recovered.samples_kg == serial.samples_kg
-    print(f"   shards recovered : {crashy.stats.worker_shards_recovered}")
-    print(f"   bit-identical    : {identical}")
-    assert identical and crashy.stats.worker_shards_recovered == 1
-else:  # pragma: no cover - non-POSIX fallback
-    print("   (skipped: this platform has no os.fork)")
-
-# 2. Store self-healing: corrupt the database on the second put.
-print("2. store corruption mid-write")
+# 1. Store self-healing: corrupt the database on the second put.
+print("1. store corruption mid-write")
 store_dir = Path(tempfile.mkdtemp(prefix="carbon3d_faults_"))
 store = ResultStore(str(store_dir / "store.sqlite3"), faults=FaultPlan.coerce({
     "rules": [{"site": "store.put", "action": "error", "error": "sqlite",
@@ -70,8 +42,8 @@ print(f"   write survived   : {store.get('second')!r}")
 assert store.quarantined == 1 and store.get("second") is not None
 store.close()
 
-# 3. Overload shedding + deadlines over real HTTP.
-print("3. overloaded server: 503 + Retry-After, typed 504 deadlines")
+# 2. Overload shedding + deadlines over real HTTP.
+print("2. overloaded server: 503 + Retry-After, typed 504 deadlines")
 server = make_server(
     max_inflight=1, queue_wait_s=0.02, retry_after_s=1.0,
     faults={"rules": [{"site": "dispatcher.compute", "action": "delay",
@@ -95,7 +67,7 @@ except ServiceError as error:
           f"Retry-After {error.retry_after_s:.0f}s")
     assert error.status == 503
 
-# 4. The breaker opened on that shed; the retry fails fast, socketless.
+# 3. The breaker opened on that shed; the retry fails fast, socketless.
 try:
     client.evaluate(dict(payload, name="shed_me"))
 except CircuitOpenError as error:

@@ -45,9 +45,10 @@ fingerprints* — tuples of the frozen records a stage actually reads
   :class:`repro.uncertainty.plan.PerturbationPlan`, and evaluates draws in
   chunks through the memoized pipeline — ``transient`` points never grow
   the caches;
-* an opt-in ``workers=`` mode spreads large grids over a thread pool,
-  and ``workers="process"`` over forked process workers (true, GIL-free
-  parallelism, sized to the usable CPUs).
+* evaluation is serial on the caller's thread: a point costs
+  microseconds, so the speed comes from the memo layers and the
+  vectorized grid core, not from worker processes. One evaluator may be
+  shared across threads (the service's request threads share one).
 
 Engine results are bit-identical to the scalar :class:`CarbonModel`
 path; ``tests/test_full_size_equivalence.py`` checks that at full study

@@ -118,24 +118,19 @@ def monte_carlo(
     samples: int = 200,
     seed: int = DEFAULT_SEED,
     evaluator=None,
-    chunk_size: int | None = None,
-    workers: "int | str | None" = None,
-    worker_mode: "str | None" = None,
     backend=None,
 ) -> UncertaintyResult:
     """Propagate parameter uncertainty into the total-carbon distribution.
 
     Pass an existing :class:`repro.engine.BatchEvaluator` to share caches
-    with other studies of the same design space. ``workers`` /
-    ``worker_mode`` fan the draws over thread or forked process workers
-    (``workers="process"`` for short — bit-identical, see
+    with other studies of the same design space (the draws run through
     :func:`repro.engine.montecarlo.monte_carlo_totals`); ``backend``
     prices the draws under any registered carbon backend instead of
     3D-Carbon — and, when ``factors`` is omitted, draws from that
     backend's own factor set.
     """
     from ..engine import BatchEvaluator
-    from ..engine.montecarlo import DEFAULT_CHUNK_SIZE, monte_carlo_totals
+    from ..engine.montecarlo import monte_carlo_totals
     from ..uncertainty.plan import PerturbationPlan
 
     if samples < 2:
@@ -153,11 +148,7 @@ def monte_carlo(
     multipliers = plan.draw(samples, seed)
     draws = monte_carlo_totals(
         design, plan, multipliers, workload, params, fab_location,
-        evaluator,
-        chunk_size=chunk_size if chunk_size is not None else DEFAULT_CHUNK_SIZE,
-        workers=workers,
-        worker_mode=worker_mode,
-        backend=backend,
+        evaluator, backend=backend,
     )
     return UncertaintyResult(samples_kg=tuple(draws), base_kg=base)
 

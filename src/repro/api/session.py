@@ -55,10 +55,9 @@ class Session:
 
     ``executor="local"`` (default) owns a
     :class:`~repro.engine.BatchEvaluator` behind a
-    :class:`~repro.service.dispatcher.Dispatcher` (pass ``workers=`` /
-    ``worker_mode=`` to parallelize batches, ``store_path=`` for a
-    persistent result store, or ``evaluator=`` to share an existing
-    engine's caches). ``executor="service"`` speaks to a running
+    :class:`~repro.service.dispatcher.Dispatcher` (pass ``store_path=``
+    for a persistent result store, or ``evaluator=`` to share an
+    existing engine's caches). ``executor="service"`` speaks to a running
     ``carbon3d serve`` at ``url`` (``token=`` for authenticated
     servers; ``timeout``/``retries`` tune the HTTP client).
 
@@ -85,8 +84,6 @@ class Session:
         backend: "str | None" = None,
         params: "ParameterSet | None" = None,
         fab_location: "str | float" = "taiwan",
-        workers: "int | str | None" = None,
-        worker_mode: "str | None" = None,
         store_path: "str | None" = None,
         max_entries: int = 100_000,
         timeout: float = 60.0,
@@ -120,8 +117,6 @@ class Session:
                 evaluator = BatchEvaluator(
                     params=params,
                     fab_location=fab_location,
-                    workers=workers,
-                    worker_mode=worker_mode,
                     faults=self._faults,
                 )
             elif params is None:

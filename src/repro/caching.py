@@ -94,8 +94,8 @@ class LRUCache:
         if overflow > 0:
             # The new entry sits at the tail, so the head is always the
             # least-recently-used *other* entry. Concurrent mutators (the
-            # engine's caches are shared across evaluate_many workers and
-            # server threads) may race this loop; losing a race must
+            # engine's caches are shared across the server's request
+            # threads) may race this loop; losing a race must
             # degrade to evicting fewer entries this round — the next
             # insert retries — never to an exception on a valid insert.
             drop = min(max(self.policy.evict_batch, overflow), len(data) - 1)

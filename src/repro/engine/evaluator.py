@@ -20,11 +20,9 @@ points cannot distinguish:
   seeded from the shared resolve memo (its later stages are not
   memoized) — pass ``backend=`` (or set it on an :class:`EvalPoint`)
   to get a uniform :class:`~repro.pipeline.backends.BackendReport`;
-* an opt-in ``workers=`` mode evaluates large grids in chunks on a
-  thread pool (caches are shared; results keep submission order), and
-  ``worker_mode="process"`` (or ``workers="process"``) fans chunks over
-  forked process workers for true parallelism — see
-  :mod:`repro.engine.parallel`;
+* every entry point evaluates serially on the caller's thread; the
+  memo layers are thread-safe, so one evaluator may be shared by
+  concurrent callers (the threaded server's request threads do);
 * :meth:`BatchEvaluator.scoped` hands out a lean request pass for one
   request's points — for callers that already deduplicate and cache
   across requests elsewhere (a store-backed service dispatcher). It has
@@ -42,7 +40,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -65,7 +62,6 @@ from ..pipeline import fingerprint as fp
 from ..pipeline.backends import BackendReport, Repro3DBackend
 from ..pipeline.registry import resolve_backend
 from ..pipeline.stage import EvalContext, PipelineRun
-from .parallel import fork_map, normalize_workers
 
 
 @dataclass(frozen=True)
@@ -104,7 +100,6 @@ class EngineStats:
     structure_hits: int = 0
     structure_misses: int = 0
     points_evaluated: int = 0
-    worker_shards_recovered: int = 0
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -173,23 +168,14 @@ class BatchEvaluator:
         params: ParameterSet | None = None,
         fab_location: "str | float" = "taiwan",
         efficiency_plugin=None,
-        workers: "int | str | None" = None,
-        chunk_size: int = 16,
         cache_limit: int = 4096,
-        worker_mode: str | None = None,
         faults=None,
         point_timeout_s: "float | None" = None,
-        shard_deadline_s: "float | None" = None,
         metrics=None,
     ) -> None:
         self.params = params if params is not None else DEFAULT_PARAMETERS
         self.fab_location = fab_location
         self.efficiency_plugin = efficiency_plugin
-        # Validate the pair eagerly; keep the resolved defaults.
-        self.worker_mode, self.workers = normalize_workers(
-            workers, worker_mode
-        )
-        self.chunk_size = chunk_size
         #: Fault-injection hook set (the process-global injector unless a
         #: plan/injector is passed). ``faults.active`` is False outside
         #: fault tests, so the per-stage hooks cost one attribute read.
@@ -198,16 +184,9 @@ class BatchEvaluator:
             raise ParameterError(
                 f"point_timeout_s must be > 0, got {point_timeout_s}"
             )
-        if shard_deadline_s is not None and shard_deadline_s <= 0:
-            raise ParameterError(
-                f"shard_deadline_s must be > 0, got {shard_deadline_s}"
-            )
         #: Per-point budget for :meth:`evaluate` (cooperative: checked at
         #: point completion, raising the typed ``EvaluationTimeout``).
         self.point_timeout_s = point_timeout_s
-        #: Per-shard read deadline for process workers; an overrunning
-        #: child is killed and its shard recovered in the parent.
-        self.shard_deadline_s = shard_deadline_s
         #: Per-cache entry bound, enforced as LRU eviction — the same
         #: :class:`repro.caching.EvictionPolicy` the persistent service
         #: store applies. Point streams whose keys never repeat (e.g.
@@ -276,15 +255,14 @@ class BatchEvaluator:
         """An evaluator for one request: this configuration, a lean memo.
 
         Yields a :class:`_RequestPass` with the same params, fab location,
-        efficiency plugin, workers, worker mode, chunk size, cache bound,
-        point and shard deadlines, faults and metrics. Its memo layers
-        are plain dicts that start empty and are dropped with it, so
-        repeats *within* the request still share stage results while
-        nothing feeds this evaluator's long-lived layers; it keeps no
-        structural :class:`~repro.core.resolve.ResolveCache`, so it
-        counts no structure hits or misses. On exit the child's counts
-        (recovered worker shards included) are added into this
-        evaluator's :attr:`stats`.
+        efficiency plugin, cache bound, point deadline, faults and
+        metrics. Its memo layers are plain dicts that start empty and
+        are dropped with it, so repeats *within* the request still share
+        stage results while nothing feeds this evaluator's long-lived
+        layers; it keeps no structural
+        :class:`~repro.core.resolve.ResolveCache`, so it counts no
+        structure hits or misses. On exit the child's counts
+        are added into this evaluator's :attr:`stats`.
         """
         child = _RequestPass(self)
         try:
@@ -380,10 +358,6 @@ class BatchEvaluator:
     def _fingerprint(self, rkey, design: ChipDesign, params: ParameterSet):
         """The resolve fingerprint a backend's own stage keys build on."""
         return rkey
-
-    def _on_shard_lost(self, shard: int, reason: str) -> None:
-        """fork_map recovery hook: count reassigned shards in stats."""
-        self._stats.worker_shards_recovered += 1
 
     # -- single-stage access (all memoized) ----------------------------------
 
@@ -773,71 +747,9 @@ class BatchEvaluator:
                 )
         return result
 
-    def evaluate_many(
-        self,
-        points: "list[EvalPoint]",
-        workers: "int | str | None" = None,
-        chunk_size: int | None = None,
-        worker_mode: str | None = None,
-    ) -> list:
-        """Evaluate a batch of points, preserving order.
-
-        With thread workers (``workers`` int > 1, the default mode) the
-        batch is cut into chunks and spread over a thread pool; the
-        shared caches make this safe (a racing miss computes the same
-        value twice, nothing worse). With ``worker_mode="process"`` (or
-        ``workers="process"``) chunks fan over forked process workers —
-        true parallelism for CPU-bound batches; children inherit the
-        warm caches copy-on-write, but their new cache entries (and stats)
-        stay in the child. Results always come back in input order,
-        bit-identical across all three modes.
-        """
-        points = list(points)
-        if workers is None and worker_mode is None:
-            mode, count = self.worker_mode, self.workers
-        else:
-            # Each omitted half of the pair inherits the evaluator's
-            # configuration: an explicit mode keeps the configured
-            # worker count and vice versa.
-            if workers is None and self.workers > 0:
-                workers = self.workers
-            if worker_mode is None and workers != "process":
-                worker_mode = self.worker_mode
-            mode, count = normalize_workers(workers, worker_mode)
-        if count <= 1 or len(points) <= 1:
-            return [self.evaluate(point) for point in points]
-        size = max(1, chunk_size if chunk_size is not None else self.chunk_size)
-        chunks = [points[i:i + size] for i in range(0, len(points), size)]
-
-        def evaluate_chunk(chunk: "list[EvalPoint]") -> list:
-            return [self.evaluate(point) for point in chunk]
-
-        if mode == "process":
-            chunk_results = fork_map(
-                evaluate_chunk,
-                chunks,
-                count,
-                faults=self.faults,
-                shard_deadline_s=self.shard_deadline_s,
-                on_shard_lost=self._on_shard_lost,
-            )
-        else:
-            # One context copy per chunk: pool threads inherit the
-            # caller's trace (a single Context cannot be entered from
-            # two threads at once, so each chunk gets its own).
-            import contextvars
-
-            tasks = [
-                (contextvars.copy_context(), chunk) for chunk in chunks
-            ]
-            with ThreadPoolExecutor(max_workers=count) as pool:
-                chunk_results = list(
-                    pool.map(
-                        lambda task: task[0].run(evaluate_chunk, task[1]),
-                        tasks,
-                    )
-                )
-        return [report for chunk in chunk_results for report in chunk]
+    def evaluate_many(self, points: "list[EvalPoint]") -> list:
+        """Evaluate a batch of points serially, preserving order."""
+        return [self.evaluate(point) for point in points]
 
 
 class _RequestPass(BatchEvaluator):
@@ -851,8 +763,8 @@ class _RequestPass(BatchEvaluator):
     and bandwidth, that plus the fab carbon intensity for embodied, and
     that plus the workload for operational. No fingerprint, LRU layer or
     structural ``ResolveCache`` is built. Stages still run through the
-    :class:`BatchEvaluator` methods, so fault hooks, spans, histograms,
-    point deadlines and worker fan-out are the parent's.
+    :class:`BatchEvaluator` methods, so fault hooks, spans, histograms
+    and point deadlines are the parent's.
     """
 
     def __init__(self, parent: BatchEvaluator) -> None:
@@ -862,13 +774,9 @@ class _RequestPass(BatchEvaluator):
             params=parent.params,
             fab_location=parent.fab_location,
             efficiency_plugin=parent.efficiency_plugin,
-            workers=parent.workers,
-            worker_mode=parent.worker_mode,
-            chunk_size=parent.chunk_size,
             cache_limit=parent.cache_limit,
             faults=parent.faults,
             point_timeout_s=parent.point_timeout_s,
-            shard_deadline_s=parent.shard_deadline_s,
         )
         self.metrics = parent.metrics
         self._stage_hists = parent._stage_hists

@@ -6,9 +6,8 @@ draws every multiplier vectorized (bit-identical to the legacy scalar
 sequence for the default triangular sets) and applies rows through a
 grouped-override fast path. This module keeps the engine-facing loop:
 chunked evaluation of the draws through a memoized
-:class:`~repro.engine.evaluator.BatchEvaluator`, optionally fanned over
-thread or forked process workers, and under any registered carbon
-backend — including per-draw derived backends when the factor set
+:class:`~repro.engine.evaluator.BatchEvaluator`, under any registered
+carbon backend — including per-draw derived backends when the factor set
 carries model-scoped factors (see
 :meth:`repro.pipeline.CarbonBackend.with_model_multipliers`).
 """
@@ -23,7 +22,7 @@ from ..core.operational import Workload
 from ..uncertainty.plan import PerturbationPlan
 from .evaluator import BatchEvaluator
 
-#: Default number of draws evaluated per chunk of the MC loop.
+#: Draws perturbed, then evaluated, per chunk of the MC loop.
 DEFAULT_CHUNK_SIZE = 64
 
 
@@ -35,9 +34,6 @@ def monte_carlo_totals(
     params: ParameterSet,
     fab_location: "str | float",
     evaluator: BatchEvaluator,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    workers: "int | str | None" = None,
-    worker_mode: "str | None" = None,
     backend=None,
 ) -> "list[float]":
     """Total-carbon draw values through the memoized pipeline, in chunks.
@@ -45,39 +41,31 @@ def monte_carlo_totals(
     ``factors`` may be a factor list, a
     :class:`~repro.uncertainty.factors.FactorSet`, or an already-compiled
     :class:`~repro.uncertainty.plan.PerturbationPlan` over ``params``.
-    Each chunk is perturbed as a batch first, then evaluated as a batch:
-    the chunk is the engine's unit of work (and the natural seam the
-    worker modes split on), and keeping the phases separate means a
-    chunk's perturbed parameter sets die together instead of interleaving
-    with evaluation garbage.
+    Each chunk of :data:`DEFAULT_CHUNK_SIZE` draws is perturbed as a
+    batch first, then evaluated as a batch: keeping the phases separate
+    means a chunk's perturbed parameter sets die together instead of
+    interleaving with evaluation garbage.
 
-    ``workers``/``worker_mode`` mirror :meth:`BatchEvaluator.
-    evaluate_many`: thread chunks share the evaluator's caches;
-    ``"process"`` fans chunks over forked workers (each child inherits
-    the warm caches copy-on-write and evaluates its contiguous slice of
-    draws). ``backend`` prices the draws under any registered
+    ``backend`` prices the draws under any registered
     :class:`repro.pipeline.CarbonBackend` instead of 3D-Carbon; factor
     sets with model-scoped factors derive a per-draw backend instance
-    through ``with_model_multipliers``. All paths return the draw totals
-    in row order, bit-identical to the serial loop.
+    through ``with_model_multipliers``. The draw totals come back in row
+    order.
     """
-    from .parallel import fork_map, normalize_workers
-
     plan = (
         factors if isinstance(factors, PerturbationPlan)
         else PerturbationPlan(factors, params)
     )
-    size = max(1, chunk_size)
     # One bulk conversion to Python floats (bit-exact): per-row numpy
     # scalar indexing costs more than the whole perturbation otherwise.
     rows = np.asarray(multipliers).tolist()
 
-    def evaluate_rows(chunk_rows: "list[list[float]]") -> "list[float]":
+    totals = []
+    for start in range(0, len(rows), DEFAULT_CHUNK_SIZE):
         chunk = [
             (plan.perturbed(row), plan.backend_for(row, backend))
-            for row in chunk_rows
+            for row in rows[start:start + DEFAULT_CHUNK_SIZE]
         ]
-        totals = []
         for perturbed, draw_backend in chunk:
             totals.append(
                 evaluator.backend_total_kg(
@@ -89,24 +77,4 @@ def monte_carlo_totals(
                     transient=True,
                 )
             )
-        return totals
-
-    mode, count = normalize_workers(workers, worker_mode)
-    chunks = [rows[start:start + size] for start in range(0, len(rows), size)]
-    if count <= 1 or len(chunks) <= 1:
-        return [total for chunk in chunks for total in evaluate_rows(chunk)]
-    if mode == "process":
-        chunk_results = fork_map(
-            evaluate_rows,
-            chunks,
-            count,
-            faults=evaluator.faults,
-            shard_deadline_s=evaluator.shard_deadline_s,
-            on_shard_lost=evaluator._on_shard_lost,
-        )
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=count) as pool:
-            chunk_results = list(pool.map(evaluate_rows, chunks))
-    return [total for chunk in chunk_results for total in chunk]
+    return totals

@@ -4,7 +4,7 @@ Three stdlib-only pieces shared by every layer of the stack:
 
 * :mod:`repro.obs.trace` — contextvar-propagated spans with a global
   bounded collector; ``X-Carbon3D-Trace-Id`` correlation from Session
-  through HTTP to forked engine workers. No-ops when no trace is
+  through HTTP to the engine's stage spans. No-ops when no trace is
   active, so library-only use pays nothing.
 * :mod:`repro.obs.metrics` — atomic counters, gauges, and fixed-bucket
   histograms behind a :class:`~repro.obs.metrics.MetricsRegistry` that
@@ -32,7 +32,6 @@ from .trace import (  # noqa: E402
     Span,
     TraceCollector,
     active,
-    adopt_spans,
     collector,
     current_trace_id,
     render_tree,
@@ -52,7 +51,6 @@ __all__ = [
     "Span",
     "TraceCollector",
     "active",
-    "adopt_spans",
     "collector",
     "current_trace_id",
     "logging",

@@ -1,4 +1,4 @@
-"""Lightweight spans: request correlation from Session to forked worker.
+"""Lightweight spans: request correlation from Session to engine stage.
 
 A *trace* is a tree of timed spans sharing one ``trace_id``. The
 :func:`trace` context manager opens (or adopts) a root span and makes it
@@ -13,12 +13,8 @@ The trace id travels:
 * Session → ServiceClient → server as the ``X-Carbon3D-Trace-Id``
   header (:data:`TRACE_HEADER`), echoed back in response envelopes and
   NDJSON stream lines;
-* parent → forked worker implicitly (contextvars survive ``fork``);
-  finished worker spans return over the result pipe via
-  :func:`begin_worker_capture` / :func:`end_worker_capture` in the
-  child and :func:`adopt_spans` in the parent;
-* parent thread → pool thread via ``contextvars.copy_context()`` in
-  ``BatchEvaluator.evaluate_many``.
+* request handler → engine stages implicitly: the engine evaluates on
+  the caller's thread, so its stage spans open under the current span.
 
 Finished spans are recorded in a process-global, bounded
 :class:`TraceCollector`; :func:`stage_breakdown` aggregates per-stage
@@ -37,11 +33,6 @@ TRACE_HEADER = "X-Carbon3D-Trace-Id"
 
 _current: "contextvars.ContextVar[Span | None]" = contextvars.ContextVar(
     "carbon3d_span", default=None
-)
-# When set (in a forked worker), finished spans append here instead of
-# the global collector, so the child can ship them over the result pipe.
-_capture: "contextvars.ContextVar[list | None]" = contextvars.ContextVar(
-    "carbon3d_span_capture", default=None
 )
 
 
@@ -81,30 +72,6 @@ class Span:
 
     def finish(self) -> None:
         self.duration_s = time.perf_counter() - self._t0
-
-    def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "name": self.name,
-            "attrs": self.attrs,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Span":
-        span = cls.__new__(cls)
-        span.trace_id = data["trace_id"]
-        span.span_id = data["span_id"]
-        span.parent_id = data.get("parent_id")
-        span.name = data["name"]
-        span.attrs = data.get("attrs") or {}
-        span.start_s = data.get("start_s", 0.0)
-        span.duration_s = data.get("duration_s", 0.0)
-        span._t0 = 0.0
-        return span
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -149,14 +116,6 @@ class TraceCollector:
 collector = TraceCollector()
 
 
-def _record(span: Span) -> None:
-    sink = _capture.get()
-    if sink is not None:
-        sink.append(span)
-    else:
-        collector.record(span)
-
-
 class _SpanContext:
     """Context manager entering ``span`` as the current span."""
 
@@ -175,7 +134,7 @@ class _SpanContext:
         if exc_type is not None:
             self.span.attrs.setdefault("error", exc_type.__name__)
         _current.reset(self._token)
-        _record(self.span)
+        collector.record(self.span)
         return False
 
 
@@ -230,33 +189,6 @@ def current_trace_id() -> "str | None":
 def active() -> bool:
     """Whether a trace is currently active in this context."""
     return _current.get() is not None
-
-
-# -- forked-worker span shipping ---------------------------------------------
-
-
-def begin_worker_capture() -> "list[Span]":
-    """Redirect finished spans into a list (called in a forked child).
-
-    The child inherited the parent's context across ``fork``, so spans
-    it opens already carry the right trace/parent ids — they just must
-    not be recorded into the child's (soon to be discarded) collector.
-    """
-    sink: "list[Span]" = []
-    _capture.set(sink)
-    return sink
-
-
-def end_worker_capture(sink: "list[Span]") -> "list[dict]":
-    """Stop capturing; return the spans as pipe-ready dicts."""
-    _capture.set(None)
-    return [span.to_dict() for span in sink]
-
-
-def adopt_spans(span_dicts: "list[dict]") -> None:
-    """Record spans shipped back from a worker into this process."""
-    for data in span_dicts:
-        collector.record(Span.from_dict(data))
 
 
 # -- reporting ---------------------------------------------------------------

@@ -14,9 +14,8 @@ native result (``LifecycleReport``, ``ActEstimate``, ...) rides along as
 returns for the same inputs — the parity tests pin this.
 
 Stage functions live at module level and take only picklable values, so
-the engine can memoize them on fingerprints, the service store can
-persist their composition across processes, and forked process workers
-can evaluate them in parallel.
+the engine can memoize them on fingerprints and the service store can
+persist their composition across processes.
 """
 
 from __future__ import annotations

@@ -4,9 +4,8 @@ Every carbon backend — 3D-Carbon itself and each Sec. 4 baseline — is a
 sequence of :class:`Stage` records. A stage is a *pure, module-level
 function over picklable inputs*: the function identity plus its input
 fingerprint fully determine the output, which is what lets the batch
-engine memoize per-(backend, stage), the service store persist results
-across processes, and the process-pool workers evaluate stages in forked
-children with bit-identical results.
+engine memoize per-(backend, stage) and the service store persist
+results across processes with bit-identical results.
 
 :class:`PipelineRun` executes one backend over one :class:`EvalContext`,
 lazily and in dependency order, recording per-stage outputs *and* the
@@ -32,8 +31,8 @@ from ..obs import trace as obs_trace
 class Stage:
     """One pure step of a backend's evaluation pipeline.
 
-    ``fn`` must be a module-level function (picklable, so process workers
-    and future distributed runners can ship stages by reference); ``uses``
+    ``fn`` must be a module-level function (picklable, so a distributed
+    runner could ship stages by reference); ``uses``
     names the stages whose outputs feed it, in order. The backend supplies
     the concrete argument tuple and the fingerprint key — the stage record
     itself only declares structure.

@@ -4,16 +4,16 @@ The package has three small parts:
 
 * :mod:`repro.resilience.faults` — the seedable :class:`FaultPlan` /
   :class:`FaultInjector` framework naming injection points at the
-  stage, store, transport and worker layers;
+  stage, engine, store, service and transport layers;
 * :mod:`repro.resilience.deadline` — cooperative :class:`Deadline`
   budgets raising the typed
   :class:`~repro.errors.EvaluationTimeout`;
 * :mod:`repro.resilience.breaker` — the service client's
   :class:`CircuitBreaker`.
 
-The recovery paths these exercise live where the work happens (the fork
-map's shard reassignment, the store's quarantine-and-rebuild, the
-server's admission gate and graceful drain) — this package only provides
+The recovery paths these exercise live where the work happens (the
+store's quarantine-and-rebuild, the server's admission gate and
+graceful drain) — this package only provides
 the deterministic way to make them fire in CI.
 """
 

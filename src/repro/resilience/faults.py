@@ -1,13 +1,12 @@
 """Deterministic, seedable fault injection for the whole stack.
 
 A :class:`FaultPlan` names **injection points** (sites) at the stage,
-store, transport and worker layers and describes what should go wrong
-there — an injected error, a delay, or a hard worker crash — and
-*when*: after the Nth hit, for M firings, with a (seeded, deterministic)
-probability. The recovery machinery this exercises lives next to each
-site: the fork map reassigns crashed shards, the store quarantines and
-rebuilds corrupt files, the dispatcher enforces deadlines, the client
-breaks the circuit.
+engine, store, service and transport layers and describes what should
+go wrong there — an injected error or a delay — and *when*: after the
+Nth hit, for M firings, with a (seeded, deterministic) probability. The recovery
+machinery this exercises lives next to each site: the store quarantines
+and rebuilds corrupt files, the dispatcher enforces deadlines, the
+client breaks the circuit.
 
 Plans activate three ways, all reaching the same injector:
 
@@ -25,7 +24,7 @@ plan is installed, so production paths pay (almost) nothing.
 Sites (see :data:`FAULT_SITES`)::
 
     stage.resolve  stage.embodied  stage.bandwidth  stage.operational
-    engine.point   worker.item
+    engine.point
     store.open     store.get       store.put        store.close
     store.usage    store.stats     store.clear
     dispatcher.compute             server.request   transport.request
@@ -59,7 +58,6 @@ FAULT_SITES = (
     "stage.operational",
     # engine layer
     "engine.point",      # before each EvalPoint evaluation
-    "worker.item",       # in a forked child, before each work item
     # store layer
     "store.open", "store.get", "store.put", "store.close",
     "store.usage", "store.stats", "store.clear",
@@ -93,21 +91,16 @@ class FaultRule:
 
     ``after`` skips the first N hits at the site; ``times`` bounds how
     often the rule fires (``None`` = forever); ``probability`` gates each
-    eligible hit through the plan's seeded RNG. ``worker`` restricts the
-    rule to one process-worker index (0 is the parent; forked children
-    count from 1) — the handle that lets a test kill exactly one shard
-    of a parallel map.
+    eligible hit through the plan's seeded RNG.
     """
 
     site: str
-    action: str = "error"          # "error" | "delay" | "crash"
+    action: str = "error"          # "error" | "delay"
     after: int = 0
     times: "int | None" = 1
     probability: float = 1.0
     delay_s: float = 0.0
     error: str = "fault"
-    exit_code: int = 137           # crash: SIGKILL's conventional status
-    worker: "int | None" = None
     message: str = ""
 
     def __post_init__(self) -> None:
@@ -118,9 +111,9 @@ class FaultRule:
                 f"unknown fault site {self.site!r}; known sites: "
                 f"{', '.join(FAULT_SITES)}"
             )
-        if self.action not in ("error", "delay", "crash"):
+        if self.action not in ("error", "delay"):
             raise ParameterError(
-                f"fault action must be error/delay/crash, got {self.action!r}"
+                f"fault action must be error/delay, got {self.action!r}"
             )
         if self.error not in ERROR_KINDS:
             raise ParameterError(
@@ -152,10 +145,6 @@ class FaultRule:
             data["delay_s"] = self.delay_s
         if self.error != "fault":
             data["error"] = self.error
-        if self.exit_code != 137:
-            data["exit_code"] = self.exit_code
-        if self.worker is not None:
-            data["worker"] = self.worker
         if self.message:
             data["message"] = self.message
         return data
@@ -250,21 +239,6 @@ class FaultPlan:
         )
 
 
-# -- worker identity ----------------------------------------------------------
-
-_worker_index = 0
-
-
-def set_worker_index(index: int) -> None:
-    """Tag this process's worker identity (forked children count from 1)."""
-    global _worker_index
-    _worker_index = index
-
-
-def current_worker_index() -> int:
-    return _worker_index
-
-
 # -- the injector -------------------------------------------------------------
 
 @dataclass
@@ -273,7 +247,6 @@ class FiredFault:
 
     site: str
     action: str
-    worker: int
     rule_index: int
     at_s: float = field(default_factory=time.monotonic)
 
@@ -308,16 +281,13 @@ class FaultInjector:
             self.fired = []
 
     def hit(self, site: str) -> None:
-        """Evaluate one hit at ``site``; may sleep, raise, or exit hard."""
+        """Evaluate one hit at ``site``; may sleep or raise."""
         if not self.active:
             return
-        worker = _worker_index
-        to_fire: "list[tuple[int, FaultRule]]" = []
+        to_fire: "list[FaultRule]" = []
         with self._lock:
             for index, rule in enumerate(self._plan.rules):
                 if rule.site != site:
-                    continue
-                if rule.worker is not None and rule.worker != worker:
                     continue
                 self._hits[index] += 1
                 if self._hits[index] <= rule.after:
@@ -331,17 +301,15 @@ class FaultInjector:
                     continue
                 self._count[index] += 1
                 self.fired.append(
-                    FiredFault(site, rule.action, worker, index)
+                    FiredFault(site, rule.action, index)
                 )
-                to_fire.append((index, rule))
+                to_fire.append(rule)
         # Act outside the lock: sleeps and raises must not serialize
-        # unrelated hits (and an exit needs no lock at all).
-        for _, rule in to_fire:
+        # unrelated hits.
+        for rule in to_fire:
             if rule.action == "delay":
                 time.sleep(rule.delay_s)
-        for _, rule in to_fire:
-            if rule.action == "crash":
-                os._exit(rule.exit_code)
+        for rule in to_fire:
             if rule.action == "error":
                 message = rule.message or (
                     f"injected {rule.error} fault at {site}"

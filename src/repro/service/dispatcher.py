@@ -362,11 +362,6 @@ class Dispatcher:
             "Points computed by the engine (cache misses at point level)",
             fn=lambda: self.evaluator.stats.points_evaluated,
         )
-        registry.counter(
-            "carbon3d_worker_shards_recovered_total",
-            "Worker shards recomputed inline after a process-worker crash",
-            fn=lambda: self.evaluator.stats.worker_shards_recovered,
-        )
         registry.gauge(
             "carbon3d_breakers_open",
             "Live circuit breakers in this process not fully closed",

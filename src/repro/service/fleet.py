@@ -10,9 +10,8 @@ listen backlog until a worker accepts.
 
 **Supervision.** The parent never serves; it watches its children with
 per-pid ``waitpid(WNOHANG)`` polls (never ``waitpid(-1)``, which would
-steal the engine's ``fork_map`` children) and refills a dead slot with a
-fresh fork, reusing the kill-and-reap discipline of
-:mod:`repro.engine.parallel`. Restarts stop once shutdown begins.
+steal children forked elsewhere in the process) and refills a dead slot
+with a fresh fork. Restarts stop once shutdown begins.
 
 **Shutdown.** :meth:`close` fans SIGTERM out to every worker; each
 worker's handler triggers the existing graceful drain (stop admitting,
@@ -39,8 +38,24 @@ import threading
 import time
 import traceback
 
-from ..engine.parallel import default_worker_count, fork_available
 from .server import CarbonService
+
+#: Upper bound on ``--workers auto`` (past a point more workers only
+#: add contention for the shared socket and store).
+MAX_DEFAULT_WORKERS = 8
+
+
+def default_worker_count() -> int:
+    """Workers for ``--workers auto``: the usable CPU count.
+
+    Respects the scheduler affinity mask (container CPU limits), capped
+    at :data:`MAX_DEFAULT_WORKERS`. On a single-CPU host this is 1.
+    """
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        usable = os.cpu_count() or 1
+    return max(1, min(MAX_DEFAULT_WORKERS, usable))
 
 
 def resolve_worker_count(workers) -> int:
@@ -66,7 +81,7 @@ class ServiceFleet:
         backlog: int = 128,
         **server_kwargs,
     ) -> None:
-        if not fork_available():  # pragma: no cover - POSIX-only repo
+        if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only repo
             raise RuntimeError("ServiceFleet requires os.fork (POSIX)")
         self.host = host
         self.port = port
@@ -169,7 +184,7 @@ class ServiceFleet:
 
         Returns the indices restarted this call. Per-pid
         ``waitpid(WNOHANG)`` keeps this safe to run from a thread in a
-        process that also forks ``fork_map`` children elsewhere.
+        process that also forks children elsewhere.
         """
         with self._lock:
             entries = list(self.pids.items())

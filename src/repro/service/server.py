@@ -528,8 +528,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
         The root span adopts an incoming ``X-Carbon3D-Trace-Id`` header
         (client-chosen correlation) or mints a fresh id; every span the
-        handler opens below — dispatcher, store, engine stages, even
-        forked workers — lands in the same trace, and the id is echoed
+        handler opens below — dispatcher, store, engine stages — lands
+        in the same trace, and the id is echoed
         in the response envelope by :meth:`_send_json`.
         """
         server = self.server

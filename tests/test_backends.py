@@ -3,9 +3,8 @@
 The refactor's contract: every registered carbon backend produces
 *bit-identical* results through the protocol versus its pre-refactor
 direct module API, and the batch engine's memoized backend path matches
-both. The Sec. 4 comparison study and the worker modes ride on that
-guarantee, so it is pinned here exactly (``==`` on floats, never
-``approx``).
+both. The Sec. 4 comparison study rides on that guarantee, so it is
+pinned here exactly (``==`` on floats, never ``approx``).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.core.model import CarbonModel
 from repro.core.operational import Workload
 from repro.core.resolve import resolve_design
 from repro.engine import BatchEvaluator, EvalPoint
-from repro.errors import BackendError, ParameterError
+from repro.errors import BackendError
 from repro.pipeline import (
     BackendReport,
     EvalContext,
@@ -93,7 +92,7 @@ class TestPipelineIntrospection:
             assert stages[0] == "resolve" and len(stages) == 2
 
     def test_stage_fns_are_module_level(self):
-        """Every stage fn must be picklable by reference (process workers)."""
+        """Every stage fn must be picklable by reference."""
         import pickle
 
         for name in backend_names():
@@ -245,61 +244,6 @@ class TestEngineEquivalence:
         evaluator = BatchEvaluator(params=PARAMS)
         with pytest.raises(BackendError):
             evaluator.evaluate(EvalPoint(design=hybrid_stack, backend="nope"))
-
-
-class TestWorkerModes:
-    def test_evaluate_many_modes_bit_identical(self, orin_2d, av_workload):
-        evaluator = BatchEvaluator(params=PARAMS)
-        points = [
-            EvalPoint(
-                design=orin_2d, workload=av_workload, fab_location=location,
-                backend=backend,
-            )
-            for location in ("iceland", "usa", "taiwan", "india")
-            for backend in BUILTIN
-        ]
-        serial = evaluator.evaluate_many(points)
-        threaded = evaluator.evaluate_many(points, workers=2)
-        forked = evaluator.evaluate_many(
-            points, workers=2, worker_mode="process"
-        )
-        assert [r.to_dict() for r in serial] \
-            == [r.to_dict() for r in threaded] \
-            == [r.to_dict() for r in forked]
-
-    def test_workers_process_sugar(self, orin_2d, av_workload):
-        evaluator = BatchEvaluator(params=PARAMS)
-        points = [
-            EvalPoint(design=orin_2d, workload=av_workload,
-                      fab_location=location)
-            for location in ("france", "taiwan")
-        ]
-        sugar = evaluator.evaluate_many(points, workers="process")
-        assert [r.total_kg for r in sugar] \
-            == [r.total_kg for r in evaluator.evaluate_many(points)]
-
-    def test_worker_mode_validation(self):
-        with pytest.raises(ParameterError):
-            BatchEvaluator(worker_mode="fiber")
-        with pytest.raises(ParameterError):
-            BatchEvaluator(workers="process", worker_mode="thread")
-
-    def test_child_exception_propagates(self):
-        from repro.engine.parallel import fork_map
-
-        def explode(value):
-            if value == 3:
-                raise ValueError("boom in child")
-            return value
-
-        with pytest.raises(ValueError, match="boom in child"):
-            fork_map(explode, [0, 1, 2, 3], 2)
-
-    def test_fork_map_preserves_order(self):
-        from repro.engine.parallel import fork_map
-
-        items = list(range(23))
-        assert fork_map(lambda x: x * x, items, 3) == [x * x for x in items]
 
 
 class TestCompareBackends:

@@ -1,6 +1,8 @@
 """Batch engine: equivalence with the scalar path, memo behaviour, caches."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -358,21 +360,94 @@ def test_cache_limit_bounds_every_engine_cache(reference, workload):
     assert len(evaluator.resolve_cache.die_fast) <= limit
 
 
-def test_evaluate_many_workers_match_sequential(reference, workload):
+def test_threads_sharing_one_evaluator_match_a_serial_one(reference, workload):
+    """The threaded server's request threads share one evaluator: its memo
+    layers, structural sub-cache and interning tables must stay correct
+    under contention. A bound of 2 makes nearly every insert evict, so
+    the eviction loop races too."""
     designs = [reference] + [
         ChipDesign.homogeneous_split(reference, name)
-        for name in ("hybrid_3d", "mcm", "emib")
+        for name in ("hybrid_3d", "mcm", "emib", "m3d")
     ]
-    points = [
-        EvalPoint(design=d, fab_location=loc, workload=workload)
-        for d in designs for loc in ("taiwan", "usa")
+    locations = ("taiwan", "usa", "iceland", 300.0)
+    cases = [(d, loc) for d in designs for loc in locations]
+    serial = BatchEvaluator()
+    expected = [
+        serial.report(d, workload=workload, fab_location=loc).to_dict()
+        for d, loc in cases
     ]
-    sequential = BatchEvaluator().evaluate_many(points)
-    threaded = BatchEvaluator().evaluate_many(points, workers=3, chunk_size=2)
-    assert [r.total_kg for r in threaded] == [r.total_kg for r in sequential]
-    assert [r.design_name for r in threaded] == [
-        r.design_name for r in sequential
-    ]
+    shared = BatchEvaluator(cache_limit=2)
+    threads, steps, wrong = 8, 400, []
+
+    def hammer(worker: int) -> None:
+        for step in range(steps):
+            index = (worker * 5 + step) % len(cases)
+            design, location = cases[index]
+            try:
+                if (worker + step) % 2:
+                    got = shared.report(
+                        design, workload=workload, fab_location=location
+                    )
+                else:
+                    got = shared.evaluate(EvalPoint(
+                        design=design, fab_location=location,
+                        workload=workload,
+                    ))
+            except Exception as error:  # a race must not raise either
+                wrong.append((worker, step, error))
+                continue
+            if got.to_dict() != expected[index]:
+                wrong.append((worker, step))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hammer, args=(index,))
+                   for index in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert not wrong
+
+
+REMOVED_FAN_OUT_OPTIONS = [
+    ("BatchEvaluator", "workers", 2),
+    ("BatchEvaluator", "worker_mode", "process"),
+    ("BatchEvaluator", "chunk_size", 8),
+    ("BatchEvaluator", "shard_deadline_s", 1.0),
+    ("evaluate_many", "workers", "process"),
+    ("evaluate_many", "worker_mode", "thread"),
+    ("evaluate_many", "chunk_size", 8),
+    ("monte_carlo", "workers", 2),
+    ("monte_carlo", "worker_mode", "process"),
+    ("monte_carlo", "chunk_size", 8),
+    ("Session", "workers", 2),
+    ("Session", "worker_mode", "process"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, option, value", REMOVED_FAN_OUT_OPTIONS,
+    ids=[f"{entry}-{option}" for entry, option, _ in REMOVED_FAN_OUT_OPTIONS],
+)
+def test_removed_fan_out_options_are_refused(reference, entry, option, value):
+    """Every entry point evaluates serially on the caller's thread. A
+    caller still passing a fan-out knob gets a TypeError naming it, not
+    a run that silently ignores it."""
+    calls = {
+        "BatchEvaluator": lambda **kw: BatchEvaluator(**kw),
+        "evaluate_many": lambda **kw: BatchEvaluator().evaluate_many(
+            [EvalPoint(design=reference)], **kw
+        ),
+        "monte_carlo": lambda **kw: monte_carlo(reference, samples=2, **kw),
+        "Session": lambda **kw: Session(**kw),
+    }
+    with pytest.raises(TypeError, match=option):
+        calls[entry](**{option: value})
 
 
 # -- satellite caches --------------------------------------------------------

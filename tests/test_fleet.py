@@ -31,7 +31,12 @@ import pytest
 
 from repro.service.client import ServiceClient
 from repro.service.dispatcher import Dispatcher
-from repro.service.fleet import ServiceFleet, resolve_worker_count
+from repro.service.fleet import (
+    MAX_DEFAULT_WORKERS,
+    ServiceFleet,
+    default_worker_count,
+    resolve_worker_count,
+)
 from repro.service.loadgen import run_load
 from repro.service.server import CarbonService
 from repro.service.schema import parse_evaluate_request
@@ -345,6 +350,31 @@ class TestSupervision:
         assert resolve_worker_count(None) >= 1
         with pytest.raises(ValueError):
             resolve_worker_count(0)
+
+    @pytest.mark.parametrize("usable, expected", [
+        (1, 1), (3, 3), (MAX_DEFAULT_WORKERS, MAX_DEFAULT_WORKERS),
+        (64, MAX_DEFAULT_WORKERS),
+    ])
+    def test_auto_workers_follow_the_affinity_mask(
+        self, monkeypatch, usable, expected
+    ):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(usable)),
+            raising=False,
+        )
+        assert default_worker_count() == expected
+        assert resolve_worker_count("auto") == expected
+
+    @pytest.mark.parametrize("cpus, expected", [
+        (None, 1), (2, 2), (32, MAX_DEFAULT_WORKERS),
+    ])
+    def test_auto_workers_fall_back_to_the_cpu_count(
+        self, monkeypatch, cpus, expected
+    ):
+        """Platforms without ``sched_getaffinity`` count every CPU."""
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert default_worker_count() == expected
 
 
 class TestLoadHarness:

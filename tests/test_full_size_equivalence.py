@@ -13,8 +13,8 @@ Three studies, at the size an architect runs them:
 Each must equal the *naive* path bit for bit: one fresh
 :class:`~repro.core.model.CarbonModel` per point, with every module-level
 cache cleared before it. The Monte Carlo must also equal the scalar
-reference and both opt-in worker modes; the vectorized grid must equal
-the scalar engine on every point, errors included.
+reference; the vectorized grid must equal the scalar engine on every
+point, errors included.
 
 Nothing here is timed; ``BENCHMARK.json`` and ``perfbench/`` measure
 speed. What is pinned instead is the work that makes the engine fast:
@@ -39,7 +39,6 @@ from repro.core.design import ChipDesign
 from repro.core.model import CarbonModel
 from repro.core.operational import Workload
 from repro.engine import BatchEvaluator, EvalPoint
-from repro.engine.parallel import default_worker_count
 from repro.errors import DesignError, ParameterError
 from repro.rent import davis
 from repro.seeds import DEFAULT_SEED
@@ -82,15 +81,6 @@ def test_monte_carlo_matches_every_path():
         STACKED, factors=FACTORS, workload=WORKLOAD, samples=SAMPLES,
         seed=DEFAULT_SEED,
     )
-    threads = monte_carlo(
-        STACKED, factors=FACTORS, workload=WORKLOAD, samples=SAMPLES,
-        seed=DEFAULT_SEED, workers=max(2, default_worker_count()),
-        worker_mode="thread",
-    )
-    processes = monte_carlo(
-        STACKED, factors=FACTORS, workload=WORKLOAD, samples=SAMPLES,
-        seed=DEFAULT_SEED, workers="process",
-    )
     rng = np.random.default_rng(DEFAULT_SEED)
     naive_base = naive_report(
         STACKED, DEFAULT_PARAMETERS, "taiwan", WORKLOAD
@@ -108,9 +98,7 @@ def test_monte_carlo_matches_every_path():
 
     assert len(engine.samples_kg) == SAMPLES
     assert engine.samples_kg == tuple(naive_draws) == scalar.samples_kg
-    assert engine.samples_kg == threads.samples_kg == processes.samples_kg
     assert engine.base_kg == naive_base == scalar.base_kg
-    assert engine.base_kg == threads.base_kg == processes.base_kg
 
 
 def test_monte_carlo_work_counts():

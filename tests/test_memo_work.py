@@ -74,7 +74,7 @@ def test_engine_stats_count_exactly_the_kept_layers():
     names = {field.name for field in fields(EngineStats)}
     assert names == {
         f"{layer}_{kind}" for layer in LAYERS for kind in ("hits", "misses")
-    } | {"points_evaluated", "worker_shards_recovered"}
+    } | {"points_evaluated"}
 
 
 def test_study_mix_work_counts():

@@ -206,34 +206,23 @@ class TestTrace:
         assert breakdown["stage.work"]["count"] == 1
         assert breakdown["root"]["self_s"] <= breakdown["root"]["total_s"]
 
-    def test_worker_capture_round_trip(self):
-        with obs_trace.trace("root") as root:
-            capture = obs_trace.begin_worker_capture()
-            with obs_trace.span("stage.forked"):
-                pass
-            shipped = obs_trace.end_worker_capture(capture)
-            assert shipped and shipped[0]["name"] == "stage.forked"
-            obs_trace.adopt_spans(shipped)
-        names = [s.name for s in obs_trace.collector.spans(root.trace_id)]
-        assert "stage.forked" in names
-
-
-class TestProcessWorkerSpans:
-    def test_forked_worker_spans_reattach(self):
-        evaluator = BatchEvaluator(workers=2, worker_mode="process")
+    def test_batch_stage_spans_join_the_callers_trace(self):
+        """``evaluate_many`` runs every point on the caller's thread, so
+        each stage span lands in the caller's trace, under a span of it."""
         points = [
             EvalPoint(design=design_from_dict(
-                design_payload(f"fork_{i}", 16e9 + i * 1e8)
+                design_payload(f"batch_{i}", 16e9 + i * 1e8)
             ))
             for i in range(4)
         ]
-        with obs_trace.trace("forked-batch") as root:
-            evaluator.evaluate_many(points, chunk_size=2)
+        with obs_trace.trace("serial-batch") as root:
+            BatchEvaluator().evaluate_many(points)
         spans = obs_trace.collector.spans(root.trace_id)
-        worker_spans = [s for s in spans if "worker" in s.attrs]
-        assert worker_spans, "no spans shipped back from forked workers"
-        assert all(s.trace_id == root.trace_id for s in worker_spans)
-        assert any(s.name.startswith("stage.") for s in worker_spans)
+        stage_spans = [s for s in spans if s.name.startswith("stage.")]
+        assert len(stage_spans) >= len(points)
+        ids = {s.span_id for s in spans}
+        assert all(s.trace_id == root.trace_id for s in stage_spans)
+        assert all(s.parent_id in ids for s in stage_spans)
 
 
 # -- server correlation: header -> log -> envelope -> stream ------------------

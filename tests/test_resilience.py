@@ -1,9 +1,8 @@
 """Fault-injection framework + the recovery machinery it exercises.
 
 Covers the resilience layer itself (plans, injector determinism,
-deadlines, circuit breaker) and the in-process recovery paths: fork-map
-shard reassignment (bit-identical results after a worker crash or a
-shard deadline), evaluator point budgets, store quarantine-and-rebuild
+deadlines, circuit breaker) and the in-process recovery paths:
+evaluator point budgets, store quarantine-and-rebuild
 and busy retries, client argument hygiene, dispatcher deadlines, and
 StudyHandle failure surfacing. The HTTP-level chaos scenarios live in
 ``test_chaos.py``.
@@ -14,10 +13,8 @@ import sqlite3
 
 import pytest
 
-from repro import ChipDesign, Workload
-from repro.analysis.uncertainty import monte_carlo
+from repro import ChipDesign
 from repro.engine import BatchEvaluator, EvalPoint
-from repro.engine.parallel import fork_available, fork_map
 from repro.errors import EvaluationTimeout, ParameterError
 from repro.resilience import (
     CircuitBreaker,
@@ -31,11 +28,6 @@ from repro.resilience import (
     resolve_injector,
 )
 from repro.resilience.faults import GLOBAL_INJECTOR
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="needs os.fork()"
-)
-
 
 @pytest.fixture()
 def small_design():
@@ -51,8 +43,9 @@ class TestFaultPlan:
             rules=(
                 FaultRule("store.get", action="error", error="busy",
                           after=2, times=3),
-                FaultRule("worker.item", action="crash", worker=1,
-                          exit_code=9),
+                FaultRule("store.put", action="delay", after=1, times=4,
+                          probability=0.5, delay_s=0.01, error="oserror",
+                          message="slow disk"),
                 FaultRule("engine.point", action="delay", delay_s=0.5,
                           probability=0.25, times=None),
             ),
@@ -63,12 +56,14 @@ class TestFaultPlan:
         assert again == plan
 
     def test_unknown_site_rejected(self):
-        with pytest.raises(ParameterError, match="unknown fault site"):
-            FaultRule("store.vanish")
+        for site in ("store.vanish", "worker.item"):
+            with pytest.raises(ParameterError, match="unknown fault site"):
+                FaultRule(site)
 
     def test_unknown_action_rejected(self):
-        with pytest.raises(ParameterError, match="error/delay/crash"):
-            FaultRule("store.get", action="explode")
+        for action in ("explode", "crash"):
+            with pytest.raises(ParameterError, match="error/delay"):
+                FaultRule("store.get", action=action)
 
     def test_probability_bounds(self):
         with pytest.raises(ParameterError, match="probability"):
@@ -79,9 +74,10 @@ class TestFaultPlan:
     def test_unknown_plan_keys_rejected(self):
         with pytest.raises(ParameterError, match="unknown key"):
             FaultPlan.from_dict({"rules": [], "sites": []})
-        with pytest.raises(ParameterError, match="unknown key"):
-            FaultPlan.from_dict({"rules": [{"site": "store.get",
-                                            "when": "now"}]})
+        for key in ("when", "worker", "exit_code"):
+            with pytest.raises(ParameterError, match="unknown key"):
+                FaultPlan.from_dict({"rules": [{"site": "store.get",
+                                                key: 1}]})
 
     def test_coerce_spellings(self, tmp_path):
         data = {"rules": [{"site": "store.get"}], "seed": 7}
@@ -97,6 +93,33 @@ class TestFaultPlan:
             FaultPlan.coerce(42)
         with pytest.raises(ParameterError, match="not valid JSON"):
             FaultPlan.coerce("{nope")
+
+    @pytest.mark.parametrize("rule, refusal", [
+        ({"site": "worker.item"}, "unknown fault site"),
+        ({"site": "store.get", "action": "crash"}, "error/delay"),
+        ({"site": "store.get", "worker": 1}, "unknown key"),
+        ({"site": "store.get", "exit_code": 9}, "unknown key"),
+    ], ids=["worker.item", "crash", "worker", "exit_code"])
+    def test_serve_refuses_a_forked_worker_fault_plan(
+        self, tmp_path, capsys, monkeypatch, rule, refusal
+    ):
+        """The forked-worker fault entries went with the fork path, so
+        ``carbon3d serve --fault-plan`` refuses a plan file naming one
+        before it arms the global injector or starts a server."""
+        from repro.cli import main
+        from repro.service import fleet, server
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("a refused plan must not start a server")
+
+        monkeypatch.setattr(server, "make_server", no_server)
+        monkeypatch.setattr(fleet, "ServiceFleet", no_server)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"rules": [rule]}), encoding="utf-8")
+        armed = GLOBAL_INJECTOR.plan
+        assert main(["serve", "--fault-plan", str(path)]) == 1
+        assert refusal in capsys.readouterr().err
+        assert GLOBAL_INJECTOR.plan is armed
 
 
 # -- the injector ------------------------------------------------------------
@@ -283,102 +306,6 @@ class TestCircuitBreaker:
         assert breaker.opened == 2
 
 
-# -- fork_map recovery -------------------------------------------------------
-
-
-@needs_fork
-class TestForkMapRecovery:
-    def test_child_crash_recovers_bit_identical(self):
-        plan = FaultPlan(rules=(
-            FaultRule("worker.item", action="crash", worker=1, after=1),
-        ))
-        losses = []
-        got = fork_map(
-            lambda x: x * x, list(range(23)), 4,
-            faults=FaultInjector(plan),
-            on_shard_lost=lambda shard, reason: losses.append(shard),
-        )
-        assert got == [x * x for x in range(23)]
-        assert losses == [1]
-
-    def test_shard_deadline_recovers_bit_identical(self):
-        plan = FaultPlan(rules=(
-            FaultRule("worker.item", action="delay", delay_s=30.0,
-                      worker=2),
-        ))
-        losses = []
-        got = fork_map(
-            lambda x: x + 1, list(range(12)), 3,
-            faults=FaultInjector(plan),
-            shard_deadline_s=0.25,
-            on_shard_lost=lambda shard, reason: losses.append(reason),
-        )
-        assert got == [x + 1 for x in range(12)]
-        assert len(losses) == 1 and "deadline" in losses[0]
-
-    def test_application_errors_still_raise(self):
-        def fn(x):
-            if x == 9:
-                raise ValueError("bad item")
-            return x
-
-        with pytest.raises(ValueError, match="bad item"):
-            fork_map(fn, list(range(12)), 3)
-
-    def test_worker_scoped_rule_spares_other_shards(self):
-        plan = FaultPlan(rules=(
-            FaultRule("worker.item", action="crash", worker=2),
-        ))
-        got = fork_map(
-            lambda x: -x, list(range(9)), 3, faults=FaultInjector(plan)
-        )
-        assert got == [-x for x in range(9)]
-
-
-@needs_fork
-class TestEngineWorkerRecovery:
-    def test_monte_carlo_bit_identical_after_worker_crash(self, small_design):
-        """The acceptance scenario: a worker killed mid-500-draw MC run
-        loses its shard, the parent recomputes it, and every sample
-        matches the serial run bit for bit."""
-        serial = monte_carlo(small_design, samples=500, seed=11)
-        crashy = BatchEvaluator(faults=FaultPlan(rules=(
-            FaultRule("worker.item", action="crash", worker=1),
-        )))
-        recovered = monte_carlo(
-            small_design, samples=500, seed=11,
-            evaluator=crashy, workers=4, worker_mode="process",
-        )
-        assert recovered.samples_kg == serial.samples_kg
-        assert crashy.stats.worker_shards_recovered == 1
-
-    def test_evaluate_many_recovers_and_counts(self, small_design):
-        designs = [small_design] + [
-            ChipDesign.homogeneous_split(
-                ChipDesign.planar_2d(
-                    "resil_ref", "7nm", gate_count=17e9,
-                    throughput_tops=254.0,
-                ),
-                name,
-            )
-            for name in ("hybrid_3d", "mcm")
-        ]
-        points = [
-            EvalPoint(design=d, fab_location=loc,
-                      workload=Workload.autonomous_vehicle())
-            for d in designs for loc in ("taiwan", "usa")
-        ]
-        expected = [r.total_kg for r in BatchEvaluator().evaluate_many(points)]
-        crashy = BatchEvaluator(faults=FaultPlan(rules=(
-            FaultRule("worker.item", action="crash", worker=1),
-        )))
-        got = crashy.evaluate_many(
-            points, workers=3, chunk_size=2, worker_mode="process"
-        )
-        assert [r.total_kg for r in got] == expected
-        assert crashy.stats.worker_shards_recovered == 1
-
-
 # -- evaluator budgets and stage faults --------------------------------------
 
 
@@ -399,8 +326,6 @@ class TestEvaluatorResilience:
     def test_budget_knobs_validated(self):
         with pytest.raises(ParameterError, match="point_timeout_s"):
             BatchEvaluator(point_timeout_s=0.0)
-        with pytest.raises(ParameterError, match="shard_deadline_s"):
-            BatchEvaluator(shard_deadline_s=-1.0)
 
     def test_stage_faults_surface_from_the_stage(self, small_design):
         evaluator = BatchEvaluator(faults=FaultPlan(rules=(

@@ -15,7 +15,7 @@ counts rather than timings:
   ``ResolveCache``, so it counts no structure hits or misses;
 * repeats within one request still share resolution;
 * a dispatcher without a store keeps its long-lived memo;
-* the child inherits the parent's workers, worker mode and deadlines;
+* the child inherits the parent's configuration and point deadline;
 * Monte Carlo (shared evaluator) does the same work as before;
 * the stage histogram and the ``/metrics`` store gauges count exactly
   what they observe.
@@ -352,22 +352,19 @@ class TestScopedEvaluator:
     def test_child_inherits_configuration_with_empty_caches(self):
         registry = MetricsRegistry()
         plan = FaultPlan(rules=(
-            FaultRule("worker.item", action="crash", worker=1),
+            FaultRule("engine.point", action="error", after=1000),
         ))
         parent = BatchEvaluator(
-            fab_location="usa", workers=3, worker_mode="process",
-            chunk_size=5, cache_limit=77, faults=plan,
-            point_timeout_s=2.0, shard_deadline_s=3.0, metrics=registry,
+            fab_location="usa", cache_limit=77, faults=plan,
+            point_timeout_s=2.0, metrics=registry,
         )
         parent.report(split("parent", 6e9))
         with parent.scoped() as child:
             assert child is not parent
             for attr in ("params", "faults", "metrics"):
                 assert getattr(child, attr) is getattr(parent, attr), attr
-            for attr in ("fab_location", "efficiency_plugin", "workers",
-                         "worker_mode", "chunk_size", "cache_limit",
-                         "point_timeout_s", "shard_deadline_s",
-                         "eviction_policy"):
+            for attr in ("fab_location", "efficiency_plugin", "cache_limit",
+                         "point_timeout_s", "eviction_policy"):
                 assert getattr(child, attr) == getattr(parent, attr), attr
             assert child.resolve_cache is None
             assert all_empty(child)
@@ -403,25 +400,6 @@ class TestScopedEvaluator:
         assert (parent.stats.structure_misses,
                 parent.stats.structure_hits) == (0, 0)
         assert all_empty(parent)
-
-    def test_lost_worker_shard_counts_in_the_parent(self, tmp_path):
-        evaluator = BatchEvaluator(
-            workers=3, worker_mode="process", chunk_size=2,
-            faults=FaultPlan(rules=(
-                FaultRule("worker.item", action="crash", worker=1),
-            )),
-        )
-        designs = [split(f"shard{i}", 4e9 + i * 1e8) for i in range(6)]
-        with ResultStore(str(tmp_path / "store.sqlite3")) as store:
-            dispatcher = Dispatcher(store=store, evaluator=evaluator)
-            entries = dispatcher.batch(BatchRequest(points=tuple(
-                point(design) for design in designs
-            )))
-        assert [entry["report"] for entry in entries] == [
-            CarbonModel(design).evaluate(AV).to_dict() for design in designs
-        ]
-        assert evaluator.stats.worker_shards_recovered == 1
-        assert all_empty(evaluator)
 
 
 # -- Monte Carlo keeps its work ------------------------------------------------

@@ -4,7 +4,7 @@ Covers the subsystem the per-backend Monte-Carlo refactor introduced:
 declarative factor specs (distributions, correlation groups, model-scoped
 targets), the vectorized draw paths, each backend's own factor set (and
 its distinct fingerprint), derived backends for model-scoped factors,
-and bit-identical Monte-Carlo across serial/thread/process worker modes.
+and the Monte-Carlo loop's chunking, which must not move a draw's value.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from repro.analysis.sensitivity import default_factors
-from repro.analysis.uncertainty import monte_carlo
+from repro.analysis.uncertainty import _monte_carlo_scalar, monte_carlo
 from repro.baselines.first_order import first_order_estimate
 from repro.baselines.lca import lca_estimate
 from repro.core.design import ChipDesign
 from repro.engine import BatchEvaluator
+from repro.engine.montecarlo import DEFAULT_CHUNK_SIZE, monte_carlo_totals
 from repro.errors import BackendError, ParameterError
 from repro.pipeline.registry import backend_names, get_backend
 from repro.uncertainty import (
@@ -408,33 +409,53 @@ class TestPerBackendMonteCarlo:
     ):
         """The CarbonModel-only reference cannot price backend constants —
         it must refuse loudly rather than draw factors it never applies."""
-        from repro.analysis.uncertainty import _monte_carlo_scalar
-
         with pytest.raises(ParameterError, match="model-scoped"):
             _monte_carlo_scalar(
                 hybrid_stack, factors=lca_factor_set(), samples=5
             )
 
 
-class TestMonteCarloWorkerModes:
-    def test_serial_thread_process_bit_identical(self, hybrid_stack):
-        serial = monte_carlo(hybrid_stack, samples=24, seed=8, chunk_size=6)
-        threaded = monte_carlo(
-            hybrid_stack, samples=24, seed=8, chunk_size=6, workers=2
-        )
-        forked = monte_carlo(
-            hybrid_stack, samples=24, seed=8, chunk_size=6,
-            workers=2, worker_mode="process",
-        )
-        assert serial.samples_kg == threaded.samples_kg
-        assert serial.samples_kg == forked.samples_kg
+class TestMonteCarloChunks:
+    """The loop perturbs, then evaluates, :data:`DEFAULT_CHUNK_SIZE` draws
+    at a time through one memoized evaluator; where a chunk boundary
+    falls must not change any draw."""
 
-    def test_worker_modes_with_model_scoped_factors(self, hybrid_stack):
-        serial = monte_carlo(
-            hybrid_stack, samples=16, seed=9, chunk_size=4, backend="lca"
+    @pytest.mark.parametrize("samples", [
+        2, DEFAULT_CHUNK_SIZE - 1, DEFAULT_CHUNK_SIZE, DEFAULT_CHUNK_SIZE + 1,
+        2 * DEFAULT_CHUNK_SIZE + 1,
+    ])
+    def test_draws_across_chunk_boundaries_match_the_scalar_path(
+        self, hybrid_stack, samples
+    ):
+        engine = monte_carlo(hybrid_stack, samples=samples, seed=8)
+        scalar = _monte_carlo_scalar(hybrid_stack, samples=samples, seed=8)
+        assert len(engine.samples_kg) == samples
+        assert engine.samples_kg == scalar.samples_kg
+        assert engine.base_kg == scalar.base_kg
+
+    @pytest.mark.parametrize("backend", sorted(backend_names()))
+    def test_chunked_totals_equal_one_draw_per_fresh_evaluator(
+        self, hybrid_stack, params, backend
+    ):
+        """Model-scoped factor sets (``lca``, ``first_order``) have no
+        scalar reference, so each backend's chunked draws are held to
+        the same draws priced one at a time, each on an empty memo."""
+        plan = PerturbationPlan(
+            get_backend(backend).factor_set(hybrid_stack, params), params
         )
-        forked = monte_carlo(
-            hybrid_stack, samples=16, seed=9, chunk_size=4, backend="lca",
-            workers=2, worker_mode="process",
-        )
-        assert serial.samples_kg == forked.samples_kg
+        multipliers = plan.draw(DEFAULT_CHUNK_SIZE + 3, 5)
+
+        def totals(rows, evaluator):
+            return monte_carlo_totals(
+                hybrid_stack, plan, rows, None, params, "taiwan", evaluator,
+                backend=backend,
+            )
+
+        chunked = totals(multipliers, BatchEvaluator(params=params))
+        single = [
+            totals(multipliers[index:index + 1],
+                   BatchEvaluator(params=params))[0]
+            for index in range(len(multipliers))
+        ]
+        assert len(chunked) == len(multipliers)
+        assert chunked == single
