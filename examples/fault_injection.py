@@ -29,18 +29,23 @@ from repro.service.store import ResultStore
 
 # 1. Store self-healing: corrupt the database on the second put.
 print("1. store corruption mid-write")
-store_dir = Path(tempfile.mkdtemp(prefix="carbon3d_faults_"))
-store = ResultStore(str(store_dir / "store.sqlite3"), faults=FaultPlan.coerce({
-    "rules": [{"site": "store.put", "action": "error", "error": "sqlite",
-               "after": 1}],
-}))
-store.put("first", "kept until the corruption")
-store.put("second", "survives the rebuild")       # corrupts, heals, lands
-print(f"   quarantined      : {store.quarantined} "
-      f"({[p.name for p in store_dir.glob('*.corrupt*')]})")
-print(f"   write survived   : {store.get('second')!r}")
-assert store.quarantined == 1 and store.get("second") is not None
-store.close()
+# The directory, quarantined file included, is removed on the way out.
+with tempfile.TemporaryDirectory(prefix="carbon3d_faults_") as tmp:
+    store_dir = Path(tmp)
+    store = ResultStore(
+        str(store_dir / "store.sqlite3"),
+        faults=FaultPlan.coerce({
+            "rules": [{"site": "store.put", "action": "error",
+                       "error": "sqlite", "after": 1}],
+        }),
+    )
+    store.put("first", "kept until the corruption")
+    store.put("second", "survives the rebuild")   # corrupts, heals, lands
+    print(f"   quarantined      : {store.quarantined} "
+          f"({[p.name for p in store_dir.glob('*.corrupt*')]})")
+    print(f"   write survived   : {store.get('second')!r}")
+    assert store.quarantined == 1 and store.get("second") is not None
+    store.close()
 
 # 2. Overload shedding + deadlines over real HTTP.
 print("2. overloaded server: 503 + Retry-After, typed 504 deadlines")

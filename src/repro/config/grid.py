@@ -76,6 +76,12 @@ class GridTable:
 
     def get(self, location: "str | float | GridProfile") -> GridProfile:
         """Resolve a location name — or a raw g/kWh number — to a profile."""
+        if type(location) is str:
+            # Canonical spellings ("taiwan") skip the normalization —
+            # they are what every hot path passes.
+            profile = self._grids.get(location)
+            if profile is not None:
+                return profile
         if isinstance(location, GridProfile):
             return location
         if isinstance(location, (int, float)):

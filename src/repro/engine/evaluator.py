@@ -104,6 +104,76 @@ class EngineStats:
     def as_dict(self) -> dict:
         return dict(self.__dict__)
 
+    def add(self, other: "EngineStats") -> None:
+        """Add ``other``'s counts into this record."""
+        for field, value in other.__dict__.items():
+            if value:
+                setattr(self, field, getattr(self, field) + value)
+
+
+class _Tally(threading.local):
+    """The current thread's :class:`EngineStats` in a :class:`_Book`."""
+
+    def __init__(self, book: "_Book") -> None:
+        self.stats = EngineStats()
+        book.enroll(self.stats)
+
+
+class _Book:
+    """Hit/miss counts of an evaluator that threads share.
+
+    A plain ``+=`` on one record shared by request threads loses counts
+    when two threads interleave. So each thread counts into its own
+    record, ``tally.stats``, with no lock, and :meth:`total` sums them.
+    A finished thread's record is folded into one record when the next
+    thread enrolls, so the list of records stays as long as the set of
+    live threads.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._folded = EngineStats()
+        self._live: "list[tuple[threading.Thread, EngineStats]]" = []
+        self.tally = _Tally(self)
+
+    def enroll(self, stats: EngineStats) -> None:
+        with self._lock:
+            live = []
+            for thread, counts in self._live:
+                if thread.is_alive():
+                    live.append((thread, counts))
+                else:
+                    self._folded.add(counts)
+            live.append((threading.current_thread(), stats))
+            self._live = live
+
+    def add(self, stats: EngineStats) -> None:
+        """Add counts made elsewhere (a finished request pass)."""
+        with self._lock:
+            self._folded.add(stats)
+
+    def total(self) -> EngineStats:
+        total = EngineStats()
+        with self._lock:
+            total.add(self._folded)
+            for _, counts in self._live:
+                total.add(counts)
+        return total
+
+
+class _SoleBook:
+    """Hit/miss counts of an evaluator used by one thread (a request
+    pass): one record, counted and read without a lock."""
+
+    __slots__ = ("tally", "stats")
+
+    def __init__(self) -> None:
+        self.tally = self
+        self.stats = EngineStats()
+
+    def total(self) -> EngineStats:
+        return self.stats
+
 
 class _Caches:
     """The per-stage memo layers, each built by ``layer()``: LRU-bounded
@@ -197,9 +267,10 @@ class BatchEvaluator:
         self.eviction_policy = EvictionPolicy(max_entries=cache_limit)
         self.resolve_cache = self._resolve_cache()
         self._caches = _Caches(self._layer)
-        self._stats = EngineStats()
-        #: Serializes :meth:`scoped` children adding their counts in.
-        self._absorb_lock = threading.Lock()
+        #: Hit/miss counts: a stage counts into ``self._tally.stats``,
+        #: the current thread's record of ``self._book``.
+        self._book = self._counts()
+        self._tally = self._book.tally
         # Identity-keyed interning of draw-stable lookups. Values hold
         # strong references to the keyed objects, so an id can never be
         # recycled while its entry is alive.
@@ -268,34 +339,36 @@ class BatchEvaluator:
         try:
             yield child
         finally:
-            with self._absorb_lock:
-                stats = self._stats
-                for field, value in child._stats.__dict__.items():
-                    if value:
-                        setattr(stats, field, getattr(stats, field) + value)
+            self._book.add(child._tally.stats)
 
     # -- cache plumbing ------------------------------------------------------
 
     @property
     def stats(self) -> EngineStats:
         """Hit/miss counters, with the structural sub-cache synced in."""
+        stats = self._book.total()
         if self.resolve_cache is not None:
-            self._stats.structure_hits = self.resolve_cache.hits
-            self._stats.structure_misses = self.resolve_cache.misses
-        return self._stats
+            stats.structure_hits = self.resolve_cache.hits
+            stats.structure_misses = self.resolve_cache.misses
+        return stats
 
     def clear(self) -> None:
         """Drop every memoized result (stats reset too)."""
         if self.resolve_cache is not None:
             self.resolve_cache.clear()
         self._caches = _Caches(self._layer)
-        self._stats = EngineStats()
+        self._book = self._counts()
+        self._tally = self._book.tally
         self._ci_cache.clear()
         self._statics.clear()
 
     def _layer(self) -> LRUCache:
         """One memo layer under this evaluator's eviction policy."""
         return LRUCache(self.eviction_policy)
+
+    def _counts(self) -> "_Book | _SoleBook":
+        """The hit/miss counts: per thread, as threads may share this."""
+        return _Book()
 
     def _resolve_cache(self) -> "ResolveCache | None":
         """The structural sub-cache :func:`resolve_design` reuses."""
@@ -385,9 +458,9 @@ class BatchEvaluator:
                 )
             if not transient:
                 self._caches.resolved[rkey] = cached
-            self._stats.resolve_misses += 1
+            self._tally.stats.resolve_misses += 1
         else:
-            self._stats.resolve_hits += 1
+            self._tally.stats.resolve_hits += 1
         return cached
 
     def embodied(
@@ -422,9 +495,9 @@ class BatchEvaluator:
                 cached = embodied_carbon(resolved, params, ci)
             if not transient:
                 self._caches.embodied[ekey] = cached
-            self._stats.embodied_misses += 1
+            self._tally.stats.embodied_misses += 1
         else:
-            self._stats.embodied_hits += 1
+            self._tally.stats.embodied_hits += 1
         return cached
 
     def bandwidth(
@@ -453,9 +526,9 @@ class BatchEvaluator:
                 cached = evaluate_bandwidth(resolved, params)
             if not transient:
                 self._caches.bandwidth[bkey] = cached
-            self._stats.bandwidth_misses += 1
+            self._tally.stats.bandwidth_misses += 1
         else:
-            self._stats.bandwidth_hits += 1
+            self._tally.stats.bandwidth_hits += 1
         return cached
 
     def operational(
@@ -497,9 +570,9 @@ class BatchEvaluator:
             # only perturb embodied-side parameters share one), so they are
             # stored (bounded) even for transient points.
             self._caches.operational[okey] = cached
-            self._stats.operational_misses += 1
+            self._tally.stats.operational_misses += 1
         else:
-            self._stats.operational_hits += 1
+            self._tally.stats.operational_hits += 1
         return cached
 
     # -- full-report evaluation ----------------------------------------------
@@ -535,7 +608,7 @@ class BatchEvaluator:
             operational = self._operational(
                 design, params, rkey, workload, bandwidth, resolved, transient
             )
-        self._stats.points_evaluated += 1
+        self._tally.stats.points_evaluated += 1
         return LifecycleReport(
             design_name=design.name,
             integration=resolved.spec.name,
@@ -577,13 +650,13 @@ class BatchEvaluator:
         embodied = self._caches.embodied.get(ekey)
         if embodied is not None:
             embodied_kg = embodied.total_kg
-            self._stats.embodied_hits += 1
+            self._tally.stats.embodied_hits += 1
         else:
             if self.faults.active:
                 self.faults.hit("stage.embodied")
             with self._observe_stage("embodied"):
                 embodied_kg = embodied_total_kg(resolved, params, ci)
-            self._stats.embodied_misses += 1
+            self._tally.stats.embodied_misses += 1
 
         operational_kg = 0.0
         if workload is not None:
@@ -593,7 +666,7 @@ class BatchEvaluator:
             operational_kg = self._operational(
                 design, params, rkey, workload, bandwidth, resolved, transient
             ).total_kg
-        self._stats.points_evaluated += 1
+        self._tally.stats.points_evaluated += 1
         return embodied_kg + operational_kg
 
     # -- backend-protocol evaluation ------------------------------------------
@@ -655,7 +728,7 @@ class BatchEvaluator:
                 self._resolved(design, params, rkey, transient),
             )
         summary = run.summary()
-        self._stats.points_evaluated += 1
+        self._tally.stats.points_evaluated += 1
         return summary
 
     def backend_total_kg(
@@ -783,6 +856,9 @@ class _RequestPass(BatchEvaluator):
 
     def _layer(self) -> dict:
         return {}
+
+    def _counts(self) -> _SoleBook:
+        return _SoleBook()
 
     def _resolve_cache(self) -> None:
         return None

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from ..config.integration import AssemblyFlow, StackingStyle
@@ -57,12 +58,26 @@ def _enum_member(enum_cls, value, what: str):
     :class:`~repro.errors.DesignError` with the known spellings listed.
     """
     try:
+        member = _MEMBERS[enum_cls].get(value)
+    except TypeError:  # an unhashable spelling: no member's value
+        member = None
+    if member is not None:
+        return member
+    try:
         return enum_cls(value)
     except ValueError:
         known = ", ".join(repr(member.value) for member in enum_cls)
         raise DesignError(
             f"unknown {what} {value!r}; known: {known}"
         ) from None
+
+
+#: Enum → its value → member map: a spelling resolves in one lookup
+#: instead of an ``Enum(value)`` call.
+_MEMBERS = {
+    enum_cls: {member.value: member for member in enum_cls}
+    for enum_cls in (DieKind, StackingStyle, AssemblyFlow)
+}
 
 
 def _require_name(value, what: str) -> None:
@@ -90,6 +105,54 @@ def _optional_number(value, what: str):
     return value
 
 
+#: A die record's numeric fields, (record key, ``Die`` field), in two
+#: runs: its kind is checked between them, so a record with several bad
+#: fields reports the one it always reported.
+_DIE_SIZES = (("gate_count", "gate_count"), ("area_mm2", "area_mm2"))
+_DIE_NUMBERS = (
+    ("workload_share", "workload_share"),
+    ("beol_layers", "beol_layers"),
+    ("yield", "yield_override"),
+    ("efficiency_tops_per_w", "efficiency_tops_per_w"),
+)
+
+#: Every ``Die`` field but the name and node, at its default: the value
+#: a record that omits its key gets, in field order.
+_DIE_DEFAULTS = {
+    f.name: f.default for f in dataclass_fields(Die)
+    if f.name not in ("name", "node")
+}
+
+
+def _die_numbers(data: dict, name: str, table: tuple, fields: dict) -> None:
+    """Check the numeric fields of ``table`` a die record carries into
+    ``fields`` (an omitted one keeps its default, which needs no check).
+    A field whose default is a number refuses an explicit null."""
+    for key, field in table:
+        if key not in data:
+            continue
+        value = data[key]
+        cls = type(value)
+        if cls is float:
+            # NaN and ±inf are the floats that are not finite.
+            if value - value != 0.0:
+                raise DesignError(
+                    f"die {name!r}: {key} must be finite, got {value!r}"
+                )
+        elif value is not None or _DIE_DEFAULTS[field] is not None:
+            # JSON true/false are Python bools, which are ints: not
+            # numbers here.
+            if cls is bool or not isinstance(value, (int, float)):
+                raise DesignError(
+                    f"die {name!r}: {key} must be a number, got {value!r}"
+                )
+            if not finite(value):
+                raise DesignError(
+                    f"die {name!r}: {key} must be finite, got {value!r}"
+                )
+        fields[field] = value
+
+
 def die_from_dict(data: dict) -> Die:
     """Inverse of :func:`die_to_dict`."""
     if not isinstance(data, dict):
@@ -103,34 +166,34 @@ def die_from_dict(data: dict) -> Die:
         raise DesignError(f"die record missing key {missing}") from None
     if not isinstance(name, str):
         raise DesignError(f"die name must be a string, got {name!r}")
-    _require_name(node, f"die {name!r}: node")
+    if isinstance(node, (list, dict)):
+        _require_name(node, f"die {name!r}: node")
+    fields = {"name": name, "node": node}
+    fields.update(_DIE_DEFAULTS)
+    _die_numbers(data, name, _DIE_SIZES, fields)
+    if "kind" in data:
+        fields["kind"] = _enum_member(DieKind, data["kind"], "die kind")
+    _die_numbers(data, name, _DIE_NUMBERS, fields)
+    return _record(Die, fields)
 
-    def number(key: str, default=None):
-        value = data.get(key, default)
-        # An explicit null is no number where the field has a default.
-        if (value is not None or default is not None) and (
-            isinstance(value, bool) or not isinstance(value, (int, float))
-        ):
-            raise DesignError(
-                f"die {name!r}: {key} must be a number, got {value!r}"
-            )
-        if value is not None and not finite(value):
-            raise DesignError(
-                f"die {name!r}: {key} must be finite, got {value!r}"
-            )
-        return value
 
-    return Die(
-        name=name,
-        node=node,
-        gate_count=number("gate_count"),
-        area_mm2=number("area_mm2"),
-        kind=_enum_member(DieKind, data.get("kind", "logic"), "die kind"),
-        workload_share=number("workload_share", 1.0),
-        beol_layers=number("beol_layers"),
-        yield_override=number("yield"),
-        efficiency_tops_per_w=number("efficiency_tops_per_w"),
-    )
+def _record(cls, fields: dict):
+    """``cls(**fields)`` for a frozen record type whose every field
+    ``fields`` holds, in field order.
+
+    ``fields`` becomes the record's ``__dict__``, so the caller hands
+    over a dict of its own. This skips the frozen ``__init__``'s one
+    ``object.__setattr__`` per field; ``__post_init__`` validates as
+    ``__init__`` would have.
+    """
+    record = _new(cls)
+    _set_attr(record, "__dict__", fields)
+    record.__post_init__()
+    return record
+
+
+_new = object.__new__
+_set_attr = object.__setattr__
 
 
 def design_to_dict(design: ChipDesign) -> dict:
@@ -190,26 +253,26 @@ def design_from_dict(data: dict) -> ChipDesign:
         )
     package_class = package_data.get("class", "fcbga")
     _require_name(package_class, "design 'package' class")
-    return ChipDesign(
-        name=data["name"],
-        dies=tuple(die_from_dict(d) for d in dies),
-        integration=integration,
-        stacking=_enum_member(
+    return _record(ChipDesign, {
+        "name": data["name"],
+        "dies": tuple([die_from_dict(d) for d in dies]),
+        "integration": integration,
+        "stacking": _enum_member(
             StackingStyle, data.get("stacking", "n/a"), "stacking style"
         ),
-        assembly=_enum_member(
+        "assembly": _enum_member(
             AssemblyFlow, data.get("assembly", "n/a"), "assembly flow"
         ),
-        package=PackageSpec(
-            package_class=package_class,
-            area_mm2=_optional_number(
+        "package": _record(PackageSpec, {
+            "package_class": package_class,
+            "area_mm2": _optional_number(
                 package_data.get("area_mm2"), "design 'package' area_mm2"
             ),
-        ),
-        throughput_tops=_optional_number(
+        }),
+        "throughput_tops": _optional_number(
             data.get("throughput_tops"), "design 'throughput_tops'"
         ),
-    )
+    })
 
 
 def save_design(design: ChipDesign, path: "str | Path") -> None:

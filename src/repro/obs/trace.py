@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextvars
 import os
+import random
 import threading
 import time
 
@@ -36,8 +37,19 @@ _current: "contextvars.ContextVar[Span | None]" = contextvars.ContextVar(
 )
 
 
+#: The generator span and trace ids are drawn from: private to this
+#: module, so ``random.seed()`` never touches it, seeded from
+#: ``os.urandom`` and seeded again in a forked child, so a child never
+#: repeats its parent's ids. One ``getrandbits`` call holds the GIL, so
+#: threads drawing at once never get the same bits.
+_ids = random.Random()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_ids.seed)
+
+
 def _new_id(nbytes: int = 8) -> str:
-    return os.urandom(nbytes).hex()
+    """``2 * nbytes`` lowercase hex characters, drawn without a syscall."""
+    return _ids.getrandbits(nbytes * 8).to_bytes(nbytes, "big").hex()
 
 
 class Span:

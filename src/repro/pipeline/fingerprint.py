@@ -35,22 +35,27 @@ from ..errors import CarbonModelError
 
 
 class CachedKey:
-    """A fingerprint tuple with its hash computed exactly once.
+    """A fingerprint tuple with its hash computed at most once.
 
     Fingerprints nest frozen dataclasses whose hashes Python recomputes
     on every dict operation; a study touches each key several times per
     point (resolve/embodied/bandwidth/operational layers), so caching the
-    hash keeps the memo overhead well under the work it saves.
+    hash keeps the memo overhead well under the work it saves. The hash
+    is taken on first use: a key that is only rendered into a store key
+    (:func:`repro.service.store.canonical_text`) is never hashed.
     """
 
     __slots__ = ("value", "_hash")
 
     def __init__(self, value: tuple) -> None:
         self.value = value
-        self._hash = hash(value)
+        self._hash = None
 
     def __hash__(self) -> int:
-        return self._hash
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(self.value)
+        return value
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CachedKey) and self.value == other.value
@@ -100,7 +105,7 @@ def resolve_key(
         or static.value[1] is not spec
     ):
         static = CachedKey((design, spec))
-    nodes = tuple(params.node(die.node) for die in design.dies)
+    nodes = tuple([params.node(die.node) for die in design.dies])
     if spec.is_2_5d:
         extra = (
             bonding_records(design, spec, params),

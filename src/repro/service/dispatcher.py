@@ -74,6 +74,7 @@ from ..tenancy.usage import UsageLedger
 from ..vec.grid import default_splits, expansion_bound, grid_axes
 from .schema import (
     MAX_GRID_POINTS,
+    NAMED_WORKLOAD_TEXTS,
     SCHEMA_VERSION,
     BatchRequest,
     CompareRequest,
@@ -284,7 +285,8 @@ class Dispatcher:
         self.params = params if params is not None else DEFAULT_PARAMETERS
         #: The parameter records' canonical text, rendered once and
         #: reused by every content key (see :func:`~repro.service.store.
-        #: record_texts`): only a request's own values render per key.
+        #: record_texts`): a request's keys read it through the overlay
+        #: :meth:`_key_records` makes, and it is never written again.
         self._records = record_texts(self.params)
         self.fab_location = fab_location
         self.store = store
@@ -656,10 +658,32 @@ class Dispatcher:
             else self.fab_location
         )
 
+    def _key_records(self, points) -> dict:
+        """The records table that keys ``points``: a per-request overlay.
+
+        A fresh dict of the shared parameter records (:attr:`_records`,
+        never written after construction), the named workloads' texts
+        and the text each point's design was given at parse
+        (:attr:`~repro.service.schema.EvaluateRequest.design_text`), so
+        a key renders neither again. Entries are checked by identity, as
+        every ``records`` entry is, so an entry that is not the key's own
+        record changes nothing.
+        """
+        records = {**self._records, **NAMED_WORKLOAD_TEXTS}
+        for point in points:
+            entry = point.design_text
+            if entry is not None:
+                records[id(entry[0])] = entry
+        return records
+
     def _point_key(
-        self, point: EvaluateRequest, remember: bool = False
+        self, point: EvaluateRequest, remember: bool = False,
+        records: "dict | None" = None,
     ) -> str:
         """``point``'s store key under the active tenant's namespace.
+
+        ``records`` is the request's :meth:`_key_records` table (made for
+        this point alone when not given).
 
         With ``remember``, the key of a request the schema remembered
         (:func:`~repro.service.schema.remembered`: the parse of a
@@ -688,7 +712,10 @@ class Dispatcher:
                 point.backend,
             ),
             tenant,
-            records=self._records,
+            records=(
+                records if records is not None
+                else self._key_records((point,))
+            ),
         )
         if remember and remembered(point):
             if len(self._keys) >= _KEYS_MAX:
@@ -766,7 +793,11 @@ class Dispatcher:
                 if stream and deadline is not None:
                     deadline.check("streamed request")
                 block = points[start:start + size]
-                keys = [self._point_key(point) for point in block]
+                records = self._key_records(block)
+                keys = [
+                    self._point_key(point, records=records)
+                    for point in block
+                ]
                 # The first occurrence of each new key is looked up (and,
                 # on a miss, evaluated); repeats reuse it.
                 fresh: "dict[str, EvaluateRequest]" = {}

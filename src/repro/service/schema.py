@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..config.integration import TABLE1_INTEGRATIONS
 from ..core.design import ChipDesign
@@ -64,6 +64,7 @@ from ..io.designs import design_from_dict, finite
 from ..pipeline.registry import DEFAULT_BACKEND, get_backend
 from ..seeds import DEFAULT_SEED
 from ..tenancy.namespace import active_tenant
+from .store import canonical_text
 
 #: Version of the request/response wire format. Bump on breaking changes;
 #: the persistent store keys include it, so stale cached payloads can
@@ -351,13 +352,24 @@ def _array(values, where: str, kind: str, of: str = " of names",
 
 _WORKLOAD_KEYS = ("name", "total_tera_ops", "use_location", "lifetime_years")
 
+#: The workload ``"av"`` names: one shared (frozen) record, so every
+#: request that names it carries this very object.
+AV_WORKLOAD = Workload.autonomous_vehicle()
+
+#: ``id(workload)`` → ``(workload, canonical text)`` of every named
+#: workload, rendered once: a store key takes the text (see
+#: :meth:`repro.service.dispatcher.Dispatcher._point_key`).
+NAMED_WORKLOAD_TEXTS = {
+    id(AV_WORKLOAD): (AV_WORKLOAD, canonical_text(AV_WORKLOAD)),
+}
+
 
 def workload_from_value(value, where: str = "workload") -> "Workload | None":
     """Parse the ``workload`` field: ``"av"``, ``"none"``/null, or a record."""
     if value is None or value == "none":
         return None
     if value == "av":
-        return Workload.autonomous_vehicle()
+        return AV_WORKLOAD
     if isinstance(value, str):
         raise SchemaError(
             f'{where} must be "av", "none", null or a workload object, '
@@ -395,8 +407,7 @@ def workload_to_value(workload: "Workload | None"):
     """Inverse of :func:`workload_from_value` (records stay records)."""
     if workload is None:
         return None
-    av = Workload.autonomous_vehicle()
-    if workload == av:
+    if workload == AV_WORKLOAD:
         return "av"
     return {
         "name": workload.name,
@@ -418,6 +429,22 @@ class EvaluateRequest:
     fab_location: "str | float | None"
     label: "str | None" = None
     backend: str = DEFAULT_BACKEND
+    #: ``(design, canonical_text(design))`` when the request was parsed
+    #: from the wire: the design's store-key text, rendered once at
+    #: parse. A key takes it only while ``design`` is that very object.
+    design_text: "tuple[ChipDesign, str] | None" = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+
+def _wire_point(fields: dict) -> EvaluateRequest:
+    """An evaluate point parsed from the wire, with its design's text."""
+    request = EvaluateRequest(**fields)
+    design = request.design
+    object.__setattr__(
+        request, "design_text", (design, canonical_text(design))
+    )
+    return request
 
 
 @dataclass(frozen=True)
@@ -536,8 +563,8 @@ def _points(value, where: str, kind: str) -> "tuple[EvaluateRequest, ...]":
         at = f"{where}[{index}]"
         data = _require_mapping(data, at)
         # A point is an evaluate request without the envelope keys.
-        parsed.append(EvaluateRequest(
-            **_fields(point, data, point.names, at, f"{at}.")
+        parsed.append(_wire_point(
+            _fields(point, data, point.names, at, f"{at}.")
         ))
     return tuple(parsed)
 
@@ -609,11 +636,16 @@ def _fields(kind: "StudyKind", data: dict, allowed: "tuple[str, ...]",
     in a field's errors.
     """
     _reject_unknown(data, allowed, where)
-    return {
-        name: FIELD_RULES[name](data.get(name, default), prefix + name,
-                                kind.wire)
-        for name, default in kind.fields
-    }
+    fields = {}
+    defaults = kind.defaults
+    for name, default in kind.fields:
+        if name in defaults and name not in data:
+            fields[name] = defaults[name]
+        else:
+            fields[name] = FIELD_RULES[name](
+                data.get(name, default), prefix + name, kind.wire
+            )
+    return fields
 
 
 def _request(wire: str, data, prefix: str = "") -> dict:
@@ -627,7 +659,7 @@ def _request(wire: str, data, prefix: str = "") -> dict:
 
 def parse_evaluate_request(data) -> EvaluateRequest:
     # Its fields are named as a batch point's are: "request.<field>".
-    return EvaluateRequest(**_request("evaluate", data, "request."))
+    return _wire_point(_request("evaluate", data, "request."))
 
 
 def parse_batch_request(data) -> BatchRequest:
@@ -719,6 +751,15 @@ class StudyKind:
     def keys(self) -> "tuple[str, ...]":
         """Every key a request of this kind may carry."""
         return ("schema", "type") + self.names
+
+    @functools.cached_property
+    def defaults(self) -> dict:
+        """Field name → the value an absent field parses to, for every
+        field with a default: its rule's value for it, computed once."""
+        return {
+            name: FIELD_RULES[name](default, name, self.wire)
+            for name, default in self.fields if default is not REQUIRED
+        }
 
     def parse(self, data: dict):
         return globals()[f"parse_{self.wire}_request"](data)

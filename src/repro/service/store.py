@@ -98,70 +98,157 @@ def canonical_text(value, records: "dict | None" = None) -> str:
     record found in it (by identity) contributes its already-rendered
     text instead of being walked again. The result is the same string
     either way.
+
+    The text is made in one flat pass: each type has one renderer (see
+    :data:`_RENDERERS`), which appends its pieces to one list, handing
+    each member of a container or record to its own type's renderer;
+    the pieces are joined once at the end. So a deep fingerprint is
+    neither rendered by one call of this function per node nor copied
+    once per level of nesting.
     """
     cls = type(value)
-    # Fast paths for the exact types most of a fingerprint is made of;
-    # each renders exactly as its general branch below does.
-    if cls is float or cls is int:
-        return repr(value)
-    if cls is str:
-        return _json_string(value)
-    if cls is tuple:
-        return "(" + ",".join(
-            [canonical_text(item, records) for item in value]
-        ) + ")"
-    names = _DATACLASS_FIELDS.get(cls)
-    if names is not None:
-        return _dataclass_text(value, names, records)
-    if value is None or value is True or value is False:
-        return repr(value)
-    if isinstance(value, CachedKey):
-        return canonical_text(value.value, records)
-    if isinstance(value, enum.Enum):
-        return f"{cls.__name__}.{value.name}"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (int, float)):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        return "(" + ",".join(
-            [canonical_text(item, records) for item in value]
-        ) + ")"
-    if isinstance(value, dict):
-        items = sorted(
-            (canonical_text(k, records), canonical_text(v, records))
-            for k, v in value.items()
-        )
-        return "{" + ",".join(f"{k}:{v}" for k, v in items) + "}"
-    if is_dataclass(value) and not isinstance(value, type):
-        names = tuple(f.name for f in dataclass_fields(value))
-        # Only types that reached this branch are registered, so the
-        # fast path above can never shadow an earlier branch.
-        _DATACLASS_FIELDS[cls] = names
-        return _dataclass_text(value, names, records)
-    raise StoreError(
-        f"cannot canonically encode {cls.__name__!r} into a content key"
-    )
+    leaf = _LEAVES.get(cls)
+    if leaf is not None:
+        return leaf(value)
+    out: "list[str]" = []
+    _RENDERERS[cls](value, records, out)
+    return "".join(out)
 
+
+def _sequence_text(value, records, out: list) -> None:
+    # Leaves inline, as ``_MEMBER`` renders a record's fields.
+    append = out.append
+    sep = "("
+    for item in value:
+        leaf = _LEAVES.get(type(item))
+        if leaf is not None:
+            append(sep + leaf(item))
+        else:
+            append(sep)
+            _RENDERERS[type(item)](item, records, out)
+        sep = ","
+    append(")" if sep == "," else "()")
+
+
+def _mapping_text(value, records, out: list) -> None:
+    items = sorted(
+        (canonical_text(k, records), canonical_text(v, records))
+        for k, v in value.items()
+    )
+    out.append("{" + ",".join(f"{k}:{v}" for k, v in items) + "}")
+
+
+def _cached_key_text(value, records, out: list) -> None:
+    inner = value.value
+    _RENDERERS[type(inner)](inner, records, out)
+
+
+def _enum_text(cls: type):
+    prefix = f"{cls.__name__}."
+
+    def text(value) -> str:
+        # ``_name_`` is what the ``name`` property returns, minus the
+        # descriptor call.
+        return prefix + value._name_
+
+    return text
+
+
+#: Source of the expression that renders a record's member ``v``: a
+#: leaf inline, any other type through :func:`canonical_text`.
+_MEMBER = (
+    '"None" if v is None else leaf(v)'
+    " if (leaf := _LEAVES.get(type(v))) is not None"
+    " else canonical_text(v, records)"
+)
+
+
+def _dataclass_renderer(cls: type):
+    """The renderer of one record type, generated from its fields.
+
+    It renders ``Name(field=text,...)`` in field order, or takes the
+    text of a record found (by identity) in ``records``. Its source is
+    written out per type, as :mod:`dataclasses` writes ``__init__``: it
+    reads each field, renders it as :data:`_MEMBER` says, and formats
+    the record in one f-string.
+    """
+    names = [f.name for f in dataclass_fields(cls)]
+    body = "".join(
+        f"    v = value.{name}\n    t{index} = {_MEMBER}\n"
+        for index, name in enumerate(names)
+    )
+    text = ",".join(
+        f"{name}={{t{index}}}" for index, name in enumerate(names)
+    )
+    source = (
+        "def render(value, records, out):\n"
+        "    if records is not None:\n"
+        "        entry = records.get(id(value))\n"
+        "        if entry is not None and entry[0] is value:\n"
+        "            out.append(entry[1])\n"
+        "            return\n"
+        f"{body}"
+        f"    out.append(f{cls.__name__ + '(' + text + ')'!r})\n"
+    )
+    namespace = {"_LEAVES": _LEAVES, "canonical_text": canonical_text}
+    exec(source, namespace)
+    return namespace["render"]
+
+
+def _renderer_for(cls: type):
+    """The renderer of values of type ``cls`` (StoreError if none).
+
+    Checked in this order, so a type that is two things at once (a
+    ``str`` enum, a ``bool``) renders as the first. A type whose text
+    needs no walk (a number, string, enum or ``None``) is also entered
+    in :data:`_LEAVES`.
+    """
+    if cls in (type(None), bool, int, float):
+        leaf = repr
+    elif cls is str:
+        leaf = _json_string
+    elif issubclass(cls, CachedKey):
+        return _cached_key_text
+    elif issubclass(cls, enum.Enum):
+        leaf = _enum_text(cls)
+    elif issubclass(cls, str):
+        leaf = json.dumps
+    elif issubclass(cls, (int, float)):
+        leaf = repr
+    elif issubclass(cls, (tuple, list)):
+        return _sequence_text
+    elif issubclass(cls, dict):
+        return _mapping_text
+    elif is_dataclass(cls):
+        return _dataclass_renderer(cls)
+    else:
+        raise StoreError(
+            f"cannot canonically encode {cls.__name__!r} into a content key"
+        )
+    _LEAVES[cls] = leaf
+    return lambda value, records, out: out.append(leaf(value))
+
+
+class _Renderers(dict):
+    """Type → ``render(value, records, out)``, which appends the value's
+    text to the list ``out``; filled on a type's first use."""
+
+    def __missing__(self, cls: type):
+        render = self[cls] = _renderer_for(cls)
+        return render
+
+
+#: The renderer of every type :func:`canonical_text` has rendered.
+_RENDERERS = _Renderers()
 
 #: ``json.dumps`` of a plain ``str``, minus the encoder set-up per call.
 _json_string = json.encoder.encode_basestring_ascii
 
-#: Dataclass type → field names, for every type :func:`canonical_text`
-#: has rendered through its dataclass branch.
-_DATACLASS_FIELDS: "dict[type, tuple[str, ...]]" = {}
-
-
-def _dataclass_text(value, names: "tuple[str, ...]", records) -> str:
-    if records is not None:
-        entry = records.get(id(value))
-        if entry is not None and entry[0] is value:
-            return entry[1]
-    parts = ",".join([
-        f"{name}={canonical_text(getattr(value, name), records)}"
-        for name in names
-    ])
-    return f"{type(value).__name__}({parts})"
+#: Type → ``text(value)`` for the types whose text needs no walk and no
+#: ``records``: filled as :data:`_RENDERERS` is.
+_LEAVES = {
+    type(None): repr, bool: repr, int: repr, float: repr, str: _json_string,
+}
 
 
 def content_key(value, records: "dict | None" = None) -> str:

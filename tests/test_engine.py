@@ -364,7 +364,8 @@ def test_threads_sharing_one_evaluator_match_a_serial_one(reference, workload):
     """The threaded server's request threads share one evaluator: its memo
     layers, structural sub-cache and interning tables must stay correct
     under contention. A bound of 2 makes nearly every insert evict, so
-    the eviction loop races too."""
+    the eviction loop races too. Its counts must stay exact: every point
+    looks each of the four layers up once."""
     designs = [reference] + [
         ChipDesign.homogeneous_split(reference, name)
         for name in ("hybrid_3d", "mcm", "emib", "m3d")
@@ -412,6 +413,28 @@ def test_threads_sharing_one_evaluator_match_a_serial_one(reference, workload):
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert not wrong
+    stats = shared.stats
+    assert stats.points_evaluated == threads * steps == 3200
+    for layer in ("resolve", "embodied", "bandwidth", "operational"):
+        lookups = getattr(stats, f"{layer}_hits") + getattr(
+            stats, f"{layer}_misses"
+        )
+        assert lookups == threads * steps, layer
+
+
+def test_counts_of_finished_threads_are_kept_and_folded(reference):
+    """Each thread counts into its own record; a finished thread's counts
+    stay in the totals, and its record is folded away rather than kept
+    for the evaluator's lifetime."""
+    evaluator = BatchEvaluator()
+    for _ in range(20):
+        worker = threading.Thread(target=evaluator.report, args=(reference,))
+        worker.start()
+        worker.join()
+    stats = evaluator.stats
+    assert stats.points_evaluated == 20
+    assert (stats.resolve_misses, stats.resolve_hits) == (1, 19)
+    assert len(evaluator._book._live) <= 2
 
 
 REMOVED_FAN_OUT_OPTIONS = [
