@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from ..config.parameters import DEFAULT_PARAMETERS, ParameterSet
 from ..core.design import ChipDesign
 from ..core.resolve import resolve_design
-from ..errors import ParameterError
+from ..core.wafer import fab_ci_error
 from .act import ACT_PACKAGING_KG, ActEstimate, act_estimate
 
 #: Cost-comparison multiplier ACT+ applies to 2.5D die carbon (the extra
@@ -80,7 +80,7 @@ def act_plus_estimate(
     """
     params = params if params is not None else DEFAULT_PARAMETERS
     if ci_fab_kg_per_kwh < 0:
-        raise ParameterError("fab carbon intensity must be >= 0")
+        raise fab_ci_error()
     if resolved is None:
         resolved = resolve_design(design, params)
     dies = [

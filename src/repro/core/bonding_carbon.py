@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from ..config.integration import BondingMethod
 from ..config.parameters import ParameterSet
-from ..units import mm2_to_cm2
+from .die_carbon import area_carbon_kg, carbon_sum
 from .resolve import ResolvedDesign
 
 
@@ -41,44 +41,42 @@ class BondingCarbonResult:
 
     @property
     def total_kg(self) -> float:
-        return sum(r.carbon_kg for r in self.records)
+        return carbon_sum(r.carbon_kg for r in self.records)
 
 
-def bonding_carbon_total_kg(
+_NO_BONDS = ((), 0.0)
+
+
+def bond_terms(
     resolved: ResolvedDesign,
     params: ParameterSet,
-    ci_fab_kg_per_kwh: float,
-) -> float:
-    """Eq. 11 total only — the record-free twin of :func:`bonding_carbon`.
+    ci_fab_kg_per_kwh,
+) -> "tuple[list | tuple, float]":
+    """Eq. 11, one term per bonding step in step order, and their total.
 
-    Keep the arithmetic line-for-line in sync with the record builder
-    (same expressions, same summation order); the equivalence tests pin
-    the two paths to bit-identical totals.
+    Each term is ``(area_mm2, epa_kwh_per_cm2, effective_yield,
+    carbon_kg)``. The fab CI may be a float or a float64 column.
     """
     spec = resolved.spec
     if spec.is_2d or resolved.is_m3d:
-        return 0.0
-    design = resolved.design
-    total = 0.0
+        return _NO_BONDS
     if spec.is_3d:
-        process = params.bonding.get(spec.bonding, design.assembly)
-        for i in range(len(resolved.dies) - 1):
-            total += (
-                ci_fab_kg_per_kwh
-                * process.epa_kwh_per_cm2
-                * mm2_to_cm2(resolved.dies[i].area_mm2)
-                / resolved.stack_yields.per_bond[i]
-            )
-        return total
-    process = params.bonding.get(BondingMethod.C4, design.assembly)
-    for rdie, eff_yield in zip(resolved.dies, resolved.stack_yields.per_bond):
-        total += (
-            ci_fab_kg_per_kwh
-            * process.epa_kwh_per_cm2
-            * mm2_to_cm2(rdie.area_mm2)
-            / eff_yield
-        )
-    return total
+        # N-1 bonds; bond i joins die i+1 onto die i, charged A_die_i.
+        process = params.bonding.get(spec.bonding, resolved.design.assembly)
+        dies = resolved.dies[:-1]
+    else:
+        # 2.5D: N die-attach steps onto the substrate.
+        process = params.bonding.get(BondingMethod.C4, resolved.design.assembly)
+        dies = resolved.dies
+    epa = process.epa_kwh_per_cm2
+    per_cm2 = ci_fab_kg_per_kwh * epa
+    terms = []
+    total = 0.0
+    for rdie, eff_yield in zip(dies, resolved.stack_yields.per_bond):
+        carbon = area_carbon_kg(per_cm2, rdie.area_mm2, eff_yield)
+        terms.append((rdie.area_mm2, epa, eff_yield, carbon))
+        total = total + carbon
+    return terms, total
 
 
 def bonding_carbon(
@@ -86,56 +84,23 @@ def bonding_carbon(
     params: ParameterSet,
     ci_fab_kg_per_kwh: float,
 ) -> BondingCarbonResult:
-    """Eq. 11 for the whole design."""
-    spec = resolved.spec
-    if spec.is_2d or resolved.is_m3d:
+    """Eq. 11 for the whole design, one record per bonding step."""
+    terms, _ = bond_terms(resolved, params, ci_fab_kg_per_kwh)
+    if not terms:
         return BondingCarbonResult(records=())
-
-    design = resolved.design
-    records: list[BondRecord] = []
-
+    spec = resolved.spec
+    assembly = resolved.design.assembly.value
+    dies = resolved.dies
     if spec.is_3d:
-        process = params.bonding.get(spec.bonding, design.assembly)
-        # N-1 bonds; bond i joins die i+1 onto die i, charged A_die_i.
-        for i in range(len(resolved.dies) - 1):
-            area = resolved.dies[i].area_mm2
-            eff_yield = resolved.stack_yields.per_bond[i]
-            carbon = (
-                ci_fab_kg_per_kwh
-                * process.epa_kwh_per_cm2
-                * mm2_to_cm2(area)
-                / eff_yield
-            )
-            records.append(
-                BondRecord(
-                    step=f"bond_{resolved.dies[i].name}"
-                         f"__{resolved.dies[i + 1].name}",
-                    method=f"{spec.bonding.value}/{design.assembly.value}",
-                    area_mm2=area,
-                    epa_kwh_per_cm2=process.epa_kwh_per_cm2,
-                    effective_yield=eff_yield,
-                    carbon_kg=carbon,
-                )
-            )
-        return BondingCarbonResult(records=tuple(records))
-
-    # 2.5D: N die-attach steps onto the substrate.
-    process = params.bonding.get(BondingMethod.C4, design.assembly)
-    for rdie, eff_yield in zip(resolved.dies, resolved.stack_yields.per_bond):
-        carbon = (
-            ci_fab_kg_per_kwh
-            * process.epa_kwh_per_cm2
-            * mm2_to_cm2(rdie.area_mm2)
-            / eff_yield
-        )
-        records.append(
-            BondRecord(
-                step=f"attach_{rdie.name}",
-                method=f"c4/{design.assembly.value}",
-                area_mm2=rdie.area_mm2,
-                epa_kwh_per_cm2=process.epa_kwh_per_cm2,
-                effective_yield=eff_yield,
-                carbon_kg=carbon,
-            )
-        )
-    return BondingCarbonResult(records=tuple(records))
+        method = f"{spec.bonding.value}/{assembly}"
+        steps = [
+            f"bond_{lower.name}__{upper.name}"
+            for lower, upper in zip(dies, dies[1:])
+        ]
+    else:
+        method = f"c4/{assembly}"
+        steps = [f"attach_{rdie.name}" for rdie in dies]
+    return BondingCarbonResult(tuple([
+        BondRecord(step, method, area, epa, eff_yield, carbon)
+        for step, (area, epa, eff_yield, carbon) in zip(steps, terms)
+    ]))

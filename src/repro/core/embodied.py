@@ -4,6 +4,12 @@
 the design once and runs the four component calculators, returning an
 :class:`EmbodiedReport` with the full breakdown the paper's Fig. 4/5 bars
 are built from.
+
+Each component equation has one body (``die_terms``, ``bond_terms``,
+``package_terms``, ``substrate_term``). :func:`embodied_carbon` wraps
+their terms in records; :func:`embodied_totals` sums them without
+records, for one point (Monte-Carlo draws) or over columns of wafer
+diameters and fab carbon intensities (the vectorized core).
 """
 
 from __future__ import annotations
@@ -11,28 +17,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config.parameters import ParameterSet
-from .bonding_carbon import (
-    BondingCarbonResult,
-    bonding_carbon,
-    bonding_carbon_total_kg,
-)
+from .bonding_carbon import BondingCarbonResult, bond_terms, bonding_carbon
 from .design import ChipDesign
 from .die_carbon import (
     DieCarbonResult,
-    die_carbon_total_kg,
     die_manufacturing_carbon,
+    die_terms,
 )
+from .dpw import dies_per_wafer
 from .interposer_carbon import (
     InterposerCarbonResult,
     interposer_carbon,
-    interposer_carbon_kg,
+    substrate_term,
 )
 from .packaging_carbon import (
     PackagingCarbonResult,
+    package_terms,
     packaging_carbon,
-    packaging_carbon_kg,
 )
 from .resolve import ResolvedDesign, resolve_design
+
+
+def embodied_sum(die_kg, bonding_kg, packaging_kg, interposer_kg):
+    """Eq. 3 over the four component totals, in one summation order."""
+    return die_kg + bonding_kg + packaging_kg + interposer_kg
 
 
 @dataclass(frozen=True)
@@ -64,9 +72,9 @@ class EmbodiedReport:
 
     @property
     def total_kg(self) -> float:
-        return (
-            self.die_kg + self.bonding_kg + self.packaging_kg
-            + self.interposer_kg
+        return embodied_sum(
+            self.die_kg, self.bonding_kg, self.packaging_kg,
+            self.interposer_kg,
         )
 
     def breakdown(self) -> dict[str, float]:
@@ -79,22 +87,36 @@ class EmbodiedReport:
         }
 
 
-def embodied_total_kg(
+def embodied_totals(
     resolved: ResolvedDesign,
     params: ParameterSet,
-    ci_fab_kg_per_kwh: float,
-) -> float:
-    """Eq. 3 total only, via the record-free component twins.
+    ci_fab_kg_per_kwh,
+    wafer_diameter_mm=None,
+    dpw=dies_per_wafer,
+) -> tuple:
+    """Eq. 3 without records, bit-identical to :func:`embodied_carbon`.
 
-    Summation order matches ``EmbodiedReport.total_kg`` exactly
-    (die + bonding + packaging + interposer); the equivalence tests pin
-    this to the record-building path bit for bit.
+    Returns ``(total_kg, die_kg, bonding_kg, packaging_kg, interposer_kg,
+    die_terms)``, the last the Eq. 4 terms of
+    :func:`~repro.core.die_carbon.die_terms`. ``ci_fab_kg_per_kwh`` and
+    ``wafer_diameter_mm`` (default ``params.wafer_diameter_mm``) are
+    floats, or float64 columns of one length; ``dpw`` is Eq. 5 (see
+    :func:`~repro.core.dpw.effective_area_per_die_mm2`). The components
+    run in the report path's order — dies, bonding, packaging, substrate
+    — so the first error raised is the report path's.
     """
+    if wafer_diameter_mm is None:
+        wafer_diameter_mm = params.wafer_diameter_mm
+    dies, die_kg = die_terms(
+        resolved, params, ci_fab_kg_per_kwh, wafer_diameter_mm, dpw
+    )
+    bonding_kg = bond_terms(resolved, params, ci_fab_kg_per_kwh)[1]
+    packaging_kg = package_terms(resolved, params)[3]
+    substrate = substrate_term(resolved, params, ci_fab_kg_per_kwh)
+    interposer_kg = 0.0 if substrate is None else substrate[1]
     return (
-        die_carbon_total_kg(resolved, params, ci_fab_kg_per_kwh)
-        + bonding_carbon_total_kg(resolved, params, ci_fab_kg_per_kwh)
-        + packaging_carbon_kg(resolved, params)
-        + interposer_carbon_kg(resolved, params, ci_fab_kg_per_kwh)
+        embodied_sum(die_kg, bonding_kg, packaging_kg, interposer_kg),
+        die_kg, bonding_kg, packaging_kg, interposer_kg, dies,
     )
 
 
@@ -115,10 +137,10 @@ def embodied_carbon(
         else resolve_design(design, params)
     )
     return EmbodiedReport(
-        design_name=resolved.design.name,
-        integration=resolved.spec.name,
-        die=die_manufacturing_carbon(resolved, params, ci_fab_kg_per_kwh),
-        bonding=bonding_carbon(resolved, params, ci_fab_kg_per_kwh),
-        packaging=packaging_carbon(resolved, params),
-        interposer=interposer_carbon(resolved, params, ci_fab_kg_per_kwh),
+        resolved.design.name,
+        resolved.spec.name,
+        die_manufacturing_carbon(resolved, params, ci_fab_kg_per_kwh),
+        bonding_carbon(resolved, params, ci_fab_kg_per_kwh),
+        packaging_carbon(resolved, params),
+        interposer_carbon(resolved, params, ci_fab_kg_per_kwh),
     )

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 from ..config.integration import SubstrateKind
 from ..config.parameters import ParameterSet
-from ..units import mm2_to_cm2
+from .die_carbon import area_carbon_kg
 from .dpw import effective_area_per_die_mm2
 from .resolve import ResolvedDesign
-from .wafer import wafer_carbon_per_cm2
+from .wafer import fab_ci_error, wafer_carbon_per_cm2
 
 
 @dataclass(frozen=True)
@@ -35,39 +35,40 @@ _NO_SUBSTRATE = InterposerCarbonResult(
 )
 
 
-def interposer_carbon_kg(
+def substrate_term(
     resolved: ResolvedDesign,
     params: ParameterSet,
-    ci_fab_kg_per_kwh: float,
-) -> float:
-    """C_int total only — the record-free twin of :func:`interposer_carbon`.
+    ci_fab_kg_per_kwh,
+) -> "tuple | None":
+    """C_int: ``(effective_yield, carbon_kg)``, or None without a priced
+    substrate. The fab CI may be a float or a float64 column.
 
-    Keep the arithmetic in sync with the record builder; the equivalence
-    tests pin the two paths to bit-identical totals.
+    A silicon substrate sits on its own interposer wafer
+    (``params.substrate.wafer_diameter_mm``), a scalar even when the
+    dies are priced over a wafer-diameter column; a substrate that does
+    not fit it raises for the whole design.
     """
     substrate = resolved.substrate
     if substrate is None or substrate.kind is SubstrateKind.ORGANIC:
-        return 0.0
+        return None
     eff_yield = resolved.stack_yields.substrate
     if eff_yield is None:
         eff_yield = substrate.raw_yield
     if substrate.kind is SubstrateKind.RDL:
-        return (
-            params.substrate.rdl_cpa_kg_per_cm2
-            * mm2_to_cm2(substrate.area_mm2)
-            / eff_yield
+        return eff_yield, area_carbon_kg(
+            params.substrate.rdl_cpa_kg_per_cm2, substrate.area_mm2, eff_yield
         )
+    # Silicon interposer or EMIB bridge: priced like a (BEOL-only) die.
     node = params.node(params.substrate.silicon_node)
-    breakdown = wafer_carbon_per_cm2(
-        node,
-        ci_fab_kg_per_kwh,
-        beol_layers=float(node.max_beol_layers),
-        beol_aware=params.beol_aware,
+    unit = wafer_carbon_per_cm2(
+        node, 1.0, float(node.max_beol_layers), params.beol_aware
     )
     eff_area = effective_area_per_die_mm2(
         params.substrate.wafer_diameter_mm, substrate.area_mm2
     )
-    return breakdown.total_kg_per_cm2 * mm2_to_cm2(eff_area) / eff_yield
+    return eff_yield, area_carbon_kg(
+        unit.priced(ci_fab_kg_per_kwh), eff_area, eff_yield
+    )
 
 
 def interposer_carbon(
@@ -75,43 +76,11 @@ def interposer_carbon(
     params: ParameterSet,
     ci_fab_kg_per_kwh: float,
 ) -> InterposerCarbonResult:
-    """C_int of Eq. 3 for the design's substrate (if any)."""
-    substrate = resolved.substrate
-    if substrate is None or substrate.kind is SubstrateKind.ORGANIC:
+    """C_int of Eq. 3 for the design's substrate (if any), as a record."""
+    if ci_fab_kg_per_kwh < 0:
+        raise fab_ci_error()
+    term = substrate_term(resolved, params, ci_fab_kg_per_kwh)
+    if term is None:
         return _NO_SUBSTRATE
-
-    eff_yield = resolved.stack_yields.substrate
-    if eff_yield is None:
-        eff_yield = substrate.raw_yield
-
-    if substrate.kind is SubstrateKind.RDL:
-        carbon = (
-            params.substrate.rdl_cpa_kg_per_cm2
-            * mm2_to_cm2(substrate.area_mm2)
-            / eff_yield
-        )
-        return InterposerCarbonResult(
-            kind=substrate.kind,
-            area_mm2=substrate.area_mm2,
-            effective_yield=eff_yield,
-            carbon_kg=carbon,
-        )
-
-    # Silicon interposer or EMIB bridge: priced like a (BEOL-only) die.
-    node = params.node(params.substrate.silicon_node)
-    breakdown = wafer_carbon_per_cm2(
-        node,
-        ci_fab_kg_per_kwh,
-        beol_layers=float(node.max_beol_layers),
-        beol_aware=params.beol_aware,
-    )
-    eff_area = effective_area_per_die_mm2(
-        params.substrate.wafer_diameter_mm, substrate.area_mm2
-    )
-    carbon = breakdown.total_kg_per_cm2 * mm2_to_cm2(eff_area) / eff_yield
-    return InterposerCarbonResult(
-        kind=substrate.kind,
-        area_mm2=substrate.area_mm2,
-        effective_yield=eff_yield,
-        carbon_kg=carbon,
-    )
+    substrate = resolved.substrate
+    return InterposerCarbonResult(substrate.kind, substrate.area_mm2, *term)

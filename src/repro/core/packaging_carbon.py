@@ -45,34 +45,23 @@ def package_base_area_mm2(resolved: ResolvedDesign) -> float:
     return resolved.dies[0].area_mm2
 
 
-def packaging_carbon_kg(
-    resolved: ResolvedDesign, params: ParameterSet
-) -> float:
-    """Eq. 12 total only — the record-free twin of :func:`packaging_carbon`.
+def package_terms(resolved: ResolvedDesign, params: ParameterSet) -> tuple:
+    """Eq. 12: ``(package, base_area_mm2, package_area_mm2, carbon_kg)``.
 
-    Keep the arithmetic in sync with the record builder; the equivalence
-    tests pin the two paths to bit-identical totals.
+    CI- and wafer-free, so one float serves every point of a grid block.
     """
     package = params.packaging.get(resolved.design.package.package_class)
     base = package_base_area_mm2(resolved)
     override = resolved.design.package.area_mm2
     area = override if override is not None else package.package_area_mm2(base)
-    return package.cpa_kg_per_cm2 * mm2_to_cm2(area)
+    return package, base, area, package.cpa_kg_per_cm2 * mm2_to_cm2(area)
 
 
 def packaging_carbon(
     resolved: ResolvedDesign, params: ParameterSet
 ) -> PackagingCarbonResult:
-    """Eq. 12 for the whole design."""
-    package = params.packaging.get(resolved.design.package.package_class)
-    base = package_base_area_mm2(resolved)
-    override = resolved.design.package.area_mm2
-    area = override if override is not None else package.package_area_mm2(base)
-    carbon = package.cpa_kg_per_cm2 * mm2_to_cm2(area)
+    """Eq. 12 for the whole design, as a record."""
+    package, base, area, carbon = package_terms(resolved, params)
     return PackagingCarbonResult(
-        package_class=package.name,
-        base_area_mm2=base,
-        package_area_mm2=area,
-        cpa_kg_per_cm2=package.cpa_kg_per_cm2,
-        carbon_kg=carbon,
+        package.name, base, area, package.cpa_kg_per_cm2, carbon
     )

@@ -13,7 +13,7 @@ with the raw-material footprint (MPA) charged once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..config.m3d import M3DParameters
 from ..config.technology import ProcessNode
@@ -21,9 +21,12 @@ from ..errors import ParameterError
 from ..units import mm2_to_cm2
 
 
-@dataclass(frozen=True)
-class WaferCarbonBreakdown:
-    """Per-cm² carbon components of one wafer flavour (kg CO₂/cm²)."""
+class WaferCarbonBreakdown(NamedTuple):
+    """Per-cm² carbon components of one wafer flavour (kg CO₂/cm²).
+
+    A named tuple rather than a dataclass: every die of every Monte-Carlo
+    draw builds one, and a tuple is the cheapest immutable record.
+    """
 
     energy_kg_per_cm2: float
     gas_kg_per_cm2: float
@@ -31,11 +34,25 @@ class WaferCarbonBreakdown:
 
     @property
     def total_kg_per_cm2(self) -> float:
+        return self.priced(1.0)
+
+    def priced(self, ci_fab_kg_per_kwh):
+        """Eq. 6 per cm², ``(CI·EPA + GPA) + MPA``, of a unit-CI breakdown.
+
+        Only the energy term scales with the fab CI, so a breakdown built
+        at ``ci = 1.0`` (energy = EPA exactly) prices any CI in this one
+        affine form: a float, or a column over an array of intensities.
+        A breakdown built at its own CI is priced at ``1.0``.
+        """
         return (
-            self.energy_kg_per_cm2
+            ci_fab_kg_per_kwh * self.energy_kg_per_cm2
             + self.gas_kg_per_cm2
-            + self.material_kg_per_cm2
-        )
+        ) + self.material_kg_per_cm2
+
+
+def fab_ci_error() -> ParameterError:
+    """The error of a negative fab carbon intensity."""
+    return ParameterError("fab carbon intensity must be >= 0")
 
 
 def wafer_carbon_per_cm2(
@@ -46,7 +63,7 @@ def wafer_carbon_per_cm2(
 ) -> WaferCarbonBreakdown:
     """Eq. 6 per unit area, optionally scaled to the actual metal count."""
     if ci_fab_kg_per_kwh < 0:
-        raise ParameterError("fab carbon intensity must be >= 0")
+        raise fab_ci_error()
     if beol_layers is not None and beol_layers < 0:
         raise ParameterError("BEOL layer count must be >= 0")
 
@@ -64,9 +81,7 @@ def wafer_carbon_per_cm2(
             node.gpa_kg_per_cm2 * fraction / node.max_beol_layers
         )
     return WaferCarbonBreakdown(
-        energy_kg_per_cm2=ci_fab_kg_per_kwh * epa,
-        gas_kg_per_cm2=gpa,
-        material_kg_per_cm2=node.mpa_kg_per_cm2,
+        ci_fab_kg_per_kwh * epa, gpa, node.mpa_kg_per_cm2
     )
 
 
@@ -84,7 +99,7 @@ def m3d_wafer_carbon_per_cm2(
     charged once, for the bottom tier's substrate.
     """
     if ci_fab_kg_per_kwh < 0:
-        raise ParameterError("fab carbon intensity must be >= 0")
+        raise fab_ci_error()
     n_tiers = len(tiers)
     if n_tiers < 2:
         raise ParameterError(f"M3D needs >= 2 tiers, got {n_tiers}")
@@ -114,9 +129,7 @@ def m3d_wafer_carbon_per_cm2(
             gpa += node.gpa_kg_per_cm2 * feol_share
     epa += (n_tiers - 1) * m3d.ild_epa_kwh_per_cm2
     return WaferCarbonBreakdown(
-        energy_kg_per_cm2=ci_fab_kg_per_kwh * epa,
-        gas_kg_per_cm2=gpa,
-        material_kg_per_cm2=tiers[0][0].mpa_kg_per_cm2,
+        ci_fab_kg_per_kwh * epa, gpa, tiers[0][0].mpa_kg_per_cm2
     )
 
 

@@ -14,7 +14,8 @@ points cannot distinguish:
 * **embodied**, **bandwidth** and **operational** stages are memoized on
   their own input fingerprints (see :mod:`repro.pipeline.fingerprint`);
   :meth:`BatchEvaluator.total_kg` reuses a cached embodied report and
-  otherwise prices the record-free embodied total without storing it;
+  otherwise sums the embodied components without records or storing
+  them;
 * every other registered :class:`repro.pipeline.CarbonBackend` (the
   Sec. 4 baselines) runs its own stage pipeline with the resolve stage
   seeded from the shared resolve memo (its later stages are not
@@ -47,7 +48,7 @@ from ..caching import EvictionPolicy, LRUCache
 from ..config.parameters import DEFAULT_PARAMETERS, ParameterSet
 from ..core.bandwidth import BandwidthResult, evaluate_bandwidth
 from ..core.design import ChipDesign
-from ..core.embodied import EmbodiedReport, embodied_carbon, embodied_total_kg
+from ..core.embodied import EmbodiedReport, embodied_carbon, embodied_totals
 from ..core.operational import (
     OperationalReport,
     Workload,
@@ -629,15 +630,13 @@ class BatchEvaluator:
     ) -> float:
         """Eq. 1 total — ``report(...).total_kg`` without building reports.
 
-        Uses the record-free component twins (see
-        :func:`repro.core.embodied.embodied_total_kg`), which compute the
-        same floats in the same order as the full report path; the
-        equivalence tests pin the two bit for bit. Monte-Carlo draws take
-        this path: per draw, the per-die/per-bond record objects of a
-        ``LifecycleReport`` are pure allocation cost. A cached embodied
-        report is reused; a miss prices the total under the same
-        ``stage.embodied`` fault hook, span and histogram as
-        :meth:`report`, and is not stored.
+        Prices embodied carbon through
+        :func:`repro.core.embodied.embodied_totals`: the same component
+        equations as the report path, summed without the per-die and
+        per-bond records (per Monte-Carlo draw those are pure allocation
+        cost). A cached embodied report is reused; a miss prices the
+        total under the same ``stage.embodied`` fault hook, span and
+        histogram as :meth:`report`, and is not stored.
         """
         params = params if params is not None else self.params
         location = fab_location if fab_location is not None else self.fab_location
@@ -655,7 +654,7 @@ class BatchEvaluator:
             if self.faults.active:
                 self.faults.hit("stage.embodied")
             with self._observe_stage("embodied"):
-                embodied_kg = embodied_total_kg(resolved, params, ci)
+                embodied_kg = embodied_totals(resolved, params, ci)[0]
             self._tally.stats.embodied_misses += 1
 
         operational_kg = 0.0

@@ -73,8 +73,12 @@ def um_to_mm(length_um: float) -> float:
 
 
 def wafer_area_mm2(diameter_mm: float) -> float:
-    """Area of a circular wafer of the given diameter (mm → mm²)."""
-    if diameter_mm <= 0:
+    """Area of a circular wafer of the given diameter (mm → mm²).
+
+    Elementwise over a float64 array of diameters as well; only a scalar
+    diameter is checked here (a grid checks its wafer axis when built).
+    """
+    if isinstance(diameter_mm, (int, float)) and diameter_mm <= 0:
         raise UnitError(f"wafer diameter must be positive, got {diameter_mm}")
     radius = diameter_mm / 2.0
     return math.pi * radius * radius

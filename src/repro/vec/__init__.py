@@ -7,10 +7,10 @@ space (integration technology × division × assembly × wafer size × fab
 location), :class:`~repro.vec.plan.VectorizedBatch` partitions it into
 shape-groups (same integration/stacking/die-count → one batch), and
 :func:`~repro.vec.evaluate.evaluate_grid` prices every point through the
-columnar twins in :mod:`repro.vec.columns` — bit-identical to the scalar
-pipeline, because every column replicates the scalar expression tree with
-elementwise IEEE-exact numpy ops (see the parity notes in
-:mod:`repro.vec.columns`).
+scalar model's own embodied equations applied to float64 columns of
+wafer diameters and fab carbon intensities — bit-identical to the scalar
+pipeline, because those equations use only elementwise IEEE-exact
+operations (see :mod:`repro.vec.evaluate`).
 
 ``BatchEvaluator.evaluate_grid()`` is the engine-side entry point; the
 Pareto optimizer (:class:`repro.analysis.optimizer.ParetoSearch`) chunks

@@ -1,10 +1,14 @@
-"""Grid evaluation through the columnar twins.
+"""Grid evaluation: the embodied equations over wafer and fab-CI columns.
 
 :func:`evaluate_grid` is the vectorized fast path: plan the grid into
 shape-groups, resolve each design block **once** through the engine's
 memoized scalar resolver (Davis wirelength, floorplans, yields — the
 transcendental-heavy work), then price the block's points as numpy
-columns over the wafer-diameter and fab-CI axes. Operational carbon,
+columns over the wafer-diameter and fab-CI axes. The columns come from
+the scalar model's own equation bodies
+(:func:`repro.core.embodied.embodied_totals`) applied to float64 arrays:
+they use only elementwise ``+ − × ÷`` and ``math.sqrt`` of scalars, so
+every element is the float the scalar path computes. Operational carbon,
 bandwidth degradation and packaging are block constants (they do not
 depend on either axis), computed by the very same scalar code the
 per-point path runs — so every output column is bit-identical to a
@@ -14,7 +18,10 @@ scalar sweep over ``params.with_wafer_diameter(...)`` ×
 Failures stay local: an unknown fab location, an unresolvable design or
 a die that does not fit a wafer marks *its* points with the scalar
 path's error message and NaN columns; the rest of the batch is
-untouched.
+untouched. A point's error is the one the scalar path raises first: fab
+location, then resolution, then each die in order (Eq. 5 is checked per
+point), then the block-wide bonding, packaging, substrate, bandwidth and
+operational stages.
 
 Observability: planning runs under a ``vec.plan`` span, evaluation under
 ``vec.eval`` (point/group/error counts as attributes), and every
@@ -30,9 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config.parameters import ParameterSet
+from ..core.die_carbon import carbon_sum
+from ..core.dpw import dpw_error, dpw_formula
+from ..core.embodied import embodied_totals
 from ..errors import DesignError, ParameterError
 from ..obs import trace as obs_trace
-from .columns import embodied_columns
 from .grid import DesignGrid
 from .plan import VectorizedBatch
 
@@ -103,6 +112,24 @@ class GridResult:
         return record
 
 
+def _marking_dpw(errors: "list[str | None]", indices):
+    """Eq. 5 over a block's wafer column. A die that does not fit marks
+    its point with the scalar path's message, unless the point already
+    holds an earlier error."""
+
+    def dpw(wafer_mm: np.ndarray, die_area_mm2: float) -> np.ndarray:
+        count = dpw_formula(wafer_mm, die_area_mm2)
+        for pos in np.flatnonzero(count < 1.0):
+            i = indices[pos]
+            if errors[i] is None:
+                errors[i] = str(
+                    dpw_error(wafer_mm[pos], die_area_mm2, count[pos])
+                )
+        return count
+
+    return dpw
+
+
 def evaluate_grid(
     grid: DesignGrid,
     evaluator=None,
@@ -171,10 +198,15 @@ def evaluate_grid(
                 try:
                     rkey = evaluator._rkey(design, params)
                     resolved = evaluator._resolved(design, params, rkey)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        (embodied_kg, die_kg, bonding_kg, packaging_kg,
+                         interposer_kg, die_terms) = embodied_totals(
+                            resolved, params, ci_col, wafers,
+                            _marking_dpw(errors, block.indices),
+                        )
                     bandwidth = evaluator._bandwidth(
                         design, params, rkey, resolved=resolved
                     )
-                    cols = embodied_columns(resolved, params, wafers, ci_col)
                     operational_kg = 0.0
                     if grid.workload is not None:
                         operational_kg = evaluator._operational(
@@ -194,19 +226,21 @@ def evaluate_grid(
                     else design.throughput_tops * (1.0 - bandwidth.degradation)
                 )
 
-                columns["total_kg"][idx] = cols.embodied_kg + operational_kg
-                columns["embodied_kg"][idx] = cols.embodied_kg
+                columns["total_kg"][idx] = embodied_kg + operational_kg
+                columns["embodied_kg"][idx] = embodied_kg
                 columns["operational_kg"][idx] = operational_kg
-                columns["die_kg"][idx] = cols.die_kg
-                columns["bonding_kg"][idx] = cols.bonding_kg
-                columns["packaging_kg"][idx] = cols.packaging_kg
-                columns["interposer_kg"][idx] = cols.interposer_kg
+                columns["die_kg"][idx] = die_kg
+                columns["bonding_kg"][idx] = bonding_kg
+                columns["packaging_kg"][idx] = packaging_kg
+                columns["interposer_kg"][idx] = interposer_kg
                 columns["performance_tops"][idx] = performance
-                columns["cost_mm2"][idx] = cols.cost_mm2
-                for pos, message in enumerate(cols.errors):
-                    i = block.indices[pos]
-                    if message is not None and errors[i] is None:
-                        errors[i] = message
+                # The exploration cost proxy: effective wafer silicon area
+                # charged per good unit, Σ (A_wafer/DPW)/Y_eff over the
+                # dies (the area Eq. 4 multiplies by the wafer carbon).
+                columns["cost_mm2"][idx] = carbon_sum(
+                    eff_area / eff_yield
+                    for _, _, eff_area, eff_yield, _ in die_terms
+                )
 
         # Error points keep NaN columns even where partial values landed.
         bad = np.fromiter(

@@ -46,7 +46,6 @@ class TestPackageSurface:
         import repro.floorplan
         import repro.io
         import repro.lifecycle
-        import repro.perf
         import repro.power
         import repro.rent
         import repro.studies

@@ -71,11 +71,13 @@ def test_monte_carlo_engine_matches_scalar(stacked, workload):
 def test_monte_carlo_matches_scalar_per_integration(
     reference, workload, integration
 ):
-    """Pins every branch of the record-free *_total_kg twins.
+    """Pins the record-free embodied total against the report path.
 
     Covers the RDL (info), organic (mcm), EMIB-bridge and silicon-
     interposer substrate branches plus the M3D and micro-bump 3D die
-    paths — a divergence in any lean twin breaks exact equality here.
+    paths: ``embodied_totals`` sums the same equation terms that the
+    report path wraps in records, so any difference in summation breaks
+    exact equality here.
     """
     design = ChipDesign.homogeneous_split(reference, integration)
     engine = monte_carlo(design, workload=workload, samples=25)

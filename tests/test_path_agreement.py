@@ -275,6 +275,17 @@ def report_columns(report, design: ChipDesign) -> dict:
     }
 
 
+#: A 3e11-gate 7 nm reference: too large for a 150 mm wafer as one die,
+#: and split over a silicon interposer too large for its own 300 mm
+#: interposer wafer. Each point's error must be the first the scalar
+#: path raises: a die that misses the grid wafer before the substrate
+#: (or any later block-wide stage) that misses for every point.
+PRECEDENCE_REFERENCE = ChipDesign.planar_2d("big", "7nm", gate_count=3e11)
+#: A use-phase grid no parameter set knows: Eq. 16 fails for every point.
+UNKNOWN_USE_GRID = Workload(name="offworld", total_tera_ops=3.0e9,
+                            use_location="atlantis", lifetime_years=4.0)
+
+
 @given(
     grid_designs=st.lists(designs(), min_size=1, max_size=3,
                           unique_by=lambda design: design.name),
@@ -283,6 +294,15 @@ def report_columns(report, design: ChipDesign) -> dict:
     locations=st.lists(st.sampled_from(LOCATIONS), min_size=1, max_size=3,
                        unique=True),
     workload=st.sampled_from(WORKLOADS),
+)
+@example(
+    grid_designs=[ChipDesign.homogeneous_split(PRECEDENCE_REFERENCE,
+                                               "si_interposer")],
+    wafers=[150.0, 200.0, 450.0], locations=["taiwan"], workload=None,
+)
+@example(
+    grid_designs=[PRECEDENCE_REFERENCE], wafers=[150.0, 450.0],
+    locations=["taiwan"], workload=UNKNOWN_USE_GRID,
 )
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])

@@ -1,21 +1,10 @@
-"""Power plug-in and performance-substrate tests."""
+"""Power plug-in tests."""
 
 import pytest
 
 from repro import ChipDesign, ParameterSet
 from repro.core.resolve import resolve_design
 from repro.errors import ParameterError, UnknownTechnologyError
-from repro.perf.degradation import (
-    degradation,
-    runtime_stretch,
-    throughput_factor,
-)
-from repro.perf.requirements import (
-    AV_PERCEPTION_LAYERS,
-    DnnLayer,
-    network_traffic_intensity,
-    onchip_bandwidth_tb_s,
-)
 from repro.power.dnn import AnalyticalDnnPlugin
 from repro.power.plugin import CallablePlugin, PluginRegistry
 from repro.power.surveyed import SurveyedEfficiencyPlugin
@@ -106,65 +95,3 @@ class TestRegistry:
         with pytest.raises(ParameterError):
             plugin.efficiency_tops_per_w(resolved_die(name="f"))
 
-
-class TestDegradationCurve:
-    def test_anchor(self):
-        """MCM-GPU: half bandwidth → 20 % throughput loss."""
-        assert throughput_factor(0.5) == pytest.approx(0.80)
-        assert degradation(0.5) == pytest.approx(0.20)
-
-    def test_no_loss_above_one(self):
-        assert throughput_factor(1.0) == 1.0
-        assert throughput_factor(2.5) == 1.0
-
-    def test_monotone_nonincreasing(self):
-        ratios = [1.0, 0.8, 0.6, 0.4, 0.2, 0.05, 0.0]
-        factors = [throughput_factor(r) for r in ratios]
-        assert all(a >= b for a, b in zip(factors, factors[1:]))
-
-    def test_roofline_floor_near_zero(self):
-        """Throughput tracks bandwidth when fully bandwidth-bound."""
-        assert throughput_factor(0.1) >= 0.1 * 0.8 - 1e-12
-        assert throughput_factor(0.0) == 0.0
-
-    def test_runtime_stretch(self):
-        assert runtime_stretch(1.0) == 1.0
-        assert runtime_stretch(0.5) == pytest.approx(1.25)
-        assert runtime_stretch(0.0) == float("inf")
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ParameterError):
-            throughput_factor(-0.1)
-        with pytest.raises(ParameterError):
-            throughput_factor(0.5, anchor_ratio=1.5)
-
-
-class TestRequirements:
-    def test_onchip_bandwidth_units(self):
-        """254 TOPS × 0.13 B/op = 33 TB/s."""
-        assert onchip_bandwidth_tb_s(254.0, 0.13) == pytest.approx(33.02)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ParameterError):
-            onchip_bandwidth_tb_s(0.0, 0.13)
-        with pytest.raises(ParameterError):
-            onchip_bandwidth_tb_s(254.0, 0.0)
-
-    def test_layer_bytes_per_op(self):
-        layer = DnnLayer("l", macs=1e9, onchip_bytes=4e8)
-        assert layer.bytes_per_op == pytest.approx(0.2)
-
-    def test_av_network_matches_calibrated_constant(self):
-        """The bundled AV backbone justifies the 0.13 B/op default."""
-        intensity = network_traffic_intensity(list(AV_PERCEPTION_LAYERS))
-        assert intensity == pytest.approx(
-            PARAMS.bandwidth.traffic_bytes_per_op, rel=0.12
-        )
-
-    def test_bad_layer_rejected(self):
-        with pytest.raises(ParameterError):
-            DnnLayer("bad", macs=0.0, onchip_bytes=1.0)
-
-    def test_empty_network_rejected(self):
-        with pytest.raises(ParameterError):
-            network_traffic_intensity([])

@@ -19,6 +19,7 @@ from repro.analysis.optimizer import (
 from repro.core.design import ChipDesign
 from repro.engine import BatchEvaluator
 from repro.errors import DesignError, ParameterError
+from repro.studies.drive import drive_2d_design
 from repro.vec import DesignGrid, VectorizedBatch
 from repro.vec.evaluate import COLUMN_NAMES, evaluate_grid
 from repro.vec.plan import shape_key
@@ -137,49 +138,68 @@ class TestShapeGroupPlanning:
             assert result.column(name).shape == (0,)
 
 
+def assert_matches_scalar(grid: DesignGrid, result) -> int:
+    """Every point of ``result`` equals the scalar engine's report bit for
+    bit, or carries its error message; returns the clean point count."""
+    scalar = BatchEvaluator()
+    wafer_params = {}
+    clean = 0
+    for index, point in enumerate(grid.points):
+        params = wafer_params.setdefault(
+            point.wafer_diameter_mm,
+            scalar.params.with_wafer_diameter(point.wafer_diameter_mm),
+        )
+        try:
+            report = scalar.report(
+                point.design, workload=grid.workload, params=params,
+                fab_location=point.fab_location,
+            )
+        except (DesignError, ParameterError) as error:
+            # Structural failures carry the scalar path's message.
+            assert result.errors[index] == str(error), point.label
+            continue
+        clean += 1
+        assert result.errors[index] is None, point.label
+        expected = {
+            "total_kg": report.total_kg,
+            "embodied_kg": report.embodied_kg,
+            "operational_kg": report.operational_kg,
+            "die_kg": report.embodied.die_kg,
+            "bonding_kg": report.embodied.bonding_kg,
+            "packaging_kg": report.embodied.packaging_kg,
+            "interposer_kg": report.embodied.interposer_kg,
+            "performance_tops": point.design.throughput_tops
+            * (1.0 - report.bandwidth.degradation),
+        }
+        for name, value in expected.items():
+            got = float(result.column(name)[index])
+            assert got == value, (
+                f"{name} mismatch at {point.label}: {got!r} != {value!r}"
+            )
+        # cost_mm2 is vec-only (the exploration proxy); pin its shape.
+        assert float(result.column("cost_mm2")[index]) > 0.0
+    return clean
+
+
 class TestScalarParity:
     def test_every_report_column_bit_identical(self, orin_2d):
         grid = mixed_grid(orin_2d)
-        evaluator = BatchEvaluator()
-        result = evaluate_grid(grid, evaluator=evaluator)
+        result = evaluate_grid(grid, evaluator=BatchEvaluator())
+        assert assert_matches_scalar(grid, result) > 0
 
-        scalar = BatchEvaluator()
-        wafer_params = {}
-        clean = 0
-        for index, point in enumerate(grid.points):
-            params = wafer_params.setdefault(
-                point.wafer_diameter_mm,
-                scalar.params.with_wafer_diameter(point.wafer_diameter_mm),
-            )
-            try:
-                report = scalar.report(
-                    point.design, workload=grid.workload, params=params,
-                    fab_location=point.fab_location,
-                )
-            except (DesignError, ParameterError) as error:
-                # Structural failures carry the scalar path's message.
-                assert result.errors[index] == str(error), point.label
-                continue
-            clean += 1
-            assert result.errors[index] is None
-            expected = {
-                "total_kg": report.total_kg,
-                "embodied_kg": report.embodied_kg,
-                "operational_kg": report.operational_kg,
-                "die_kg": report.embodied.die_kg,
-                "bonding_kg": report.embodied.bonding_kg,
-                "packaging_kg": report.embodied.packaging_kg,
-                "interposer_kg": report.embodied.interposer_kg,
-                "performance_tops": point.design.throughput_tops
-                * (1.0 - report.bandwidth.degradation),
-            }
-            for name, value in expected.items():
-                assert float(result.column(name)[index]) == value, (
-                    f"{name} mismatch at {point.label}"
-                )
-            # cost_mm2 is vec-only (the exploration proxy); pin its shape.
-            assert float(result.column("cost_mm2")[index]) > 0.0
-        assert clean > 0
+    def test_sampled_design_space_bit_identical(self):
+        """500 points drawn from the full ORIN design space — wafers
+        100–500 mm, named grids and raw intensities — match the scalar
+        engine bit for bit, and every error message for message."""
+        grid = DesignGrid.from_axes(
+            drive_2d_design("orin"),
+            wafer_diameters_mm=[100.0 + 25.0 * i for i in range(17)],
+            fab_locations=["taiwan", "iceland", "usa", "india",
+                           30.0, 480.0, 700.0],
+            workload="av",
+        ).sample(500, seed=20240623)
+        assert len(grid.points) == 500
+        assert assert_matches_scalar(grid, evaluate_grid(grid)) > 0
 
     def test_invalid_wafer_points_stay_local(self):
         # A 4000 mm² die does not fit a 100 mm wafer: those points must
