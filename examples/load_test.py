@@ -24,7 +24,9 @@ from pathlib import Path
 from repro.service import ServiceFleet
 from repro.service.loadgen import run_load
 
-store = Path(tempfile.mkdtemp(prefix="carbon3d_load_")) / "store.sqlite3"
+# Removed, store file included, once the fleet is reaped.
+workdir = tempfile.TemporaryDirectory(prefix="carbon3d_load_")
+store = Path(workdir.name) / "store.sqlite3"
 
 print("1. forking a two-worker fleet on a shared socket")
 with ServiceFleet("127.0.0.1", 0, workers=2, store_path=store) as fleet:
@@ -56,4 +58,5 @@ with ServiceFleet("127.0.0.1", 0, workers=2, store_path=store) as fleet:
     print(f"   stable digests   : {warm['digests'] == cold['digests']}")
     assert warm["digests"] == cold["digests"]
 
+workdir.cleanup()
 print("fleet drained and reaped cleanly")

@@ -28,7 +28,9 @@ reference = ChipDesign.planar_2d(
 )
 design = ChipDesign.homogeneous_split(reference, "hybrid_3d")
 
-workdir = Path(tempfile.mkdtemp(prefix="carbon3d_"))
+# Removed, token and store files included, once the server stops.
+tmp = tempfile.TemporaryDirectory(prefix="carbon3d_")
+workdir = Path(tmp.name)
 
 # 1. The token registry — ops run `carbon3d tokens issue ...` against the
 #    same SQLite file the server (or every fleet worker) reads.
@@ -90,4 +92,5 @@ except ServiceError as error:
 acme_client.close()
 globex_client.close()
 server.close()
+tmp.cleanup()
 print("server stopped.")

@@ -25,7 +25,9 @@ reference = ChipDesign.planar_2d(
 )
 design = ChipDesign.homogeneous_split(reference, "hybrid_3d")
 
-store_path = Path(tempfile.mkdtemp(prefix="carbon3d_")) / "store.sqlite3"
+# Removed, store file included, once the second server stops.
+workdir = tempfile.TemporaryDirectory(prefix="carbon3d_")
+store_path = Path(workdir.name) / "store.sqlite3"
 
 
 def start_server():
@@ -67,3 +69,4 @@ print(f"bit-identical : {second.to_payload() == first.to_payload()}")
 print(f"store hits    : {stats['store']['hits']}, "
       f"engine resolves since restart: {stats['engine']['resolve_misses']}")
 server.close()
+workdir.cleanup()

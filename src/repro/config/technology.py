@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from ..errors import ParameterError, UnknownTechnologyError
@@ -103,25 +104,38 @@ class ProcessNode:
         lam_um = self.feature_nm / 1000.0
         return self.beta * lam_um * lam_um
 
+    @cached_property
+    def beol_split(self) -> "tuple[float, float, float, float]":
+        """Eq. 6's EPA and GPA, each split into a FEOL part and a part per
+        metal layer: ``(epa_feol, epa_per_layer, gpa_feol, gpa_per_layer)``.
+
+        3D-Carbon scales wafer carbon with the estimated metal count
+        (Sec. 4.1): ``EPA(L) = epa_feol + L · epa_per_layer``, and GPA
+        likewise. Computed once per node record.
+        """
+        fraction = self.beol_carbon_fraction
+        return (
+            self.epa_kwh_per_cm2 * (1.0 - fraction),
+            self.epa_kwh_per_cm2 * fraction / self.max_beol_layers,
+            self.gpa_kg_per_cm2 * (1.0 - fraction),
+            self.gpa_kg_per_cm2 * fraction / self.max_beol_layers,
+        )
+
     def epa_feol_kwh_per_cm2(self) -> float:
         """FEOL share of the fab-electricity footprint."""
-        return self.epa_kwh_per_cm2 * (1.0 - self.beol_carbon_fraction)
+        return self.beol_split[0]
 
     def epa_per_beol_layer_kwh_per_cm2(self) -> float:
         """Per-metal-layer share of the fab-electricity footprint."""
-        return (
-            self.epa_kwh_per_cm2 * self.beol_carbon_fraction / self.max_beol_layers
-        )
+        return self.beol_split[1]
 
     def gpa_feol_kg_per_cm2(self) -> float:
         """FEOL share of direct gas emissions."""
-        return self.gpa_kg_per_cm2 * (1.0 - self.beol_carbon_fraction)
+        return self.beol_split[2]
 
     def gpa_per_beol_layer_kg_per_cm2(self) -> float:
         """Per-metal-layer share of direct gas emissions."""
-        return (
-            self.gpa_kg_per_cm2 * self.beol_carbon_fraction / self.max_beol_layers
-        )
+        return self.beol_split[3]
 
     def with_overrides(self, **overrides: float) -> "ProcessNode":
         """Return a copy with the given fields replaced (validated again)."""

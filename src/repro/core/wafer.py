@@ -71,15 +71,9 @@ def wafer_carbon_per_cm2(
         epa = node.epa_kwh_per_cm2
         gpa = node.gpa_kg_per_cm2
     else:
-        # The FEOL + per-layer split of the ProcessNode helper methods,
-        # inlined term-for-term (same float expressions, fewer calls).
-        fraction = node.beol_carbon_fraction
-        epa = node.epa_kwh_per_cm2 * (1.0 - fraction) + beol_layers * (
-            node.epa_kwh_per_cm2 * fraction / node.max_beol_layers
-        )
-        gpa = node.gpa_kg_per_cm2 * (1.0 - fraction) + beol_layers * (
-            node.gpa_kg_per_cm2 * fraction / node.max_beol_layers
-        )
+        epa_feol, epa_per_layer, gpa_feol, gpa_per_layer = node.beol_split
+        epa = epa_feol + beol_layers * epa_per_layer
+        gpa = gpa_feol + beol_layers * gpa_per_layer
     return WaferCarbonBreakdown(
         ci_fab_kg_per_kwh * epa, gpa, node.mpa_kg_per_cm2
     )
@@ -115,14 +109,9 @@ def m3d_wafer_carbon_per_cm2(
     for index, (node, layers) in enumerate(tiers):
         feol_share = 1.0 if index == 0 else m3d.feol_overhead
         if beol_aware:
-            epa += (
-                node.epa_feol_kwh_per_cm2() * feol_share
-                + layers * node.epa_per_beol_layer_kwh_per_cm2()
-            )
-            gpa += (
-                node.gpa_feol_kg_per_cm2() * feol_share
-                + layers * node.gpa_per_beol_layer_kg_per_cm2()
-            )
+            epa_feol, epa_per_layer, gpa_feol, gpa_per_layer = node.beol_split
+            epa += epa_feol * feol_share + layers * epa_per_layer
+            gpa += gpa_feol * feol_share + layers * gpa_per_layer
         else:
             # Without BEOL awareness, charge full per-tier wafer processing.
             epa += node.epa_kwh_per_cm2 * feol_share

@@ -5,6 +5,18 @@ CarbonModel` for *many* evaluation points — (design × parameters ×
 fab location × workload) — sharing every stage of the pipeline that two
 points cannot distinguish:
 
+* points are priced **stage by stage over a block**: each stage —
+  resolve (Eqs. 7–10 and 15, Table 3), bandwidth (Sec. 3.4),
+  operational (Eq. 16), embodied (Eqs. 3–6 and 11–14) — is one method
+  call over the block's points (``_resolved``, ``_bandwidth``,
+  ``_operational``, ``_embodied``). :meth:`BatchEvaluator.evaluate_many`
+  is one block; :meth:`~BatchEvaluator.report`,
+  :meth:`~BatchEvaluator.evaluate` and :meth:`~BatchEvaluator.total_kg`
+  are blocks of one, and :meth:`~BatchEvaluator.total_kg_many` prices a
+  chunk of Monte-Carlo draws as one block. Each stage call opens one
+  ``stage.<name>`` trace span for the block (attrs ``points`` and
+  ``misses``); each memo miss still fires the ``stage.<name>`` fault
+  hook and records one ``carbon3d_stage_duration_seconds`` observation;
 * design **resolution** (the expensive wirelength / area / floorplan
   math) is memoized on :func:`repro.pipeline.fingerprint.resolve_key`, and
   additionally shares its structural sub-results through a
@@ -13,9 +25,8 @@ points cannot distinguish:
   the Davis model;
 * **embodied**, **bandwidth** and **operational** stages are memoized on
   their own input fingerprints (see :mod:`repro.pipeline.fingerprint`);
-  :meth:`BatchEvaluator.total_kg` reuses a cached embodied report and
-  otherwise sums the embodied components without records or storing
-  them;
+  a totals block reuses a cached embodied report and otherwise sums the
+  embodied components without records or storing them;
 * every other registered :class:`repro.pipeline.CarbonBackend` (the
   Sec. 4 baselines) runs its own stage pipeline with the resolve stage
   seeded from the shared resolve memo (its later stages are not
@@ -28,9 +39,14 @@ points cannot distinguish:
   request's points — for callers that already deduplicate and cache
   across requests elsewhere (a store-backed service dispatcher). It has
   the same configuration, but its memo layers are plain dicts keyed by
-  value on the design (plus fab carbon intensity or workload), with no
+  design identity (plus fab carbon intensity or workload), with no
   fingerprints, LRU layers or ``ResolveCache``; its counts land back in
   the parent's stats.
+
+Per-point semantics hold inside a block: a failing point is skipped by
+every later stage, and once the block is priced the error raised is the
+one pricing the points one at a time would raise first (the
+lowest-index failing point's, at its first failing stage).
 
 Results are bit-identical to the scalar ``CarbonModel`` path: the engine
 calls the very same stage functions with the very same inputs — caching
@@ -41,7 +57,6 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from ..caching import EvictionPolicy, LRUCache
@@ -49,11 +64,7 @@ from ..config.parameters import DEFAULT_PARAMETERS, ParameterSet
 from ..core.bandwidth import BandwidthResult, evaluate_bandwidth
 from ..core.design import ChipDesign
 from ..core.embodied import EmbodiedReport, embodied_carbon, embodied_totals
-from ..core.operational import (
-    OperationalReport,
-    Workload,
-    operational_carbon,
-)
+from ..core.operational import Workload, operational_carbon
 from ..core.report import LifecycleReport
 from ..core.resolve import ResolveCache, ResolvedDesign, resolve_design
 from ..errors import EvaluationTimeout, ParameterError
@@ -193,42 +204,59 @@ class _Caches:
 _OBSERVED_STAGES = ("resolve", "embodied", "bandwidth", "operational")
 
 
-class _StageObservation:
-    """Context manager: trace span + latency histogram for one stage.
+def _embodied_total(resolved: ResolvedDesign, params: ParameterSet,
+                    ci: float) -> float:
+    """Eq. 3 total (kg) without the per-die and per-bond records."""
+    return embodied_totals(resolved, params, ci)[0]
 
-    ``hist`` is the stage's already-bound labelled child series (or
-    ``None`` when only a trace is active).
+
+class _Block:
+    """Points priced stage by stage: one call per stage per block.
+
+    Each stage method takes the whole block. It reads its inputs from the
+    columns here (design, parameter set, resolve key, fab carbon
+    intensity, workload) and fills its own result column. ``errors[i]``
+    is point ``i``'s first failure; no later stage prices that point.
+    The resolve stage prices the points in ``resolving``, every later
+    stage those in ``priced`` (an explicit backend's point only has its
+    resolution seeded from the memo). With a point deadline,
+    ``spent[i]`` sums the time point ``i``'s own stage work took.
+    A ``transient`` block stores no resolve, embodied or bandwidth
+    result; a ``totals`` block prices embodied totals without records.
     """
 
-    __slots__ = ("_hist", "_span_cm", "_t0")
+    __slots__ = (
+        "designs", "params", "rkeys", "cis", "workloads", "errors",
+        "priced", "resolving", "spent", "transient", "totals",
+        "resolved", "bandwidth", "operational", "embodied",
+    )
 
-    def __init__(self, hist, stage: str) -> None:
-        self._hist = hist
-        self._span_cm = obs_trace.span(f"stage.{stage}", backend="repro3d")
-        self._t0 = 0.0
+    def __init__(self, designs, params, rkeys, cis, workloads,
+                 errors=None, priced=None, resolving=None, spent=None,
+                 transient=False, totals=False) -> None:
+        n = len(designs)
+        self.designs = designs
+        self.params = params
+        self.rkeys = rkeys
+        self.cis = cis
+        self.workloads = workloads
+        self.errors = [None] * n if errors is None else errors
+        self.priced = range(n) if priced is None else priced
+        self.resolving = self.priced if resolving is None else resolving
+        self.spent = spent
+        self.transient = transient
+        self.totals = totals
+        self.resolved = [None] * n
+        self.bandwidth = [None] * n
+        self.operational = [None] * n
+        self.embodied = [None] * n
 
-    def __enter__(self):
-        self._span_cm.__enter__()
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self._hist is not None:
-            self._hist.observe(time.perf_counter() - self._t0)
-        return self._span_cm.__exit__(exc_type, exc, tb)
-
-
-class _NullObservation:
-    __slots__ = ()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_OBSERVATION = _NullObservation()
+    def only(self, column: list):
+        """The value in ``column`` of a block of one, or its error."""
+        error = self.errors[0]
+        if error is not None:
+            raise error
+        return column[0]
 
 
 class BatchEvaluator:
@@ -282,8 +310,9 @@ class BatchEvaluator:
         #: per-stage latency histogram; with neither a registry nor an
         #: active trace, the stage hot paths stay uninstrumented.
         self.metrics = None
-        #: Stage name → its bound ``carbon3d_stage_duration_seconds``
-        #: child series (``None`` without a registry).
+        #: Stage site (``stage.<name>``) → its bound
+        #: ``carbon3d_stage_duration_seconds`` child series (``None``
+        #: without a registry).
         self._stage_hists: "dict | None" = None
         if metrics is not None:
             self.attach_metrics(metrics)
@@ -305,42 +334,27 @@ class BatchEvaluator:
         )
         # Bound once here: ``labels()`` sorts its key and takes a lock.
         self._stage_hists = {
-            stage: hist.labels(stage=stage, backend="repro3d")
+            f"stage.{stage}": hist.labels(stage=stage, backend="repro3d")
             for stage in _OBSERVED_STAGES
         }
 
-    def _observe_stage(self, stage: str):
-        """Span + miss-latency observation around one stage computation.
-
-        Returns a no-op context when neither a metrics registry is
-        attached nor a trace is active, so plain library use pays a
-        single attribute test per miss.
-        """
-        hists = self._stage_hists
-        if hists is None and not obs_trace.active():
-            return _NULL_OBSERVATION
-        hist = None if hists is None else hists[stage]
-        return _StageObservation(hist, stage)
-
-    @contextmanager
-    def scoped(self):
+    def scoped(self) -> "_RequestPass":
         """An evaluator for one request: this configuration, a lean memo.
 
-        Yields a :class:`_RequestPass` with the same params, fab location,
-        efficiency plugin, cache bound, point deadline, faults and
-        metrics. Its memo layers are plain dicts that start empty and
-        are dropped with it, so repeats *within* the request still share
-        stage results while nothing feeds this evaluator's long-lived
-        layers; it keeps no structural
+        Returns a :class:`_RequestPass`, used as a context manager, with
+        the same params, fab location, efficiency plugin, cache bound,
+        point deadline, faults and metrics. It prices a block of points
+        through the same stage methods, one call per stage per block.
+        Its memo layers are plain dicts keyed by design identity; they
+        start empty and are dropped with it. So repeats *within* the
+        request still share stage results (one design object priced at
+        several fab locations or workloads), while nothing feeds this
+        evaluator's long-lived layers. It keeps no structural
         :class:`~repro.core.resolve.ResolveCache`, so it counts no
-        structure hits or misses. On exit the child's counts
-        are added into this evaluator's :attr:`stats`.
+        structure hits or misses. On exit the child's counts are added
+        into this evaluator's :attr:`stats`.
         """
-        child = _RequestPass(self)
-        try:
-            yield child
-        finally:
-            self._book.add(child._tally.stats)
+        return _RequestPass(self)
 
     # -- cache plumbing ------------------------------------------------------
 
@@ -433,36 +447,356 @@ class BatchEvaluator:
         """The resolve fingerprint a backend's own stage keys build on."""
         return rkey
 
-    # -- single-stage access (all memoized) ----------------------------------
+    # -- the stages: each one call over a block of points --------------------
+    #
+    # A stage call looks each of its points up in its memo layer and
+    # prices the misses; a point that failed earlier is skipped. It opens
+    # one ``stage.<name>`` span (none when it has no point to price),
+    # with the ``points`` it priced and the ``misses`` among them, and
+    # adds its hits and misses to the counts once.
 
-    def resolved(
-        self, design: ChipDesign, params: ParameterSet | None = None
-    ) -> ResolvedDesign:
-        """Memoized :func:`resolve_design`."""
-        params = params if params is not None else self.params
-        return self._resolved(design, params, self._rkey(design, params))
+    def _miss(self, block: _Block, i: int, site: str, compute, *args):
+        """Price one memo miss of point ``i``: the ``site`` fault hook,
+        then ``compute(*args)``, timed into the stage's histogram and the
+        point's deadline budget."""
+        spent = block.spent
+        if self.faults.active:
+            t0 = time.perf_counter()
+            try:
+                self.faults.hit(site)
+            finally:
+                if spent is not None:
+                    spent[i] += time.perf_counter() - t0
+        hists = self._stage_hists
+        if hists is None and spent is None:
+            return compute(*args)
+        t0 = time.perf_counter()
+        try:
+            return compute(*args)
+        finally:
+            elapsed = time.perf_counter() - t0
+            if hists is not None:
+                hists[site].observe(elapsed)
+            if spent is not None:
+                spent[i] += elapsed
 
-    def _resolved(
-        self,
-        design: ChipDesign,
-        params: ParameterSet,
-        rkey: tuple,
-        transient: bool = False,
-    ) -> ResolvedDesign:
-        cached = self._caches.resolved.get(rkey)
-        if cached is None:
-            if self.faults.active:
-                self.faults.hit("stage.resolve")
-            with self._observe_stage("resolve"):
-                cached = resolve_design(
-                    design, params, cache=self.resolve_cache
-                )
-            if not transient:
-                self._caches.resolved[rkey] = cached
-            self._tally.stats.resolve_misses += 1
-        else:
-            self._tally.stats.resolve_hits += 1
-        return cached
+    def _resolved(self, block: _Block) -> None:
+        """Resolve stage (Eqs. 7–10 and 15, Table 3) → ``block.resolved``."""
+        todo = block.resolving
+        if not todo:
+            return
+        errors, rkeys = block.errors, block.rkeys
+        layer, out = self._caches.resolved, block.resolved
+        hits = misses = 0
+        with obs_trace.span("stage.resolve") as span:
+            for i in todo:
+                if errors[i] is not None:
+                    continue
+                rkey = rkeys[i]
+                cached = layer.get(rkey)
+                if cached is not None:
+                    hits += 1
+                else:
+                    try:
+                        cached = self._miss(
+                            block, i, "stage.resolve", resolve_design,
+                            block.designs[i], block.params[i],
+                            self.resolve_cache,
+                        )
+                    except Exception as error:
+                        errors[i] = error
+                        continue
+                    if not block.transient:
+                        layer[rkey] = cached
+                    misses += 1
+                out[i] = cached
+            if span is not None:
+                span.attrs = {
+                    "backend": "repro3d", "points": hits + misses,
+                    "misses": misses,
+                }
+        stats = self._tally.stats
+        stats.resolve_hits += hits
+        stats.resolve_misses += misses
+
+    def _bandwidth(self, block: _Block) -> None:
+        """Sec. 3.4 bandwidth check → ``block.bandwidth``."""
+        todo = block.priced
+        if not todo:
+            return
+        errors, rkeys, params = block.errors, block.rkeys, block.params
+        layer, out = self._caches.bandwidth, block.bandwidth
+        hits = misses = 0
+        with obs_trace.span("stage.bandwidth") as span:
+            for i in todo:
+                if errors[i] is not None:
+                    continue
+                try:
+                    bkey = self._bkey(rkeys[i], params[i])
+                    cached = layer.get(bkey)
+                    if cached is not None:
+                        hits += 1
+                    else:
+                        cached = self._miss(
+                            block, i, "stage.bandwidth", evaluate_bandwidth,
+                            block.resolved[i], params[i],
+                        )
+                        if not block.transient:
+                            layer[bkey] = cached
+                        misses += 1
+                except Exception as error:
+                    errors[i] = error
+                    continue
+                out[i] = cached
+            if span is not None:
+                span.attrs = {
+                    "backend": "repro3d", "points": hits + misses,
+                    "misses": misses,
+                }
+        stats = self._tally.stats
+        stats.bandwidth_hits += hits
+        stats.bandwidth_misses += misses
+
+    def _operational(self, block: _Block) -> None:
+        """Eq. 16 operational carbon of the points with a workload →
+        ``block.operational``.
+
+        Operational results are small and highly reusable (draws that
+        only perturb embodied-side parameters share one), so they are
+        stored (bounded) even for a transient block.
+        """
+        errors, workloads = block.errors, block.workloads
+        todo = [
+            i for i in block.priced
+            if errors[i] is None and workloads[i] is not None
+        ]
+        if not todo:
+            return
+        layer, out = self._caches.operational, block.operational
+        rkeys, params, bandwidth = block.rkeys, block.params, block.bandwidth
+        hits = misses = 0
+        with obs_trace.span("stage.operational") as span:
+            for i in todo:
+                try:
+                    okey = self._okey(
+                        rkeys[i], block.designs[i], params[i], workloads[i],
+                        bandwidth[i],
+                    )
+                    cached = layer.get(okey)
+                    if cached is not None:
+                        hits += 1
+                    else:
+                        cached = self._miss(
+                            block, i, "stage.operational",
+                            operational_carbon, block.resolved[i],
+                            params[i], workloads[i], bandwidth[i],
+                            self.efficiency_plugin,
+                        )
+                        layer[okey] = cached
+                        misses += 1
+                except Exception as error:
+                    errors[i] = error
+                    continue
+                out[i] = cached
+            if span is not None:
+                span.attrs = {
+                    "backend": "repro3d", "points": hits + misses,
+                    "misses": misses,
+                }
+        stats = self._tally.stats
+        stats.operational_hits += hits
+        stats.operational_misses += misses
+
+    def _embodied(self, block: _Block) -> None:
+        """Eq. 3 embodied carbon (Eqs. 3–6 and 11–14) → ``block.embodied``.
+
+        Each point's :class:`EmbodiedReport`, or in a ``totals`` block
+        its total (kg): a cached report's, else summed without records
+        (:func:`repro.core.embodied.embodied_totals`) and not stored.
+        """
+        todo = block.priced
+        if not todo:
+            return
+        errors, rkeys, params = block.errors, block.rkeys, block.params
+        layer, out, totals = self._caches.embodied, block.embodied, block.totals
+        cis = block.cis
+        hits = misses = 0
+        with obs_trace.span("stage.embodied") as span:
+            for i in todo:
+                if errors[i] is not None:
+                    continue
+                try:
+                    ekey = self._ekey(
+                        rkeys[i], block.designs[i], params[i], cis[i]
+                    )
+                    cached = layer.get(ekey)
+                    if cached is not None:
+                        value = cached.total_kg if totals else cached
+                        hits += 1
+                    else:
+                        value = self._miss(
+                            block, i, "stage.embodied",
+                            _embodied_total if totals else embodied_carbon,
+                            block.resolved[i], params[i], cis[i],
+                        )
+                        if not (totals or block.transient):
+                            layer[ekey] = value
+                        misses += 1
+                except Exception as error:
+                    errors[i] = error
+                    continue
+                out[i] = value
+            if span is not None:
+                span.attrs = {
+                    "backend": "repro3d", "points": hits + misses,
+                    "misses": misses,
+                }
+        stats = self._tally.stats
+        stats.embodied_hits += hits
+        stats.embodied_misses += misses
+
+    # -- blocks of points ----------------------------------------------------
+
+    def _one(self, design: ChipDesign, params: ParameterSet, location=None,
+             workload: Workload | None = None) -> _Block:
+        """A block of one point under the classic path (its fab carbon
+        intensity looked up only when a ``location`` is given)."""
+        rkey = self._rkey(design, params)
+        ci = None if location is None else self._ci(params, location)
+        return _Block([design], [params], [rkey], [ci], [workload])
+
+    def _price(self, points, transient: bool = False,
+               checked: bool = False) -> list:
+        """Price ``points`` as one block → one report per point, in order.
+
+        Each point's keys and fab carbon intensity are looked up first;
+        then each stage runs once over the block (resolve, bandwidth,
+        operational, embodied); then each point's report is built (an
+        explicit backend's pipeline runs with its resolution seeded). A
+        point that fails is skipped by every later step, and once every
+        point is priced, the lowest-index failure is raised: the error
+        pricing the points one at a time would raise. ``checked`` fires
+        the ``engine.point`` fault hook once per point and applies
+        ``point_timeout_s`` to each point's own stage time.
+        """
+        n = len(points)
+        designs, param_sets, workloads = [], [], []
+        rkeys, cis, errors = [None] * n, [None] * n, [None] * n
+        budget = self.point_timeout_s if checked else None
+        spent = None if budget is None else [0.0] * n
+        hook = checked and self.faults.active
+        # index → (backend, fab location) of each point an explicit
+        # backend prices through its own pipeline.
+        explicit: "dict[int, tuple]" = {}
+        for i, point in enumerate(points):
+            design = point.design
+            params = self.params if point.params is None else point.params
+            designs.append(design)
+            param_sets.append(params)
+            workloads.append(point.workload)
+            try:
+                if hook:
+                    t0 = time.perf_counter()
+                    try:
+                        self.faults.hit("engine.point")
+                    finally:
+                        if spent is not None:
+                            spent[i] += time.perf_counter() - t0
+                location = point.fab_location
+                if location is None:
+                    location = self.fab_location
+                backend = point.backend
+                if backend is not None:
+                    backend = resolve_backend(backend)
+                    if not (
+                        isinstance(backend, Repro3DBackend)
+                        and backend.efficiency_plugin is self.efficiency_plugin
+                    ):
+                        explicit[i] = (backend, location)
+                        cis[i] = self._ci(params, location)
+                        if backend.has_stage("resolve"):
+                            rkeys[i] = self._rkey(design, params)
+                        continue
+                rkeys[i] = self._rkey(design, params)
+                cis[i] = self._ci(params, location)
+            except Exception as error:
+                errors[i] = error
+        priced = resolving = range(n)
+        if explicit:
+            priced = [i for i in priced if i not in explicit]
+            resolving = [
+                i for i in resolving
+                if i not in explicit or rkeys[i] is not None
+            ]
+        block = _Block(
+            designs, param_sets, rkeys, cis, workloads, errors, priced,
+            resolving, spent, transient,
+        )
+        self._resolved(block)
+        self._bandwidth(block)
+        self._operational(block)
+        self._embodied(block)
+
+        stats = self._tally.stats
+        results = [None] * n
+        for i, point in enumerate(points):
+            if errors[i] is not None:
+                continue
+            try:
+                if i in explicit:
+                    t0 = time.perf_counter()
+                    result = self._backend_summary(block, i, *explicit[i])
+                    if spent is not None:
+                        spent[i] += time.perf_counter() - t0
+                else:
+                    result = LifecycleReport(
+                        design_name=designs[i].name,
+                        integration=block.resolved[i].spec.name,
+                        embodied=block.embodied[i],
+                        bandwidth=block.bandwidth[i],
+                        operational=block.operational[i],
+                    )
+                    if point.backend is not None:
+                        # A repro3d point on the engine's own path.
+                        result = Repro3DBackend.wrap_report(result)
+                stats.points_evaluated += 1
+                if budget is not None and spent[i] > budget:
+                    raise EvaluationTimeout(
+                        f"point {point.label or point.design.name!r} "
+                        f"exceeded its {budget:.3f}s evaluation budget "
+                        f"({spent[i]:.3f}s elapsed)",
+                        budget_s=budget,
+                        elapsed_s=spent[i],
+                    )
+                results[i] = result
+            except Exception as error:
+                errors[i] = error
+        for error in errors:
+            if error is not None:
+                raise error
+        return results
+
+    def _backend_summary(self, block: _Block, i: int, backend,
+                         location) -> BackendReport:
+        """Point ``i`` through ``backend``'s own stage pipeline, its
+        resolve stage seeded from the block's resolution."""
+        design, params = block.designs[i], block.params[i]
+        run = PipelineRun(backend, EvalContext(
+            design=design,
+            params=params,
+            fab_location=location,
+            ci_fab=block.cis[i],
+            workload=block.workloads[i],
+        ))
+        rkey = block.rkeys[i]
+        if rkey is not None:
+            run.seed(
+                "resolve", self._fingerprint(rkey, design, params),
+                block.resolved[i],
+            )
+        return run.summary()
+
+    # -- single-point access -------------------------------------------------
 
     def embodied(
         self,
@@ -473,110 +807,10 @@ class BatchEvaluator:
         """Memoized Eq. 3 embodied breakdown."""
         params = params if params is not None else self.params
         location = fab_location if fab_location is not None else self.fab_location
-        rkey = self._rkey(design, params)
-        return self._embodied(design, params, rkey, self._ci(params, location))
-
-    def _embodied(
-        self,
-        design: ChipDesign,
-        params: ParameterSet,
-        rkey: tuple,
-        ci: float,
-        resolved: "ResolvedDesign | None" = None,
-        transient: bool = False,
-    ) -> EmbodiedReport:
-        ekey = self._ekey(rkey, design, params, ci)
-        cached = self._caches.embodied.get(ekey)
-        if cached is None:
-            if self.faults.active:
-                self.faults.hit("stage.embodied")
-            with self._observe_stage("embodied"):
-                if resolved is None:
-                    resolved = self._resolved(design, params, rkey, transient)
-                cached = embodied_carbon(resolved, params, ci)
-            if not transient:
-                self._caches.embodied[ekey] = cached
-            self._tally.stats.embodied_misses += 1
-        else:
-            self._tally.stats.embodied_hits += 1
-        return cached
-
-    def bandwidth(
-        self, design: ChipDesign, params: ParameterSet | None = None
-    ) -> BandwidthResult:
-        """Memoized Sec. 3.4 bandwidth check."""
-        params = params if params is not None else self.params
-        return self._bandwidth(design, params, self._rkey(design, params))
-
-    def _bandwidth(
-        self,
-        design: ChipDesign,
-        params: ParameterSet,
-        rkey: tuple,
-        resolved: "ResolvedDesign | None" = None,
-        transient: bool = False,
-    ) -> BandwidthResult:
-        bkey = self._bkey(rkey, params)
-        cached = self._caches.bandwidth.get(bkey)
-        if cached is None:
-            if self.faults.active:
-                self.faults.hit("stage.bandwidth")
-            with self._observe_stage("bandwidth"):
-                if resolved is None:
-                    resolved = self._resolved(design, params, rkey, transient)
-                cached = evaluate_bandwidth(resolved, params)
-            if not transient:
-                self._caches.bandwidth[bkey] = cached
-            self._tally.stats.bandwidth_misses += 1
-        else:
-            self._tally.stats.bandwidth_hits += 1
-        return cached
-
-    def operational(
-        self,
-        design: ChipDesign,
-        workload: Workload,
-        params: ParameterSet | None = None,
-    ) -> OperationalReport:
-        """Memoized Eq. 16 operational carbon."""
-        params = params if params is not None else self.params
-        rkey = self._rkey(design, params)
-        return self._operational(
-            design, params, rkey, workload, self._bandwidth(design, params, rkey)
-        )
-
-    def _operational(
-        self,
-        design: ChipDesign,
-        params: ParameterSet,
-        rkey: tuple,
-        workload: Workload,
-        bandwidth: BandwidthResult,
-        resolved: "ResolvedDesign | None" = None,
-        transient: bool = False,
-    ) -> OperationalReport:
-        okey = self._okey(rkey, design, params, workload, bandwidth)
-        cached = self._caches.operational.get(okey)
-        if cached is None:
-            if self.faults.active:
-                self.faults.hit("stage.operational")
-            with self._observe_stage("operational"):
-                if resolved is None:
-                    resolved = self._resolved(design, params, rkey, transient)
-                cached = operational_carbon(
-                    resolved, params, workload, bandwidth,
-                    self.efficiency_plugin,
-                )
-            # Operational results are small and highly reusable (draws that
-            # only perturb embodied-side parameters share one), so they are
-            # stored (bounded) even for transient points.
-            self._caches.operational[okey] = cached
-            self._tally.stats.operational_misses += 1
-        else:
-            self._tally.stats.operational_hits += 1
-        return cached
-
-    # -- full-report evaluation ----------------------------------------------
+        block = self._one(design, params, location)
+        self._resolved(block)
+        self._embodied(block)
+        return block.only(block.embodied)
 
     def report(
         self,
@@ -588,37 +822,19 @@ class BatchEvaluator:
     ) -> LifecycleReport:
         """Full lifecycle report — the engine's ``CarbonModel.evaluate``.
 
-        ``transient=True`` marks a point known not to repeat (e.g. one
-        Monte-Carlo draw): existing cache entries are still used, but the
-        point's own resolve/embodied/bandwidth results are not stored
-        (operational results are, bounded — they are small and often
-        shared across draws). Together with ``cache_limit``, which bounds
-        every engine cache including the interning maps and the
-        structural resolve sub-caches, a long stream of unique draws
-        cannot grow the engine's memory (or the garbage collector's live
-        set) without bound.
+        A block of one point. ``transient=True`` marks a point known not
+        to repeat (e.g. one Monte-Carlo draw): existing cache entries are
+        still used, but the point's own resolve/embodied/bandwidth
+        results are not stored (operational results are, bounded — they
+        are small and often shared across draws). Together with
+        ``cache_limit``, which bounds every engine cache including the
+        interning maps and the structural resolve sub-caches, a long
+        stream of unique draws cannot grow the engine's memory (or the
+        garbage collector's live set) without bound.
         """
-        params = params if params is not None else self.params
-        location = fab_location if fab_location is not None else self.fab_location
-        rkey = self._rkey(design, params)
-        ci = self._ci(params, location)
-        resolved = self._resolved(design, params, rkey, transient)
-        bandwidth = self._bandwidth(design, params, rkey, resolved, transient)
-        operational = None
-        if workload is not None:
-            operational = self._operational(
-                design, params, rkey, workload, bandwidth, resolved, transient
-            )
-        self._tally.stats.points_evaluated += 1
-        return LifecycleReport(
-            design_name=design.name,
-            integration=resolved.spec.name,
-            embodied=self._embodied(
-                design, params, rkey, ci, resolved, transient
-            ),
-            bandwidth=bandwidth,
-            operational=operational,
-        )
+        return self._price(
+            [EvalPoint(design, params, fab_location, workload)], transient
+        )[0]
 
     def total_kg(
         self,
@@ -630,43 +846,67 @@ class BatchEvaluator:
     ) -> float:
         """Eq. 1 total — ``report(...).total_kg`` without building reports.
 
-        Prices embodied carbon through
+        A block of one of :meth:`total_kg_many`.
+        """
+        return self.total_kg_many(
+            design, [params], workload, fab_location, transient
+        )[0]
+
+    def total_kg_many(
+        self,
+        design: ChipDesign,
+        param_sets: "list[ParameterSet | None]",
+        workload: Workload | None = None,
+        fab_location: "str | float | None" = None,
+        transient: bool = False,
+    ) -> "list[float]":
+        """Eq. 1 totals of ``design`` under each parameter set, in order
+        (``None`` is this evaluator's set): one block, e.g. a chunk of
+        Monte-Carlo draws.
+
+        Embodied carbon is priced through
         :func:`repro.core.embodied.embodied_totals`: the same component
         equations as the report path, summed without the per-die and
-        per-bond records (per Monte-Carlo draw those are pure allocation
-        cost). A cached embodied report is reused; a miss prices the
-        total under the same ``stage.embodied`` fault hook, span and
-        histogram as :meth:`report`, and is not stored.
+        per-bond records (per draw those are pure allocation cost). A
+        cached embodied report is reused; a miss prices the total under
+        the same ``stage.embodied`` fault hook, span and histogram as
+        :meth:`report`, and is not stored. As in :meth:`evaluate_many`,
+        the lowest-index failure is raised once every point is priced.
         """
-        params = params if params is not None else self.params
         location = fab_location if fab_location is not None else self.fab_location
-        rkey = self._rkey(design, params)
-        ci = self._ci(params, location)
-        resolved = self._resolved(design, params, rkey, transient)
-
-        # Prefer an already-built full report's total when present.
-        ekey = self._ekey(rkey, design, params, ci)
-        embodied = self._caches.embodied.get(ekey)
-        if embodied is not None:
-            embodied_kg = embodied.total_kg
-            self._tally.stats.embodied_hits += 1
-        else:
-            if self.faults.active:
-                self.faults.hit("stage.embodied")
-            with self._observe_stage("embodied"):
-                embodied_kg = embodied_totals(resolved, params, ci)[0]
-            self._tally.stats.embodied_misses += 1
-
-        operational_kg = 0.0
+        n = len(param_sets)
+        param_sets = [
+            params if params is not None else self.params
+            for params in param_sets
+        ]
+        rkeys, cis, errors = [None] * n, [None] * n, [None] * n
+        for i, params in enumerate(param_sets):
+            try:
+                rkeys[i] = self._rkey(design, params)
+                cis[i] = self._ci(params, location)
+            except Exception as error:
+                errors[i] = error
+        block = _Block(
+            [design] * n, param_sets, rkeys, cis, [workload] * n,
+            errors=errors, transient=transient, totals=True,
+        )
+        self._resolved(block)
+        self._embodied(block)
         if workload is not None:
-            bandwidth = self._bandwidth(
-                design, params, rkey, resolved, transient
+            self._bandwidth(block)
+            self._operational(block)
+        self._tally.stats.points_evaluated += errors.count(None)
+        for error in errors:
+            if error is not None:
+                raise error
+        if workload is None:
+            return [embodied_kg + 0.0 for embodied_kg in block.embodied]
+        return [
+            embodied_kg + operational.total_kg
+            for embodied_kg, operational in zip(
+                block.embodied, block.operational
             )
-            operational_kg = self._operational(
-                design, params, rkey, workload, bandwidth, resolved, transient
-            ).total_kg
-        self._tally.stats.points_evaluated += 1
-        return embodied_kg + operational_kg
+        ]
 
     # -- backend-protocol evaluation ------------------------------------------
 
@@ -701,34 +941,9 @@ class BatchEvaluator:
                 design, workload=workload, params=params,
                 fab_location=fab_location, transient=transient,
             ))
-        backend = resolve_backend(backend)
-        params = params if params is not None else self.params
-        location = fab_location if fab_location is not None else self.fab_location
-        if (
-            isinstance(backend, Repro3DBackend)
-            and backend.efficiency_plugin is self.efficiency_plugin
-        ):
-            return Repro3DBackend.wrap_report(self.report(
-                design, workload=workload, params=params,
-                fab_location=location, transient=transient,
-            ))
-        ctx = EvalContext(
-            design=design,
-            params=params,
-            fab_location=location,
-            ci_fab=self._ci(params, location),
-            workload=workload,
-        )
-        run = PipelineRun(backend, ctx)
-        if backend.has_stage("resolve"):
-            rkey = self._rkey(design, params)
-            run.seed(
-                "resolve", self._fingerprint(rkey, design, params),
-                self._resolved(design, params, rkey, transient),
-            )
-        summary = run.summary()
-        self._tally.stats.points_evaluated += 1
-        return summary
+        return self._price([EvalPoint(
+            design, params, fab_location, workload, backend=backend,
+        )], transient)[0]
 
     def backend_total_kg(
         self,
@@ -777,51 +992,26 @@ class BatchEvaluator:
         return evaluate_grid(grid, evaluator=self)
 
     def evaluate(self, point: EvalPoint):
-        """Evaluate one :class:`EvalPoint`.
+        """Evaluate one :class:`EvalPoint`: a block of one.
 
         Returns a :class:`LifecycleReport` for the classic path
         (``point.backend is None``) or a :class:`BackendReport` when the
-        point names a backend explicitly. With ``point_timeout_s`` set,
-        a point whose evaluation overruns the budget raises the typed
-        :class:`~repro.errors.EvaluationTimeout` (cooperative: the check
-        runs at point completion — a point never *returns* long after
-        its budget without a typed error).
+        point names a backend explicitly. See :meth:`evaluate_many`.
         """
-        budget = self.point_timeout_s
-        t0 = time.monotonic() if budget is not None else 0.0
-        if self.faults.active:
-            # Fires after t0 so injected delays count against the budget.
-            self.faults.hit("engine.point")
-        if point.backend is None:
-            result = self.report(
-                point.design,
-                workload=point.workload,
-                params=point.params,
-                fab_location=point.fab_location,
-            )
-        else:
-            result = self.backend_report(
-                point.design,
-                point.backend,
-                params=point.params,
-                fab_location=point.fab_location,
-                workload=point.workload,
-            )
-        if budget is not None:
-            elapsed = time.monotonic() - t0
-            if elapsed > budget:
-                raise EvaluationTimeout(
-                    f"point {point.label or point.design.name!r} exceeded "
-                    f"its {budget:.3f}s evaluation budget "
-                    f"({elapsed:.3f}s elapsed)",
-                    budget_s=budget,
-                    elapsed_s=elapsed,
-                )
-        return result
+        return self._price((point,), checked=True)[0]
 
     def evaluate_many(self, points: "list[EvalPoint]") -> list:
-        """Evaluate a batch of points serially, preserving order."""
-        return [self.evaluate(point) for point in points]
+        """Evaluate a batch of points as one block, preserving order.
+
+        Each stage runs once over the block. The ``engine.point`` fault
+        hook fires once per point. With ``point_timeout_s`` set, a point
+        whose own stage work overran the budget raises the typed
+        :class:`~repro.errors.EvaluationTimeout` (cooperative: checked
+        once the point is priced, so a point never *returns* long after
+        its budget without a typed error). Of several failing points,
+        the lowest-index one's first error is raised.
+        """
+        return self._price(points, checked=True)
 
 
 class _RequestPass(BatchEvaluator):
@@ -829,29 +1019,40 @@ class _RequestPass(BatchEvaluator):
 
     A store-backed dispatcher has already deduplicated the request by
     content key and pins one parameter set, so a stage result is reused
-    only when one design is priced at several fab locations or
-    workloads. The memo layers are plain dicts keyed by value on exactly
-    that: the design (with the parameter set, by identity) for resolve
-    and bandwidth, that plus the fab carbon intensity for embodied, and
-    that plus the workload for operational. No fingerprint, LRU layer or
-    structural ``ResolveCache`` is built. Stages still run through the
-    :class:`BatchEvaluator` methods, so fault hooks, spans, histograms
-    and point deadlines are the parent's.
+    only when one design object is priced at several fab locations or
+    workloads (a ``/sweep`` prices one design object at each location).
+    The memo layers are plain dicts keyed by identity on exactly that:
+    the design and parameter set objects for resolve and bandwidth, that
+    plus the fab carbon intensity for embodied, and that plus the
+    workload for operational. The dispatcher hands equal designs of one
+    request over as one object; other equal design objects are priced
+    apart. No design is hashed, and no fingerprint, LRU layer or
+    structural ``ResolveCache`` is built. Stages still run through the :class:`BatchEvaluator`
+    methods, so fault hooks, spans, histograms and point deadlines are
+    the parent's.
     """
 
     def __init__(self, parent: BatchEvaluator) -> None:
-        #: id → parameter set: holds each keyed set so its id stays unique.
-        self._param_sets: "dict[int, ParameterSet]" = {}
-        super().__init__(
-            params=parent.params,
-            fab_location=parent.fab_location,
-            efficiency_plugin=parent.efficiency_plugin,
-            cache_limit=parent.cache_limit,
-            faults=parent.faults,
-            point_timeout_s=parent.point_timeout_s,
-        )
-        self.metrics = parent.metrics
-        self._stage_hists = parent._stage_hists
+        # The parent's configuration as is (params, fab location, plugin,
+        # cache bound, faults, deadline, metrics), then empty layers.
+        self.__dict__.update(parent.__dict__)
+        self.resolve_cache = self._resolve_cache()
+        self._caches = _Caches(self._layer)
+        self._book = self._counts()
+        self._tally = self._book.tally
+        self._ci_cache = self._layer()
+        self._statics = self._layer()
+        #: Identity key → (design, parameter set): holds each keyed pair
+        #: so its ids cannot be reused while the pass lives.
+        self._held: "dict[tuple[int, int], tuple]" = {}
+        self._parent = parent
+
+    def __enter__(self) -> "_RequestPass":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self._parent._book.add(self._tally.stats)
+        return False
 
     def _layer(self) -> dict:
         return {}
@@ -862,10 +1063,11 @@ class _RequestPass(BatchEvaluator):
     def _resolve_cache(self) -> None:
         return None
 
-    def _rkey(self, design: ChipDesign, params: ParameterSet) -> "fp.CachedKey":
-        self._param_sets.setdefault(id(params), params)
-        # Hashes the design once per point; the keys below reuse it.
-        return fp.CachedKey((design, id(params)))
+    def _rkey(self, design: ChipDesign, params: ParameterSet) -> tuple:
+        key = (id(design), id(params))
+        if key not in self._held:
+            self._held[key] = (design, params)
+        return key
 
     def _ekey(self, rkey, design, params, ci):
         return (rkey, ci)

@@ -44,7 +44,9 @@ def monte_carlo_totals(
     Each chunk of :data:`DEFAULT_CHUNK_SIZE` draws is perturbed as a
     batch first, then evaluated as a batch: keeping the phases separate
     means a chunk's perturbed parameter sets die together instead of
-    interleaving with evaluation garbage.
+    interleaving with evaluation garbage. On the engine's own path a
+    chunk is one block of
+    :meth:`~repro.engine.evaluator.BatchEvaluator.total_kg_many`.
 
     ``backend`` prices the draws under any registered
     :class:`repro.pipeline.CarbonBackend` instead of 3D-Carbon; factor
@@ -62,17 +64,22 @@ def monte_carlo_totals(
 
     totals = []
     for start in range(0, len(rows), DEFAULT_CHUNK_SIZE):
-        chunk = [
-            (plan.perturbed(row), plan.backend_for(row, backend))
-            for row in rows[start:start + DEFAULT_CHUNK_SIZE]
-        ]
-        for perturbed, draw_backend in chunk:
+        chunk = rows[start:start + DEFAULT_CHUNK_SIZE]
+        perturbed = [plan.perturbed(row) for row in chunk]
+        backends = [plan.backend_for(row, backend) for row in chunk]
+        if all(draw_backend is None for draw_backend in backends):
+            # The engine's own path: the chunk is one block.
+            totals.extend(evaluator.total_kg_many(
+                design, perturbed, workload, fab_location, transient=True,
+            ))
+            continue
+        for params, draw_backend in zip(perturbed, backends):
             totals.append(
                 evaluator.backend_total_kg(
                     design,
                     draw_backend,
                     workload=workload,
-                    params=perturbed,
+                    params=params,
                     fab_location=fab_location,
                     transient=True,
                 )

@@ -28,6 +28,7 @@ percentile math without dragging in the service.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 
 # Cumulative upper bounds (seconds) tuned for this service's latencies:
 # engine stages sit in the tens of microseconds, HTTP round-trips in the
@@ -218,11 +219,13 @@ class Histogram:
         self._children: "dict[tuple, Histogram]" = {}
 
     def observe(self, value: float) -> None:
-        index = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                index = i
-                break
+        # The first bucket whose bound is >= value (a value equal to a
+        # bound counts in that bound's bucket). NaN is above no bound,
+        # so it counts in +Inf.
+        buckets = self.buckets
+        index = (
+            bisect_left(buckets, value) if value == value else len(buckets)
+        )
         with self._lock:
             self._counts[index] += 1
             self._sum += value

@@ -741,7 +741,9 @@ class Dispatcher:
             return contextlib.nullcontext(self.evaluator)
         return self.evaluator.scoped()
 
-    def _engine_point(self, point: EvaluateRequest) -> EvalPoint:
+    def _engine_point(
+        self, point: EvaluateRequest, designs: "dict | None" = None
+    ) -> EvalPoint:
         """``point`` as the engine's :class:`~repro.engine.EvalPoint`.
 
         params is pinned: the content key fingerprints ``self.params``,
@@ -751,9 +753,23 @@ class Dispatcher:
         payload (bit-identical to ``CarbonModel.evaluate(...).to_dict()``);
         any explicit non-default backend answers with the uniform
         ``BackendReport`` payload.
+
+        ``designs`` maps each design this request priced to its first
+        object, by the text it was given at parse (or by value, for a
+        point built in process): equal designs of separate points reach
+        the engine as one object, so the request pass, keyed by design
+        identity, prices them once.
         """
+        design = point.design
+        if designs is not None:
+            entry = point.design_text
+            design = designs.setdefault(
+                entry[1] if entry is not None and entry[0] is design
+                else design,
+                design,
+            )
         return EvalPoint(
-            design=point.design,
+            design=design,
             params=self.params,
             fab_location=self._point_fab_location(point),
             workload=point.workload,
@@ -786,6 +802,7 @@ class Dispatcher:
         """
         results: "dict[str, dict | EncodedJSON]" = {}
         sources: "dict[str, str]" = {}
+        designs: "dict[str | ChipDesign, ChipDesign]" = {}
         size = 1 if stream else max(1, len(points))
         publish = encoded or self.store is not None
         with self._point_engine(shared) as engine:
@@ -820,7 +837,7 @@ class Dispatcher:
                     if not stream and deadline is not None:
                         deadline.check("batch request")
                     reports = engine.evaluate_many(
-                        [self._engine_point(fresh[key]) for key in misses]
+                        [self._engine_point(fresh[key], designs) for key in misses]
                     )
                     rows = []
                     for key, report in zip(misses, reports):

@@ -196,22 +196,25 @@ def evaluate_grid(
                         errors[i] = ci_err
 
                 try:
-                    rkey = evaluator._rkey(design, params)
-                    resolved = evaluator._resolved(design, params, rkey)
+                    # The engine's stages over a block of this one design.
+                    stages = evaluator._one(
+                        design, params, workload=grid.workload
+                    )
+                    evaluator._resolved(stages)
+                    resolved = stages.only(stages.resolved)
                     with np.errstate(divide="ignore", invalid="ignore"):
                         (embodied_kg, die_kg, bonding_kg, packaging_kg,
                          interposer_kg, die_terms) = embodied_totals(
                             resolved, params, ci_col, wafers,
                             _marking_dpw(errors, block.indices),
                         )
-                    bandwidth = evaluator._bandwidth(
-                        design, params, rkey, resolved=resolved
-                    )
+                    evaluator._bandwidth(stages)
+                    bandwidth = stages.only(stages.bandwidth)
                     operational_kg = 0.0
                     if grid.workload is not None:
-                        operational_kg = evaluator._operational(
-                            design, params, rkey, grid.workload, bandwidth,
-                            resolved=resolved,
+                        evaluator._operational(stages)
+                        operational_kg = stages.only(
+                            stages.operational
                         ).total_kg
                 except (DesignError, ParameterError) as err:
                     message = str(err)

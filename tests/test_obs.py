@@ -107,6 +107,32 @@ class TestHistogram:
             pass
         assert hist.summary()["count"] == 1
 
+    def test_bucket_edges(self):
+        """A value equal to a bound counts in that bound's bucket, one
+        just above it in the next, and NaN or anything above the last
+        bound in +Inf: the buckets a linear scan of the bounds picks."""
+        bounds = obs_metrics.DEFAULT_BUCKETS
+
+        def scanned(value: float) -> int:
+            for index, bound in enumerate(bounds):
+                if value <= bound:
+                    return index
+            return len(bounds)
+
+        values = [float("nan"), float("-inf"), float("inf"), 0.0, -1.0]
+        for bound in bounds:
+            values += [bound, bound * (1 + 1e-12), bound * (1 - 1e-12)]
+        for value in values:
+            hist = Histogram("h_seconds", "help")
+            hist.observe(value)
+            assert hist._counts.index(1) == scanned(value), value
+        nan = Histogram("h_seconds", "help")
+        nan.observe(float("nan"))
+        assert nan._counts[-1] == 1
+        edge = Histogram("h_seconds", "help")
+        edge.observe(bounds[0])
+        assert edge._counts[0] == 1
+
 
 class TestRegistry:
     def test_idempotent_registration(self):
@@ -207,8 +233,11 @@ class TestTrace:
         assert breakdown["root"]["self_s"] <= breakdown["root"]["total_s"]
 
     def test_batch_stage_spans_join_the_callers_trace(self):
-        """``evaluate_many`` runs every point on the caller's thread, so
-        each stage span lands in the caller's trace, under a span of it."""
+        """``evaluate_many`` prices the block stage by stage on the
+        caller's thread: one span per stage for the whole block, each in
+        the caller's trace, under a span of it. The points carry no
+        workload, so the operational stage prices nothing and opens no
+        span."""
         points = [
             EvalPoint(design=design_from_dict(
                 design_payload(f"batch_{i}", 16e9 + i * 1e8)
@@ -219,7 +248,14 @@ class TestTrace:
             BatchEvaluator().evaluate_many(points)
         spans = obs_trace.collector.spans(root.trace_id)
         stage_spans = [s for s in spans if s.name.startswith("stage.")]
-        assert len(stage_spans) >= len(points)
+        assert sorted(s.name for s in stage_spans) == [
+            "stage.bandwidth", "stage.embodied", "stage.resolve",
+        ]
+        for span in stage_spans:
+            assert span.attrs == {
+                "backend": "repro3d", "points": len(points),
+                "misses": len(points),
+            }, span.name
         ids = {s.span_id for s in spans}
         assert all(s.trace_id == root.trace_id for s in stage_spans)
         assert all(s.parent_id in ids for s in stage_spans)
@@ -518,9 +554,23 @@ class TestInactiveTracingIsFree:
         second = obs_trace.span("b")
         assert first is second
 
-    def test_engine_without_metrics_skips_observation(self):
-        evaluator = BatchEvaluator()
-        observation = evaluator._observe_stage("embodied")
-        with observation:
-            pass
-        assert observation is evaluator._observe_stage("resolve")
+    def test_engine_without_metrics_skips_observation(self, monkeypatch):
+        """With no registry, no trace and no point deadline, pricing
+        reads no clock and records no span."""
+        from repro.engine import evaluator as evaluator_module
+
+        reads = []
+
+        class Clock:
+            @staticmethod
+            def perf_counter():
+                reads.append(1)
+                return 0.0
+
+        monkeypatch.setattr(evaluator_module, "time", Clock)
+        obs_trace.collector.clear()
+        BatchEvaluator().evaluate_many([
+            EvalPoint(design=design_from_dict(design_payload("free")))
+        ])
+        assert reads == []
+        assert obs_trace.collector.trace_ids() == []
