@@ -7,12 +7,7 @@ from .optimizer import (
     search_designs,
 )
 from .sensitivity import (
-    FactorSet,
-    FactorSpec,
-    FactorTarget,
-    SensitivityFactor,
     SensitivityResult,
-    default_factors,
     format_tornado,
     tornado,
 )
@@ -23,17 +18,12 @@ from .uncertainty import (
 )
 
 __all__ = [
-    "FactorSet",
     "ParetoFront",
     "ParetoPoint",
     "ParetoSearch",
-    "FactorSpec",
-    "FactorTarget",
-    "SensitivityFactor",
     "SensitivityResult",
     "UncertaintyResult",
     "comparison_robustness",
-    "default_factors",
     "format_tornado",
     "monte_carlo",
     "search_designs",

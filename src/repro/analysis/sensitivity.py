@@ -9,76 +9,23 @@ defaults, and the swing in total carbon is recorded:
     swing = C(high) − C(low)
     elasticity ≈ (ΔC/C) / (Δp/p) at the default point
 
-Factor declarations live in :mod:`repro.uncertainty.factors` — the
+Factors are :class:`~repro.uncertainty.factors.FactorSpec` records — the
 default set here is 3D-Carbon's Table 2 set
 (:func:`~repro.uncertainty.factors.table2_factor_set`), and passing
 ``backend=`` runs the study over that backend's *own* factor set (the
 ACT intensity table, the GaBi CPA spread, ...), pricing each swing under
-that model. ``FactorTarget`` and ``default_factors`` remain importable
-from here for backward compatibility.
+that model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from ..config.parameters import DEFAULT_PARAMETERS, ParameterSet
 from ..core.design import ChipDesign
 from ..core.operational import Workload
 from ..core.report import render_swings
-from ..errors import ParameterError
-from ..uncertainty.factors import (  # noqa: F401 (back-compat re-exports)
-    FactorSet,
-    FactorSpec,
-    FactorTarget,
-    table2_factor_set,
-)
-
-#: A factor perturbs a ParameterSet to a given multiplier of its default.
-FactorFn = Callable[[ParameterSet, float], ParameterSet]
-
-
-@dataclass(frozen=True)
-class SensitivityFactor:
-    """One tunable input: name, low/high multipliers, and the perturber.
-
-    The legacy closure-based factor shape, kept for callers that perturb
-    fields no declarative :class:`~repro.uncertainty.factors.FactorTarget`
-    addresses. ``target`` (optional) is the declarative twin of ``apply``
-    — when present it must describe the same perturbation, which lets
-    the perturbation plan compile grouped applications. New code should
-    prefer :class:`~repro.uncertainty.factors.FactorSpec`, whose
-    application is derived from the target itself.
-    """
-
-    name: str
-    low: float
-    high: float
-    apply: FactorFn
-    target: FactorTarget | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.low <= 1.0 <= self.high:
-            raise ParameterError(
-                f"{self.name}: multipliers must straddle 1.0, "
-                f"got [{self.low}, {self.high}]"
-            )
-
-
-def default_factors(
-    node: str = "7nm",
-    integration: str = "hybrid_3d",
-    package_class: str = "fcbga",
-) -> "list[FactorSpec]":
-    """The Table 2-inspired factor set for a given design flavour.
-
-    Back-compat shim over :func:`repro.uncertainty.factors.
-    table2_factor_set`: same names, ranges, targets and order as ever
-    (the specs' derived ``apply`` is bit-identical to the historical
-    closures), returned as a plain list.
-    """
-    return list(table2_factor_set(node, integration, package_class))
+from ..uncertainty.factors import FactorSet
 
 
 def _factors_for(design: ChipDesign, params: ParameterSet,
@@ -165,17 +112,13 @@ def tornado(
             fab_location=fab_location,
         )
 
-    def _is_model(factor) -> bool:
-        target = getattr(factor, "target", None)
-        return target is not None and getattr(target, "kind", None) == "model"
-
     model_base = (
-        resolve_backend(backend) if any(_is_model(f) for f in factors)
-        else None
+        resolve_backend(backend)
+        if any(f.target.is_model for f in factors) else None
     )
 
     def _evaluate_factor(factor, multiplier: float) -> float:
-        if _is_model(factor):
+        if factor.target.is_model:
             derived = model_base.with_model_multipliers(
                 {factor.target.field: multiplier}
             )

@@ -24,9 +24,8 @@ dispatcher/engine code — so every study kind returns **bit-identical**
 payloads locally and through a server (parity-tested).
 
 Local sessions also expose the native-report path the in-process study
-modules build on (:meth:`report`, :meth:`native_reports`, the shared
-:attr:`evaluator`); these need live engine objects and therefore raise
-on a service session.
+modules build on (:meth:`report`, the shared :attr:`evaluator`); these
+need live engine objects and therefore raise on a service session.
 """
 
 from __future__ import annotations
@@ -468,12 +467,3 @@ class Session:
             design, workload=workload, params=params,
             fab_location=fab_location,
         )
-
-    def native_reports(self, points) -> list:
-        """Native reports for many :class:`~repro.engine.EvalPoint`\\ s.
-
-        Local only — one batched ``evaluate_many`` over the session's
-        engine, order-preserving.
-        """
-        self._require_local("native_reports()")
-        return self.evaluator.evaluate_many(list(points))

@@ -41,10 +41,8 @@ from .parameters import (
     ParameterSet,
 )
 from .power import (
-    DEFAULT_DEVICE_SURVEY,
     NVIDIA_DRIVE_SERIES,
     DeviceSurvey,
-    DeviceSurveyTable,
     surveyed_efficiency,
 )
 from .substrate import DEFAULT_SUBSTRATE_PARAMETERS, SubstrateParameters
@@ -61,7 +59,6 @@ __all__ = [
     "BondingProcess",
     "BondingTable",
     "DEFAULT_BONDING_TABLE",
-    "DEFAULT_DEVICE_SURVEY",
     "DEFAULT_GRID_TABLE",
     "DEFAULT_INTEGRATION_TABLE",
     "DEFAULT_M3D_PARAMETERS",
@@ -70,7 +67,6 @@ __all__ = [
     "DEFAULT_SUBSTRATE_PARAMETERS",
     "DEFAULT_TECHNOLOGY_TABLE",
     "DeviceSurvey",
-    "DeviceSurveyTable",
     "GridProfile",
     "GridTable",
     "IntegrationFamily",

@@ -15,7 +15,7 @@ carries:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from ..errors import ParameterError, UnknownTechnologyError
 
@@ -46,11 +46,6 @@ class DeviceSurvey:
         """Gate count as an absolute number (Table 4 lists billions)."""
         return self.gate_count_billion * 1.0e9
 
-    @property
-    def power_w(self) -> float:
-        """Fixed-throughput power of the 2D device: Th / Eff (Eq. 17)."""
-        return self.throughput_tops / self.efficiency_tops_per_w
-
 
 #: Table 4 — NVIDIA GPU DRIVE series specifications [25], with advertised
 #: platform DL TOPS: PX 2 ≈ 24, XAVIER ≈ 32, ORIN ≈ 254, THOR ≈ 2000.
@@ -78,40 +73,6 @@ SURVEYED_EFFICIENCY_TOPS_PER_W: Mapping[str, float] = {
 }
 
 
-class DeviceSurveyTable:
-    """Lookup of surveyed devices by name."""
-
-    def __init__(self, devices: Mapping[str, DeviceSurvey] | None = None) -> None:
-        if devices is None:
-            self._devices = {d.name.lower(): d for d in NVIDIA_DRIVE_SERIES}
-        else:
-            self._devices = {k.lower(): v for k, v in devices.items()}
-
-    def get(self, name: "str | DeviceSurvey") -> DeviceSurvey:
-        if isinstance(name, DeviceSurvey):
-            return name
-        key = str(name).strip().lower()
-        try:
-            return self._devices[key]
-        except KeyError:
-            known = ", ".join(sorted(self._devices))
-            raise UnknownTechnologyError(
-                f"unknown surveyed device {name!r}; known: {known}"
-            ) from None
-
-    def __iter__(self) -> Iterator[DeviceSurvey]:
-        return iter(self._devices.values())
-
-    def __len__(self) -> int:
-        return len(self._devices)
-
-    def register(self, device: DeviceSurvey, overwrite: bool = False) -> None:
-        key = device.name.lower()
-        if key in self._devices and not overwrite:
-            raise ParameterError(f"device {device.name!r} already registered")
-        self._devices[key] = device
-
-
 def surveyed_efficiency(node_name: str) -> float:
     """Surveyed TOPS/W for a node, for dies without product data."""
     try:
@@ -121,6 +82,3 @@ def surveyed_efficiency(node_name: str) -> float:
         raise UnknownTechnologyError(
             f"no surveyed efficiency for node {node_name!r}; known: {known}"
         ) from None
-
-
-DEFAULT_DEVICE_SURVEY = DeviceSurveyTable()

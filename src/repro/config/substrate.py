@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..errors import ParameterError
-from .integration import SubstrateKind
 
 
 @dataclass(frozen=True)
@@ -75,16 +74,6 @@ class SubstrateParameters:
                 raise ParameterError(f"{label} must lie in (0, 1], got {value}")
         if self.wafer_diameter_mm <= 0:
             raise ParameterError("wafer_diameter_mm must be positive")
-
-    def scale_for(self, kind: SubstrateKind) -> float:
-        """Geometry scale factor for the given substrate kind."""
-        if kind is SubstrateKind.SILICON_INTERPOSER:
-            return self.si_interposer_scale
-        if kind is SubstrateKind.EMIB_BRIDGE:
-            return self.emib_scale
-        if kind is SubstrateKind.RDL:
-            return self.rdl_scale
-        raise ParameterError(f"substrate kind {kind.value} has no area scale")
 
     def with_overrides(self, **overrides) -> "SubstrateParameters":
         return replace(self, **overrides)

@@ -32,7 +32,7 @@ covering every foundry-related parameter of the paper's Table 2:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Mapping
 
@@ -120,22 +120,6 @@ class ProcessNode:
             self.gpa_kg_per_cm2 * (1.0 - fraction),
             self.gpa_kg_per_cm2 * fraction / self.max_beol_layers,
         )
-
-    def epa_feol_kwh_per_cm2(self) -> float:
-        """FEOL share of the fab-electricity footprint."""
-        return self.beol_split[0]
-
-    def epa_per_beol_layer_kwh_per_cm2(self) -> float:
-        """Per-metal-layer share of the fab-electricity footprint."""
-        return self.beol_split[1]
-
-    def gpa_feol_kg_per_cm2(self) -> float:
-        """FEOL share of direct gas emissions."""
-        return self.beol_split[2]
-
-    def gpa_per_beol_layer_kg_per_cm2(self) -> float:
-        """Per-metal-layer share of direct gas emissions."""
-        return self.beol_split[3]
 
     def with_overrides(self, **overrides: float) -> "ProcessNode":
         """Return a copy with the given fields replaced (validated again)."""

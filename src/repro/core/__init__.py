@@ -13,7 +13,6 @@ from .design import ChipDesign, Die, DieKind, PackageSpec
 from .die_carbon import DieCarbonRecord, DieCarbonResult, die_manufacturing_carbon
 from .dpw import (
     dies_per_wafer,
-    edge_loss_fraction,
     effective_area_per_die_mm2,
 )
 from .embodied import EmbodiedReport, embodied_carbon
@@ -32,7 +31,6 @@ from .operational import (
     Workload,
     WorkloadSuite,
     operational_carbon,
-    operational_carbon_suite,
 )
 from .packaging_carbon import (
     PackagingCarbonResult,
@@ -50,7 +48,6 @@ from .resolve import (
 from .wafer import (
     WaferCarbonBreakdown,
     m3d_wafer_carbon_per_cm2,
-    wafer_carbon_kg,
     wafer_carbon_per_cm2,
 )
 from .yield_model import (
@@ -92,13 +89,11 @@ __all__ = [
     "Workload",
     "WorkloadSuite",
     "bonding_carbon",
-    "operational_carbon_suite",
     "decision_metrics",
     "degradation_from_ratio",
     "die_manufacturing_carbon",
     "die_yield",
     "dies_per_wafer",
-    "edge_loss_fraction",
     "effective_area_per_die_mm2",
     "embodied_carbon",
     "equivalent_gate_count",
@@ -118,6 +113,5 @@ __all__ = [
     "resolve_design",
     "three_d_stack_yields",
     "two_five_d_yields",
-    "wafer_carbon_kg",
     "wafer_carbon_per_cm2",
 ]

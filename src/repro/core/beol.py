@@ -39,10 +39,6 @@ class BeolEstimate:
     average_wirelength_mm: float
     clamped_at_max: bool
 
-    @property
-    def rounded(self) -> int:
-        return int(round(self.layers))
-
 
 def estimate_beol_layers(
     gate_count: float,

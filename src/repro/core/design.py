@@ -26,7 +26,6 @@ from enum import Enum
 
 from ..config.integration import (
     AssemblyFlow,
-    IntegrationFamily,
     IntegrationSpec,
     StackingStyle,
 )

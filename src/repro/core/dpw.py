@@ -73,10 +73,3 @@ def effective_area_per_die_mm2(
     """
     count = dpw(wafer_diameter_mm, die_area_mm2)
     return wafer_area_mm2(wafer_diameter_mm) / count
-
-
-def edge_loss_fraction(wafer_diameter_mm: float, die_area_mm2: float) -> float:
-    """Fraction of the wafer lost to partial edge dies, in [0, 1)."""
-    dpw = dies_per_wafer(wafer_diameter_mm, die_area_mm2)
-    used = dpw * die_area_mm2
-    return 1.0 - used / wafer_area_mm2(wafer_diameter_mm)

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Protocol
 
 from ..config.parameters import ParameterSet
 from ..config.power import surveyed_efficiency
 from ..errors import DesignError
-from ..units import grams_per_kwh
 from .bandwidth import BandwidthResult
-from .resolve import ResolvedDesign
+from .resolve import ResolvedDesign, ResolvedDie
 
 #: J per kWh, used to convert ops/efficiency into kWh.
 _J_PER_KWH = 3.6e6
@@ -160,7 +160,25 @@ class OperationalReport:
         return self.total_energy_kwh / self.runtime_hours * 1000.0
 
 
-def _die_efficiency(rdie, efficiency_plugin=None) -> float:
+class PowerPlugin(Protocol):
+    """Fig. 3's operational power-estimation plug-in.
+
+    3D-Carbon does not model microarchitectural power itself; it takes
+    per-die energy efficiencies from an external estimator (McPAT,
+    GPU power tools) or from surveyed data. A plug-in maps a resolved
+    die to its efficiency in TOPS/W.
+    """
+
+    name: str
+
+    def efficiency_tops_per_w(self, die: ResolvedDie) -> float:
+        """Sustained energy efficiency of a resolved ``die`` (TOPS/W)."""
+        ...  # pragma: no cover - protocol
+
+
+def _die_efficiency(
+    rdie: ResolvedDie, efficiency_plugin: "PowerPlugin | None" = None
+) -> float:
     if efficiency_plugin is not None:
         return efficiency_plugin.efficiency_tops_per_w(rdie)
     if rdie.die.efficiency_tops_per_w is not None:
@@ -173,14 +191,13 @@ def operational_carbon(
     params: ParameterSet,
     workload: Workload,
     bandwidth: BandwidthResult,
-    efficiency_plugin=None,
+    efficiency_plugin: "PowerPlugin | None" = None,
 ) -> OperationalReport:
     """Eq. 16–17 for a resolved design and a fixed workload.
 
-    ``efficiency_plugin`` optionally injects a
-    :class:`repro.power.plugin.PowerPlugin` (Fig. 3's "operational power
-    estimation plug-ins"); without one, per-die overrides and the
-    surveyed tables apply.
+    ``efficiency_plugin`` optionally injects a :class:`PowerPlugin`
+    (Fig. 3's "operational power estimation plug-ins"); without one,
+    per-die overrides and the surveyed tables apply.
     """
     spec = resolved.spec
     grid = params.grid(workload.use_location)
@@ -264,31 +281,3 @@ class SuiteOperationalReport:
     @property
     def annual_kg(self) -> float:
         return self.total_kg / self.lifetime_years
-
-
-def operational_carbon_suite(
-    resolved: ResolvedDesign,
-    params: ParameterSet,
-    suite: WorkloadSuite,
-    bandwidth: BandwidthResult,
-    efficiency_plugin=None,
-) -> SuiteOperationalReport:
-    """Eq. 16's Σ_k: one device running several applications.
-
-    Each application keeps its own use-location carbon intensity (a
-    vehicle charged in different regions, or a device split between
-    grid-backed and solar duty), and the per-application reports remain
-    inspectable.
-    """
-    reports = tuple(
-        operational_carbon(
-            resolved, params, workload, bandwidth, efficiency_plugin
-        )
-        for workload in suite.workloads
-    )
-    return SuiteOperationalReport(
-        design_name=resolved.design.name,
-        suite_name=suite.name,
-        lifetime_years=suite.lifetime_years,
-        per_workload=reports,
-    )

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config.integration import (
-    AssemblyFlow,
     BondingMethod,
     IntegrationSpec,
     SubstrateKind,

@@ -18,7 +18,6 @@ from typing import NamedTuple
 from ..config.m3d import M3DParameters
 from ..config.technology import ProcessNode
 from ..errors import ParameterError
-from ..units import mm2_to_cm2
 
 
 class WaferCarbonBreakdown(NamedTuple):
@@ -120,12 +119,3 @@ def m3d_wafer_carbon_per_cm2(
     return WaferCarbonBreakdown(
         ci_fab_kg_per_kwh * epa, gpa, tiers[0][0].mpa_kg_per_cm2
     )
-
-
-def wafer_carbon_kg(
-    breakdown: WaferCarbonBreakdown, wafer_area_mm2: float
-) -> float:
-    """Eq. 6: total wafer carbon = per-area carbon × wafer area."""
-    if wafer_area_mm2 <= 0:
-        raise ParameterError("wafer area must be positive")
-    return breakdown.total_kg_per_cm2 * mm2_to_cm2(wafer_area_mm2)

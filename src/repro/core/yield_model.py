@@ -77,10 +77,6 @@ class StackYields:
                 f"effective substrate yield {self.substrate} outside (0, 1]"
             )
 
-    @property
-    def worst_die(self) -> float:
-        return min(self.per_die)
-
 
 def _check_yields(label: str, values: list[float]) -> None:
     for y in values:

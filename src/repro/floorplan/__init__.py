@@ -1,7 +1,7 @@
 """Deterministic 2.5D floorplanning (geometry for Eq. 13–14)."""
 
 from .adjacency import adjacent_pairs, total_adjacent_length_mm
-from .geometry import Rect, bounding_box, square_for_area
+from .geometry import Rect, square_for_area
 from .placer import Floorplan, PlacedDie, place_dies
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "PlacedDie",
     "Rect",
     "adjacent_pairs",
-    "bounding_box",
     "place_dies",
     "square_for_area",
     "total_adjacent_length_mm",

@@ -32,14 +32,6 @@ class Rect:
     def y2(self) -> float:
         return self.y + self.height
 
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.x + self.width / 2.0, self.y + self.height / 2.0)
-
     def overlaps(self, other: "Rect", tolerance: float = 1e-9) -> bool:
         """True when the interiors intersect (touching edges don't count)."""
         return (
@@ -48,15 +40,6 @@ class Rect:
             and self.y < other.y2 - tolerance
             and other.y < self.y2 - tolerance
         )
-
-    def translated(self, dx: float, dy: float) -> "Rect":
-        return Rect(self.x + dx, self.y + dy, self.width, self.height)
-
-    def gap_to(self, other: "Rect") -> float:
-        """Minimum axis-aligned gap between two rectangles (0 if touching)."""
-        dx = max(other.x - self.x2, self.x - other.x2, 0.0)
-        dy = max(other.y - self.y2, self.y - other.y2, 0.0)
-        return math.hypot(dx, dy)
 
     def facing_length(self, other: "Rect", max_gap: float) -> float:
         """Length of edge facing ``other`` across a gap of at most ``max_gap``.
@@ -86,14 +69,3 @@ def square_for_area(area_mm2: float) -> tuple[float, float]:
         raise ParameterError(f"area must be positive, got {area_mm2}")
     side = math.sqrt(area_mm2)
     return (side, side)
-
-
-def bounding_box(rects: list[Rect]) -> Rect:
-    """Smallest axis-aligned rectangle containing all ``rects``."""
-    if not rects:
-        raise ParameterError("bounding_box needs at least one rectangle")
-    x1 = min(r.x for r in rects)
-    y1 = min(r.y for r in rects)
-    x2 = max(r.x2 for r in rects)
-    y2 = max(r.y2 for r in rects)
-    return Rect(x1, y1, x2 - x1, y2 - y1)

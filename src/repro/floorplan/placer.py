@@ -1,10 +1,9 @@
 """Row-based die placement for 2.5D assemblies.
 
 Eq. 14 needs the total adjacent-edge length ``Σ l_adjacent`` between dies on
-a 2.5D substrate, and the package model benefits from a realistic assembly
-bounding box. Real products use hand-crafted floorplans; a simple row
+a 2.5D substrate. Real products use hand-crafted floorplans; a simple row
 placer with a fixed die gap captures the geometry the carbon model consumes
-(adjacent edge lengths, bounding box) while staying deterministic.
+(adjacent edge lengths) while staying deterministic.
 
 Dies are placed left-to-right in rows, tallest-first, wrapping when the row
 would exceed the target aspect; every neighbouring pair is separated by
@@ -17,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import ParameterError
-from .geometry import Rect, bounding_box, square_for_area
+from .geometry import Rect, square_for_area
 
 
 @dataclass(frozen=True)
@@ -34,14 +33,6 @@ class Floorplan:
 
     dies: tuple[PlacedDie, ...]
     die_gap_mm: float
-
-    @property
-    def outline(self) -> Rect:
-        return bounding_box([d.rect for d in self.dies])
-
-    @property
-    def total_die_area_mm2(self) -> float:
-        return sum(d.rect.area for d in self.dies)
 
     def is_overlap_free(self) -> bool:
         rects = [d.rect for d in self.dies]

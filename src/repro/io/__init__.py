@@ -11,7 +11,6 @@ from .designs import (
 from .results import (
     REPORT_COLUMNS,
     drive_study_rows,
-    read_csv,
     report_row,
     table5_rows,
     write_csv,
@@ -26,7 +25,6 @@ __all__ = [
     "die_to_dict",
     "drive_study_rows",
     "load_design",
-    "read_csv",
     "report_row",
     "save_design",
     "table5_rows",

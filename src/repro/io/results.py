@@ -94,10 +94,3 @@ def write_csv(rows: "list[dict]", path: "str | Path") -> None:
 def write_json(rows: "list[dict]", path: "str | Path") -> None:
     """Write rows to a JSON array file."""
     Path(path).write_text(json.dumps(rows, indent=2), encoding="utf-8")
-
-
-def read_csv(path: "str | Path") -> "list[dict]":
-    """Read back rows written by :func:`write_csv` (values as strings)."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        return list(csv.DictReader(handle))
-

@@ -10,13 +10,11 @@ from .partition import (
     GatePartition,
     heterogeneous_partitions,
     homogeneous_partitions,
-    partition_gate_total,
 )
 from .tsv import (
     DEFAULT_EXTERNAL_IO_COUNT,
     DEFAULT_KEEPOUT_RATIO,
     DEFAULT_RENT_COEFFICIENT,
-    bisection_terminal_count,
     f2b_tsv_count,
     f2f_tsv_count,
     miv_area_mm2,
@@ -32,14 +30,12 @@ __all__ = [
     "WirelengthDistribution",
     "average_wirelength_gate_pitches",
     "average_wirelength_mm",
-    "bisection_terminal_count",
     "donath_average_wirelength",
     "f2b_tsv_count",
     "f2f_tsv_count",
     "heterogeneous_partitions",
     "homogeneous_partitions",
     "miv_area_mm2",
-    "partition_gate_total",
     "rent_terminal_count",
     "tsv_area_mm2",
 ]

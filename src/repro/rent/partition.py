@@ -81,8 +81,3 @@ def heterogeneous_partitions(
         gate_count * memory_fraction, workload_share=0.0, is_memory=True
     )
     return [logic, memory]
-
-
-def partition_gate_total(partitions: list[GatePartition]) -> float:
-    """Total gate count across partitions (conservation check)."""
-    return sum(p.gate_count for p in partitions)

@@ -15,7 +15,6 @@ per-node TSV diameter from :mod:`repro.config.technology`.
 
 from __future__ import annotations
 
-import math
 
 from ..errors import ParameterError
 
@@ -104,21 +103,3 @@ def miv_area_mm2(
         )
     side_mm = keepout_ratio * miv_diameter_um / 1000.0
     return miv_count * side_mm * side_mm
-
-
-def bisection_terminal_count(
-    gate_count: float,
-    rent_exponent: float,
-    rent_coefficient: float = DEFAULT_RENT_COEFFICIENT,
-) -> float:
-    """Terminals crossing an even bipartition of an N-gate netlist.
-
-    By Rent's rule the cut of a balanced 2-way partition carries
-    ``T(N/2)`` terminals per half minus the share that stays external;
-    the standard estimate is ``k·(N/2)^p`` per half (Donath).
-    """
-    if gate_count < 2:
-        raise ParameterError(f"need >= 2 gates to bisect, got {gate_count}")
-    return rent_terminal_count(
-        gate_count / 2.0, rent_exponent, rent_coefficient
-    )

@@ -132,12 +132,6 @@ class BackendComparison:
     #: comparison ran without draws.
     bands: "tuple | None" = None
 
-    def report(self, backend: str) -> BackendReport:
-        for entry in self.reports:
-            if entry.backend == backend:
-                return entry
-        raise KeyError(backend)
-
     def band(self, backend: str):
         """The backend's uncertainty band (KeyError without draws)."""
         if self.bands is None:
@@ -146,23 +140,6 @@ class BackendComparison:
             if entry.backend == backend:
                 return band
         raise KeyError(backend)
-
-    def rows(self) -> "list[tuple]":
-        """(label, die, bonding, packaging, interposer, emb, oper, total)."""
-        rows = []
-        for entry in self.reports:
-            breakdown = entry.breakdown_dict()
-            rows.append((
-                get_backend(entry.backend).label,
-                breakdown.get("die", 0.0),
-                breakdown.get("bonding", 0.0),
-                breakdown.get("packaging", 0.0),
-                breakdown.get("interposer", 0.0),
-                entry.embodied_kg,
-                entry.operational_kg,
-                entry.total_kg,
-            ))
-        return rows
 
     def format_table(self) -> str:
         """Fixed-width cross-model table (the ``table`` renderer)."""

@@ -23,7 +23,6 @@ from .factors import (
     act_factor_set,
     first_order_factor_set,
     lca_factor_set,
-    spec_fingerprint,
     table2_factor_set,
 )
 
@@ -49,6 +48,5 @@ __all__ = [
     "draw_multipliers",
     "first_order_factor_set",
     "lca_factor_set",
-    "spec_fingerprint",
     "table2_factor_set",
 ]

@@ -19,9 +19,8 @@ envelopes. This module is the declarative half of that layer:
   fingerprint (and its SHA-256 :meth:`~FactorSet.digest`) joins the
   service-store content keys, so two Monte-Carlo studies share a cached
   summary exactly when they drew from the same set;
-* the built-in sets — :func:`table2_factor_set` (3D-Carbon's own, the
-  exact factors ``analysis.sensitivity.default_factors`` always built)
-  and the literature-grounded per-backend sets for ACT/ACT+
+* the built-in sets — :func:`table2_factor_set` (3D-Carbon's own) and
+  the literature-grounded per-backend sets for ACT/ACT+
   (:func:`act_factor_set`), LCA reports (:func:`lca_factor_set`) and the
   first-order model (:func:`first_order_factor_set`).
 
@@ -35,15 +34,11 @@ from __future__ import annotations
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import Callable
 
 from ..baselines.lca import GABI_FINEST_NODE
 from ..config.integration import AssemblyFlow, BondingMethod
 from ..config.parameters import DEFAULT_PARAMETERS, ParameterSet
 from ..errors import ParameterError
-
-#: A factor perturbs a ParameterSet to a given multiplier of its default.
-FactorFn = Callable[[ParameterSet, float], ParameterSet]
 
 #: Distributions a :class:`FactorSpec` may draw its multiplier from.
 DISTRIBUTIONS = ("triangular", "uniform", "lognormal")
@@ -190,27 +185,6 @@ class FactorSpec:
         )
 
 
-def spec_fingerprint(factor) -> tuple:
-    """Fingerprint of any factor-like object (specs or legacy factors).
-
-    Legacy :class:`repro.analysis.sensitivity.SensitivityFactor` objects
-    (closure-based ``apply``, optional target, implicit triangular law)
-    fingerprint on the same attributes with their defaults filled in.
-    """
-    if isinstance(factor, FactorSpec):
-        return factor.fingerprint()
-    target = getattr(factor, "target", None)
-    return (
-        "factor",
-        factor.name,
-        getattr(factor, "distribution", "triangular"),
-        getattr(factor, "group", None),
-        factor.low,
-        factor.high,
-        target.fingerprint() if target is not None else None,
-    )
-
-
 def _canonical(value) -> str:
     """Session-stable rendering of a fingerprint for hashing.
 
@@ -234,13 +208,7 @@ def _canonical(value) -> str:
 
 @dataclass(frozen=True)
 class FactorSet:
-    """A named, ordered, fingerprintable collection of factors.
-
-    ``specs`` may mix :class:`FactorSpec` with legacy duck-typed factors
-    (anything exposing ``name``/``low``/``high``/``apply`` and optionally
-    ``target``/``distribution``/``group``) — the perturbation plan and
-    the fingerprints treat both uniformly.
-    """
+    """A named, ordered, fingerprintable tuple of :class:`FactorSpec` records."""
 
     name: str
     specs: tuple
@@ -256,7 +224,7 @@ class FactorSet:
         return (
             "factor_set",
             self.name,
-            tuple(spec_fingerprint(spec) for spec in self.specs),
+            tuple(spec.fingerprint() for spec in self.specs),
         )
 
     def digest(self) -> str:
@@ -284,10 +252,8 @@ def table2_factor_set(
 ) -> FactorSet:
     """3D-Carbon's own Table 2 factor set for a design flavour.
 
-    Factor names, ranges, targets and order are exactly the ones
-    ``analysis.sensitivity.default_factors`` has always produced — the
-    equivalence tests pin the default Monte-Carlo/tornado paths built on
-    this set bit-identical to the pre-refactor results. ``params``
+    The equivalence tests pin the default Monte-Carlo/tornado paths
+    built on this set bit-identical to the scalar reference. ``params
     decides factor *inclusion* (whether the integration bonds, whether
     it spends I/O area) — pass the study's own set when it overrides
     integration specs, else the defaults decide.

@@ -15,13 +15,12 @@ every Monte-Carlo consumer needs:
   each factor's quantile function — factors sharing a group move
   together, independent factors do not.
 * :meth:`~PerturbationPlan.perturbed` — one row of multipliers applied
-  to the base :class:`~repro.config.parameters.ParameterSet`. When every
-  params-scoped factor carries a declarative target and no two touch the
-  same field, the plan compiles one grouped override per perturbed
-  record (validated once on the multiplier extremes) instead of one
-  copy-on-write chain per factor; rows outside the validated range, or
-  factor sets the compiler cannot prove safe, fall back to the exact
-  sequential ``apply`` chain. Model-scoped factors never touch the
+  to the base :class:`~repro.config.parameters.ParameterSet`. When no two
+  params-scoped factors touch the same field, the plan compiles one
+  grouped override per perturbed record (validated once on the
+  multiplier extremes) instead of one copy-on-write chain per factor;
+  rows outside the validated range, or factor sets the compiler cannot
+  prove safe, fall back to the exact sequential ``apply`` chain. Model-scoped factors never touch the
   parameter set — :meth:`~PerturbationPlan.model_multipliers` exposes
   their row values for
   :meth:`repro.pipeline.CarbonBackend.with_model_multipliers`.
@@ -105,7 +104,7 @@ def _norm_ppf(u: np.ndarray) -> np.ndarray:
 
 def _quantile_column(factor, u: np.ndarray) -> np.ndarray:
     """One factor's multipliers from its group's uniform quantiles."""
-    distribution = getattr(factor, "distribution", "triangular")
+    distribution = factor.distribution
     low, high = factor.low, factor.high
     if distribution == "uniform":
         return low + u * (high - low)
@@ -137,9 +136,7 @@ def draw_multipliers(factors, samples: int, seed: int) -> np.ndarray:
     """
     factors = list(factors)
     plain = all(
-        getattr(f, "distribution", "triangular") == "triangular"
-        and getattr(f, "group", None) is None
-        for f in factors
+        f.distribution == "triangular" and f.group is None for f in factors
     )
     rng = np.random.default_rng(seed)
     if plain:
@@ -155,7 +152,7 @@ def draw_multipliers(factors, samples: int, seed: int) -> np.ndarray:
     columns: "list[int]" = []
     next_column = 0
     for factor in factors:
-        group = getattr(factor, "group", None)
+        group = factor.group
         if group is None:
             columns.append(next_column)
             next_column += 1
@@ -182,8 +179,7 @@ class PerturbationPlan:
         self._model_columns = tuple(
             (index, factor.target.field)
             for index, factor in enumerate(self.factors)
-            if getattr(factor, "target", None) is not None
-            and getattr(factor.target, "kind", None) == "model"
+            if factor.target.is_model
         )
         # Model overrides are a {field: multiplier} dict — a duplicate
         # field would silently drop all but the last draw (the params
@@ -206,14 +202,6 @@ class PerturbationPlan:
     @property
     def has_model_factors(self) -> bool:
         return bool(self._model_columns)
-
-    def fingerprint(self) -> tuple:
-        """The factor set's value fingerprint (joins content keys)."""
-        return self.factor_set.fingerprint()
-
-    def digest(self) -> str:
-        """SHA-256 digest of the fingerprint (per-set store identity)."""
-        return self.factor_set.digest()
 
     # -- draws ----------------------------------------------------------------
 
@@ -271,9 +259,7 @@ class PerturbationPlan:
         seen = set()
         groups: dict[tuple, list] = {}
         for index, factor in self._params_factors():
-            target = getattr(factor, "target", None)
-            if target is None:
-                return None
+            target = factor.target
             field_id = (target.kind, target.key, target.field)
             if field_id in seen:  # same field twice → order matters, bail out
                 return None

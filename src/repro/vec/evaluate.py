@@ -94,23 +94,6 @@ class GridResult:
             )
         return self.columns[name]
 
-    def row(self, index: int) -> dict:
-        """One point's values as a JSON-ready record."""
-        point = self.grid.points[index]
-        record = {
-            "index": index,
-            "label": point.label,
-            "design": point.design.name,
-            "integration": point.design.integration,
-            "wafer_diameter_mm": point.wafer_diameter_mm,
-            "fab_location": point.fab_location,
-            "error": self.errors[index],
-        }
-        for name in COLUMN_NAMES:
-            value = float(self.columns[name][index])
-            record[name] = None if math.isnan(value) else value
-        return record
-
 
 def _marking_dpw(errors: "list[str | None]", indices):
     """Eq. 5 over a block's wafer column. A die that does not fit marks

@@ -7,8 +7,7 @@ dependency:
 
 * :func:`stacked_bars` — Fig. 5-style groups: one bar per design, stacked
   die/bonding/packaging/interposer/operational segments;
-* :func:`grouped_comparison` — Fig. 4-style: one bar per model estimate;
-* :func:`histogram` — Monte-Carlo carbon distributions.
+* :func:`grouped_comparison` — Fig. 4-style: one bar per model estimate.
 """
 
 from __future__ import annotations
@@ -88,33 +87,4 @@ def grouped_comparison(
         bar = "#" * max(1, int(round(width * value / scale)))
         lines.append(f"{label:<{label_width}} |{bar:<{width}}| "
                      f"{value:9.2f} {unit}")
-    return "\n".join(lines)
-
-
-def histogram(
-    samples: "list[float] | tuple[float, ...]",
-    bins: int = 12,
-    width: int = 40,
-) -> str:
-    """Text histogram of a carbon distribution."""
-    if len(samples) < 2:
-        raise ParameterError("need >= 2 samples")
-    if bins < 2:
-        raise ParameterError("need >= 2 bins")
-    low = min(samples)
-    high = max(samples)
-    if high == low:
-        return f"all {len(samples)} samples at {low:.2f}"
-    span = (high - low) / bins
-    counts = [0] * bins
-    for value in samples:
-        index = min(int((value - low) / span), bins - 1)
-        counts[index] += 1
-    top = max(counts)
-    lines = []
-    for i, count in enumerate(counts):
-        left = low + i * span
-        bar = "#" * int(round(width * count / top))
-        lines.append(f"{left:9.2f}-{left + span:9.2f} |{bar:<{width}}| "
-                     f"{count:4d}")
     return "\n".join(lines)

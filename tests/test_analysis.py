@@ -4,9 +4,7 @@ import pytest
 
 from repro import ChipDesign, ParameterSet, Workload
 from repro.analysis import (
-    SensitivityFactor,
     comparison_robustness,
-    default_factors,
     format_tornado,
     monte_carlo,
     search_designs,
@@ -16,6 +14,7 @@ from repro.api import Session, StudySpec
 from repro.core.report import render_points
 from repro.errors import ParameterError, ReferenceDesignError
 from repro.studies.drive import drive_2d_design
+from repro.uncertainty import FactorSpec, FactorTarget, table2_factor_set
 
 PARAMS = ParameterSet.default()
 WL = Workload.autonomous_vehicle()
@@ -29,15 +28,18 @@ def hybrid_orin():
 class TestSensitivity:
     def test_factor_validation(self):
         with pytest.raises(ParameterError):
-            SensitivityFactor("bad", 1.5, 2.0, lambda p, m: p)
+            FactorSpec(
+                "bad", 1.5, 2.0,
+                FactorTarget("node", ("7nm",), "epa_kwh_per_cm2"),
+            )
 
     def test_default_factors_cover_table2_knobs(self):
-        names = {f.name.split("[")[0] for f in default_factors()}
+        names = {f.name.split("[")[0] for f in table2_factor_set()}
         assert {"defect_density", "fab_energy_epa", "packaging_cpa",
                 "bonding_epa"} <= names
 
     def test_2d_has_no_bonding_factor(self):
-        names = [f.name for f in default_factors(integration="2d")]
+        names = [f.name for f in table2_factor_set(integration="2d")]
         assert not any("bonding" in n for n in names)
 
     def test_tornado_sorted_by_swing(self, hybrid_orin):

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import json
 import threading
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -22,6 +20,7 @@ from repro.api import Result, ResultSet, Session, StudyError, StudySpec
 from repro.core.design import ChipDesign
 from repro.errors import ParameterError
 from repro.service import ServiceClient, ServiceError, make_server
+from repro.tenancy import ANONYMOUS_TENANT, USAGE_FIELDS
 
 
 def reference_design() -> ChipDesign:
@@ -169,6 +168,38 @@ class TestLocalServiceParity:
         assert "samples" in str(local_error)
         assert "samples" in str(service_error)
         assert type(local_error).__name__ == service_error.error_type
+
+    def test_usage_agrees_local_and_remote(self, service_session):
+        """``Session.usage()`` answers in one shape on either executor,
+        with the same work counts for the same studies. The server also
+        bills each ``GET /usage`` as a request and counts the bytes it
+        sent; a local session has no wire, so its ``bytes_out`` stays 0."""
+        answers = []
+        with Session() as local:
+            for session in (local, service_session):
+                session.usage()
+                session.run(StudySpec.batch(
+                    [stacked_design(), reference_design(), stacked_design()]
+                ))
+                session.run(StudySpec.evaluate(stacked_design()))
+                answers.append(session.usage())
+        local_answer, remote_answer = answers
+        local_usage, remote_usage = (a["usage"] for a in answers)
+        assert local_answer["tenant"] == remote_answer["tenant"] \
+            == ANONYMOUS_TENANT
+        assert tuple(local_usage) == tuple(remote_usage) == USAGE_FIELDS
+        work = ("points", "computed", "store_hits", "errors",
+                "quota_rejected")
+        assert {name: local_usage[name] for name in work} \
+            == {name: remote_usage[name] for name in work} \
+            == {"points": 4, "computed": 3, "store_hits": 0, "errors": 0,
+                "quota_rejected": 0}
+        assert (local_usage["requests"], remote_usage["requests"]) == (2, 3)
+        assert local_usage["bytes_out"] == 0 < remote_usage["bytes_out"]
+        # An open server reports every tenant; a store-less local session
+        # has no ledger to aggregate.
+        assert remote_answer["tenants"] == {ANONYMOUS_TENANT: remote_usage}
+        assert local_answer["tenants"] == {}
 
 
 class TestSessionResults:

@@ -20,7 +20,6 @@ from repro.baselines import (
 from repro.config.parameters import ParameterSet
 from repro.core.design import ChipDesign
 from repro.core.model import CarbonModel
-from repro.core.operational import Workload
 from repro.core.resolve import resolve_design
 from repro.engine import BatchEvaluator, EvalPoint
 from repro.errors import BackendError
@@ -29,7 +28,6 @@ from repro.pipeline import (
     EvalContext,
     LcaBackend,
     PipelineRun,
-    Repro3DBackend,
     backend_names,
     get_backend,
     register_backend,
@@ -250,29 +248,30 @@ class TestCompareBackends:
     def test_reproduces_sec4_epyc_numbers(self):
         """compare_backends == the Fig. 4(a) study's own numbers."""
         comparison = compare_backends(epyc_7452_design())
+        reports = {entry.backend: entry for entry in comparison.reports}
         reference = epyc_validation()
-        assert comparison.report("lca").total_kg == reference.lca.total_kg
-        assert comparison.report("act_plus").total_kg \
-            == reference.act_plus.total_kg
-        assert comparison.report("repro3d").embodied_kg \
-            == reference.carbon_3d.total_kg
+        assert reports["lca"].total_kg == reference.lca.total_kg
+        assert reports["act_plus"].total_kg == reference.act_plus.total_kg
+        assert reports["repro3d"].embodied_kg == reference.carbon_3d.total_kg
 
     def test_one_batched_engine_call_shares_resolution(self):
         evaluator = BatchEvaluator(params=PARAMS)
         compare_backends(lakefield_design(), evaluator=evaluator)
         assert evaluator.stats.resolve_misses == 1
 
-    def test_rows_and_table(self, hybrid_stack, av_workload):
+    def test_reports_and_table(self, hybrid_stack, av_workload):
         comparison = compare_backends(hybrid_stack, workload=av_workload)
-        rows = comparison.rows()
-        assert [row[0] for row in rows] == [
-            "3D-Carbon", "ACT", "ACT+", "LCA", "First-order"
+        reports = comparison.reports
+        assert [entry.backend for entry in reports] == [
+            "repro3d", "act", "act_plus", "lca", "first_order"
         ]
         table = comparison.format_table()
-        assert "3D-Carbon" in table and "—" in table
+        for label in ("3D-Carbon", "ACT", "ACT+", "LCA", "First-order"):
+            assert label in table
+        assert "—" in table
         # Only repro3d models the use phase.
-        assert rows[0][6] is not None
-        assert all(row[6] is None for row in rows[1:])
+        assert reports[0].operational_kg is not None
+        assert all(entry.operational_kg is None for entry in reports[1:])
 
     def test_unknown_backend_rejected_before_evaluation(self, orin_2d):
         with pytest.raises(BackendError):

@@ -7,7 +7,7 @@ from repro.config.bonding import (
     BondingProcess,
     BondingTable,
 )
-from repro.config.integration import AssemblyFlow, BondingMethod, SubstrateKind
+from repro.config.integration import AssemblyFlow, BondingMethod
 from repro.config.packaging import DEFAULT_PACKAGING_TABLE, PackageClass, PackagingTable
 from repro.config.substrate import SubstrateParameters
 from repro.errors import ParameterError, UnknownTechnologyError
@@ -135,18 +135,6 @@ class TestSubstrateParameters:
         assert sub.emib_scale >= 1.0
         assert sub.rdl_scale >= 1.0
         assert 0.5 <= sub.die_gap_mm <= 2.0
-
-    def test_scale_lookup(self):
-        sub = SubstrateParameters()
-        assert sub.scale_for(SubstrateKind.SILICON_INTERPOSER) == (
-            sub.si_interposer_scale
-        )
-        assert sub.scale_for(SubstrateKind.EMIB_BRIDGE) == sub.emib_scale
-        assert sub.scale_for(SubstrateKind.RDL) == sub.rdl_scale
-
-    def test_organic_has_no_scale(self):
-        with pytest.raises(ParameterError):
-            SubstrateParameters().scale_for(SubstrateKind.ORGANIC)
 
     def test_scale_below_one_rejected(self):
         with pytest.raises(ParameterError):

@@ -9,13 +9,12 @@ from repro.config.parameters import (
     ParameterSet,
 )
 from repro.config.power import (
-    DEFAULT_DEVICE_SURVEY,
     NVIDIA_DRIVE_SERIES,
     DeviceSurvey,
-    DeviceSurveyTable,
     surveyed_efficiency,
 )
 from repro.errors import ParameterError, UnknownTechnologyError
+from repro.studies.drive import drive_2d_design
 
 
 class TestGrids:
@@ -79,16 +78,13 @@ class TestDeviceSurvey:
         effs = [d.efficiency_tops_per_w for d in NVIDIA_DRIVE_SERIES]
         assert all(a < b for a, b in zip(effs, effs[1:]))
 
-    def test_power_property(self):
-        orin = DEFAULT_DEVICE_SURVEY.get("orin")
-        assert orin.power_w == pytest.approx(254.0 / 2.74)
-
     def test_gate_count_scaling(self):
-        assert DEFAULT_DEVICE_SURVEY.get("THOR").gate_count == 77e9
+        thor = next(d for d in NVIDIA_DRIVE_SERIES if d.name == "THOR")
+        assert thor.gate_count == 77e9
 
     def test_unknown_device_raises(self):
-        with pytest.raises(UnknownTechnologyError):
-            DEFAULT_DEVICE_SURVEY.get("PEGASUS")
+        with pytest.raises(ParameterError, match="PEGASUS"):
+            drive_2d_design("PEGASUS")
 
     def test_surveyed_efficiency_matches_drive_nodes(self):
         for device in NVIDIA_DRIVE_SERIES:
@@ -103,11 +99,6 @@ class TestDeviceSurvey:
     def test_bad_device_rejected(self):
         with pytest.raises(ParameterError):
             DeviceSurvey("bad", "7nm", -1.0, 1.0, 2020, 10.0)
-
-    def test_register(self):
-        table = DeviceSurveyTable()
-        table.register(DeviceSurvey("NEW", "3nm", 100.0, 20.0, 2025, 4000.0))
-        assert table.get("new").node == "3nm"
 
 
 class TestM3DParameters:

@@ -6,7 +6,6 @@ from repro.config.integration import (
     DEFAULT_INTEGRATION_TABLE,
     AssemblyFlow,
     BondingMethod,
-    IntegrationFamily,
     IntegrationSpec,
     IntegrationTable,
     StackingStyle,

@@ -111,18 +111,14 @@ class TestDerivedQuantities:
 
     def test_epa_split_reassembles(self):
         n = node("7nm")
-        reassembled = (
-            n.epa_feol_kwh_per_cm2()
-            + n.max_beol_layers * n.epa_per_beol_layer_kwh_per_cm2()
-        )
+        epa_feol, epa_per_layer, _, _ = n.beol_split
+        reassembled = epa_feol + n.max_beol_layers * epa_per_layer
         assert reassembled == pytest.approx(n.epa_kwh_per_cm2)
 
     def test_gpa_split_reassembles(self):
         n = node("14nm")
-        reassembled = (
-            n.gpa_feol_kg_per_cm2()
-            + n.max_beol_layers * n.gpa_per_beol_layer_kg_per_cm2()
-        )
+        _, _, gpa_feol, gpa_per_layer = n.beol_split
+        reassembled = gpa_feol + n.max_beol_layers * gpa_per_layer
         assert reassembled == pytest.approx(n.gpa_kg_per_cm2)
 
     def test_interposer_node_is_beol_only_cheap(self):

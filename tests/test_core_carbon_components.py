@@ -6,7 +6,6 @@ import pytest
 from repro import ChipDesign, ParameterSet
 from repro.config.integration import AssemblyFlow, SubstrateKind
 from repro.core.bonding_carbon import bonding_carbon
-from repro.core.design import Die, PackageSpec
 from repro.core.die_carbon import die_manufacturing_carbon
 from repro.core.interposer_carbon import interposer_carbon
 from repro.core.packaging_carbon import package_base_area_mm2, packaging_carbon

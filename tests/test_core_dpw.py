@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.dpw import (
     dies_per_wafer,
-    edge_loss_fraction,
     effective_area_per_die_mm2,
 )
 from repro.errors import DesignError, ParameterError
@@ -62,15 +61,6 @@ class TestEffectiveArea:
         assert effective_area_per_die_mm2(300.0, 229.0) == pytest.approx(
             wafer_area_mm2(300.0) / dpw
         )
-
-
-class TestEdgeLoss:
-    def test_fraction_in_unit_interval(self):
-        loss = edge_loss_fraction(300.0, 100.0)
-        assert 0.0 < loss < 1.0
-
-    def test_larger_die_more_loss(self):
-        assert edge_loss_fraction(300.0, 700.0) > edge_loss_fraction(300.0, 50.0)
 
 
 class TestProperties:

@@ -6,7 +6,6 @@ from repro.config.m3d import M3DParameters
 from repro.config.parameters import DEFAULT_PARAMETERS
 from repro.core.wafer import (
     m3d_wafer_carbon_per_cm2,
-    wafer_carbon_kg,
     wafer_carbon_per_cm2,
 )
 from repro.errors import ParameterError
@@ -54,11 +53,6 @@ class TestEq6:
         clean = wafer_carbon_per_cm2(NODE_7, 0.03, beol_aware=False)
         assert clean.total_kg_per_cm2 < dirty.total_kg_per_cm2
 
-    def test_wafer_total(self):
-        b = wafer_carbon_per_cm2(NODE_7, CI, beol_aware=False)
-        kg = wafer_carbon_kg(b, 70685.83)  # 300 mm wafer
-        assert kg == pytest.approx(b.total_kg_per_cm2 * 706.8583)
-
     def test_rejects_negative_ci(self):
         with pytest.raises(ParameterError):
             wafer_carbon_per_cm2(NODE_7, -0.1)
@@ -66,11 +60,6 @@ class TestEq6:
     def test_rejects_negative_layers(self):
         with pytest.raises(ParameterError):
             wafer_carbon_per_cm2(NODE_7, CI, beol_layers=-1.0)
-
-    def test_rejects_bad_wafer_area(self):
-        b = wafer_carbon_per_cm2(NODE_7, CI)
-        with pytest.raises(ParameterError):
-            wafer_carbon_kg(b, 0.0)
 
 
 class TestM3DWafer:

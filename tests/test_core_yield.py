@@ -138,10 +138,6 @@ class TestTwoFiveDYields:
 
 
 class TestStackYieldsContainer:
-    def test_worst_die(self):
-        yields = StackYields(per_die=(0.7, 0.9), per_bond=())
-        assert yields.worst_die == 0.7
-
     def test_rejects_out_of_range(self):
         with pytest.raises(ParameterError):
             StackYields(per_die=(1.2,), per_bond=())

@@ -45,8 +45,6 @@ class TestPackageSurface:
         import repro.baselines
         import repro.floorplan
         import repro.io
-        import repro.lifecycle
-        import repro.power
         import repro.rent
         import repro.studies
         import repro.viz

@@ -9,12 +9,7 @@ import pytest
 
 from repro import ChipDesign, DEFAULT_PARAMETERS, Workload
 from repro.analysis.optimizer import search_designs
-from repro.analysis.sensitivity import (
-    FactorTarget,
-    SensitivityFactor,
-    default_factors,
-    tornado,
-)
+from repro.analysis.sensitivity import tornado
 from repro.analysis.uncertainty import (
     UncertaintyResult,
     _monte_carlo_scalar,
@@ -28,6 +23,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import fingerprint as fp
 from repro.resilience import FaultError, FaultPlan, FaultRule
 from repro.rent.davis import WirelengthDistribution, _region_moments
+from repro.uncertainty import FactorSpec, table2_factor_set
 from repro.uncertainty.plan import PerturbationPlan as ParameterPerturber
 from repro.uncertainty.plan import draw_multipliers as triangular_multipliers
 from repro.studies.sweep import (
@@ -92,12 +88,13 @@ def test_monte_carlo_matches_scalar_for_2d_design(reference, workload):
     assert engine.samples_kg == scalar.samples_kg
 
 
-def test_monte_carlo_matches_scalar_without_targets(stacked, workload):
-    """Factors lacking declarative targets fall back to sequential apply."""
-    factors = [
-        SensitivityFactor(f.name, f.low, f.high, f.apply, target=None)
-        for f in default_factors(node="7nm", integration="hybrid_3d")
-    ]
+def test_monte_carlo_matches_scalar_on_sequential_fallback(stacked, workload):
+    """Two factors on one field defeat the grouped plan, so every draw
+    takes the sequential ``apply`` chain, as on the scalar path."""
+    factors = list(table2_factor_set(node="7nm", integration="hybrid_3d"))
+    first = factors[0]
+    factors.append(FactorSpec(f"{first.name}#2", 0.9, 1.1, first.target))
+    assert ParameterPerturber(factors, DEFAULT_PARAMETERS)._plan is None
     engine = monte_carlo(
         stacked, factors=factors, workload=workload, samples=40
     )
@@ -163,8 +160,8 @@ def test_optimizer_matches_naive_path(reference, workload):
 def test_tornado_matches_naive_path(stacked, workload):
     results = tornado(stacked, workload=workload)
     factors = {
-        f.name: f for f in default_factors(node="7nm",
-                                           integration="hybrid_3d")
+        f.name: f for f in table2_factor_set(node="7nm",
+                                             integration="hybrid_3d")
     }
     for res in results:
         factor = factors[res.factor]
@@ -188,7 +185,7 @@ def test_comparison_robustness_probability_range(reference, workload):
 
 
 def test_triangular_multipliers_match_scalar_sequence():
-    factors = default_factors(node="7nm", integration="hybrid_3d")
+    factors = table2_factor_set(node="7nm", integration="hybrid_3d")
     matrix = triangular_multipliers(factors, samples=50, seed=7)
     rng = np.random.default_rng(7)
     for row in matrix:
@@ -197,7 +194,7 @@ def test_triangular_multipliers_match_scalar_sequence():
 
 
 def test_perturber_fast_path_matches_sequential(stacked):
-    factors = default_factors(node="7nm", integration="hybrid_3d")
+    factors = table2_factor_set(node="7nm", integration="hybrid_3d")
     perturber = ParameterPerturber(factors, DEFAULT_PARAMETERS)
     assert perturber._plan is not None
     row = [1.3, 0.9, 1.1, 0.7, 1.4, 0.8, 1.01]
@@ -214,7 +211,7 @@ def test_perturber_fast_path_matches_sequential(stacked):
 
 
 def test_perturber_out_of_range_row_falls_back():
-    factors = default_factors(node="7nm", integration="hybrid_3d")
+    factors = table2_factor_set(node="7nm", integration="hybrid_3d")
     perturber = ParameterPerturber(factors, DEFAULT_PARAMETERS)
     row = [5.0] + [1.0] * (len(factors) - 1)  # outside triangular support
     fast = perturber.perturbed(row)
@@ -225,7 +222,7 @@ def test_perturber_out_of_range_row_falls_back():
 def test_factor_targets_describe_their_apply():
     """Every built-in factor's target must mirror its apply closure."""
     for integration in ("hybrid_3d", "mcm", "m3d", "2d"):
-        for factor in default_factors(node="7nm", integration=integration):
+        for factor in table2_factor_set(node="7nm", integration=integration):
             assert factor.target is not None, factor.name
             base = factor.target.read(DEFAULT_PARAMETERS)
             perturbed = factor.apply(DEFAULT_PARAMETERS, factor.high)

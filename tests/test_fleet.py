@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import signal
-import tempfile
 import threading
 import time
 import urllib.request

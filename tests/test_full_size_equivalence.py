@@ -29,7 +29,6 @@ import random
 
 import numpy as np
 
-from repro.analysis.sensitivity import default_factors
 from repro.analysis.uncertainty import _monte_carlo_scalar, monte_carlo
 from repro.config.grid import TABLE2_LOCATIONS
 from repro.config.integration import TABLE1_INTEGRATIONS
@@ -42,6 +41,7 @@ from repro.engine import BatchEvaluator, EvalPoint
 from repro.errors import DesignError, ParameterError
 from repro.rent import davis
 from repro.seeds import DEFAULT_SEED
+from repro.uncertainty import table2_factor_set
 from repro.vec import DesignGrid
 from tests.test_memo_work import counts
 
@@ -50,7 +50,7 @@ REFERENCE = ChipDesign.planar_2d(
     "orin_class_ref", "7nm", gate_count=17.0e9, throughput_tops=254.0
 )
 STACKED = ChipDesign.homogeneous_split(REFERENCE, "hybrid_3d")
-FACTORS = default_factors(node="7nm", integration="hybrid_3d")
+FACTORS = list(table2_factor_set(node="7nm", integration="hybrid_3d"))
 SAMPLES = 500
 
 #: The vectorized grid's axes: 251 wafer steps over [250, 500] mm and

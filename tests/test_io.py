@@ -1,5 +1,6 @@
 """Serialization tests: designs ↔ JSON, results → CSV/JSON."""
 
+import csv
 import json
 
 import pytest
@@ -15,7 +16,6 @@ from repro.io import (
     die_to_dict,
     drive_study_rows,
     load_design,
-    read_csv,
     report_row,
     save_design,
     table5_rows,
@@ -133,7 +133,8 @@ class TestResultRows:
         rows = [report_row(report)]
         path = tmp_path / "rows.csv"
         write_csv(rows, path)
-        back = read_csv(path)
+        with open(path, newline="", encoding="utf-8") as handle:
+            back = list(csv.DictReader(handle))
         assert len(back) == 1
         assert float(back[0]["total_kg"]) == pytest.approx(
             rows[0]["total_kg"]

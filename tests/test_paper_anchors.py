@@ -12,7 +12,6 @@ import math
 
 import pytest
 
-from repro import Workload
 from repro.core.metrics import ChoiceRegime
 from repro.studies.decision import PAPER_TABLE5, table5_study
 from repro.studies.drive import drive_study

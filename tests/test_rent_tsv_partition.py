@@ -9,10 +9,8 @@ from repro.rent.partition import (
     GatePartition,
     heterogeneous_partitions,
     homogeneous_partitions,
-    partition_gate_total,
 )
 from repro.rent.tsv import (
-    bisection_terminal_count,
     f2b_tsv_count,
     f2f_tsv_count,
     miv_area_mm2,
@@ -37,11 +35,6 @@ class TestRentTerminals:
     def test_rejects_zero_gates(self):
         with pytest.raises(ParameterError):
             rent_terminal_count(0, 0.6)
-
-    def test_bisection_is_half_block_terminals(self):
-        assert bisection_terminal_count(1e6, 0.6) == pytest.approx(
-            rent_terminal_count(5e5, 0.6)
-        )
 
 
 class TestTsvCounts:
@@ -98,7 +91,7 @@ class TestPartitions:
 
     def test_homogeneous_conserves_gates(self):
         parts = homogeneous_partitions(17e9, 3)
-        assert partition_gate_total(parts) == pytest.approx(17e9)
+        assert sum(p.gate_count for p in parts) == pytest.approx(17e9)
 
     def test_homogeneous_rejects_single(self):
         with pytest.raises(ParameterError):
@@ -114,7 +107,7 @@ class TestPartitions:
 
     def test_heterogeneous_conserves_gates(self):
         parts = heterogeneous_partitions(17e9, 0.15)
-        assert partition_gate_total(parts) == pytest.approx(17e9)
+        assert sum(p.gate_count for p in parts) == pytest.approx(17e9)
 
     def test_heterogeneous_memory_must_be_minority(self):
         """The paper's memory die is smaller than the logic die."""
@@ -134,7 +127,7 @@ class TestPartitions:
     @settings(max_examples=100, deadline=None)
     def test_homogeneous_conservation_property(self, gates, n):
         parts = homogeneous_partitions(gates, n)
-        assert partition_gate_total(parts) == pytest.approx(gates)
+        assert sum(p.gate_count for p in parts) == pytest.approx(gates)
         assert sum(p.workload_share for p in parts) == pytest.approx(1.0)
 
     @given(
@@ -144,4 +137,4 @@ class TestPartitions:
     @settings(max_examples=100, deadline=None)
     def test_heterogeneous_conservation_property(self, gates, frac):
         parts = heterogeneous_partitions(gates, frac)
-        assert partition_gate_total(parts) == pytest.approx(gates)
+        assert sum(p.gate_count for p in parts) == pytest.approx(gates)

@@ -29,7 +29,6 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.sensitivity import default_factors
 from repro.analysis.uncertainty import monte_carlo
 from repro.core.design import ChipDesign
 from repro.core.model import CarbonModel
@@ -47,6 +46,7 @@ from repro.service.schema import (
     SweepRequest,
 )
 from repro.service.store import ResultStore
+from repro.uncertainty import table2_factor_set
 
 AV = Workload.autonomous_vehicle()
 LOCATIONS = ("taiwan", "usa", "iceland", "germany", "japan")
@@ -420,7 +420,9 @@ class TestMonteCarloWorkCounts:
         evaluator = BatchEvaluator()
         monte_carlo(
             self.DESIGN,
-            factors=default_factors(node="7nm", integration="hybrid_3d"),
+            factors=list(
+                table2_factor_set(node="7nm", integration="hybrid_3d")
+            ),
             workload=AV, samples=500, seed=20240623, evaluator=evaluator,
         )
         self.check(evaluator.stats)

@@ -325,6 +325,35 @@ class TestErrors:
         with pytest.raises(ServiceError, match="cannot reach"):
             client.healthz()
 
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_handle_error_logs_one_line_per_escaped_error(
+        self, capsys, verbose
+    ):
+        """A client disconnect logs nothing; any other error that escapes
+        a request logs one ``[carbon3d] request error`` line, with the
+        traceback only on a verbose server."""
+        server = make_server(verbose=verbose)
+        peer = ("127.0.0.1", 50000)
+        try:
+            try:
+                raise ConnectionResetError("peer went away")
+            except ConnectionError:
+                server.handle_error(None, peer)
+            assert capsys.readouterr().err == ""
+            try:
+                raise ValueError("boom")
+            except ValueError:
+                server.handle_error(None, peer)
+            err = capsys.readouterr().err
+        finally:
+            server.close()
+        if verbose:
+            assert "Traceback" in err and "ValueError: boom" in err
+        else:
+            assert err == (
+                f"[carbon3d] request error from {peer}: ValueError: boom\n"
+            )
+
 
 class TestDispatcherParamsPinning:
     def test_caller_evaluator_with_other_params_cannot_poison_store(self):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.sensitivity import default_factors
 from repro.analysis.uncertainty import _monte_carlo_scalar, monte_carlo
 from repro.baselines.first_order import first_order_estimate
 from repro.baselines.lca import lca_estimate
@@ -102,12 +101,6 @@ class TestFactorSetIdentity:
         wrapped = FactorSet.coerce(list(factor_set))
         assert wrapped.name == "custom"
         assert wrapped.fingerprint()[2] == factor_set.fingerprint()[2]
-
-    def test_default_factors_shim_matches_table2(self):
-        shim = default_factors(node="7nm", integration="hybrid_3d")
-        table2 = list(table2_factor_set("7nm", "hybrid_3d"))
-        assert [f.name for f in shim] == [f.name for f in table2]
-        assert shim == table2
 
 
 class TestBackendFactorSets:
@@ -248,10 +241,6 @@ class TestDraws:
 
 
 class TestPerturbationPlan:
-    def test_fingerprint_matches_factor_set(self, params):
-        plan = PerturbationPlan(table2_factor_set(), params)
-        assert plan.digest() == table2_factor_set().digest()
-
     def test_model_factors_split_from_params_factors(self, params):
         plan = PerturbationPlan(lca_factor_set(), params)
         assert plan.has_model_factors

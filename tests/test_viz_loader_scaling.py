@@ -18,7 +18,7 @@ from repro.studies.scaling import (
     format_scaling_table,
     node_scaling_study,
 )
-from repro.viz import grouped_comparison, histogram, stacked_bars
+from repro.viz import grouped_comparison, stacked_bars
 
 PARAMS = ParameterSet.default()
 WL = Workload.autonomous_vehicle()
@@ -65,7 +65,7 @@ class TestStackedBars:
             stacked_bars(reports, labels=["only_one"])
 
 
-class TestGroupedAndHistogram:
+class TestGroupedComparison:
     def test_grouped_scales(self):
         text = grouped_comparison([("LCA", 26.1), ("ACT+", 11.5)])
         lines = text.splitlines()
@@ -74,21 +74,6 @@ class TestGroupedAndHistogram:
     def test_grouped_rejects_empty(self):
         with pytest.raises(ParameterError):
             grouped_comparison([])
-
-    def test_histogram_counts_sum(self):
-        samples = [1.0, 1.1, 2.0, 2.1, 2.2, 3.0]
-        text = histogram(samples, bins=3)
-        counts = [int(line.rsplit("|", 1)[1]) for line in text.splitlines()]
-        assert sum(counts) == len(samples)
-
-    def test_histogram_degenerate(self):
-        assert "all 3 samples" in histogram([2.0, 2.0, 2.0])
-
-    def test_histogram_rejects_small(self):
-        with pytest.raises(ParameterError):
-            histogram([1.0])
-        with pytest.raises(ParameterError):
-            histogram([1.0, 2.0], bins=1)
 
 
 class TestParameterLoader:

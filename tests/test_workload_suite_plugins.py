@@ -4,15 +4,24 @@ import pytest
 
 from repro import (
     CarbonModel,
-    ChipDesign,
     DesignError,
     ParameterSet,
     Workload,
     WorkloadSuite,
 )
-from repro.power.plugin import CallablePlugin
 
 PARAMS = ParameterSet.default()
+
+
+class FixedPlugin:
+    """A power plug-in that rates every die at one efficiency (TOPS/W)."""
+
+    def __init__(self, name, tops_per_w):
+        self.name = name
+        self.tops_per_w = tops_per_w
+
+    def efficiency_tops_per_w(self, die):
+        return self.tops_per_w
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +94,7 @@ class TestWorkloadSuite:
 class TestPluginWiring:
     def test_plugin_overrides_survey(self, orin_2d):
         """An injected power plug-in replaces the surveyed efficiency."""
-        doubled = CallablePlugin("double", lambda die: 2.0 * 2.74)
+        doubled = FixedPlugin("double", 2.0 * 2.74)
         wl = Workload.autonomous_vehicle()
         plain = CarbonModel(orin_2d, PARAMS).operational(wl)
         plugged = CarbonModel(
@@ -95,22 +104,8 @@ class TestPluginWiring:
             plain.compute_energy_kwh / 2.0
         )
 
-    def test_dnn_plugin_end_to_end(self, orin_2d):
-        from repro.power.dnn import AnalyticalDnnPlugin
-
-        wl = Workload.autonomous_vehicle()
-        report = CarbonModel(
-            orin_2d.with_overrides(
-                dies=(orin_2d.dies[0].with_overrides(
-                    efficiency_tops_per_w=None),)
-            ),
-            PARAMS,
-            efficiency_plugin=AnalyticalDnnPlugin(),
-        ).operational(wl)
-        assert report.total_kg > 0
-
     def test_plugin_applies_to_suites(self, orin_2d):
-        fixed = CallablePlugin("fixed", lambda die: 10.0)
+        fixed = FixedPlugin("fixed", 10.0)
         suite = make_suite()
         report = CarbonModel(
             orin_2d, PARAMS, efficiency_plugin=fixed
