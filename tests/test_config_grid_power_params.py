@@ -82,6 +82,20 @@ class TestDeviceSurvey:
         thor = next(d for d in NVIDIA_DRIVE_SERIES if d.name == "THOR")
         assert thor.gate_count == 77e9
 
+    @pytest.mark.parametrize(
+        "device", NVIDIA_DRIVE_SERIES, ids=lambda d: d.name
+    )
+    def test_drive_reference_carries_its_table4_row(self, device):
+        """The DRIVE study looks a device up by name, any case."""
+        for name in (device.name, device.name.lower()):
+            design = drive_2d_design(name)
+            (die,) = design.dies
+            assert design.name == f"{device.name}_2D"
+            assert die.node == device.node
+            assert die.gate_count == device.gate_count
+            assert design.throughput_tops == device.throughput_tops
+            assert die.efficiency_tops_per_w == device.efficiency_tops_per_w
+
     def test_unknown_device_raises(self):
         with pytest.raises(ParameterError, match="PEGASUS"):
             drive_2d_design("PEGASUS")

@@ -127,6 +127,46 @@ class TestDerivedQuantities:
                 < node("28nm").epa_kwh_per_cm2)
 
 
+class TestEveryNode:
+    """Eq. 6's FEOL/BEOL split holds for every row of the node table."""
+
+    @pytest.mark.parametrize("name", DEFAULT_TECHNOLOGY_TABLE.names())
+    def test_beol_split_reassembles_at_full_stack(self, name):
+        n = node(name)
+        epa_feol, epa_per_layer, gpa_feol, gpa_per_layer = n.beol_split
+        layers = n.max_beol_layers
+        assert epa_feol + layers * epa_per_layer == pytest.approx(
+            n.epa_kwh_per_cm2, rel=1e-12
+        )
+        assert gpa_feol + layers * gpa_per_layer == pytest.approx(
+            n.gpa_kg_per_cm2, rel=1e-12
+        )
+        assert epa_feol == n.epa_kwh_per_cm2 * (1.0 - n.beol_carbon_fraction)
+
+    @pytest.mark.parametrize("name", DEFAULT_TECHNOLOGY_TABLE.names())
+    def test_override_recomputes_beol_split(self, name):
+        """A perturbed record never reuses its base's cached split."""
+        base = node(name)
+        assert base.beol_split  # fill the base record's cache first
+        table = TechnologyTable().with_node_override(
+            name, epa_kwh_per_cm2=base.epa_kwh_per_cm2 * 1.25,
+            gpa_kg_per_cm2=base.gpa_kg_per_cm2 * 0.5,
+        )
+        for perturbed in (
+            table.get(name),
+            base.with_overrides(epa_kwh_per_cm2=base.epa_kwh_per_cm2 * 1.25,
+                                gpa_kg_per_cm2=base.gpa_kg_per_cm2 * 0.5),
+        ):
+            fraction = base.beol_carbon_fraction
+            assert perturbed.beol_split == (
+                perturbed.epa_kwh_per_cm2 * (1.0 - fraction),
+                perturbed.epa_kwh_per_cm2 * fraction / base.max_beol_layers,
+                perturbed.gpa_kg_per_cm2 * (1.0 - fraction),
+                perturbed.gpa_kg_per_cm2 * fraction / base.max_beol_layers,
+            )
+            assert perturbed.beol_split != base.beol_split
+
+
 class TestValidationAndOverrides:
     def test_out_of_range_epa_rejected(self):
         with pytest.raises(ParameterError):

@@ -63,7 +63,29 @@ class TestEffectiveArea:
         )
 
 
-class TestProperties:
+class TestEdgeLoss:
+    """Eq. 5's second term: the partial dies lost on the circumference."""
+
+    @pytest.mark.parametrize("diameter", [200.0, 300.0, 450.0])
+    def test_edge_term_is_circumference_over_die_diagonal(self, diameter):
+        for area in (50.0, 100.0, 416.0):
+            gross = wafer_area_mm2(diameter) / area
+            lost = gross - dies_per_wafer(diameter, area)
+            assert lost == pytest.approx(
+                math.pi * diameter / math.sqrt(2.0 * area), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("diameter", [200.0, 300.0, 450.0])
+    def test_larger_die_loses_a_larger_share(self, diameter):
+        shares = [
+            1.0 - dies_per_wafer(diameter, area) * area
+            / wafer_area_mm2(diameter)
+            for area in (25.0, 100.0, 400.0)
+        ]
+        assert all(0.0 < share < 1.0 for share in shares)
+        assert shares == sorted(shares)
+
+
     @given(
         diameter=st.sampled_from([200.0, 300.0, 450.0]),
         area=st.floats(min_value=1.0, max_value=900.0),

@@ -79,6 +79,32 @@ class TestResolve:
             d.area_mm2 for d in resolved.dies
         )
 
+    @pytest.mark.parametrize("integration, kind", [
+        ("si_interposer", SubstrateKind.SILICON_INTERPOSER),
+        ("emib", SubstrateKind.EMIB_BRIDGE),
+        ("info", SubstrateKind.RDL),
+    ])
+    def test_substrate_area_follows_eq13_14(self, orin_2d, integration, kind):
+        """Eq. 13 scales the total die area (silicon interposer); Eq. 14
+        scales gap × adjacent edge length (EMIB bridge, InFO RDL)."""
+        design = ChipDesign.homogeneous_split(orin_2d, integration)
+        resolved = resolve_design(design, PARAMS)
+        geometry = resolved.substrate
+        sub = PARAMS.substrate
+        assert geometry.kind is kind
+        assert geometry.adjacent_length_mm > 0
+        dies_mm2 = sum(d.area_mm2 for d in resolved.dies)
+        expected = {
+            SubstrateKind.SILICON_INTERPOSER:
+                sub.si_interposer_scale * dies_mm2,
+            SubstrateKind.EMIB_BRIDGE:
+                sub.emib_scale * sub.die_gap_mm
+                * geometry.adjacent_length_mm,
+            SubstrateKind.RDL:
+                sub.rdl_scale * sub.die_gap_mm * geometry.adjacent_length_mm,
+        }[kind]
+        assert geometry.area_mm2 == pytest.approx(expected, rel=1e-12)
+
     def test_mcm_has_organic_substrate_geometry(self, orin_2d):
         mcm = ChipDesign.homogeneous_split(orin_2d, "mcm")
         resolved = resolve_design(mcm, PARAMS)

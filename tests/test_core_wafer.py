@@ -62,6 +62,45 @@ class TestEq6:
             wafer_carbon_per_cm2(NODE_7, CI, beol_layers=-1.0)
 
 
+NODE_NAMES = DEFAULT_PARAMETERS.technology.names()
+
+
+class TestEq6EveryNode:
+    """Eq. 6 with the BEOL-aware split, on every row of the node table."""
+
+    @pytest.mark.parametrize("name", NODE_NAMES)
+    def test_full_stack_equals_flat(self, name):
+        n = DEFAULT_PARAMETERS.node(name)
+        flat = wafer_carbon_per_cm2(n, CI, beol_aware=False)
+        aware = wafer_carbon_per_cm2(
+            n, CI, beol_layers=float(n.max_beol_layers)
+        )
+        assert aware.energy_kg_per_cm2 == pytest.approx(
+            flat.energy_kg_per_cm2, rel=1e-12
+        )
+        assert aware.gas_kg_per_cm2 == pytest.approx(
+            flat.gas_kg_per_cm2, rel=1e-12
+        )
+        assert aware.material_kg_per_cm2 == flat.material_kg_per_cm2
+
+    @pytest.mark.parametrize("name", NODE_NAMES)
+    def test_each_metal_layer_adds_its_share(self, name):
+        """C(L) is linear in L: each metal layer adds its share of the BEOL
+        energy and gas, and zero layers leave the FEOL part alone."""
+        n = DEFAULT_PARAMETERS.node(name)
+        epa_feol, epa_per_layer, gpa_feol, gpa_per_layer = n.beol_split
+        step = CI * epa_per_layer + gpa_per_layer
+        totals = [
+            wafer_carbon_per_cm2(n, CI, beol_layers=float(layers))
+            .total_kg_per_cm2
+            for layers in range(n.max_beol_layers + 1)
+        ]
+        for shallow, deep in zip(totals, totals[1:]):
+            assert deep - shallow == pytest.approx(step, rel=1e-9)
+        feol = CI * epa_feol + gpa_feol + n.mpa_kg_per_cm2
+        assert totals[0] == pytest.approx(feol, rel=1e-12)
+
+
 class TestM3DWafer:
     def two_tier(self, layers=8.0):
         return [(NODE_7, layers), (NODE_7, layers)]

@@ -15,6 +15,7 @@ import pytest
 from repro.analysis.uncertainty import _monte_carlo_scalar, monte_carlo
 from repro.baselines.first_order import first_order_estimate
 from repro.baselines.lca import lca_estimate
+from repro.config.integration import TABLE1_INTEGRATIONS
 from repro.core.design import ChipDesign
 from repro.engine import BatchEvaluator
 from repro.engine.montecarlo import DEFAULT_CHUNK_SIZE, monte_carlo_totals
@@ -241,6 +242,27 @@ class TestDraws:
 
 
 class TestPerturbationPlan:
+    @pytest.mark.parametrize("integration", TABLE1_INTEGRATIONS)
+    @pytest.mark.parametrize("node", ["7nm", "28nm"])
+    def test_compiled_rows_match_sequential_chain(
+        self, params, integration, node
+    ):
+        """The grouped fast path applies a Table 2 row exactly as the
+        per-factor ``apply`` chain does, at both multiplier extremes."""
+        factors = table2_factor_set(node, integration)
+        plan = PerturbationPlan(factors, params)
+        assert plan._plan is not None
+        for row in ([f.low for f in factors], [f.high for f in factors]):
+            fast = plan.perturbed(row)
+            slow = plan.sequential(row)
+            for factor, multiplier in zip(factors, row):
+                target = factor.target
+                assert target.read(fast) == target.read(slow), factor.name
+                assert target.read(fast) == target.scale(
+                    target.read(params), multiplier
+                ), factor.name
+                assert target.record(fast) == target.record(slow)
+
     def test_model_factors_split_from_params_factors(self, params):
         plan = PerturbationPlan(lca_factor_set(), params)
         assert plan.has_model_factors

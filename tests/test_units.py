@@ -1,5 +1,7 @@
 """Unit-conversion tests: the power-of-ten backbone of the model."""
 
+import math
+
 import pytest
 
 from repro.errors import UnitError
@@ -23,6 +25,14 @@ class TestWaferGeometry:
         """Table 2: A_wafer spans 31,415.93–159,043.13 mm² (200–450 mm)."""
         assert units.wafer_area_mm2(200.0) == pytest.approx(31415.93, abs=0.01)
         assert units.wafer_area_mm2(450.0) == pytest.approx(159043.13, abs=0.01)
+
+    @pytest.mark.parametrize("diameter", units.WAFER_DIAMETERS_MM)
+    def test_standard_wafer_area_in_cm2(self, diameter):
+        """A_wafer = π·(d/2)², and mm² → cm² divides by exactly 100."""
+        area = units.wafer_area_mm2(diameter)
+        assert area == pytest.approx(math.pi * (diameter / 2.0) ** 2)
+        assert units.mm2_to_cm2(area) * 100.0 == pytest.approx(area)
+        assert units.um2_to_mm2(area * 1.0e6) == pytest.approx(area)
 
     def test_negative_diameter_rejected(self):
         with pytest.raises(UnitError):
