@@ -1,7 +1,17 @@
-"""Parameter databases for the 3D-Carbon model (paper Table 2).
+"""Parameter databases for the 3D-Carbon model (paper Tables 1 and 2).
+
+The five record databases — process nodes, integration technologies,
+bonding processes, package classes and grids — are each an immutable
+:class:`~repro.config.table.RecordTable`. A table is iterable, answers
+``in``, looks a record up by any accepted spelling with ``get`` and
+never changes in place: ``with_record`` (and the ``ParameterSet.with_*``
+helpers over it) return a copy, so the shared ``DEFAULT_*`` tables stay
+as they are. ``TechnologyTable(records)`` and its four siblings build a
+table with that database's key, spelling rules and error text.
 
 Sub-modules:
 
+* :mod:`repro.config.table` — the :class:`RecordTable` type;
 * :mod:`repro.config.technology` — process-node records (λ, β, EPA/GPA/MPA,
   D₀/α, BEOL limits, TSV/MIV sizes);
 * :mod:`repro.config.integration` — 3D/2.5D integration technologies
@@ -46,6 +56,7 @@ from .power import (
     surveyed_efficiency,
 )
 from .substrate import DEFAULT_SUBSTRATE_PARAMETERS, SubstrateParameters
+from .table import RecordTable
 from .technology import (
     DEFAULT_TECHNOLOGY_TABLE,
     ProcessNode,
@@ -82,6 +93,7 @@ __all__ = [
     "PackagingTable",
     "ParameterSet",
     "ProcessNode",
+    "RecordTable",
     "StackingStyle",
     "SubstrateKind",
     "SubstrateParameters",

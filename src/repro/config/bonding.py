@@ -19,10 +19,12 @@ densities in :mod:`repro.config.technology`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from operator import attrgetter
+from typing import Iterable
 
-from ..errors import ParameterError, UnknownTechnologyError
+from ..errors import ParameterError
 from .integration import AssemblyFlow, BondingMethod
+from .table import RecordTable
 
 
 @dataclass(frozen=True)
@@ -49,80 +51,57 @@ class BondingProcess:
         return replace(self, **overrides)
 
 
-_KEY = tuple[BondingMethod, AssemblyFlow]
+#: Built-in processes, in method then flow order (the order
+#: :func:`repro.config.loader.parameters_to_dict` writes them in).
+_BUILTIN_PROCESSES: tuple[BondingProcess, ...] = (
+    # 3D stacking. Hybrid bonding needs CMP + plasma activation on both
+    # faces, so it sits at the top of the EVG energy range; micro-bump
+    # thermo-compression is mid-range.
+    BondingProcess(BondingMethod.MICRO_BUMP, AssemblyFlow.D2W, 1.05, 0.96),
+    BondingProcess(BondingMethod.MICRO_BUMP, AssemblyFlow.W2W, 0.85, 0.97),
+    BondingProcess(BondingMethod.HYBRID, AssemblyFlow.D2W, 0.95, 0.95),
+    BondingProcess(BondingMethod.HYBRID, AssemblyFlow.W2W, 0.70, 0.97),
+    # C4 reflow is decades-mature flip-chip attach; its energy sits far
+    # below the EVG advanced-bonding range. C4 used in a 3D flow (e.g.
+    # base die to package) — same physics.
+    BondingProcess(BondingMethod.C4, AssemblyFlow.D2W, 0.35, 0.99),
+    BondingProcess(BondingMethod.C4, AssemblyFlow.W2W, 0.35, 0.99),
+    # 2.5D die attach: chip-first embeds dies before RDL build-up,
+    # chip-last solders finished dies onto the substrate.
+    BondingProcess(BondingMethod.C4, AssemblyFlow.CHIP_FIRST, 0.25, 0.99),
+    BondingProcess(BondingMethod.C4, AssemblyFlow.CHIP_LAST, 0.15, 0.99),
+)
 
 
-def _default_processes() -> dict[_KEY, BondingProcess]:
-    entries = (
-        # 3D stacking. Hybrid bonding needs CMP + plasma activation on both
-        # faces, so it sits at the top of the EVG energy range; micro-bump
-        # thermo-compression is mid-range.
-        BondingProcess(BondingMethod.MICRO_BUMP, AssemblyFlow.D2W, 1.05, 0.96),
-        BondingProcess(BondingMethod.MICRO_BUMP, AssemblyFlow.W2W, 0.85, 0.97),
-        BondingProcess(BondingMethod.HYBRID, AssemblyFlow.D2W, 0.95, 0.95),
-        BondingProcess(BondingMethod.HYBRID, AssemblyFlow.W2W, 0.70, 0.97),
-        # 2.5D die attach (C4 reflow); chip-first embeds dies before RDL
-        # build-up, chip-last solders finished dies onto the substrate.
-        # C4 reflow is decades-mature flip-chip attach; its energy sits far
-        # below the EVG advanced-bonding range.
-        BondingProcess(BondingMethod.C4, AssemblyFlow.CHIP_FIRST, 0.25, 0.99),
-        BondingProcess(BondingMethod.C4, AssemblyFlow.CHIP_LAST, 0.15, 0.99),
-        # C4 used in a 3D flow (e.g. base die to package) — same physics.
-        BondingProcess(BondingMethod.C4, AssemblyFlow.D2W, 0.35, 0.99),
-        BondingProcess(BondingMethod.C4, AssemblyFlow.W2W, 0.35, 0.99),
-    )
-    return {(e.method, e.flow): e for e in entries}
-
-
-class BondingTable:
-    """Lookup of :class:`BondingProcess` by (method, assembly flow)."""
-
-    def __init__(
-        self, processes: Mapping[_KEY, BondingProcess] | None = None
-    ) -> None:
-        self._processes = (
-            _default_processes() if processes is None else dict(processes)
+def _bonding_key(key: "tuple[BondingMethod, AssemblyFlow]") -> tuple:
+    """``key`` itself, unless its method bonds nothing."""
+    if key[0] is BondingMethod.NONE:
+        raise ParameterError(
+            "BondingMethod.NONE has no bonding process (2D or M3D design)"
         )
+    return key
 
-    def get(self, method: BondingMethod, flow: AssemblyFlow) -> BondingProcess:
-        if method is BondingMethod.NONE:
-            raise ParameterError(
-                "BondingMethod.NONE has no bonding process (2D or M3D design)"
-            )
-        try:
-            return self._processes[(method, flow)]
-        except KeyError:
-            known = ", ".join(
-                f"({m.value},{f.value})" for m, f in sorted(
-                    self._processes, key=lambda k: (k[0].value, k[1].value)
-                )
-            )
-            raise UnknownTechnologyError(
-                f"no bonding process for ({method.value}, {flow.value}); "
-                f"known: {known}"
-            ) from None
 
-    def __len__(self) -> int:
-        return len(self._processes)
+def _unknown_process(key, keys) -> str:
+    method, flow = key
+    known = ", ".join(
+        f"({m.value},{f.value})"
+        for m, f in sorted(keys, key=lambda k: (k[0].value, k[1].value))
+    )
+    return (
+        f"no bonding process for ({method.value}, {flow.value}); "
+        f"known: {known}"
+    )
 
-    def register(self, process: BondingProcess, overwrite: bool = False) -> None:
-        key = (process.method, process.flow)
-        if key in self._processes and not overwrite:
-            raise ParameterError(f"bonding process {key} already registered")
-        self._processes[key] = process
 
-    def with_process_override(
-        self, method: BondingMethod, flow: AssemblyFlow, **overrides
-    ) -> "BondingTable":
-        return self.with_record(self.get(method, flow).with_overrides(**overrides))
-
-    def with_record(self, process: BondingProcess) -> "BondingTable":
-        """Copy of the table with ``process`` installed under its own key."""
-        processes = dict(self._processes)
-        processes[(process.method, process.flow)] = process
-        table = object.__new__(BondingTable)
-        table._processes = processes
-        return table
+def BondingTable(
+    processes: Iterable[BondingProcess] = _BUILTIN_PROCESSES,
+) -> RecordTable:
+    """Bonding processes by one ``(method, flow)`` key."""
+    return RecordTable(
+        processes, BondingProcess, _bonding_key, _unknown_process,
+        key=attrgetter("method", "flow"),
+    )
 
 
 DEFAULT_BONDING_TABLE = BondingTable()

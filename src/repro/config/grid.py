@@ -10,9 +10,10 @@ locations map to the grids of the major foundry sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable
 
-from ..errors import ParameterError, UnknownTechnologyError
+from ..errors import ParameterError
+from .table import RecordTable, unknown_name
 from ..units import grams_per_kwh
 
 #: Paper Table 2 bounds, used for validation.
@@ -65,56 +66,19 @@ _BUILTIN_GRIDS: tuple[GridProfile, ...] = (
 TABLE2_LOCATIONS = ("iceland", "france", "usa", "taiwan", "india")
 
 
-class GridTable:
-    """Lookup of :class:`GridProfile` by location name."""
+def _canonical_grid(location) -> str:
+    """Normalize a spelling to the table key (``" South Korea"`` →
+    ``"south_korea"``)."""
+    return str(location).strip().lower().replace(" ", "_")
 
-    def __init__(self, grids: Mapping[str, GridProfile] | None = None) -> None:
-        if grids is None:
-            self._grids = {g.name: g for g in _BUILTIN_GRIDS}
-        else:
-            self._grids = dict(grids)
 
-    def get(self, location: "str | float | GridProfile") -> GridProfile:
-        """Resolve a location name — or a raw g/kWh number — to a profile."""
-        if type(location) is str:
-            # Canonical spellings ("taiwan") skip the normalization —
-            # they are what every hot path passes.
-            profile = self._grids.get(location)
-            if profile is not None:
-                return profile
-        if isinstance(location, GridProfile):
-            return location
-        if isinstance(location, (int, float)):
-            return GridProfile(f"custom_{float(location):g}", float(location))
-        key = str(location).strip().lower().replace(" ", "_")
-        try:
-            return self._grids[key]
-        except KeyError:
-            known = ", ".join(sorted(self._grids))
-            raise UnknownTechnologyError(
-                f"unknown grid location {location!r}; known: {known}"
-            ) from None
-
-    def __contains__(self, location: object) -> bool:
-        try:
-            self.get(location)  # type: ignore[arg-type]
-        except UnknownTechnologyError:
-            return False
-        return True
-
-    def __iter__(self) -> Iterator[GridProfile]:
-        return iter(self._grids.values())
-
-    def __len__(self) -> int:
-        return len(self._grids)
-
-    def names(self) -> list[str]:
-        return list(self._grids)
-
-    def register(self, grid: GridProfile, overwrite: bool = False) -> None:
-        if grid.name in self._grids and not overwrite:
-            raise ParameterError(f"grid {grid.name!r} already registered")
-        self._grids[grid.name] = grid
+def GridTable(grids: Iterable[GridProfile] = _BUILTIN_GRIDS) -> RecordTable:
+    """Grid profiles by location name. A raw g/kWh number is no key:
+    :meth:`repro.config.parameters.ParameterSet.grid` turns it into a
+    profile."""
+    return RecordTable(
+        grids, GridProfile, _canonical_grid, unknown_name("grid location")
+    )
 
 
 DEFAULT_GRID_TABLE = GridTable()

@@ -35,9 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterable, Mapping
 
-from ..errors import ParameterError, UnknownTechnologyError
+from ..errors import ParameterError
+from .table import RecordTable, unknown_name
 
 
 class IntegrationFamily(str, Enum):
@@ -282,7 +283,7 @@ TABLE1_INTEGRATIONS: tuple[str, ...] = tuple(
     spec.name for spec in _BUILTIN_SPECS
 )
 
-#: Convenient aliases accepted by :meth:`IntegrationTable.get`.
+#: Convenient aliases the integration table accepts.
 _ALIASES: Mapping[str, str] = {
     "2d": "2d",
     "planar": "2d",
@@ -307,78 +308,20 @@ _ALIASES: Mapping[str, str] = {
 }
 
 
-class IntegrationTable:
-    """Lookup table of :class:`IntegrationSpec`, with alias support."""
+def _canonical_integration(name) -> str:
+    """Normalize a spelling to the table key (``"Hybrid-3D"`` → ``"hybrid_3d"``)."""
+    text = str(name).strip().lower().replace(" ", "_").replace("-", "_")
+    return _ALIASES.get(text, text)
 
-    def __init__(self, specs: Mapping[str, IntegrationSpec] | None = None) -> None:
-        if specs is None:
-            self._specs = {spec.name: spec for spec in _BUILTIN_SPECS}
-        else:
-            self._specs = dict(specs)
 
-    @staticmethod
-    def canonical_name(name: "str | IntegrationSpec") -> str:
-        if isinstance(name, IntegrationSpec):
-            return name.name
-        text = str(name).strip().lower().replace(" ", "_").replace("-", "_")
-        return _ALIASES.get(text, text)
-
-    def get(self, name: "str | IntegrationSpec") -> IntegrationSpec:
-        if type(name) is str:
-            # Canonical names skip the normalization — the hot-path case.
-            spec = self._specs.get(name)
-            if spec is not None:
-                return spec
-        if isinstance(name, IntegrationSpec):
-            return name
-        key = self.canonical_name(name)
-        try:
-            return self._specs[key]
-        except KeyError:
-            known = ", ".join(sorted(self._specs))
-            raise UnknownTechnologyError(
-                f"unknown integration technology {name!r}; known: {known}"
-            ) from None
-
-    def __contains__(self, name: object) -> bool:
-        try:
-            self.get(name)  # type: ignore[arg-type]
-        except UnknownTechnologyError:
-            return False
-        return True
-
-    def __iter__(self) -> Iterator[IntegrationSpec]:
-        return iter(self._specs.values())
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def names(self) -> list[str]:
-        return list(self._specs)
-
-    def register(self, spec: IntegrationSpec, overwrite: bool = False) -> None:
-        if spec.name in self._specs and not overwrite:
-            raise ParameterError(f"spec {spec.name!r} already registered")
-        self._specs[spec.name] = spec
-
-    def with_spec_override(
-        self, name: "str | IntegrationSpec", **overrides
-    ) -> "IntegrationTable":
-        return self.with_record(self.get(name).with_overrides(**overrides))
-
-    def with_record(self, spec: IntegrationSpec) -> "IntegrationTable":
-        """Copy of the table with ``spec`` installed under its own name."""
-        specs = dict(self._specs)
-        specs[spec.name] = spec
-        table = object.__new__(IntegrationTable)
-        table._specs = specs
-        return table
-
-    def three_d_names(self) -> list[str]:
-        return [s.name for s in self if s.is_3d]
-
-    def two_five_d_names(self) -> list[str]:
-        return [s.name for s in self if s.is_2_5d]
+def IntegrationTable(
+    specs: Iterable[IntegrationSpec] = _BUILTIN_SPECS,
+) -> RecordTable:
+    """Integration technologies by name, aliases included."""
+    return RecordTable(
+        specs, IntegrationSpec, _canonical_integration,
+        unknown_name("integration technology"),
+    )
 
 
 DEFAULT_INTEGRATION_TABLE = IntegrationTable()

@@ -92,17 +92,9 @@ def parameters_to_dict(params: ParameterSet) -> dict:
         "beol_aware": params.beol_aware,
         "nodes": [_node_to_dict(node) for node in params.technology],
         "integrations": [_spec_to_dict(spec) for spec in params.integration],
-        "bonding": [
-            _bonding_to_dict(params.bonding.get(method, flow))
-            for method in (BondingMethod.MICRO_BUMP, BondingMethod.HYBRID,
-                           BondingMethod.C4)
-            for flow in (AssemblyFlow.D2W, AssemblyFlow.W2W,
-                         AssemblyFlow.CHIP_FIRST, AssemblyFlow.CHIP_LAST)
-            if _has_process(params, method, flow)
-        ],
+        "bonding": [_bonding_to_dict(process) for process in params.bonding],
         "packaging": [
-            dataclasses.asdict(params.packaging.get(name))
-            for name in params.packaging.names()
+            dataclasses.asdict(package) for package in params.packaging
         ],
         "substrate": dataclasses.asdict(params.substrate),
         "m3d": dataclasses.asdict(params.m3d),
@@ -113,14 +105,6 @@ def parameters_to_dict(params: ParameterSet) -> dict:
     }
 
 
-def _has_process(params: ParameterSet, method, flow) -> bool:
-    try:
-        params.bonding.get(method, flow)
-    except Exception:
-        return False
-    return True
-
-
 def parameters_from_dict(data: dict) -> ParameterSet:
     """Inverse of :func:`parameters_to_dict` (validates every record)."""
     version = data.get("schema_version")
@@ -129,31 +113,22 @@ def parameters_from_dict(data: dict) -> ParameterSet:
             f"unsupported parameter schema version {version!r} "
             f"(expected {SCHEMA_VERSION})"
         )
-    nodes = {record["name"]: ProcessNode(**record)
-             for record in data["nodes"]}
-    specs = {
-        record["name"]: _spec_from_dict(record)
-        for record in data["integrations"]
-    }
-    processes = {}
-    for record in data["bonding"]:
-        process = _bonding_from_dict(record)
-        processes[(process.method, process.flow)] = process
-    packages = {
-        record["name"]: PackageClass(**record)
-        for record in data["packaging"]
-    }
-    grids = {
-        record["name"]: GridProfile(**record) for record in data["grids"]
-    }
     return ParameterSet(
-        technology=TechnologyTable(nodes),
-        integration=IntegrationTable(specs),
-        bonding=BondingTable(processes),
-        packaging=PackagingTable(packages),
+        technology=TechnologyTable(
+            ProcessNode(**record) for record in data["nodes"]
+        ),
+        integration=IntegrationTable(
+            _spec_from_dict(record) for record in data["integrations"]
+        ),
+        bonding=BondingTable(
+            _bonding_from_dict(record) for record in data["bonding"]
+        ),
+        packaging=PackagingTable(
+            PackageClass(**record) for record in data["packaging"]
+        ),
         substrate=SubstrateParameters(**data["substrate"]),
         m3d=M3DParameters(**data["m3d"]),
-        grids=GridTable(grids),
+        grids=GridTable(GridProfile(**record) for record in data["grids"]),
         bandwidth=BandwidthConstraintParameters(**data["bandwidth"]),
         wafer_diameter_mm=data["wafer_diameter_mm"],
         beol_aware=data["beol_aware"],

@@ -15,9 +15,10 @@ SP3 package (Nagapurkar et al., SUSCOM'22 embodied-energy characterization).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Iterable
 
-from ..errors import ParameterError, UnknownTechnologyError
+from ..errors import ParameterError
+from .table import RecordTable, unknown_name
 
 
 @dataclass(frozen=True)
@@ -53,71 +54,35 @@ class PackageClass:
         return replace(self, **overrides)
 
 
-def _default_classes() -> dict[str, PackageClass]:
-    classes = (
-        # Large flip-chip BGA, e.g. server CPUs / automotive SoCs. The 4.42
-        # scale maps a 458 mm² ORIN-class die onto a ~45×45 mm body, and a
-        # 712 mm² EPYC die complement onto its 4411 mm² SP3 package.
-        PackageClass("fcbga", cpa_kg_per_cm2=0.0787, area_scale=4.42),
-        # EPYC-style multi-die server package: the SP3 body is ~6.2× the
-        # total silicon area (Sec. 4.1 inputs).
-        PackageClass("server_mcm", cpa_kg_per_cm2=0.0787, area_scale=6.20),
-        # Mobile package-on-package (Lakefield: 12×12 mm over a 92 mm² base
-        # die, scale ≈ 1.57).
-        PackageClass("pop_mobile", cpa_kg_per_cm2=0.0787, area_scale=1.57),
-        # Fan-out wafer-level package: RDL is the substrate, small margin.
-        PackageClass("fowlp", cpa_kg_per_cm2=0.060, area_scale=1.30),
+#: Built-in package classes.
+_BUILTIN_CLASSES: tuple[PackageClass, ...] = (
+    # Large flip-chip BGA, e.g. server CPUs / automotive SoCs. The 4.42
+    # scale maps a 458 mm² ORIN-class die onto a ~45×45 mm body, and a
+    # 712 mm² EPYC die complement onto its 4411 mm² SP3 package.
+    PackageClass("fcbga", cpa_kg_per_cm2=0.0787, area_scale=4.42),
+    # EPYC-style multi-die server package: the SP3 body is ~6.2× the
+    # total silicon area (Sec. 4.1 inputs).
+    PackageClass("server_mcm", cpa_kg_per_cm2=0.0787, area_scale=6.20),
+    # Mobile package-on-package (Lakefield: 12×12 mm over a 92 mm² base
+    # die, scale ≈ 1.57).
+    PackageClass("pop_mobile", cpa_kg_per_cm2=0.0787, area_scale=1.57),
+    # Fan-out wafer-level package: RDL is the substrate, small margin.
+    PackageClass("fowlp", cpa_kg_per_cm2=0.060, area_scale=1.30),
+)
+
+
+def _canonical_package(name) -> str:
+    return str(name).strip().lower()
+
+
+def PackagingTable(
+    classes: Iterable[PackageClass] = _BUILTIN_CLASSES,
+) -> RecordTable:
+    """Package classes by (case-insensitive) name."""
+    return RecordTable(
+        classes, PackageClass, _canonical_package,
+        unknown_name("package class"),
     )
-    return {c.name: c for c in classes}
-
-
-class PackagingTable:
-    """Lookup of :class:`PackageClass` by name."""
-
-    def __init__(self, classes: Mapping[str, PackageClass] | None = None) -> None:
-        self._classes = _default_classes() if classes is None else dict(classes)
-
-    def get(self, name: "str | PackageClass") -> PackageClass:
-        if type(name) is str:
-            # Canonical lower-case names skip the normalization.
-            record = self._classes.get(name)
-            if record is not None:
-                return record
-        if isinstance(name, PackageClass):
-            return name
-        key = str(name).strip().lower()
-        try:
-            return self._classes[key]
-        except KeyError:
-            known = ", ".join(sorted(self._classes))
-            raise UnknownTechnologyError(
-                f"unknown package class {name!r}; known: {known}"
-            ) from None
-
-    def __len__(self) -> int:
-        return len(self._classes)
-
-    def names(self) -> list[str]:
-        return list(self._classes)
-
-    def register(self, package: PackageClass, overwrite: bool = False) -> None:
-        if package.name in self._classes and not overwrite:
-            raise ParameterError(f"package {package.name!r} already registered")
-        self._classes[package.name] = package
-
-    def with_record(self, package: PackageClass) -> "PackagingTable":
-        """Copy of the table with ``package`` installed under its own name."""
-        classes = dict(self._classes)
-        classes[package.name] = package
-        table = object.__new__(PackagingTable)
-        table._classes = classes
-        return table
-
-    def with_class_override(self, name: str, **overrides) -> "PackagingTable":
-        package = self.get(name).with_overrides(**overrides)
-        classes = dict(self._classes)
-        classes[package.name] = package
-        return PackagingTable(classes)
 
 
 DEFAULT_PACKAGING_TABLE = PackagingTable()

@@ -10,21 +10,18 @@ shared state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from ..errors import ParameterError
-from .bonding import DEFAULT_BONDING_TABLE, BondingTable
-from .grid import DEFAULT_GRID_TABLE, GridProfile, GridTable
-from .integration import (
-    DEFAULT_INTEGRATION_TABLE,
-    IntegrationSpec,
-    IntegrationTable,
-)
+from .bonding import DEFAULT_BONDING_TABLE
+from .grid import DEFAULT_GRID_TABLE, GridProfile
+from .integration import DEFAULT_INTEGRATION_TABLE, IntegrationSpec
 from .m3d import DEFAULT_M3D_PARAMETERS, M3DParameters
-from .packaging import DEFAULT_PACKAGING_TABLE, PackagingTable
+from .packaging import DEFAULT_PACKAGING_TABLE
 from .substrate import DEFAULT_SUBSTRATE_PARAMETERS, SubstrateParameters
-from .technology import DEFAULT_TECHNOLOGY_TABLE, ProcessNode, TechnologyTable
+from .table import RecordTable
+from .technology import DEFAULT_TECHNOLOGY_TABLE, ProcessNode
 
 
 @dataclass(frozen=True)
@@ -72,13 +69,13 @@ class BandwidthConstraintParameters:
 class ParameterSet:
     """Every database and constant the 3D-Carbon model reads."""
 
-    technology: TechnologyTable = field(default_factory=TechnologyTable)
-    integration: IntegrationTable = field(default_factory=IntegrationTable)
-    bonding: BondingTable = field(default_factory=BondingTable)
-    packaging: PackagingTable = field(default_factory=PackagingTable)
+    technology: RecordTable = DEFAULT_TECHNOLOGY_TABLE
+    integration: RecordTable = DEFAULT_INTEGRATION_TABLE
+    bonding: RecordTable = DEFAULT_BONDING_TABLE
+    packaging: RecordTable = DEFAULT_PACKAGING_TABLE
     substrate: SubstrateParameters = DEFAULT_SUBSTRATE_PARAMETERS
     m3d: M3DParameters = DEFAULT_M3D_PARAMETERS
-    grids: GridTable = field(default_factory=GridTable)
+    grids: RecordTable = DEFAULT_GRID_TABLE
     bandwidth: BandwidthConstraintParameters = BandwidthConstraintParameters()
     #: Default manufacturing wafer diameter (mm); Table 2 covers 200–450 mm.
     wafer_diameter_mm: float = 300.0
@@ -98,13 +95,7 @@ class ParameterSet:
     @classmethod
     def default(cls) -> "ParameterSet":
         """The calibrated default parameter set (DESIGN.md §5)."""
-        return cls(
-            technology=DEFAULT_TECHNOLOGY_TABLE,
-            integration=DEFAULT_INTEGRATION_TABLE,
-            bonding=DEFAULT_BONDING_TABLE,
-            packaging=DEFAULT_PACKAGING_TABLE,
-            grids=DEFAULT_GRID_TABLE,
-        )
+        return cls()
 
     # -- lookups -----------------------------------------------------------
 
@@ -117,8 +108,11 @@ class ParameterSet:
         return self.integration.get(name)
 
     def grid(self, location: "str | float | GridProfile") -> GridProfile:
-        """Resolve a grid location (or raw g CO₂/kWh value)."""
-        return self.grids.get(location)
+        """Resolve a grid location, or a raw g CO₂/kWh value to a
+        ``custom_<value>`` profile."""
+        if type(location) is str or not isinstance(location, (int, float)):
+            return self.grids.get(location)
+        return GridProfile(f"custom_{float(location):g}", float(location))
 
     # -- override helpers (ablation studies) --------------------------------
 
@@ -140,26 +134,23 @@ class ParameterSet:
     def with_node_override(
         self, node: "str | ProcessNode", **overrides: float
     ) -> "ParameterSet":
-        return replace(
-            self, technology=self.technology.with_node_override(node, **overrides)
-        )
+        return replace(self, technology=_override(self.technology, node, overrides))
 
     def with_integration_override(
         self, name: "str | IntegrationSpec", **overrides: Any
     ) -> "ParameterSet":
-        return replace(
-            self, integration=self.integration.with_spec_override(name, **overrides)
-        )
+        return replace(self, integration=_override(self.integration, name, overrides))
 
     def with_bonding_override(self, method, flow, **overrides: Any) -> "ParameterSet":
-        return replace(
-            self, bonding=self.bonding.with_process_override(method, flow, **overrides)
-        )
+        return replace(self, bonding=_override(self.bonding, (method, flow), overrides))
 
     def with_packaging_override(self, name: str, **overrides: Any) -> "ParameterSet":
-        return replace(
-            self, packaging=self.packaging.with_class_override(name, **overrides)
-        )
+        return replace(self, packaging=_override(self.packaging, name, overrides))
+
+
+def _override(table: RecordTable, key, overrides: dict) -> RecordTable:
+    """Copy of ``table`` with the record under ``key`` overridden."""
+    return table.with_record(table.get(key).with_overrides(**overrides))
 
 
 #: Module-level default used throughout the package.

@@ -34,9 +34,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Iterable
 
-from ..errors import ParameterError, UnknownTechnologyError
+from ..errors import ParameterError
+from .table import RecordTable, unknown_name
 
 
 @dataclass(frozen=True)
@@ -212,88 +213,24 @@ _BUILTIN_NODES: tuple[ProcessNode, ...] = (
 )
 
 
-class TechnologyTable:
-    """Lookup table of :class:`ProcessNode` records, keyed by node name.
+def _canonical_node(node) -> str:
+    """Normalize a node spelling to the table key (``7`` → ``"7nm"``)."""
+    if isinstance(node, (int, float)):
+        value = float(node)
+        return f"{int(value)}nm" if value == int(value) else f"{value}nm"
+    text = str(node).strip().lower().replace(" ", "")
+    if re.fullmatch(r"\d+(\.\d+)?", text):
+        text += "nm"
+    return text
 
-    Node names accept flexible spellings: ``"7nm"``, ``"7 nm"``, ``"7"``,
-    and ``7`` all resolve to the same record.
-    """
 
-    def __init__(self, nodes: Mapping[str, ProcessNode] | None = None) -> None:
-        if nodes is None:
-            self._nodes = {node.name: node for node in _BUILTIN_NODES}
-        else:
-            self._nodes = dict(nodes)
-
-    @staticmethod
-    def canonical_name(node: "str | int | float | ProcessNode") -> str:
-        """Normalize a node spelling to the table key (``7`` → ``"7nm"``)."""
-        if isinstance(node, ProcessNode):
-            return node.name
-        if isinstance(node, (int, float)):
-            value = float(node)
-            text = f"{int(value)}nm" if value == int(value) else f"{value}nm"
-            return text
-        text = str(node).strip().lower().replace(" ", "")
-        if re.fullmatch(r"\d+(\.\d+)?", text):
-            text += "nm"
-        return text
-
-    def get(self, node: "str | int | float | ProcessNode") -> ProcessNode:
-        """Resolve a node spelling to its record, or raise."""
-        if type(node) is str:
-            # Canonical spellings ("7nm") skip the regex normalization —
-            # they are what every hot path passes.
-            record = self._nodes.get(node)
-            if record is not None:
-                return record
-        if isinstance(node, ProcessNode):
-            return node
-        key = self.canonical_name(node)
-        try:
-            return self._nodes[key]
-        except KeyError:
-            known = ", ".join(sorted(self._nodes))
-            raise UnknownTechnologyError(
-                f"unknown process node {node!r}; known nodes: {known}"
-            ) from None
-
-    def __contains__(self, node: object) -> bool:
-        try:
-            self.get(node)  # type: ignore[arg-type]
-        except UnknownTechnologyError:
-            return False
-        return True
-
-    def __iter__(self) -> Iterator[ProcessNode]:
-        return iter(self._nodes.values())
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def names(self) -> list[str]:
-        """All node names in the table."""
-        return list(self._nodes)
-
-    def register(self, node: ProcessNode, overwrite: bool = False) -> None:
-        """Add a custom node (e.g. a user-characterized process)."""
-        if node.name in self._nodes and not overwrite:
-            raise ParameterError(f"node {node.name!r} already registered")
-        self._nodes[node.name] = node
-
-    def with_node_override(
-        self, node: "str | ProcessNode", **overrides: float
-    ) -> "TechnologyTable":
-        """Return a copy of the table with one node's fields replaced."""
-        return self.with_record(self.get(node).with_overrides(**overrides))
-
-    def with_record(self, node: ProcessNode) -> "TechnologyTable":
-        """Copy of the table with ``node`` installed under its own name."""
-        nodes = dict(self._nodes)
-        nodes[node.name] = node
-        table = object.__new__(TechnologyTable)
-        table._nodes = nodes
-        return table
+def TechnologyTable(nodes: Iterable[ProcessNode] = _BUILTIN_NODES) -> RecordTable:
+    """Process nodes by name; ``"7nm"``, ``"7 nm"``, ``"7"`` and ``7`` name
+    the same record."""
+    return RecordTable(
+        nodes, ProcessNode, _canonical_node,
+        unknown_name("process node", "known nodes"),
+    )
 
 
 #: Default table instance shared by :class:`repro.config.parameters.ParameterSet`.

@@ -62,11 +62,11 @@ def bond_terms(
         return _NO_BONDS
     if spec.is_3d:
         # N-1 bonds; bond i joins die i+1 onto die i, charged A_die_i.
-        process = params.bonding.get(spec.bonding, resolved.design.assembly)
+        process = params.bonding.get((spec.bonding, resolved.design.assembly))
         dies = resolved.dies[:-1]
     else:
         # 2.5D: N die-attach steps onto the substrate.
-        process = params.bonding.get(BondingMethod.C4, resolved.design.assembly)
+        process = params.bonding.get((BondingMethod.C4, resolved.design.assembly))
         dies = resolved.dies
     epa = process.epa_kwh_per_cm2
     per_cm2 = ci_fab_kg_per_kwh * epa

@@ -39,10 +39,11 @@ def area_carbon_kg(per_cm2, area_mm2, effective_yield: float):
 def carbon_sum(values):
     """Left-to-right sum: the summation order of every component total,
     for floats and float64 columns alike (the builtin ``sum`` compensates
-    float rounding from Python 3.12 on). Like ``sum``, it starts from the
-    int ``0``, so an empty sum reads ``0`` in a report. The term builders
-    accumulate their totals in this order as they go."""
-    total = 0
+    float rounding from Python 3.12 on). It starts from ``0.0``, so an
+    empty sum (the bonding of a 2D or M3D design) reads ``0.0`` in a
+    report; ``0.0 + x`` is ``x`` for any other first term. The term
+    builders accumulate their totals in this order as they go."""
+    total = 0.0
     for value in values:
         total = total + value
     return total

@@ -345,7 +345,7 @@ def resolve_design(
         return ResolvedDesign(design, spec, resolved, yields, m3d_stack=stack)
 
     if spec.is_3d:
-        bond = params.bonding.get(spec.bonding, design.assembly)
+        bond = params.bonding.get((spec.bonding, design.assembly))
         yields = three_d_stack_yields(
             [d.raw_yield for d in resolved], bond.bond_yield, design.assembly
         )
@@ -370,7 +370,7 @@ def resolve_design(
         substrate.raw_yield if substrate is not None
         else params.substrate.organic_yield
     )
-    bond = params.bonding.get(BondingMethod.C4, design.assembly)
+    bond = params.bonding.get((BondingMethod.C4, design.assembly))
     yields = two_five_d_yields(
         [d.raw_yield for d in resolved],
         substrate_yield,

@@ -31,7 +31,6 @@ from .trace import (  # noqa: E402
     TRACE_HEADER,
     Span,
     TraceCollector,
-    active,
     collector,
     current_trace_id,
     render_tree,
@@ -50,7 +49,6 @@ __all__ = [
     "TRACE_HEADER",
     "Span",
     "TraceCollector",
-    "active",
     "collector",
     "current_trace_id",
     "logging",

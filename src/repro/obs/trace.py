@@ -198,11 +198,6 @@ def current_trace_id() -> "str | None":
     return active.trace_id if active is not None else None
 
 
-def active() -> bool:
-    """Whether a trace is currently active in this context."""
-    return _current.get() is not None
-
-
 # -- reporting ---------------------------------------------------------------
 
 

@@ -69,9 +69,9 @@ def bonding_records(design: ChipDesign, spec, params: ParameterSet) -> tuple:
     if spec.is_2d or spec.name == "m3d":
         return ()
     if spec.is_3d:
-        return (params.bonding.get(spec.bonding, design.assembly),)
+        return (params.bonding.get((spec.bonding, design.assembly)),)
     # 2.5D: every die attaches to the substrate with C4 bumps.
-    return (params.bonding.get(BondingMethod.C4, design.assembly),)
+    return (params.bonding.get((BondingMethod.C4, design.assembly)),)
 
 
 def silicon_substrate_node(params: ParameterSet):

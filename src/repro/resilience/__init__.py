@@ -27,8 +27,6 @@ from .faults import (
     FaultInjector,
     FaultPlan,
     FaultRule,
-    fire,
-    global_injector,
     injected,
     install_plan,
     resolve_injector,
@@ -45,8 +43,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
-    "fire",
-    "global_injector",
     "injected",
     "install_plan",
     "resolve_injector",

@@ -347,10 +347,6 @@ def _plan_from_env() -> "FaultPlan | None":
 GLOBAL_INJECTOR = FaultInjector(_plan_from_env())
 
 
-def global_injector() -> FaultInjector:
-    return GLOBAL_INJECTOR
-
-
 def install_plan(plan) -> FaultInjector:
     """Arm the process-global injector (``carbon3d serve --fault-plan``)."""
     GLOBAL_INJECTOR.set_plan(FaultPlan.coerce(plan))
@@ -381,10 +377,3 @@ def resolve_injector(faults) -> FaultInjector:
     if isinstance(faults, FaultInjector):
         return faults
     return FaultInjector(FaultPlan.coerce(faults))
-
-
-def fire(site: str, faults: "FaultInjector | None" = None) -> None:
-    """The cold-path hook: evaluate one hit at ``site``."""
-    injector = faults if faults is not None else GLOBAL_INJECTOR
-    if injector.active:
-        injector.hit(site)

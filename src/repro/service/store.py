@@ -54,6 +54,7 @@ from dataclasses import is_dataclass
 from pathlib import Path
 
 from ..caching import EvictionPolicy
+from ..config.table import RecordTable
 from ..errors import CarbonModelError
 from ..pipeline.fingerprint import CachedKey
 from ..resilience.faults import resolve_injector
@@ -278,9 +279,9 @@ def _immutable(value) -> bool:
 def _frozen_records(params) -> "dict[int, object]":
     """Every deeply immutable record reachable from ``params``, by id.
 
-    Walks the parameter set's fields, its lookup tables' contents and
-    the records' own fields. (The set itself holds mutable tables, so it
-    is walked but never taken.)
+    Walks the parameter set's fields, its lookup tables' records and
+    the records' own fields. (The set itself holds tables, which are not
+    dataclasses, so it is walked but never taken.)
     """
     found: "dict[int, object]" = {}
     seen: "set[int]" = set()
@@ -294,16 +295,10 @@ def _frozen_records(params) -> "dict[int, object]":
             if _immutable(value):
                 found[id(value)] = value
             stack.extend(getattr(value, f.name) for f in dataclass_fields(value))
-        elif isinstance(value, dict):
-            stack.extend(value.values())
+        elif isinstance(value, RecordTable):
+            stack.extend(value)
         elif isinstance(value, (tuple, list)):
             stack.extend(value)
-        elif (
-            not isinstance(value, (type, enum.Enum, str, int, float))
-            and hasattr(value, "__dict__")
-        ):
-            # A lookup table (TechnologyTable, BondingTable, ...).
-            stack.extend(vars(value).values())
     return found
 
 
@@ -323,8 +318,10 @@ def record_texts(params) -> "dict[int, tuple[object, str]]":
     versus ``1``). Only deeply immutable records are taken, so a
     record's text never goes stale. The table holds the records but not
     the set; whoever keeps the set keeps its table beside it (the
-    dispatcher builds one when it is constructed). Records a lookup
-    table gains later (``register``) are rendered on every use.
+    dispatcher builds one when it is constructed). The set's tables
+    never change in place: a study that changes a record builds a new
+    set, and a record that is not in this table is rendered on every
+    use.
     """
     return {
         key: (record, canonical_text(record))

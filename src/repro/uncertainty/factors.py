@@ -85,7 +85,7 @@ class FactorTarget:
         if self.kind == "node":
             return params.node(self.key[0])
         if self.kind == "bonding":
-            return params.bonding.get(self.key[0], self.key[1])
+            return params.bonding.get(self.key)
         if self.kind == "packaging":
             return params.packaging.get(self.key[0])
         if self.kind == "integration":

@@ -69,20 +69,33 @@ class TestBondingTable:
 
     def test_override_isolated(self):
         table = BondingTable()
-        modified = table.with_process_override(
-            BondingMethod.HYBRID, AssemblyFlow.D2W, bond_yield=0.5
+        key = (BondingMethod.HYBRID, AssemblyFlow.D2W)
+        modified = table.with_record(
+            table.get(key).with_overrides(bond_yield=0.5)
         )
-        assert modified.get(
-            BondingMethod.HYBRID, AssemblyFlow.D2W
-        ).bond_yield == 0.5
-        assert table.get(
-            BondingMethod.HYBRID, AssemblyFlow.D2W
-        ).bond_yield != 0.5
+        assert modified.get(key).bond_yield == 0.5
+        assert table.get(key).bond_yield != 0.5
+        assert list(modified) != list(table)
+        assert [(p.method, p.flow) for p in modified] == (
+            [(p.method, p.flow) for p in table]
+        )
 
-    def test_register_duplicate_rejected(self):
+    def test_with_record_adds_a_process_to_a_copy(self):
         table = BondingTable()
-        with pytest.raises(ParameterError):
-            table.register(table.get(BondingMethod.C4, AssemblyFlow.D2W))
+        key = (BondingMethod.HYBRID, AssemblyFlow.CHIP_LAST)
+        process = BondingProcess(*key, 0.8, 0.98)
+        extended = table.with_record(process)
+        assert extended.get(key) is process
+        assert key in extended
+        assert key not in table
+        assert list(extended) == list(table) + [process]
+
+    def test_one_key_or_its_parts(self):
+        key = (BondingMethod.C4, AssemblyFlow.CHIP_LAST)
+        record = DEFAULT_BONDING_TABLE.get(key)
+        assert DEFAULT_BONDING_TABLE.get(*key) is record
+        assert DEFAULT_BONDING_TABLE.get(record) is record
+        assert (BondingMethod.C4, AssemblyFlow.NA) not in DEFAULT_BONDING_TABLE
 
 
 class TestPackagingTable:
@@ -123,9 +136,14 @@ class TestPackagingTable:
 
     def test_override_isolated(self):
         table = PackagingTable()
-        modified = table.with_class_override("fcbga", area_scale=9.0)
-        assert modified.get("fcbga").area_scale == 9.0
+        modified = table.with_record(
+            table.get("fcbga").with_overrides(area_scale=9.0)
+        )
+        assert modified.get("FCBGA").area_scale == 9.0
         assert table.get("fcbga").area_scale != 9.0
+        assert [p.name for p in modified] == [p.name for p in table]
+        assert "fcbga" in modified
+        assert "wirebond_dip" not in modified
 
 
 class TestSubstrateParameters:

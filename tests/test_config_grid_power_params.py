@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.config.bonding import DEFAULT_BONDING_TABLE
 from repro.config.grid import DEFAULT_GRID_TABLE, GridProfile, GridTable
+from repro.config.integration import DEFAULT_INTEGRATION_TABLE
+from repro.config.packaging import DEFAULT_PACKAGING_TABLE
+from repro.config.technology import DEFAULT_TECHNOLOGY_TABLE
 from repro.config.m3d import M3DParameters
 from repro.config.parameters import (
     BandwidthConstraintParameters,
@@ -28,9 +32,14 @@ class TestGrids:
         assert DEFAULT_GRID_TABLE.get("taiwan").g_co2_per_kwh == 509.0
 
     def test_lookup_by_value(self):
-        grid = DEFAULT_GRID_TABLE.get(123.0)
+        grid = ParameterSet.default().grid(123.0)
+        assert grid.name == "custom_123"
         assert grid.g_co2_per_kwh == 123.0
         assert grid.kg_co2_per_kwh == pytest.approx(0.123)
+        # A raw intensity becomes a profile in ParameterSet.grid; the
+        # table itself holds named locations only.
+        with pytest.raises(UnknownTechnologyError):
+            DEFAULT_GRID_TABLE.get(123.0)
 
     def test_case_and_space_insensitive(self):
         assert DEFAULT_GRID_TABLE.get("South Korea").name == "south_korea"
@@ -46,10 +55,18 @@ class TestGrids:
         with pytest.raises(ParameterError):
             GridProfile("bad", 2000.0)
 
-    def test_register_duplicate_rejected(self):
+    def test_with_record_is_copy_on_write(self):
         table = GridTable()
-        with pytest.raises(ParameterError):
-            table.register(table.get("taiwan"))
+        fab = GridProfile("arizona_solar", 90.0, "on-site solar")
+        cleaner = GridProfile("taiwan", 300.0)
+        extended = table.with_record(fab).with_record(cleaner)
+        assert extended.get("Arizona Solar") is fab
+        assert extended.get("taiwan") is cleaner
+        assert "arizona_solar" not in table
+        assert table.get("taiwan").g_co2_per_kwh == 509.0
+        assert [g.name for g in extended] == (
+            [g.name for g in table] + ["arizona_solar"]
+        )
 
     def test_contains(self):
         assert "taiwan" in DEFAULT_GRID_TABLE
@@ -157,6 +174,16 @@ class TestParameterSet:
         assert params.node("7nm").name == "7nm"
         assert params.integration_spec("emib").name == "emib"
         assert params.grid("taiwan").name == "taiwan"
+
+    def test_tables_default_to_the_shared_ones(self):
+        """Tables never change in place, so every set may share them."""
+        params = ParameterSet(wafer_diameter_mm=200.0)
+        assert params.technology is DEFAULT_TECHNOLOGY_TABLE
+        assert params.integration is DEFAULT_INTEGRATION_TABLE
+        assert params.bonding is DEFAULT_BONDING_TABLE
+        assert params.packaging is DEFAULT_PACKAGING_TABLE
+        assert params.grids is DEFAULT_GRID_TABLE
+        assert ParameterSet() == ParameterSet.default()
 
     def test_wafer_diameter_range(self):
         with pytest.raises(ParameterError):

@@ -26,8 +26,8 @@ class TestCoverage:
             assert name in DEFAULT_INTEGRATION_TABLE
 
     def test_family_partition(self):
-        three_d = DEFAULT_INTEGRATION_TABLE.three_d_names()
-        two_five = DEFAULT_INTEGRATION_TABLE.two_five_d_names()
+        three_d = [s.name for s in DEFAULT_INTEGRATION_TABLE if s.is_3d]
+        two_five = [s.name for s in DEFAULT_INTEGRATION_TABLE if s.is_2_5d]
         assert sorted(three_d) == ["hybrid_3d", "m3d", "micro_3d"]
         assert sorted(two_five) == ["emib", "info", "mcm", "si_interposer"]
 
@@ -172,14 +172,21 @@ class TestValidation:
 
     def test_override_isolated(self):
         table = IntegrationTable()
-        modified = table.with_spec_override("emib", data_rate_gbps=5.0)
-        assert modified.get("emib").data_rate_gbps == 5.0
+        modified = table.with_record(
+            table.get("emib").with_overrides(data_rate_gbps=5.0)
+        )
+        assert modified.get("EMIB").data_rate_gbps == 5.0
         assert table.get("emib").data_rate_gbps == pytest.approx(3.4)
+        assert [s.name for s in modified] == [s.name for s in table]
 
-    def test_register_duplicate_rejected(self):
+    def test_with_record_adds_a_spec_to_a_copy(self):
         table = IntegrationTable()
-        with pytest.raises(ParameterError):
-            table.register(table.get("emib"))
+        custom = table.get("emib").with_overrides(name="cowos_l")
+        extended = table.with_record(custom)
+        assert extended.get("CoWoS-L") is custom
+        assert "cowos_l" in extended
+        assert "cowos_l" not in table
+        assert list(extended) == list(table) + [custom]
 
     def test_family_flags_consistent(self):
         for s in DEFAULT_INTEGRATION_TABLE:

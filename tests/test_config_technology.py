@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.config.parameters import DEFAULT_PARAMETERS
 from repro.config.technology import (
     DEFAULT_TECHNOLOGY_TABLE,
     ProcessNode,
     TechnologyTable,
 )
 from repro.errors import ParameterError, UnknownTechnologyError
+
+NODE_NAMES = [n.name for n in DEFAULT_TECHNOLOGY_TABLE]
 
 
 def node(name: str) -> ProcessNode:
@@ -35,10 +38,9 @@ class TestTableLookup:
         assert "7nm" in DEFAULT_TECHNOLOGY_TABLE
         assert "9nm" not in DEFAULT_TECHNOLOGY_TABLE
 
-    def test_iteration_and_len(self):
+    def test_iteration_yields_each_node_once(self):
         names = [n.name for n in DEFAULT_TECHNOLOGY_TABLE]
-        assert len(names) == len(DEFAULT_TECHNOLOGY_TABLE)
-        assert len(set(names)) == len(names)
+        assert len(set(names)) == len(names) == 12
 
     def test_get_passthrough(self):
         record = node("7nm")
@@ -130,7 +132,7 @@ class TestDerivedQuantities:
 class TestEveryNode:
     """Eq. 6's FEOL/BEOL split holds for every row of the node table."""
 
-    @pytest.mark.parametrize("name", DEFAULT_TECHNOLOGY_TABLE.names())
+    @pytest.mark.parametrize("name", NODE_NAMES)
     def test_beol_split_reassembles_at_full_stack(self, name):
         n = node(name)
         epa_feol, epa_per_layer, gpa_feol, gpa_per_layer = n.beol_split
@@ -143,17 +145,17 @@ class TestEveryNode:
         )
         assert epa_feol == n.epa_kwh_per_cm2 * (1.0 - n.beol_carbon_fraction)
 
-    @pytest.mark.parametrize("name", DEFAULT_TECHNOLOGY_TABLE.names())
+    @pytest.mark.parametrize("name", NODE_NAMES)
     def test_override_recomputes_beol_split(self, name):
         """A perturbed record never reuses its base's cached split."""
         base = node(name)
         assert base.beol_split  # fill the base record's cache first
-        table = TechnologyTable().with_node_override(
+        params = DEFAULT_PARAMETERS.with_node_override(
             name, epa_kwh_per_cm2=base.epa_kwh_per_cm2 * 1.25,
             gpa_kg_per_cm2=base.gpa_kg_per_cm2 * 0.5,
         )
         for perturbed in (
-            table.get(name),
+            params.node(name),
             base.with_overrides(epa_kwh_per_cm2=base.epa_kwh_per_cm2 * 1.25,
                                 gpa_kg_per_cm2=base.gpa_kg_per_cm2 * 0.5),
         ):
@@ -188,25 +190,32 @@ class TestValidationAndOverrides:
 
     def test_table_override_is_isolated(self):
         table = TechnologyTable()
-        modified = table.with_node_override("7nm", defect_density_per_cm2=0.3)
+        modified = table.with_record(
+            table.get("7nm").with_overrides(defect_density_per_cm2=0.3)
+        )
         assert modified.get("7nm").defect_density_per_cm2 == 0.3
         assert table.get("7nm").defect_density_per_cm2 != 0.3
+        assert [n.name for n in modified] == [n.name for n in table]
 
-    def test_register_duplicate_rejected(self):
+    def test_with_record_adds_a_node_to_a_copy(self):
         table = TechnologyTable()
-        with pytest.raises(ParameterError):
-            table.register(table.get("7nm"))
-
-    def test_register_custom_node(self):
-        table = TechnologyTable()
-        custom = table.get("7nm").with_overrides(beta=600.0)
-        table.register(
-            ProcessNode(
-                name="7nm_custom", feature_nm=7.0, beta=600.0,
-                epa_kwh_per_cm2=1.52, gpa_kg_per_cm2=0.18,
-                mpa_kg_per_cm2=0.5, defect_density_per_cm2=0.139,
-                alpha=10.0, max_beol_layers=13,
-            )
+        custom = ProcessNode(
+            name="7nm_custom", feature_nm=7.0, beta=600.0,
+            epa_kwh_per_cm2=1.52, gpa_kg_per_cm2=0.18,
+            mpa_kg_per_cm2=0.5, defect_density_per_cm2=0.139,
+            alpha=10.0, max_beol_layers=13,
         )
-        assert "7nm_custom" in table
-        assert custom.beta == 600.0
+        extended = table.with_record(custom)
+        assert extended.get(" 7NM_custom ") is custom
+        assert "7nm_custom" in extended
+        assert "7nm_custom" not in table
+        assert [n.name for n in extended] == (
+            [n.name for n in table] + ["7nm_custom"]
+        )
+
+    def test_builds_from_records(self):
+        table = TechnologyTable([node("7nm"), node("28nm")])
+        assert [n.name for n in table] == ["7nm", "28nm"]
+        assert table.get(28) is node("28nm")
+        with pytest.raises(UnknownTechnologyError, match="known nodes: 28nm, 7nm$"):
+            table.get("5nm")

@@ -62,7 +62,7 @@ class TestEq6:
             wafer_carbon_per_cm2(NODE_7, CI, beol_layers=-1.0)
 
 
-NODE_NAMES = DEFAULT_PARAMETERS.technology.names()
+NODE_NAMES = [n.name for n in DEFAULT_PARAMETERS.technology]
 
 
 class TestEq6EveryNode:

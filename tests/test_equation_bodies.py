@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ChipDesign, DEFAULT_PARAMETERS
+from repro import CarbonModel, ChipDesign, DEFAULT_PARAMETERS
 from repro.core.die_carbon import carbon_sum
 from repro.core.dpw import dies_per_wafer, dpw_error, dpw_formula
 from repro.core.embodied import embodied_carbon, embodied_totals
@@ -92,6 +92,22 @@ def test_embodied_totals_equal_the_report(integration):
         ]
 
 
+@pytest.mark.parametrize("integration", INTEGRATIONS)
+def test_every_breakdown_component_is_a_float(integration):
+    """An empty component (no bonds in 2D and M3D) reads ``0.0``, never
+    the int ``0``: in the report, its breakdown and its wire form."""
+    resolved = resolved_for(integration)
+    report = embodied_carbon(resolved, DEFAULT_PARAMETERS, 0.5675)
+    components = [
+        report.die_kg, report.bonding_kg, report.packaging_kg,
+        report.interposer_kg, report.total_kg,
+        *report.breakdown().values(),
+    ]
+    lifecycle = CarbonModel(resolved.design).evaluate().to_dict()
+    components += lifecycle["embodied_breakdown_kg"].values()
+    assert all(type(value) is float for value in components), components
+
+
 def test_dpw_formula_column_matches_the_checked_scalar():
     wafers = np.array([150.0, 200.0, 300.0, 450.0])
     for area in (12.5, 100.0, 455.0, 2000.0):
@@ -134,9 +150,9 @@ def test_carbon_sum_adds_left_to_right():
     assert column[0] == 0.0
 
 
-def test_carbon_sum_of_no_terms_is_int_zero():
+def test_carbon_sum_of_no_terms_is_float_zero():
     total = carbon_sum([])
-    assert total == 0 and type(total) is int
+    assert total == 0.0 and type(total) is float
 
 
 def test_interposer_carbon_refuses_a_negative_ci_for_every_substrate():

@@ -61,14 +61,14 @@ PINNED_SWEEPS = {
          "si_interposer@taiwan"],
         8,
         "2f55aeb5714fcb2cc205ea8f81038cf602b02aff987583da25ac3f14a5578e14",
-        "aa6a268f79c5d0c3fedb40737421cb5e0627513c6133a10eeb7f45be9f63e2f4",
+        "912780b0c86c8229de545dc3277b5b088baedcd14a6dd4b8577e2c65c6f2e4b7",
     ),
     "subset": (
         ["2d@iceland", "2d@usa", "hybrid_3d@iceland", "hybrid_3d@usa",
          "info@iceland", "info@usa"],
         6,
         "7c43aff97dcf65f3c7e4fc06107f17e6d8bf1fdb20db15985c48f62e61bd3ac0",
-        "ae8ff21894502a9986181a0b0ccf847cac2649913aef7d2e3c66ca8e5cbf7ca9",
+        "9ab6381b5ae9c70d97221dc464b1ff36bad05642dc5019af17e62a124ab7c76d",
     ),
 }
 
@@ -77,7 +77,7 @@ PINNED_STUDIES = {
     "integrations": (
         ["2d", "micro_3d", "hybrid_3d", "m3d", "mcm", "info", "emib",
          "si_interposer"],
-        "aa6a268f79c5d0c3fedb40737421cb5e0627513c6133a10eeb7f45be9f63e2f4",
+        "912780b0c86c8229de545dc3277b5b088baedcd14a6dd4b8577e2c65c6f2e4b7",
     ),
     "die-counts": (
         ["2 dies", "3 dies", "4 dies"],
@@ -85,7 +85,7 @@ PINNED_STUDIES = {
     ),
     "die-counts-m3d": (
         ["2 dies"],
-        "e00280d3e1d001fa21ae8a61c2ebd1922934186ec28ae689cc871c9295f835ea",
+        "e2186c31f06c7af0fa0965d5ea671980c41dc7db8d27f5279bcffb900e03f9ab",
     ),
     "wafer-diameters": (
         ["200 mm", "300 mm", "450 mm"],

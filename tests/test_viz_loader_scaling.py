@@ -94,8 +94,9 @@ class TestParameterLoader:
 
     def test_roundtrip_preserves_tables(self):
         restored = parameters_from_dict(parameters_to_dict(PARAMS))
-        assert len(restored.technology) == len(PARAMS.technology)
-        assert len(restored.integration) == len(PARAMS.integration)
+        for table in ("technology", "integration", "bonding", "packaging",
+                      "grids"):
+            assert list(getattr(restored, table)) == list(getattr(PARAMS, table))
         assert restored.node("7nm") == PARAMS.node("7nm")
         assert restored.integration_spec("emib") == (
             PARAMS.integration_spec("emib")

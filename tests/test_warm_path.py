@@ -308,14 +308,9 @@ class TestKeysUnchanged:
         to the default ``float`` keeps its own text and its own key."""
         node = DEFAULT_PARAMETERS.node("7nm")
         as_int = ParameterSet(
-            technology=DEFAULT_PARAMETERS.technology.__class__({
-                **{n.name: n for n in DEFAULT_PARAMETERS.technology},
-                "7nm": node.with_overrides(alpha=int(node.alpha)),
-            }),
-            integration=DEFAULT_PARAMETERS.integration,
-            bonding=DEFAULT_PARAMETERS.bonding,
-            packaging=DEFAULT_PARAMETERS.packaging,
-            grids=DEFAULT_PARAMETERS.grids,
+            technology=DEFAULT_PARAMETERS.technology.with_record(
+                node.with_overrides(alpha=int(node.alpha))
+            ),
         )
         assert as_int.node("7nm") == node
         assert canonical_text(as_int.node("7nm")) != canonical_text(node)
