@@ -41,7 +41,8 @@ this facade.
 from .handle import StudyError, StudyHandle
 from .results import Result, ResultSet
 from .session import DEFAULT_URL, Session
-from .spec import DEFAULT_SEED, STUDY_KINDS, StudySpec
+from ..service.schema import DEFAULT_SEED, STUDY_KINDS
+from .spec import StudySpec
 
 __all__ = [
     "DEFAULT_SEED",

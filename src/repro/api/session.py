@@ -23,6 +23,13 @@ payload, validated by the same schema module, evaluated by the same
 dispatcher/engine code — so every study kind returns **bit-identical**
 payloads locally and through a server (parity-tested).
 
+``Session.<name>`` exists for every study kind: generated from the
+kind's :data:`~repro.service.schema.STUDY_KINDS` entry, it takes the
+arguments of ``StudySpec.<name>`` and runs that spec. A payload dict or
+spec of any kind, one added to the table at run time too, runs through
+:meth:`Session.run` and :meth:`Session.submit`; its ``type`` is checked
+by :func:`repro.service.schema.payload_kind`, as the server checks it.
+
 Local sessions also expose the native-report path the in-process study
 modules build on (:meth:`report`, the shared :attr:`evaluator`); these
 need live engine objects and therefore raise on a service session.
@@ -43,7 +50,7 @@ from ..service.dispatcher import Dispatcher, front_payload
 from .executors import LocalExecutor, ServiceExecutor
 from .handle import StudyHandle
 from .results import Result, ResultSet
-from .spec import StudySpec, fill_default_backend, payload_kind
+from .spec import StudySpec, fill_default_backend
 
 #: The CLI/server default endpoint.
 DEFAULT_URL = "http://127.0.0.1:8787"
@@ -402,50 +409,14 @@ class Session:
         if isinstance(study, StudySpec):
             kind, payload = study.info, study.to_payload()
         elif isinstance(study, dict):
-            kind = payload_kind(study)
             payload = {"schema": schema.SCHEMA_VERSION, **study}
+            kind = schema.payload_kind(payload)
         else:
             raise ParameterError(
                 f"a study must be a StudySpec or a wire payload dict, got "
                 f"{type(study).__name__}"
             )
         return kind, fill_default_backend(kind, payload, self.backend)
-
-    # -- per-kind conveniences -----------------------------------------------
-    # Each runs its kind's StudySpec constructor; the fields are that
-    # constructor's keyword arguments.
-
-    def evaluate(self, design, **fields) -> Result:
-        """One point → the full report :class:`Result`."""
-        return self.run(StudySpec.evaluate(design, **fields))
-
-    def batch(self, points, **fields) -> ResultSet:
-        """Many points (deduplicated) → ordered :class:`ResultSet`."""
-        return self.run(StudySpec.batch(points, **fields))
-
-    def sweep(self, design, **fields) -> ResultSet:
-        """Integration × fab-location grid → ordered :class:`ResultSet`."""
-        return self.run(StudySpec.sweep(design, **fields))
-
-    def monte_carlo(self, design, **fields) -> Result:
-        """Monte-Carlo band from the backend's own factor set."""
-        return self.run(StudySpec.monte_carlo(design, **fields))
-
-    def compare(self, design, **fields) -> Result:
-        """One design across carbon backends (optional MC bands)."""
-        return self.run(StudySpec.compare(design, **fields))
-
-    def tornado(self, design, **fields) -> Result:
-        """One-at-a-time sensitivity over the backend's own factors."""
-        return self.run(StudySpec.tornado(design, **fields))
-
-    def optimize(self, design, **fields) -> Result:
-        """Vectorized Pareto search over the case-study design grid.
-
-        Use ``submit(StudySpec.optimize(...))`` to stream running front
-        snapshots chunk by chunk instead.
-        """
-        return self.run(StudySpec.optimize(design, **fields))
 
     # -- native-report path (local sessions; the studies' building block) ----
 
@@ -467,3 +438,21 @@ class Session:
             design, workload=workload, params=params,
             fab_location=fab_location,
         )
+
+
+def _study_method(kind: "schema.StudyKind"):
+    """``Session.<name>``: run the spec ``StudySpec.<name>`` builds from
+    the same arguments → :class:`Result`/:class:`ResultSet`."""
+
+    def run(session: Session, arguments: dict):
+        return session.run(getattr(StudySpec, kind.name)(**arguments))
+
+    return kind.function(
+        f"Session.{kind.name}", run,
+        f"Run a {kind.name} study: {kind.summary}.",
+    )
+
+
+for _kind in schema.STUDY_KINDS.values():
+    setattr(Session, _kind.name, _study_method(_kind))
+del _kind

@@ -3,12 +3,19 @@
 A spec is a frozen, wire-shaped description of one study in the
 vocabulary every entry point (the :class:`~repro.api.session.Session`
 facade, the HTTP service, the client, the CLI) speaks. Study kinds, their
-wire types and their payload fields are declared once, in
+wire types, payload fields and defaults are declared once, in
 :data:`repro.service.schema.STUDY_KINDS` (``carbon3d studies`` lists
-them); the per-kind constructors below build each kind's spec.
-``to_payload()`` renders exactly the versioned request JSON from the
-table, and ``from_payload()`` reads it back after the server's own
-validator accepted it. Because the local executor *parses the same
+them), and this module builds each kind's spec from its entry: a frozen
+dataclass holding ``kind`` and exactly that kind's fields, with the
+table's defaults, and the constructor ``StudySpec.<name>(...)``, which
+takes the required fields by position and every other one by keyword.
+
+The spec stays in wire shape rather than holding the parsed request: a
+field left unset stays unset (``backend=None`` is not ``"repro3d"``), so
+a session default can fill it, and the caller's design record is sent
+as given. ``to_payload()`` renders exactly the versioned request JSON
+from the table, and ``from_payload()`` reads it back after the server's
+own validator accepted it. Because the local executor *parses the same
 payload through the same schema module* the server uses, a spec means
 the same study everywhere — location transparency by construction, not
 by convention.
@@ -21,38 +28,29 @@ instances; workloads are ``"av"``, ``"none"``/``None``, a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import field, make_dataclass, replace
 
 from ..core.design import ChipDesign
 from ..errors import ParameterError
 from ..io.designs import design_to_dict
 from ..service import schema
 from ..service.schema import (
-    DEFAULT_SEED,
+    REQUIRED,
     SCHEMA_VERSION,
     STUDY_KINDS,
     StudyKind,
     workload_to_value,
 )
 
-#: API name → the kind's table entry.
-_BY_NAME = {kind.name: kind for kind in STUDY_KINDS.values()}
 
-
-def payload_kind(payload) -> StudyKind:
-    """The table entry of a wire payload's ``type`` (ParameterError if
-    the payload is not a dict or names no known kind)."""
-    if not isinstance(payload, dict):
-        raise ParameterError(
-            f"a study payload must be a dict, got {type(payload).__name__}"
-        )
-    wire = payload.get("type")
-    if not isinstance(wire, str) or wire not in STUDY_KINDS:
-        known = ", ".join(STUDY_KINDS)
-        raise ParameterError(
-            f"unknown study payload type {wire!r} (known: {known})"
-        )
-    return STUDY_KINDS[wire]
+def _with_backend(points, backend: str) -> list:
+    """``points`` with ``backend`` set on each point record naming none."""
+    return [
+        {**point, "backend": backend}
+        if isinstance(point, dict) and "backend" not in point else point
+        for point in points
+    ]
 
 
 def fill_default_backend(
@@ -67,15 +65,11 @@ def fill_default_backend(
     """
     if backend is None or not kind.default_backend:
         return payload
-    if "points" in dict(kind.fields):
+    if "backend" not in kind.names:
         points = payload.get("points")
         if not isinstance(points, list):
             return payload
-        return {**payload, "points": [
-            {**point, "backend": backend}
-            if isinstance(point, dict) and "backend" not in point else point
-            for point in points
-        ]}
+        return {**payload, "points": _with_backend(points, backend)}
     if payload.get("backend") is None:
         return {**payload, "backend": backend}
     return payload
@@ -135,228 +129,59 @@ def point_value(point) -> dict:
     )
 
 
-@dataclass(frozen=True)
+def _points(points) -> "tuple[dict, ...]":
+    records = tuple(point_value(point) for point in points)
+    if not records:
+        raise ParameterError("a batch needs at least one point")
+    return records
+
+
+#: Field name → its wire value from what a caller passes. A field not
+#: named here is held as given.
+_WIRE_VALUES = {
+    "design": design_value,
+    "workload": workload_value,
+    "points": _points,
+    "integrations": _sequence,
+    "fab_locations": _sequence,
+    "backends": _sequence,
+    "die_counts": _sequence,
+    "wafer_diameters_mm": _sequence,
+}
+
+
 class StudySpec:
     """One declarative study, in wire shape (see the module docstring).
 
-    Build specs with the per-kind constructors (:meth:`evaluate`,
-    :meth:`batch`, :meth:`sweep`, :meth:`monte_carlo`, :meth:`compare`,
-    :meth:`tornado`, :meth:`optimize`) rather than the raw dataclass:
-    they are the one Python signature of each kind, whose defaults are
-    the :data:`~repro.service.schema.STUDY_KINDS` ones, and they
-    normalize designs/workloads into their wire records so
-    ``to_payload()`` is pure assembly. A field the kind does not carry
-    stays ``None``.
+    ``StudySpec(kind, **fields)`` builds the spec of the kind whose API
+    name is ``kind``; a field that kind does not carry is a
+    ``TypeError``. Each kind's spec is a frozen dataclass of its own,
+    generated from the kind's table entry (:attr:`info`), whose fields
+    are ``kind`` and the payload fields with the table's defaults; a
+    value is held as its wire value (a :class:`ChipDesign` as its
+    record, a list as a tuple). ``StudySpec.<name>(...)`` is the same
+    with the required fields taken by position.
     """
 
-    kind: str
-    design: "dict | None" = None
-    points: "tuple[dict, ...] | None" = None
-    workload: "str | dict | None" = None
-    fab_location: "str | float | None" = None
-    label: "str | None" = None
-    backend: "str | None" = None
-    integrations: "tuple[str, ...] | None" = None
-    fab_locations: "tuple | None" = None
-    samples: "int | None" = None
-    draws: "int | None" = None
-    seed: "int | None" = None
-    backends: "tuple[str, ...] | None" = None
-    return_samples: "bool | None" = None
-    #: Ask the service for a point stream (batch/sweep/optimize only);
-    #: the local executor streams regardless, so this only shapes the
-    #: HTTP reply.
-    stream: "bool | None" = None
-    #: optimize-only axes/knobs (None → the grid's documented defaults).
-    die_counts: "tuple[int, ...] | None" = None
-    wafer_diameters_mm: "tuple[float, ...] | None" = None
-    max_configs: "int | None" = None
-    chunk: "int | None" = None
+    __slots__ = ()
+
+    #: This spec's entry in the study-kind table (set per kind).
+    info: StudyKind
+
+    def __new__(cls, kind: str, **fields):
+        if cls is StudySpec:
+            cls = _spec_class(kind)
+        return object.__new__(cls)
 
     def __post_init__(self) -> None:
-        if self.kind not in _BY_NAME:
-            known = ", ".join(_BY_NAME)
+        if self.kind != self.info.name:
             raise ParameterError(
-                f"unknown study kind {self.kind!r} (known: {known})"
+                f"a {self.info.name} spec cannot be of kind {self.kind!r}"
             )
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def evaluate(
-        cls,
-        design,
-        *,
-        workload="av",
-        fab_location=None,
-        label: "str | None" = None,
-        backend: "str | None" = None,
-    ) -> "StudySpec":
-        """One point → its full lifecycle report."""
-        return cls(
-            kind="evaluate",
-            design=design_value(design),
-            workload=workload_value(workload),
-            fab_location=fab_location,
-            label=label,
-            backend=backend,
-        )
-
-    @classmethod
-    def batch(
-        cls, points, *, backend: "str | None" = None, stream: bool = False
-    ) -> "StudySpec":
-        """Many points, deduplicated. ``points``: designs, point records,
-        or evaluate specs.
-
-        ``backend`` is a default applied to points that do not name
-        their own.
-        """
-        records = []
-        for point in points:
-            record = point_value(point)
-            if backend is not None and "backend" not in record:
-                record = {**record, "backend": backend}
-            records.append(record)
-        if not records:
-            raise ParameterError("a batch needs at least one point")
-        return cls(kind="batch", points=tuple(records), stream=stream)
-
-    @classmethod
-    def sweep(
-        cls,
-        design,
-        *,
-        integrations: "list[str] | None" = None,
-        fab_locations: "list | None" = None,
-        workload="av",
-        backend: "str | None" = None,
-        stream: bool = False,
-    ) -> "StudySpec":
-        """Integration × fab-location grid around a 2D reference."""
-        return cls(
-            kind="sweep",
-            design=design_value(design),
-            integrations=_sequence(integrations),
-            fab_locations=_sequence(fab_locations),
-            workload=workload_value(workload),
-            backend=backend,
-            stream=stream,
-        )
-
-    @classmethod
-    def monte_carlo(
-        cls,
-        design,
-        *,
-        samples: int = 200,
-        seed: int = DEFAULT_SEED,
-        workload="av",
-        fab_location=None,
-        backend: "str | None" = None,
-        return_samples: bool = False,
-    ) -> "StudySpec":
-        """Monte-Carlo band from the backend's own factor set."""
-        return cls(
-            kind="monte_carlo",
-            design=design_value(design),
-            workload=workload_value(workload),
-            fab_location=fab_location,
-            samples=samples,
-            seed=seed,
-            backend=backend,
-            return_samples=return_samples,
-        )
-
-    @classmethod
-    def compare(
-        cls,
-        design,
-        *,
-        backends: "list[str] | None" = None,
-        workload="none",
-        fab_location=None,
-        draws: int = 0,
-        seed: int = DEFAULT_SEED,
-    ) -> "StudySpec":
-        """One design across carbon backends (every registered one when
-        ``backends`` is None); ``draws > 0`` adds per-backend
-        Monte-Carlo bands."""
-        return cls(
-            kind="compare",
-            design=design_value(design),
-            backends=_sequence(backends),
-            workload=workload_value(workload),
-            fab_location=fab_location,
-            draws=draws,
-            seed=seed,
-        )
-
-    @classmethod
-    def tornado(
-        cls,
-        design,
-        *,
-        workload="av",
-        fab_location=None,
-        backend: "str | None" = None,
-    ) -> "StudySpec":
-        """One-at-a-time sensitivity over the backend's own factors."""
-        return cls(
-            kind="tornado",
-            design=design_value(design),
-            workload=workload_value(workload),
-            fab_location=fab_location,
-            backend=backend,
-        )
-
-    @classmethod
-    def optimize(
-        cls,
-        design,
-        *,
-        workload="av",
-        integrations: "list[str] | None" = None,
-        die_counts: "list[int] | None" = None,
-        wafer_diameters_mm: "list[float] | None" = None,
-        fab_locations: "list | None" = None,
-        max_configs: "int | None" = None,
-        chunk: "int | None" = None,
-        seed: int = DEFAULT_SEED,
-        stream: bool = False,
-    ) -> "StudySpec":
-        """Pareto-frontier search from a single-die 2D reference over
-        (total carbon min, performance max, silicon cost min); ``None``
-        axes take the grid defaults."""
-        return cls(
-            kind="optimize",
-            design=design_value(design),
-            workload=workload_value(workload),
-            integrations=_sequence(integrations),
-            die_counts=_sequence(die_counts),
-            wafer_diameters_mm=_sequence(wafer_diameters_mm),
-            fab_locations=_sequence(fab_locations),
-            max_configs=max_configs,
-            chunk=chunk,
-            seed=seed,
-            stream=stream,
-        )
-
-    # -- defaults ------------------------------------------------------------
-
-    @property
-    def info(self) -> StudyKind:
-        """This spec's entry in the study-kind table."""
-        return _BY_NAME[self.kind]
-
-    def with_default_backend(self, backend: "str | None") -> "StudySpec":
-        """This spec with a session-level default backend filled in
-        (see :func:`fill_default_backend`)."""
-        if backend is None or not self.info.default_backend:
-            return self
-        return self._from_fields(self.info, fill_default_backend(
-            self.info, self.to_payload(), backend
-        ))
+        for name in self.info.names:
+            to_wire = _WIRE_VALUES.get(name)
+            if to_wire is not None:
+                object.__setattr__(self, name, to_wire(getattr(self, name)))
 
     # -- wire round-trip -----------------------------------------------------
 
@@ -385,15 +210,64 @@ class StudySpec:
         exists only for a request the service would accept; a missing
         ``schema`` defaults to the current version.
         """
-        kind = payload_kind(payload)
-        payload = {"schema": SCHEMA_VERSION, **payload}
+        if isinstance(payload, dict):
+            payload = {"schema": SCHEMA_VERSION, **payload}
         schema.parse_request(payload)
-        return cls._from_fields(kind, payload)
+        kind = STUDY_KINDS[payload["type"]]
+        return _generated_spec_class(kind)(kind.name, **{
+            name: payload[name] for name in kind.names if name in payload
+        })
 
-    @classmethod
-    def _from_fields(cls, kind: StudyKind, payload: dict) -> "StudySpec":
-        fields = {}
-        for name, default in kind.fields:
-            value = payload.get(name, default)
-            fields[name] = tuple(value) if isinstance(value, list) else value
-        return cls(kind=kind.name, **fields)
+
+def _spec_class(name: str) -> type:
+    """The spec class of the kind whose API name is ``name``."""
+    kinds = {kind.name: kind for kind in STUDY_KINDS.values()}
+    if name not in kinds:
+        raise ParameterError(
+            f"unknown study kind {name!r} (known: {', '.join(kinds)})"
+        )
+    return _generated_spec_class(kinds[name])
+
+
+@functools.cache
+def _generated_spec_class(kind: StudyKind) -> type:
+    """A frozen dataclass of ``kind`` and the kind's fields, built once
+    per kind, so that specs of one kind share one class."""
+    title = "".join(part.title() for part in kind.name.split("_"))
+    cls = make_dataclass(
+        f"{title}Spec",
+        [("kind", str, field(default=kind.name))] + [
+            (name, object, field(kw_only=True) if default is REQUIRED
+             else field(default=default, kw_only=True))
+            for name, default in kind.fields
+        ],
+        bases=(StudySpec,), namespace={"info": kind}, frozen=True,
+    )
+    cls.__module__ = __name__
+    return cls
+
+
+def _build(kind: StudyKind, values: dict) -> StudySpec:
+    """A ``kind`` spec from its constructor's arguments."""
+    backend = None
+    if "backend" not in kind.names:
+        backend = values.pop("backend", None)
+    spec = _generated_spec_class(kind)(kind.name, **values)
+    if backend is None:
+        return spec
+    # A batch-wide backend: a default for the points that name none.
+    return replace(spec, points=tuple(_with_backend(spec.points, backend)))
+
+
+def _constructor(kind: StudyKind) -> classmethod:
+    """``StudySpec.<name>``: the required fields by position, the rest
+    by keyword with the table's defaults."""
+    return classmethod(kind.function(
+        f"StudySpec.{kind.name}", lambda cls, values: _build(kind, values),
+        f"A {kind.name} spec: {kind.summary}.",
+    ))
+
+
+for _kind in STUDY_KINDS.values():
+    setattr(StudySpec, _kind.name, _constructor(_kind))
+del _kind

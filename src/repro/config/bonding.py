@@ -73,25 +73,39 @@ _BUILTIN_PROCESSES: tuple[BondingProcess, ...] = (
 )
 
 
-def _bonding_key(key: "tuple[BondingMethod, AssemblyFlow]") -> tuple:
-    """``key`` itself, unless its method bonds nothing."""
-    if key[0] is BondingMethod.NONE:
+def _pair(key) -> "tuple[BondingMethod, AssemblyFlow] | None":
+    """``key`` as a ``(method, flow)`` pair of enums, each part given as
+    the enum or its value; None for a key of any other shape."""
+    try:
+        method, flow = key
+        return BondingMethod(method), AssemblyFlow(flow)
+    except (TypeError, ValueError):
+        return None
+
+
+def _bonding_key(key) -> tuple:
+    """``key`` as a pair of enums, unless its method bonds nothing
+    (KeyError for a key that is no such pair)."""
+    pair = _pair(key)
+    if pair is None:
+        raise KeyError(key)
+    if pair[0] is BondingMethod.NONE:
         raise ParameterError(
             "BondingMethod.NONE has no bonding process (2D or M3D design)"
         )
-    return key
+    return pair
 
 
 def _unknown_process(key, keys) -> str:
-    method, flow = key
+    pair = _pair(key)
+    what = repr(key) if pair is None else (
+        f"({pair[0].value}, {pair[1].value})"
+    )
     known = ", ".join(
         f"({m.value},{f.value})"
         for m, f in sorted(keys, key=lambda k: (k[0].value, k[1].value))
     )
-    return (
-        f"no bonding process for ({method.value}, {flow.value}); "
-        f"known: {known}"
-    )
+    return f"no bonding process for {what}; known: {known}"
 
 
 def BondingTable(

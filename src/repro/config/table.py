@@ -13,7 +13,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
-from ..errors import UnknownTechnologyError
+from ..errors import ParameterError, UnknownTechnologyError
 
 
 class RecordTable:
@@ -63,9 +63,12 @@ class RecordTable:
             ) from None
 
     def __contains__(self, key: object) -> bool:
+        """Whether :meth:`get` finds a record under ``key`` (False for a
+        key it refuses, such as a bonding key whose method bonds
+        nothing)."""
         try:
             self.get(key)
-        except UnknownTechnologyError:
+        except ParameterError:
             return False
         return True
 

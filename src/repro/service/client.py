@@ -44,10 +44,15 @@ no retry pile-on against a struggling server — until the cool-down
 ``deadline_ms=...`` attaches the ``X-Carbon3D-Deadline-Ms`` budget
 header to every request; overruns come back as typed 504 payloads.
 
-:meth:`stream_batch` / :meth:`stream_sweep` consume the server's NDJSON
+Every study kind has a method named by its wire type
+(``client.evaluate(design, ...)``, ``client.montecarlo(...)``), and a
+streaming kind a ``stream_<wire>`` one: each is generated from the
+kind's :data:`~repro.service.schema.STUDY_KINDS` entry, takes the
+arguments of its ``StudySpec`` constructor and sends that spec's
+payload. ``stream_batch`` / ``stream_sweep`` consume the server's NDJSON
 point streams (``"stream": true``), yielding each point entry as the
-server finishes it; :meth:`stream_optimize` consumes the Pareto
-search's per-chunk front snapshots the same way.
+server finishes it; ``stream_optimize`` consumes the Pareto search's
+per-chunk front snapshots the same way.
 """
 
 from __future__ import annotations
@@ -85,14 +90,6 @@ class ServiceError(CarbonModelError):
     @property
     def error_type(self) -> "str | None":
         return self.payload.get("type")
-
-
-def _specs():
-    """:class:`~repro.api.spec.StudySpec`, which builds every per-kind
-    payload (imported late: the api package imports this module)."""
-    from ..api.spec import StudySpec
-
-    return StudySpec
 
 
 def _error_from_envelope(
@@ -528,39 +525,6 @@ class ServiceClient:
         """
         return self._request("GET", "/usage")["result"]
 
-    # One method per study kind, named by its wire type. Each builds its
-    # payload with the kind's StudySpec constructor, whose keyword
-    # arguments are the fields; the envelope (``result`` + ``cache``
-    # tag) comes back.
-
-    def evaluate(self, design, **fields) -> dict:
-        return self.submit_payload(_specs().evaluate(design, **fields)
-                                   .to_payload())
-
-    def batch(self, points, **fields) -> dict:
-        return self.submit_payload(_specs().batch(points, **fields)
-                                   .to_payload())
-
-    def sweep(self, design, **fields) -> dict:
-        return self.submit_payload(_specs().sweep(design, **fields)
-                                   .to_payload())
-
-    def montecarlo(self, design, **fields) -> dict:
-        return self.submit_payload(_specs().monte_carlo(design, **fields)
-                                   .to_payload())
-
-    def compare(self, design, **fields) -> dict:
-        return self.submit_payload(_specs().compare(design, **fields)
-                                   .to_payload())
-
-    def tornado(self, design, **fields) -> dict:
-        return self.submit_payload(_specs().tornado(design, **fields)
-                                   .to_payload())
-
-    def optimize(self, design, **fields) -> dict:
-        return self.submit_payload(_specs().optimize(design, **fields)
-                                   .to_payload())
-
     # -- streaming -----------------------------------------------------------
 
     def submit_payload(self, payload: dict) -> dict:
@@ -628,17 +592,32 @@ class ServiceClient:
         finally:
             response.close()
 
-    def stream_batch(self, points, **fields):
-        """Stream a batch point-by-point as the server finishes each."""
-        return self.stream_payload(_specs().batch(points, **fields)
-                                   .to_payload())
 
-    def stream_sweep(self, design, **fields):
-        """Stream an expanded sweep grid point-by-point."""
-        return self.stream_payload(_specs().sweep(design, **fields)
-                                   .to_payload())
+def _study_method(kind, name: str, send: str):
+    """``ServiceClient.<name>``: ``send`` (``submit_payload`` or
+    ``stream_payload``) the payload of the spec that the kind's
+    ``StudySpec`` constructor builds from the same arguments."""
 
-    def stream_optimize(self, design, **fields):
-        """Stream a Pareto search chunk-by-chunk (running front snapshots)."""
-        return self.stream_payload(_specs().optimize(design, **fields)
-                                   .to_payload())
+    def call(client: ServiceClient, arguments: dict):
+        # Imported late: the api package imports this module.
+        from ..api.spec import StudySpec
+
+        spec = getattr(StudySpec, kind.name)(**arguments)
+        return getattr(client, send)(spec.to_payload())
+
+    return kind.function(
+        f"ServiceClient.{name}", call,
+        f"Send a {kind.name} study ({send}): {kind.summary}.",
+    )
+
+
+# One method per study kind, named by its wire type, answering the
+# envelope (``result`` + ``cache`` tag); ``stream_<wire>`` for a
+# streaming kind yields its NDJSON entries.
+for _kind in STUDY_KINDS.values():
+    setattr(ServiceClient, _kind.wire,
+            _study_method(_kind, _kind.wire, "submit_payload"))
+    if _kind.streams:
+        setattr(ServiceClient, f"stream_{_kind.wire}",
+                _study_method(_kind, f"stream_{_kind.wire}", "stream_payload"))
+del _kind

@@ -76,16 +76,10 @@ from .schema import (
     MAX_GRID_POINTS,
     NAMED_WORKLOAD_TEXTS,
     SCHEMA_VERSION,
-    BatchRequest,
-    CompareRequest,
     EncodedJSON,
     EvaluateRequest,
-    MonteCarloRequest,
-    OptimizeRequest,
     STUDY_KINDS,
     SchemaError,
-    SweepRequest,
-    TornadoRequest,
     remembered,
     streaming_kind,
     workload_to_value,
@@ -168,7 +162,7 @@ def montecarlo_fingerprint(
     )
 
 
-def front_payload(request: OptimizeRequest, snapshots) -> dict:
+def front_payload(request, snapshots) -> dict:
     """The optimize result: the request's echo plus the record of the
     last of a search's per-chunk ``snapshots``.
 
@@ -924,7 +918,7 @@ class Dispatcher:
 
     @_instrumented("batch")
     def batch(
-        self, request: BatchRequest, *,
+        self, request, *,
         deadline: "Deadline | None" = None, encoded: bool = False,
     ) -> "list[dict]":
         """Deduplicated batch → one entry per input point, input order.
@@ -940,7 +934,7 @@ class Dispatcher:
         )
 
     def stream_batch(
-        self, request: BatchRequest, *, deadline: "Deadline | None" = None
+        self, request, *, deadline: "Deadline | None" = None
     ) -> "tuple[int, 'Iterator[dict]']":
         """Streaming batch: (point count, per-point entry iterator).
 
@@ -957,7 +951,7 @@ class Dispatcher:
         )
 
     def stream_sweep(
-        self, request: SweepRequest, *, deadline: "Deadline | None" = None
+        self, request, *, deadline: "Deadline | None" = None
     ) -> "tuple[int, 'Iterator[dict]']":
         """Streaming sweep: the expanded grid, streamed point by point."""
         points = self._sweep_points(request)
@@ -966,7 +960,7 @@ class Dispatcher:
 
     @_instrumented("sweep")
     def sweep(
-        self, request: SweepRequest, *,
+        self, request, *,
         deadline: "Deadline | None" = None, encoded: bool = False,
     ) -> "list[dict]":
         """Expand the grid server-side and run it as a batch.
@@ -978,7 +972,7 @@ class Dispatcher:
         self._begin(len(points))
         return list(self._price_points(points, deadline, encoded=encoded))
 
-    def _sweep_points(self, request: SweepRequest) -> "list[EvaluateRequest]":
+    def _sweep_points(self, request) -> "list[EvaluateRequest]":
         points = []
         for name, _, design in default_splits(
             request.design, request.integrations, (2,), self.params
@@ -1000,14 +994,14 @@ class Dispatcher:
 
     @_instrumented("montecarlo")
     def montecarlo(
-        self, request: MonteCarloRequest, *, deadline: "Deadline | None" = None
+        self, request, *, deadline: "Deadline | None" = None
     ) -> "tuple[dict, str]":
         """Monte-Carlo summary → (summary dict, cache tag)."""
         self._begin(request.samples)
         return self._montecarlo_through(request, deadline)
 
     def _montecarlo_through(
-        self, request: MonteCarloRequest, deadline: "Deadline | None" = None
+        self, request, deadline: "Deadline | None" = None
     ) -> "tuple[dict, str]":
         """The Monte-Carlo body (store → coalesce → compute), unmetered."""
         fab_location = (
@@ -1057,7 +1051,7 @@ class Dispatcher:
 
     @_instrumented("tornado")
     def tornado(
-        self, request: TornadoRequest, *, deadline: "Deadline | None" = None
+        self, request, *, deadline: "Deadline | None" = None
     ) -> "tuple[dict, str]":
         """One-at-a-time sensitivity study → (payload, cache tag).
 
@@ -1109,7 +1103,7 @@ class Dispatcher:
 
     @_instrumented("compare")
     def compare(
-        self, request: CompareRequest, *, deadline: "Deadline | None" = None
+        self, request, *, deadline: "Deadline | None" = None
     ) -> dict:
         """One design fanned across backends, server-side.
 
@@ -1148,7 +1142,7 @@ class Dispatcher:
             }
             if request.draws:
                 summary, source = self._montecarlo_through(
-                    MonteCarloRequest(
+                    STUDY_KINDS["montecarlo"].record(
                         design=request.design,
                         workload=request.workload,
                         fab_location=request.fab_location,
@@ -1171,7 +1165,7 @@ class Dispatcher:
 
     # -- optimize ------------------------------------------------------------
 
-    def _optimize_axes(self, request: OptimizeRequest) -> tuple:
+    def _optimize_axes(self, request) -> tuple:
         """The request's grid axes, defaults resolved (fab locations
         default to the server's), checked against the expansion bound
         before the grid expands."""
@@ -1189,7 +1183,7 @@ class Dispatcher:
             )
         return axes
 
-    def _optimize_search(self, request: OptimizeRequest, axes: tuple):
+    def _optimize_search(self, request, axes: tuple):
         from ..analysis.optimizer import DEFAULT_CHUNK, ParetoSearch
 
         integrations, die_counts, wafers, locations = axes
@@ -1207,7 +1201,7 @@ class Dispatcher:
             evaluator=self.evaluator,
         )
 
-    def _optimize_key(self, request: OptimizeRequest, axes: tuple) -> str:
+    def _optimize_key(self, request, axes: tuple) -> str:
         """Content key over everything the search can observe: the full
         parameter set, the reference design, the workload, the resolved
         axes and the sampling/chunking knobs.
@@ -1236,7 +1230,7 @@ class Dispatcher:
         ))
 
     def _optimize_snapshots(
-        self, request: OptimizeRequest, axes: tuple,
+        self, request, axes: tuple,
         deadline: "Deadline | None" = None,
     ) -> "tuple[int, Iterator[dict]]":
         """The one optimize body: (chunk count, per-chunk snapshot
@@ -1276,7 +1270,7 @@ class Dispatcher:
 
     @_instrumented("optimize")
     def optimize(
-        self, request: OptimizeRequest, *, deadline: "Deadline | None" = None
+        self, request, *, deadline: "Deadline | None" = None
     ) -> "tuple[dict, str]":
         """Vectorized Pareto search → (front payload, cache tag).
 
@@ -1299,7 +1293,7 @@ class Dispatcher:
         )
 
     def stream_optimize(
-        self, request: OptimizeRequest, *, deadline: "Deadline | None" = None
+        self, request, *, deadline: "Deadline | None" = None
     ) -> "tuple[int, 'Iterator[dict]']":
         """Streaming search: :meth:`_optimize_snapshots`, as NDJSON.
 

@@ -54,7 +54,8 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, make_dataclass
+from typing import Callable
 
 from ..config.integration import TABLE1_INTEGRATIONS
 from ..core.design import ChipDesign
@@ -243,19 +244,30 @@ def _check_envelope(data: dict, expected_type: "str | None") -> str:
             f"{version!r}",
             field="schema",
         )
-    kind = data.get("type")
-    if not isinstance(kind, str) or kind not in STUDY_KINDS:
+    return payload_kind(data, expected_type).wire
+
+
+def payload_kind(data: dict, expected_type: "str | None" = None) -> "StudyKind":
+    """The table entry of a request's ``type``.
+
+    A ``type`` that is missing, not a string, not in
+    :data:`STUDY_KINDS` or not ``expected_type`` (when given) is a
+    :class:`SchemaError` with ``field="type"``: the one check of the
+    field, on the server and in every session.
+    """
+    wire = data.get("type")
+    if not isinstance(wire, str) or wire not in STUDY_KINDS:
         raise SchemaError(
             f"request \"type\" must be one of {', '.join(STUDY_KINDS)}, "
-            f"got {kind!r}",
+            f"got {wire!r}",
             field="type",
         )
-    if expected_type is not None and kind != expected_type:
+    if expected_type is not None and wire != expected_type:
         raise SchemaError(
-            f"endpoint expects a {expected_type!r} request, got {kind!r}",
+            f"endpoint expects a {expected_type!r} request, got {wire!r}",
             field="type",
         )
-    return kind
+    return STUDY_KINDS[wire]
 
 
 def _number(value, where: str, minimum=None) -> float:
@@ -447,87 +459,6 @@ def _wire_point(fields: dict) -> EvaluateRequest:
     return request
 
 
-@dataclass(frozen=True)
-class BatchRequest:
-    points: tuple[EvaluateRequest, ...]
-    #: ``True`` asks the server for a newline-delimited point stream
-    #: (entries written as they finish) instead of one enveloped array.
-    stream: bool = False
-
-
-@dataclass(frozen=True)
-class SweepRequest:
-    """A reference design fanned over integrations × fab locations."""
-
-    design: ChipDesign
-    integrations: tuple[str, ...]
-    fab_locations: tuple
-    workload: "Workload | None"
-    backend: str = DEFAULT_BACKEND
-    stream: bool = False
-
-
-@dataclass(frozen=True)
-class MonteCarloRequest:
-    design: ChipDesign
-    workload: "Workload | None"
-    fab_location: "str | float | None"
-    samples: int
-    seed: int
-    backend: str = DEFAULT_BACKEND
-    return_samples: bool = False
-
-
-@dataclass(frozen=True)
-class TornadoRequest:
-    """A one-at-a-time sensitivity study over the backend's own factors."""
-
-    design: ChipDesign
-    workload: "Workload | None"
-    fab_location: "str | float | None"
-    backend: str = DEFAULT_BACKEND
-
-
-@dataclass(frozen=True)
-class CompareRequest:
-    """One design fanned across carbon backends, server-side.
-
-    ``backends=None`` means every registered backend; ``draws=0`` skips
-    the per-backend uncertainty bands.
-    """
-
-    design: ChipDesign
-    backends: "tuple[str, ...] | None"
-    workload: "Workload | None"
-    fab_location: "str | float | None"
-    draws: int = 0
-    seed: int = DEFAULT_SEED
-
-
-@dataclass(frozen=True)
-class OptimizeRequest:
-    """A vectorized Pareto search over the case-study design grid.
-
-    ``design`` is the 2D reference. ``None`` axes take the grid defaults
-    (see :meth:`repro.vec.DesignGrid.from_axes`; fab locations default
-    to the server's configured location). ``max_configs`` subsamples the
-    expanded grid deterministically under ``seed``; ``chunk`` sets the
-    vectorized evaluation block size (the front is chunk-invariant, the
-    reported chunk count is not).
-    """
-
-    design: ChipDesign
-    workload: "Workload | None"
-    integrations: "tuple[str, ...] | None" = None
-    die_counts: "tuple[int, ...] | None" = None
-    wafer_diameters_mm: "tuple[float, ...] | None" = None
-    fab_locations: "tuple | None" = None
-    max_configs: "int | None" = None
-    chunk: "int | None" = None
-    seed: int = DEFAULT_SEED
-    stream: bool = False
-
-
 # -- field rules -------------------------------------------------------------
 
 
@@ -648,26 +579,10 @@ def _fields(kind: "StudyKind", data: dict, allowed: "tuple[str, ...]",
     return fields
 
 
-def _request(wire: str, data, prefix: str = "") -> dict:
-    """The fields of a ``wire`` request: envelope checked, each field
-    parsed by its rule, table defaults filled in."""
-    data = _require_mapping(data, "request")
-    _check_envelope(data, wire)
-    kind = STUDY_KINDS[wire]
-    return _fields(kind, data, kind.keys, "request", prefix)
-
-
-def parse_evaluate_request(data) -> EvaluateRequest:
-    # Its fields are named as a batch point's are: "request.<field>".
-    return _wire_point(_request("evaluate", data, "request."))
-
-
-def parse_batch_request(data) -> BatchRequest:
-    return BatchRequest(**_request("batch", data))
-
-
-def parse_sweep_request(data) -> SweepRequest:
-    fields = _request("sweep", data)
+def _sweep_request(fields: dict):
+    """Sweep's post-parse step: unset axes take their defaults (every
+    Table 1 integration; the server's fab location), and the expanded
+    grid must fit in one batch."""
     if fields["integrations"] is None:
         fields["integrations"] = TABLE1_INTEGRATIONS
     if fields["fab_locations"] is None:
@@ -678,23 +593,7 @@ def parse_sweep_request(data) -> SweepRequest:
             f"sweep expands past the {MAX_BATCH_POINTS}-point batch limit",
             field="integrations",
         )
-    return SweepRequest(**fields)
-
-
-def parse_montecarlo_request(data) -> MonteCarloRequest:
-    return MonteCarloRequest(**_request("montecarlo", data))
-
-
-def parse_tornado_request(data) -> TornadoRequest:
-    return TornadoRequest(**_request("tornado", data))
-
-
-def parse_compare_request(data) -> CompareRequest:
-    return CompareRequest(**_request("compare", data))
-
-
-def parse_optimize_request(data) -> OptimizeRequest:
-    return OptimizeRequest(**_request("optimize", data))
+    return STUDY_KINDS["sweep"].record(**fields)
 
 
 # -- the study-kind table ----------------------------------------------------
@@ -704,13 +603,18 @@ def parse_optimize_request(data) -> OptimizeRequest:
 class StudyKind:
     """One study kind, declared once, keyed by its wire ``type``.
 
-    Every entry point reads the kind from :data:`STUDY_KINDS`: the server
-    routes ``POST /<wire>``, :func:`parse_request` parses through
-    ``parse_<wire>_request`` of this module, ``Dispatcher.run`` and
+    The entry is the only declaration of the kind's fields and their
+    defaults; everything else is built from it. The server routes
+    ``POST /<wire>`` (:func:`route_kind`), :func:`parse_request` parses
+    through :meth:`parse` into :attr:`record`, ``Dispatcher.run`` and
     ``Dispatcher.stream`` call ``Dispatcher.<wire>`` and
-    ``Dispatcher.stream_<wire>``, and :class:`~repro.api.spec.StudySpec`
-    renders and reads ``fields``. Parsers and handlers are looked up by
-    name at call time, never captured.
+    ``Dispatcher.stream_<wire>``, and :mod:`repro.api.spec` builds the
+    kind's spec class. These read :data:`STUDY_KINDS` when they are
+    called, so a kind added to it runs through ``Session.run`` and the
+    server with its ``Dispatcher.<wire>`` handler alone. The per-kind
+    methods ``StudySpec.<name>``, ``Session.<name>``,
+    ``ServiceClient.<wire>`` and ``ServiceClient.stream_<wire>`` are
+    generated (:meth:`function`) for each kind declared here.
 
     * ``name`` — the API name (``StudySpec.kind``, the ``Session`` method);
     * ``result`` — the result shape (``points`` is a batch-like list of
@@ -718,14 +622,20 @@ class StudyKind:
     * ``fields`` — ``(payload field, default)`` pairs in payload order;
       :data:`REQUIRED` marks a field with no default. A field whose
       default is ``None`` or ``False`` is sent only when set. Each field
-      is parsed by its name's rule in :data:`FIELD_RULES`, and the
-      parser builds its record as ``record(**fields)``, so a kind whose
-      fields all have rules needs no parsing code of its own;
+      is parsed by its name's rule in :data:`FIELD_RULES`, so a kind
+      whose fields all have rules needs no parsing code of its own;
     * ``streams`` — ``"stream": true`` answers NDJSON entries;
     * ``cached`` — the result envelope carries a ``cache`` tag;
     * ``encoded`` — the handler can hand reports back as
       :class:`EncodedJSON` text for the envelope to splice in;
-    * ``default_backend`` — a session-wide default backend applies.
+    * ``default_backend`` — a session-wide default backend applies;
+    * ``prefix`` — goes before a field's name in its errors;
+    * ``record`` — the parsed request's class. Left unset, it is
+      generated: a frozen dataclass named ``<Name>Request`` whose
+      keyword-only attributes are the fields, each defaulting to what
+      its absence parses to;
+    * ``build`` — the kind's post-parse step, parsed fields → record
+      (default: ``record(**fields)``).
     """
 
     wire: str
@@ -737,6 +647,13 @@ class StudyKind:
     cached: bool = True
     encoded: bool = False
     default_backend: bool = True
+    prefix: str = ""
+    record: "type | None" = None
+    build: "Callable[[dict], object] | None" = None
+
+    def __post_init__(self) -> None:
+        if self.record is None:
+            object.__setattr__(self, "record", self._record_class())
 
     @property
     def route(self) -> str:
@@ -761,8 +678,70 @@ class StudyKind:
             for name, default in self.fields if default is not REQUIRED
         }
 
+    @functools.cached_property
+    def arguments(self) -> "tuple[tuple[str, object], ...]":
+        """``(name, default)`` of each argument of the kind's Python
+        call, ``StudySpec.<name>``, and of the ``Session`` and
+        ``ServiceClient`` methods that forward to it: the fields,
+        required ones first. A kind that takes a session default backend
+        but carries the backend on its points (batch) takes a
+        ``backend`` too: the default for the points that name none."""
+        arguments = sorted(
+            self.fields, key=lambda argument: argument[1] is not REQUIRED
+        )
+        if self.default_backend and "backend" not in self.names:
+            arguments.append(("backend", None))
+        return tuple(arguments)
+
+    def function(self, qualname: str, call, doc: str):
+        """A function named ``qualname`` that takes ``self`` (or ``cls``)
+        and the kind's :attr:`arguments` and returns ``call(self,
+        arguments)``, the arguments as a dict.
+
+        A required argument comes by position or keyword, every other by
+        keyword with its default. The code is generated, as a dataclass
+        ``__init__`` is, so the signature is a real one and a misuse
+        fails with Python's own ``TypeError``, naming ``qualname``.
+        """
+        required = [name for name, default in self.arguments
+                    if default is REQUIRED]
+        keywords = [f"{name}=_defaults[{name!r}]"
+                    for name, default in self.arguments
+                    if default is not REQUIRED]
+        parameters = ", ".join(
+            ["self", *required, *(["*", *keywords] if keywords else [])]
+        )
+        values = ", ".join(f"{name!r}: {name}" for name, _ in self.arguments)
+        name = qualname.rpartition(".")[2]
+        namespace = {"_call": call, "_defaults": dict(self.arguments)}
+        exec(
+            f"def {name}({parameters}):\n"
+            f"    return _call(self, {{{values}}})\n",
+            namespace,
+        )
+        function = namespace[name]
+        function.__qualname__ = qualname
+        function.__doc__ = doc
+        return function
+
+    def _record_class(self) -> type:
+        title = "".join(part.title() for part in self.name.split("_"))
+        record = make_dataclass(f"{title}Request", [
+            (name, object, field(kw_only=True) if default is REQUIRED
+             else field(default=self.defaults[name], kw_only=True))
+            for name, default in self.fields
+        ], frozen=True)
+        record.__module__ = __name__
+        return record
+
     def parse(self, data: dict):
-        return globals()[f"parse_{self.wire}_request"](data)
+        """The record of a request of this kind whose envelope is
+        checked: each field parsed by its rule, absent ones defaulted,
+        then the post-parse step."""
+        fields = _fields(self, data, self.keys, "request", self.prefix)
+        if self.build is None:
+            return self.record(**fields)
+        return self.build(fields)
 
 
 _POINT_FIELDS = (
@@ -775,6 +754,8 @@ STUDY_KINDS: "dict[str, StudyKind]" = {kind.wire: kind for kind in (
         "one (design, workload, fab location) lifecycle report",
         _POINT_FIELDS + (("label", None), ("backend", None)),
         encoded=True,
+        # Its fields are named as a batch point's are: "request.<field>".
+        prefix="request.", record=EvaluateRequest, build=_wire_point,
     ),
     StudyKind(
         "batch", "batch", "points",
@@ -788,7 +769,7 @@ STUDY_KINDS: "dict[str, StudyKind]" = {kind.wire: kind for kind in (
         (("design", REQUIRED), ("integrations", None),
          ("fab_locations", None), ("workload", "av"), ("backend", None),
          ("stream", False)),
-        streams=True, cached=False, encoded=True,
+        streams=True, cached=False, encoded=True, build=_sweep_request,
     ),
     StudyKind(
         "montecarlo", "monte_carlo", "summary",
@@ -819,8 +800,10 @@ STUDY_KINDS: "dict[str, StudyKind]" = {kind.wire: kind for kind in (
     ),
 )}
 
-#: Route → kind, for the server.
-STUDY_ROUTES = {kind.route: kind for kind in STUDY_KINDS.values()}
+
+def route_kind(path: str) -> "StudyKind | None":
+    """The kind whose route is ``path`` (``/<wire>``), or None."""
+    return STUDY_KINDS.get(path[1:]) if path[:1] == "/" else None
 
 
 def streaming_kind(wire) -> StudyKind:
@@ -910,3 +893,23 @@ def parse_request(data, expected: "str | None" = None):
         data = decode_body(data)
     data = _require_mapping(data, "request")
     return STUDY_KINDS[_check_envelope(data, expected)].parse(data)
+
+
+def _route_parser(wire: str):
+    def parse(data):
+        return parse_request(data, wire)
+
+    parse.__name__ = parse.__qualname__ = f"parse_{wire}_request"
+    parse.__doc__ = (
+        f"Parse a {wire!r} request, as ``POST /{wire}`` does (see "
+        f":func:`parse_request`)."
+    )
+    return parse
+
+
+# Each kind's record class (``MonteCarloRequest``) and route parser
+# (``parse_montecarlo_request``), under their names in this module.
+for _kind in STUDY_KINDS.values():
+    globals()[_kind.record.__name__] = _kind.record
+    globals()[f"parse_{_kind.wire}_request"] = _route_parser(_kind.wire)
+del _kind

@@ -99,11 +99,19 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: (re-exported from the schema module, where the wire format lives).
 DEADLINE_HEADER = schema.DEADLINE_HEADER
 
-#: Every route: one POST per study kind, then the GET endpoints.
-ROUTES = tuple(schema.STUDY_ROUTES) + (
+#: The GET endpoints. The POST routes are the study kinds' own, read
+#: from the table per request (:func:`~repro.service.schema.route_kind`).
+GET_ROUTES = (
     "/healthz", "/healthz/live", "/healthz/ready", "/stats", "/metrics",
     "/usage",
 )
+
+
+def routes() -> "tuple[str, ...]":
+    """Every route: one POST per study kind, then the GET endpoints."""
+    return tuple(
+        kind.route for kind in schema.STUDY_KINDS.values()
+    ) + GET_ROUTES
 
 
 class AdmissionGate:
@@ -514,9 +522,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     # -- routes --------------------------------------------------------------
 
-    #: Routes that exist, for bounded-cardinality metric labels.
-    KNOWN_ROUTES = frozenset(ROUTES)
-
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         self._observe_request("GET", self._handle_get)
 
@@ -554,8 +559,11 @@ class ServiceHandler(BaseHTTPRequestHandler):
             # (socket errors mid-handler): the work still gets billed.
             self._flush_tenant(self._tenant_ctx, self._log_status)
         duration_s = time.perf_counter() - started
+        # Routes that exist only, for bounded-cardinality metric labels.
         route = (
-            self.path if self.path in self.KNOWN_ROUTES else "(unknown)"
+            self.path
+            if self.path in GET_ROUTES or schema.route_kind(self.path)
+            else "(unknown)"
         )
         server.request_hist.labels(method=method, route=route).observe(
             duration_s
@@ -714,7 +722,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             admitted = True
             deadline = self._deadline()
             body = self._read_body()
-            kind = schema.STUDY_ROUTES.get(self.path)
+            kind = schema.route_kind(self.path)
             if kind is None:
                 # A body that is not JSON is a 400 on any route.
                 schema.decode_body(body)
@@ -966,7 +974,7 @@ class CarbonService(ThreadingHTTPServer):
             "tenancy": self.tokens is not None,
             "max_inflight": self.gate.limit,
             "worker": self.worker_index,
-            "endpoints": list(ROUTES),
+            "endpoints": list(routes()),
         })
 
     def stats_dict(self) -> dict:

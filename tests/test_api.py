@@ -20,6 +20,7 @@ from repro.api import Result, ResultSet, Session, StudyError, StudySpec
 from repro.core.design import ChipDesign
 from repro.errors import ParameterError
 from repro.service import ServiceClient, ServiceError, make_server
+from repro.service.schema import SchemaError
 from repro.tenancy import ANONYMOUS_TENANT, USAGE_FIELDS
 
 
@@ -87,8 +88,10 @@ class TestStudySpec:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError, match="unknown study kind"):
             StudySpec(kind="voodoo")
-        with pytest.raises(ParameterError, match="unknown study payload"):
+        with pytest.raises(SchemaError, match="request \"type\" must be") \
+                as error:
             StudySpec.from_payload({"type": "voodoo"})
+        assert error.value.field == "type"
 
     def test_batch_points_accept_designs_records_and_specs(self):
         stacked = stacked_design()
@@ -104,18 +107,24 @@ class TestStudySpec:
             StudySpec.batch([])
 
     def test_default_backend_fills_only_unset(self):
+        from tests.test_study_signatures import Recorder
+
         stacked = stacked_design()
-        spec = StudySpec.evaluate(stacked).with_default_backend("act")
-        assert spec.backend == "act"
-        explicit = StudySpec.evaluate(stacked, backend="lca")
-        assert explicit.with_default_backend("act").backend == "lca"
-        batch = StudySpec.batch(
-            [stacked, StudySpec.evaluate(stacked, backend="lca")]
-        ).with_default_backend("act")
-        assert [point.get("backend") for point in batch.points] == \
-            ["act", "lca"]
+        recorder = Recorder()
+        session = Session(executor="service", client=recorder, backend="act")
+        session.evaluate(stacked)
+        session.evaluate(stacked, backend="lca")
+        session.batch([stacked, StudySpec.evaluate(stacked, backend="lca")])
         compare = StudySpec.compare(stacked)
-        assert compare.with_default_backend("act") is compare
+        session.run(compare)
+        evaluate, explicit, batch, sent = [
+            payload for _, payload in recorder.sent
+        ]
+        assert evaluate["backend"] == "act"
+        assert explicit["backend"] == "lca"
+        assert [point.get("backend") for point in batch["points"]] == \
+            ["act", "lca"]
+        assert sent == compare.to_payload()
 
 
 class TestLocalServiceParity:

@@ -97,6 +97,37 @@ class TestBondingTable:
         assert DEFAULT_BONDING_TABLE.get(record) is record
         assert (BondingMethod.C4, AssemblyFlow.NA) not in DEFAULT_BONDING_TABLE
 
+    KNOWN = (
+        "known: (c4,chip_first), (c4,chip_last), (c4,d2w), (c4,w2w), "
+        "(hybrid,d2w), (hybrid,w2w), (micro,d2w), (micro,w2w)"
+    )
+
+    @pytest.mark.parametrize("key, shown", [
+        ("x", "'x'"),
+        (("hybrid", "chip_first"), "(hybrid, chip_first)"),
+        (5, "5"),
+    ])
+    def test_a_key_of_no_process_is_absent_and_unknown(self, key, shown):
+        assert key not in DEFAULT_BONDING_TABLE
+        with pytest.raises(UnknownTechnologyError) as info:
+            DEFAULT_BONDING_TABLE.get(key)
+        assert str(info.value) == (
+            f"no bonding process for {shown}; {self.KNOWN}"
+        )
+
+    def test_a_none_method_key_is_absent(self):
+        for key in ((BondingMethod.NONE, AssemblyFlow.D2W), ("none", "w2w")):
+            assert key not in DEFAULT_BONDING_TABLE
+            with pytest.raises(ParameterError, match="BondingMethod.NONE"):
+                DEFAULT_BONDING_TABLE.get(key)
+
+    def test_value_spellings_find_the_process(self):
+        record = DEFAULT_BONDING_TABLE.get("hybrid", "d2w")
+        assert record is DEFAULT_BONDING_TABLE.get(
+            BondingMethod.HYBRID, AssemblyFlow.D2W
+        )
+        assert ("hybrid", "d2w") in DEFAULT_BONDING_TABLE
+
 
 class TestPackagingTable:
     def test_builtin_classes(self):

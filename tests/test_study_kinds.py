@@ -168,23 +168,48 @@ def test_parser_defaults_match_the_table():
         assert parse_request(minimal) == parse_request(spelled_out), kind.wire
 
 
-def test_parse_request_reaches_each_parser_by_name(monkeypatch):
-    """The tracer swaps module attributes; the table must see the swap."""
+def test_parse_request_sees_every_kind_on_every_path(monkeypatch, server):
+    """The tracer wraps ``schema.parse_request``; a request of any kind
+    reaches the wrapper on every path: raw bytes on the kind's route (a
+    remembered ``/evaluate`` body too), a dict through the kind's route
+    parser, the local executor and ``StudySpec.from_payload``."""
     import repro.service.schema as schema
 
+    original = schema.parse_request
     seen = []
-    for kind in STUDY_KINDS.values():
-        name = f"parse_{kind.wire}_request"
-        original = getattr(schema, name)
+    requests = []
 
-        def traced(data, _original=original, _wire=kind.wire):
-            seen.append(_wire)
-            return _original(data)
+    def traced(data, expected=None):
+        request = original(data, expected)
+        seen.append((type(data).__name__, expected))
+        requests.append(request)
+        return request
 
-        monkeypatch.setattr(schema, name, traced)
+    monkeypatch.setattr(schema, "parse_request", traced)
+    wires = list(STUDY_KINDS)
+
+    client = ServiceClient(server.url)
     for kind in STUDY_KINDS.values():
-        schema.parse_request(minimal_payload(kind))
-    assert seen == list(STUDY_KINDS)
+        client.submit_payload(small_payload(kind))
+    client.submit_payload(small_payload(STUDY_KINDS["evaluate"]))
+    assert seen == [("bytes", wire) for wire in wires + ["evaluate"]]
+    # The repeated body is answered by the remembered parse.
+    assert requests[-1] is requests[wires.index("evaluate")]
+    assert schema.remembered(requests[-1])
+
+    paths = {
+        "route parser": lambda payload: getattr(
+            schema, f"parse_{payload['type']}_request"
+        )(payload),
+        "local executor": LocalExecutor(Dispatcher()).run,
+        "from_payload": StudySpec.from_payload,
+    }
+    for path, run in paths.items():
+        seen.clear()
+        for kind in STUDY_KINDS.values():
+            run(small_payload(kind))
+        expected = wires if path == "route parser" else [None] * len(wires)
+        assert seen == [("dict", wire) for wire in expected], path
 
 
 # -- generated specs round-trip ----------------------------------------------

@@ -1,0 +1,91 @@
+"""Call-count probe: how many Python and C calls two fixed workloads make.
+
+Run from anywhere, with no arguments::
+
+    python tools/calls.py
+
+Counts are taken with ``sys.setprofile`` (a ``call`` event is a Python
+call, a ``c_call`` event a call into C), so they do not depend on the
+speed of the machine: two runs of one revision print equal counts, and
+two revisions compare by their counts. The workloads:
+
+* ``cold_batch`` — the first 32-point batch of perfbench's
+  ``ColdStream(1, 0)``, sent as the server receives it: the JSON body
+  through ``schema.parse_request``, ``Dispatcher.run("batch",
+  encoded=True)`` on a dispatcher with an in-memory store, and
+  ``dumps_envelope``;
+* ``memo_hit`` — ``BatchEvaluator.evaluate`` of the 2D DRIVE ORIN
+  design, after one evaluation of the same point filled the memo.
+
+Imports and set-up run before counting starts. Only the standard
+library is used; perfbench's inputs are read, never changed.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench.inputs import ColdStream  # noqa: E402
+from repro.engine import BatchEvaluator, EvalPoint  # noqa: E402
+from repro.service import schema  # noqa: E402
+from repro.service.dispatcher import Dispatcher  # noqa: E402
+from repro.service.store import ResultStore  # noqa: E402
+from repro.studies.drive import drive_2d_design  # noqa: E402
+
+
+def count(work) -> "dict[str, int]":
+    """Python and C calls ``work()`` makes (the probe's own excluded)."""
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    # The profiler sees the call of ``work`` and of ``setprofile(None)``.
+    return {"python": counts["call"] - 1, "c": counts["c_call"] - 1}
+
+
+def cold_batch() -> "dict[str, int]":
+    points, _ = ColdStream(1, 0).batch()
+    body = json.dumps(
+        {"schema": schema.SCHEMA_VERSION, "type": "batch", "points": points}
+    ).encode("utf-8")
+    dispatcher = Dispatcher(store=ResultStore())
+
+    def work():
+        request = schema.parse_request(body, "batch")
+        result, _ = dispatcher.run("batch", request, encoded=True)
+        schema.dumps_envelope(schema.ok_envelope(result))
+
+    try:
+        return count(work)
+    finally:
+        dispatcher.store.close()
+
+
+def memo_hit() -> "dict[str, int]":
+    evaluator = BatchEvaluator()
+    point = EvalPoint(drive_2d_design("ORIN"))
+    evaluator.evaluate(point)
+    return count(lambda: evaluator.evaluate(point))
+
+
+def main() -> int:
+    for name, probe in (("cold_batch", cold_batch), ("memo_hit", memo_hit)):
+        counts = probe()
+        print(f"{name:<12} python {counts['python']:>7,}  c {counts['c']:>7,}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
