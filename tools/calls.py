@@ -1,4 +1,4 @@
-"""Call-count probe: how many Python and C calls two fixed workloads make.
+"""Call-count probe: how many Python and C calls three fixed workloads make.
 
 Run from anywhere, with no arguments::
 
@@ -15,7 +15,10 @@ two revisions compare by their counts. The workloads:
   encoded=True)`` on a dispatcher with an in-memory store, and
   ``dumps_envelope``;
 * ``memo_hit`` — ``BatchEvaluator.evaluate`` of the 2D DRIVE ORIN
-  design, after one evaluation of the same point filled the memo.
+  design, after one evaluation of the same point filled the memo;
+* ``backend_hit`` — ``BatchEvaluator.backend_report`` of the DRIVE ORIN
+  design split over EMIB, through the ``act`` backend, after one report
+  of the same point filled the memo (an explicit backend's path).
 
 Imports and set-up run before counting starts. Only the standard
 library is used; perfbench's inputs are read, never changed.
@@ -31,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.inputs import ColdStream  # noqa: E402
+from repro.core.design import ChipDesign  # noqa: E402
 from repro.engine import BatchEvaluator, EvalPoint  # noqa: E402
 from repro.service import schema  # noqa: E402
 from repro.service.dispatcher import Dispatcher  # noqa: E402
@@ -80,8 +84,22 @@ def memo_hit() -> "dict[str, int]":
     return count(lambda: evaluator.evaluate(point))
 
 
+def backend_hit() -> "dict[str, int]":
+    evaluator = BatchEvaluator()
+    design = ChipDesign.homogeneous_split(drive_2d_design("ORIN"), "emib")
+    evaluator.backend_report(design, "act")
+    return count(lambda: evaluator.backend_report(design, "act"))
+
+
+PROBES = (
+    ("cold_batch", cold_batch),
+    ("memo_hit", memo_hit),
+    ("backend_hit", backend_hit),
+)
+
+
 def main() -> int:
-    for name, probe in (("cold_batch", cold_batch), ("memo_hit", memo_hit)):
+    for name, probe in PROBES:
         counts = probe()
         print(f"{name:<12} python {counts['python']:>7,}  c {counts['c']:>7,}")
     return 0
