@@ -2,9 +2,9 @@
 
 The paper's Sec. 4 validates 3D-Carbon against ACT-style models, GaBi
 LCA reports and a first-order estimate. Every one of those models is a
-registered ``CarbonBackend`` sharing one explicit stage pipeline, so the
-whole comparison is a single batched engine call — the design resolves
-once and each model prices the same resolution.
+registered ``CarbonBackend``: one ``price`` over the design's shared
+resolution, so the whole comparison is a single batched engine call —
+the design resolves once and each model prices the same resolution.
 
 Run with::
 
@@ -27,7 +27,7 @@ def main() -> None:
     for name in backend_names():
         backend = get_backend(name)
         print(f"  {name:<12} {backend.label:<12} "
-              f"stages: {' -> '.join(backend.stage_names())}")
+              f"stages: {' -> '.join(backend.stages)}")
 
     # 2. The paper's EPYC comparison (Fig. 4a) in one batched call.
     print()

@@ -12,8 +12,9 @@ paper's structure:
   :class:`LifecycleReport` (Eq. 1/3/16, Sec. 3.4);
 * decisions — :func:`decision_metrics` (Eq. 2, Table 5);
 * baselines — :mod:`repro.baselines` (ACT, ACT+, LCA, first-order);
-* backends — :mod:`repro.pipeline`: the explicit stage pipeline and the
-  :class:`~repro.pipeline.CarbonBackend` registry (:func:`get_backend`,
+* backends — :mod:`repro.pipeline`: the
+  :class:`~repro.pipeline.CarbonBackend` protocol (one ``price`` over a
+  shared design resolution) and its registry (:func:`get_backend`,
   :func:`backend_names`, :func:`register_backend`) putting 3D-Carbon and
   every baseline behind one evaluation path;
 * case studies — :mod:`repro.studies` (EPYC/Lakefield validation, NVIDIA

@@ -117,7 +117,3 @@ class LRUCache:
 
     def keys(self):
         return self._data.keys()
-
-    def clear(self) -> None:
-        self._data.clear()
-        self.evictions = 0

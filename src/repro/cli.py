@@ -593,7 +593,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
             "name": name,
             "label": backend.label,
             "operational": backend.models_operational,
-            "stages": [stage.name for stage in backend.stages],
+            "stages": list(backend.stages),
             "factors": len(factor_set),
             "factor_set": factor_set.name,
             "factor_set_digest": factor_set.digest(),

@@ -7,14 +7,12 @@ behind one object::
     model = CarbonModel(design, fab_location="taiwan")
     report = model.evaluate(Workload.autonomous_vehicle())
 
-Since the pipeline refactor the model is a thin scalar driver over the
-``repro3d`` :class:`repro.pipeline.backends.Repro3DBackend`: every part
-accessor (:meth:`resolved`, :meth:`embodied`, :meth:`bandwidth`,
-:meth:`operational`) runs the corresponding explicit pipeline stage, and
-an instance memo keyed on the stage fingerprints preserves the old
-caching behaviour — resolution happens once, Eq. 16 once per distinct
-workload — while guaranteeing the exact stage functions (and therefore
-bit-identical numbers) of every other consumer of the backend protocol.
+The model calls the same four stage functions as the ``repro3d``
+:class:`repro.pipeline.backends.Repro3DBackend` and the batch engine, so
+the three agree bit for bit. Its design, parameters and fab location are
+fixed at construction: it resolves the design, prices embodied carbon
+and checks bandwidth once each, and prices Eq. 16 once per distinct
+workload.
 
 For whole *studies* (sweeps, Monte-Carlo, search) use
 :class:`repro.engine.BatchEvaluator`, which additionally shares work
@@ -24,19 +22,18 @@ across designs and parameter sets.
 from __future__ import annotations
 
 from ..config.parameters import DEFAULT_PARAMETERS, ParameterSet
-from ..pipeline.backends import Repro3DBackend
-from ..pipeline.stage import EvalContext, PipelineRun
-from .bandwidth import BandwidthResult
+from .bandwidth import BandwidthResult, evaluate_bandwidth
 from .design import ChipDesign
-from .embodied import EmbodiedReport
+from .embodied import EmbodiedReport, embodied_carbon
 from .operational import (
     OperationalReport,
     SuiteOperationalReport,
     Workload,
     WorkloadSuite,
+    operational_carbon,
 )
 from .report import LifecycleReport
-from .resolve import ResolvedDesign
+from .resolve import ResolvedDesign, resolve_design
 
 
 class CarbonModel:
@@ -54,50 +51,56 @@ class CarbonModel:
         self.fab_location = fab_location
         self.efficiency_plugin = efficiency_plugin
         self._fab_grid = self.params.grid(fab_location)
-        self.backend = Repro3DBackend(efficiency_plugin=efficiency_plugin)
-        #: Stage memo shared by every run of this model — keyed on the
-        #: stage fingerprints, so ``evaluate(w)`` after ``embodied()``
-        #: reuses the resolution and an ``operational_suite`` sharing
-        #: workloads with earlier calls computes Eq. 16 once each.
-        self._memo: dict = {}
+        self._resolved: "ResolvedDesign | None" = None
+        self._embodied: "EmbodiedReport | None" = None
+        self._bandwidth: "BandwidthResult | None" = None
+        #: Eq. 16 per workload value, so ``evaluate(w)`` after
+        #: ``operational(w)`` (or a suite sharing workloads with earlier
+        #: calls) prices each workload once.
+        self._operational: "dict[Workload, OperationalReport]" = {}
 
     @property
     def fab_ci_kg_per_kwh(self) -> float:
         """CI_emb — the manufacturing grid's carbon intensity."""
         return self._fab_grid.kg_co2_per_kwh
 
-    def _run(self, workload: Workload | None) -> PipelineRun:
-        ctx = EvalContext(
-            design=self.design,
-            params=self.params,
-            fab_location=self.fab_location,
-            ci_fab=self.fab_ci_kg_per_kwh,
-            workload=workload,
-        )
-        return PipelineRun(self.backend, ctx, memo=self._memo)
-
     def resolved(self) -> ResolvedDesign:
         """The design with all derived quantities (cached)."""
-        return self._run(None).output("resolve")
+        if self._resolved is None:
+            self._resolved = resolve_design(self.design, self.params)
+        return self._resolved
 
     def embodied(self) -> EmbodiedReport:
         """Eq. 3 embodied breakdown (cached)."""
-        return self._run(None).output("embodied")
+        if self._embodied is None:
+            self._embodied = embodied_carbon(
+                self.resolved(), self.params, self.fab_ci_kg_per_kwh
+            )
+        return self._embodied
 
     def bandwidth(self) -> BandwidthResult:
         """Sec. 3.4 bandwidth check (cached)."""
-        return self._run(None).output("bandwidth")
+        if self._bandwidth is None:
+            self._bandwidth = evaluate_bandwidth(self.resolved(), self.params)
+        return self._bandwidth
 
     def operational(self, workload: Workload) -> OperationalReport:
         """Eq. 16 operational carbon under ``workload`` (cached per workload)."""
-        return self._run(workload).output("operational")
+        report = self._operational.get(workload)
+        if report is None:
+            report = operational_carbon(
+                self.resolved(), self.params, workload, self.bandwidth(),
+                self.efficiency_plugin,
+            )
+            self._operational[workload] = report
+        return report
 
     def operational_suite(self, suite: WorkloadSuite) -> SuiteOperationalReport:
         """Eq. 16's Σ_k over a multi-application suite.
 
-        Routed through the stage memo, so a suite sharing workloads with
-        earlier ``operational()``/``evaluate()`` calls does not recompute
-        them.
+        Each workload goes through :meth:`operational`, so a suite sharing
+        workloads with earlier ``operational()``/``evaluate()`` calls does
+        not recompute them.
         """
         return SuiteOperationalReport(
             design_name=self.design.name,
@@ -110,7 +113,15 @@ class CarbonModel:
 
     def evaluate(self, workload: Workload | None = None) -> LifecycleReport:
         """Full lifecycle report; operational only when a workload is given."""
-        return self._run(workload).result()
+        return LifecycleReport(
+            design_name=self.design.name,
+            integration=self.resolved().spec.name,
+            embodied=self.embodied(),
+            bandwidth=self.bandwidth(),
+            operational=(
+                None if workload is None else self.operational(workload)
+            ),
+        )
 
 
 def evaluate_design(

@@ -173,18 +173,6 @@ class ResolveCache:
         #: present).
         self.die_fast = LRUCache(self.policy)
 
-    @property
-    def limit(self) -> int:
-        return self.policy.max_entries
-
-    def clear(self) -> None:
-        self.die_structure.clear()
-        self.floorplans.clear()
-        self.hits = 0
-        self.misses = 0
-        self.last_validation = None
-        self.die_fast.clear()
-
 
 def _resolve_die(
     die: Die,

@@ -28,10 +28,10 @@ points cannot distinguish:
   a totals block reuses a cached embodied report and otherwise sums the
   embodied components without records or storing them;
 * every other registered :class:`repro.pipeline.CarbonBackend` (the
-  Sec. 4 baselines) runs its own stage pipeline with the resolve stage
-  seeded from the shared resolve memo (its later stages are not
-  memoized) — pass ``backend=`` (or set it on an :class:`EvalPoint`)
-  to get a uniform :class:`~repro.pipeline.backends.BackendReport`;
+  Sec. 4 baselines) prices the point's resolution from the shared
+  resolve memo through its ``price`` (not memoized) — pass ``backend=``
+  (or set it on an :class:`EvalPoint`) to get a uniform
+  :class:`~repro.pipeline.backends.BackendReport`;
 * every entry point evaluates serially on the caller's thread; the
   memo layers are thread-safe, so one evaluator may be shared by
   concurrent callers (the threaded server's request threads do);
@@ -73,7 +73,7 @@ from ..resilience.faults import resolve_injector
 from ..pipeline import fingerprint as fp
 from ..pipeline.backends import BackendReport, Repro3DBackend
 from ..pipeline.registry import resolve_backend
-from ..pipeline.stage import EvalContext, PipelineRun
+from ..pipeline.stage import EvalContext
 
 
 @dataclass(frozen=True)
@@ -217,9 +217,9 @@ class _Block:
     columns here (design, parameter set, resolve key, fab carbon
     intensity, workload) and fills its own result column. ``errors[i]``
     is point ``i``'s first failure; no later stage prices that point.
-    The resolve stage prices the points in ``resolving``, every later
-    stage those in ``priced`` (an explicit backend's point only has its
-    resolution seeded from the memo). With a point deadline,
+    The resolve stage prices every point, every later stage those in
+    ``priced`` (an explicit backend prices its point's resolution
+    itself). With a point deadline,
     ``spent[i]`` sums the time point ``i``'s own stage work took.
     A ``transient`` block stores no resolve, embodied or bandwidth
     result; a ``totals`` block prices embodied totals without records.
@@ -227,12 +227,12 @@ class _Block:
 
     __slots__ = (
         "designs", "params", "rkeys", "cis", "workloads", "errors",
-        "priced", "resolving", "spent", "transient", "totals",
+        "priced", "spent", "transient", "totals",
         "resolved", "bandwidth", "operational", "embodied",
     )
 
     def __init__(self, designs, params, rkeys, cis, workloads,
-                 errors=None, priced=None, resolving=None, spent=None,
+                 errors=None, priced=None, spent=None,
                  transient=False, totals=False) -> None:
         n = len(designs)
         self.designs = designs
@@ -242,7 +242,6 @@ class _Block:
         self.workloads = workloads
         self.errors = [None] * n if errors is None else errors
         self.priced = range(n) if priced is None else priced
-        self.resolving = self.priced if resolving is None else resolving
         self.spent = spent
         self.transient = transient
         self.totals = totals
@@ -367,16 +366,6 @@ class BatchEvaluator:
             stats.structure_misses = self.resolve_cache.misses
         return stats
 
-    def clear(self) -> None:
-        """Drop every memoized result (stats reset too)."""
-        if self.resolve_cache is not None:
-            self.resolve_cache.clear()
-        self._caches = _Caches(self._layer)
-        self._book = self._counts()
-        self._tally = self._book.tally
-        self._ci_cache.clear()
-        self._statics.clear()
-
     def _layer(self) -> LRUCache:
         """One memo layer under this evaluator's eviction policy."""
         return LRUCache(self.eviction_policy)
@@ -443,10 +432,6 @@ class BatchEvaluator:
             self.efficiency_plugin,
         )
 
-    def _fingerprint(self, rkey, design: ChipDesign, params: ParameterSet):
-        """The resolve fingerprint a backend's own stage keys build on."""
-        return rkey
-
     # -- the stages: each one call over a block of points --------------------
     #
     # A stage call looks each of its points up in its memo layer and
@@ -482,17 +467,15 @@ class BatchEvaluator:
 
     def _resolved(self, block: _Block) -> None:
         """Resolve stage (Eqs. 7–10 and 15, Table 3) → ``block.resolved``."""
-        todo = block.resolving
-        if not todo:
-            return
         errors, rkeys = block.errors, block.rkeys
+        if not rkeys:
+            return
         layer, out = self._caches.resolved, block.resolved
         hits = misses = 0
         with obs_trace.span("stage.resolve") as span:
-            for i in todo:
+            for i, rkey in enumerate(rkeys):
                 if errors[i] is not None:
                     continue
-                rkey = rkeys[i]
                 cached = layer.get(rkey)
                 if cached is not None:
                     hits += 1
@@ -672,7 +655,7 @@ class BatchEvaluator:
         Each point's keys and fab carbon intensity are looked up first;
         then each stage runs once over the block (resolve, bandwidth,
         operational, embodied); then each point's report is built (an
-        explicit backend's pipeline runs with its resolution seeded). A
+        explicit backend prices the point's resolution). A
         point that fails is skipped by every later step, and once every
         point is priced, the lowest-index failure is raised: the error
         pricing the points one at a time would raise. ``checked`` fires
@@ -686,7 +669,7 @@ class BatchEvaluator:
         spent = None if budget is None else [0.0] * n
         hook = checked and self.faults.active
         # index → (backend, fab location) of each point an explicit
-        # backend prices through its own pipeline.
+        # backend prices.
         explicit: "dict[int, tuple]" = {}
         for i, point in enumerate(points):
             design = point.design
@@ -713,24 +696,16 @@ class BatchEvaluator:
                         and backend.efficiency_plugin is self.efficiency_plugin
                     ):
                         explicit[i] = (backend, location)
-                        cis[i] = self._ci(params, location)
-                        if backend.has_stage("resolve"):
-                            rkeys[i] = self._rkey(design, params)
-                        continue
                 rkeys[i] = self._rkey(design, params)
                 cis[i] = self._ci(params, location)
             except Exception as error:
                 errors[i] = error
-        priced = resolving = range(n)
+        priced = range(n)
         if explicit:
             priced = [i for i in priced if i not in explicit]
-            resolving = [
-                i for i in resolving
-                if i not in explicit or rkeys[i] is not None
-            ]
         block = _Block(
             designs, param_sets, rkeys, cis, workloads, errors, priced,
-            resolving, spent, transient,
+            spent, transient,
         )
         self._resolved(block)
         self._bandwidth(block)
@@ -778,23 +753,17 @@ class BatchEvaluator:
 
     def _backend_summary(self, block: _Block, i: int, backend,
                          location) -> BackendReport:
-        """Point ``i`` through ``backend``'s own stage pipeline, its
-        resolve stage seeded from the block's resolution."""
-        design, params = block.designs[i], block.params[i]
-        run = PipelineRun(backend, EvalContext(
-            design=design,
-            params=params,
+        """Point ``i`` priced by ``backend`` over the block's resolution,
+        under one ``stage.<backend name>`` span."""
+        ctx = EvalContext(
+            design=block.designs[i],
+            params=block.params[i],
             fab_location=location,
             ci_fab=block.cis[i],
             workload=block.workloads[i],
-        ))
-        rkey = block.rkeys[i]
-        if rkey is not None:
-            run.seed(
-                "resolve", self._fingerprint(rkey, design, params),
-                block.resolved[i],
-            )
-        return run.summary()
+        )
+        with obs_trace.span(f"stage.{backend.name}", backend=backend.name):
+            return backend.price(ctx, block.resolved[i])
 
     # -- single-point access -------------------------------------------------
 
@@ -924,17 +893,16 @@ class BatchEvaluator:
         ``backend`` is a registry name or a :class:`~repro.pipeline.
         CarbonBackend` instance (``None`` → ``repro3d``). The default
         3D-Carbon backend takes the engine's specialized memo path; every
-        other backend runs its explicit stage pipeline with the resolve
-        stage seeded from the shared resolve memo; its later stages run
-        unmemoized. Results are bit-identical to the backend's direct
-        ``evaluate`` (same stage functions, same inputs).
+        other backend prices the resolution from the shared resolve memo
+        through its ``price``, unmemoized. Results are bit-identical to
+        the backend's direct ``evaluate`` (same functions, same inputs).
         """
         # ``None`` means "the engine's own 3D-Carbon path" — including
         # this evaluator's efficiency plugin, matching ``report()`` and
         # ``EvalPoint(backend=None)``. An *explicit* backend (name or
         # instance) must stay bit-identical to that backend's direct
         # ``evaluate()``, so its fast path requires the plugins to
-        # actually match; otherwise its own pipeline runs with its own
+        # actually match; otherwise its own ``price`` runs with its own
         # plugin (None for the registered ``repro3d``).
         if backend is None:
             return Repro3DBackend.wrap_report(self.report(
@@ -978,18 +946,6 @@ class BatchEvaluator:
             design, backend, params=params, fab_location=fab_location,
             workload=workload, transient=transient,
         ).total_kg
-
-    def evaluate_grid(self, grid):
-        """Price a :class:`~repro.vec.DesignGrid` → columnar
-        :class:`~repro.vec.GridResult` through the vectorized core.
-
-        Shape-group planning plus columnar math over the wafer-diameter
-        and fab-CI axes, sharing this engine's memos; bit-identical to
-        the scalar pipeline (see :mod:`repro.vec`).
-        """
-        from ..vec.evaluate import evaluate_grid
-
-        return evaluate_grid(grid, evaluator=self)
 
     def evaluate(self, point: EvalPoint):
         """Evaluate one :class:`EvalPoint`: a block of one.
@@ -1080,6 +1036,3 @@ class _RequestPass(BatchEvaluator):
         # before the stage runs, as on the long-lived path.
         self._ci(params, workload.use_location)
         return (rkey, workload)
-
-    def _fingerprint(self, rkey, design, params):
-        return fp.resolve_key(design, params)

@@ -1,24 +1,24 @@
-"""Explicit stage pipeline + the unified carbon-backend protocol.
+"""The unified carbon-backend protocol.
 
-The package turns the implicit resolve → embodied → bandwidth →
-operational flow into first-class objects:
+Every carbon model the paper compares prices one shared design
+resolution:
 
-* :mod:`repro.pipeline.stage` — :class:`Stage` (a pure, picklable step),
-  :class:`EvalContext` (one evaluation point) and :class:`PipelineRun`
-  (lazy, memoizable execution with per-stage fingerprints);
+* :mod:`repro.pipeline.stage` — :class:`EvalContext`, one evaluation
+  point's inputs (design, parameters, fab location and its carbon
+  intensity, workload);
 * :mod:`repro.pipeline.fingerprint` — the exact value fingerprints every
-  memo layer (engine caches, service store) keys stages on;
+  memo layer (engine caches, service store) keys on;
 * :mod:`repro.pipeline.backends` — :class:`CarbonBackend`
   implementations: 3D-Carbon itself (``repro3d``) and the Sec. 4
-  baselines (``act``, ``act_plus``, ``lca``, ``first_order``), all
-  sharing the resolution stage and summarized into a uniform
-  :class:`BackendReport`;
+  baselines (``act``, ``act_plus``, ``lca``, ``first_order``). A backend
+  is one ``price(ctx, resolved)`` over the resolution the caller made,
+  returning a uniform :class:`BackendReport`;
 * :mod:`repro.pipeline.registry` — the process-wide name → backend table
   the engine, CLI and service all consult.
 
 Every layer above (engine batching, service store keys, `carbon3d
 compare`, the validation studies) routes through this protocol, so a new
-carbon model plugs in by registering one backend.
+carbon model plugs in by registering one backend class.
 """
 
 from .backends import (
@@ -37,7 +37,7 @@ from .registry import (
     register_backend,
     resolve_backend,
 )
-from .stage import EvalContext, PipelineRun, Stage, StageError
+from .stage import EvalContext
 
 __all__ = [
     "ActBackend",
@@ -48,10 +48,7 @@ __all__ = [
     "EvalContext",
     "FirstOrderBackend",
     "LcaBackend",
-    "PipelineRun",
     "Repro3DBackend",
-    "Stage",
-    "StageError",
     "backend_names",
     "get_backend",
     "register_backend",

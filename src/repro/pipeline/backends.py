@@ -3,19 +3,15 @@
 The paper's headline result is a *comparison* — 3D-Carbon against
 ACT-style 2D models, their multi-die ACT+ extension, GaBi-style LCA
 reports and a first-order per-area estimate. This module expresses each
-of those models as a :class:`CarbonBackend`: an explicit pipeline of
-pure stages (see :mod:`repro.pipeline.stage`) that share the design
-**resolution** stage (so gate-count designs are comparable across
-models) and then diverge into their own carbon accounting.
+of those models as a :class:`CarbonBackend`: one :meth:`~CarbonBackend.
+price` over the design's shared **resolution** (so gate-count designs
+are comparable across models), which then diverges into the model's own
+carbon accounting.
 
 Every backend produces a uniform :class:`BackendReport`; the underlying
 native result (``LifecycleReport``, ``ActEstimate``, ...) rides along as
 ``detail``, bit-identical to what the baseline's direct module API
 returns for the same inputs — the parity tests pin this.
-
-Stage functions live at module level and take only picklable values, so
-the engine can memoize them on fingerprints and the service store can
-persist their composition across processes.
 """
 
 from __future__ import annotations
@@ -23,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..baselines.act import ActEstimate, act_estimate
-from ..baselines.act_plus import ActPlusEstimate, act_plus_estimate
-from ..baselines.first_order import FirstOrderEstimate, first_order_estimate
-from ..baselines.lca import GABI_FINEST_NODE, LcaEstimate, lca_estimate
+from ..baselines.act import act_estimate
+from ..baselines.act_plus import act_plus_estimate
+from ..baselines.first_order import first_order_estimate
+from ..baselines.lca import GABI_FINEST_NODE, lca_estimate
 from ..config.parameters import ParameterSet
 from ..core.bandwidth import evaluate_bandwidth
 from ..errors import BackendError
@@ -42,7 +38,7 @@ from ..core.operational import operational_carbon
 from ..core.report import LifecycleReport
 from ..core.resolve import ResolvedDesign, resolve_design
 from . import fingerprint as fp
-from .stage import EvalContext, PipelineRun, Stage, StageError
+from .stage import EvalContext
 
 
 @dataclass(frozen=True)
@@ -89,12 +85,13 @@ class BackendReport:
 
 
 class CarbonBackend:
-    """Protocol base: a named, introspectable pipeline of pure stages.
+    """Protocol base: a named carbon model priced over a shared resolution.
 
-    Subclasses define ``name``, ``label``, ``stages`` and the three
-    composition hooks (:meth:`stage_key`, :meth:`stage_args`,
-    :meth:`assemble`); everything else — lazy execution, memo seams,
-    uniform summaries, store fingerprints — is shared.
+    A subclass defines ``name``, ``label``, ``stages`` and :meth:`price`.
+    The caller resolves the design (Eqs. 7–10 and 15, Table 3) and hands
+    the resolution to ``price``, so an engine comparing several backends
+    resolves each design once. Factor sets, model multipliers and store
+    fingerprints have shared defaults.
     """
 
     #: Registry id (``"repro3d"``, ``"act"``, ...).
@@ -103,56 +100,13 @@ class CarbonBackend:
     label: str = ""
     #: Whether the backend models use-phase (operational) carbon.
     models_operational: bool = False
-    #: The ordered stage pipeline.
-    stages: "tuple[Stage, ...]" = ()
+    #: The names of the steps the backend takes, resolution first (what
+    #: ``carbon3d backends`` prints).
+    stages: "tuple[str, ...]" = ()
 
-    # -- introspection --------------------------------------------------------
-
-    def _stage_map(self) -> "dict[str, Stage]":
-        """Name → stage lookup, built lazily once per instance.
-
-        ``stage()`` sits in the engine's per-draw hot loop, so linear
-        scans (or rebuilding the tuple) per call would be pure waste.
-        """
-        stage_map = self.__dict__.get("_stages_by_name")
-        if stage_map is None:
-            stage_map = {stage.name: stage for stage in self.stages}
-            self.__dict__["_stages_by_name"] = stage_map
-        return stage_map
-
-    def stage(self, name: str) -> Stage:
-        stage = self._stage_map().get(name)
-        if stage is None:
-            raise StageError(
-                f"backend {self.name!r} has no stage {name!r} "
-                f"(stages: {', '.join(s.name for s in self.stages)})"
-            )
-        return stage
-
-    def has_stage(self, name: str) -> bool:
-        return name in self._stage_map()
-
-    def stage_names(self) -> "tuple[str, ...]":
-        return tuple(stage.name for stage in self.stages)
-
-    # -- composition hooks ----------------------------------------------------
-
-    def stage_key(self, stage: Stage, ctx: EvalContext, keys: dict,
-                  outputs: dict):
-        """The value fingerprint ``stage`` is memoized under."""
-        raise NotImplementedError
-
-    def stage_args(self, stage: Stage, ctx: EvalContext,
-                   outputs: dict) -> tuple:
-        """The concrete (picklable) argument tuple for ``stage.fn``."""
-        raise NotImplementedError
-
-    def assemble(self, ctx: EvalContext, outputs: dict):
-        """The backend's native result from the finished stage outputs."""
-        raise NotImplementedError
-
-    def summarize(self, ctx: EvalContext, outputs: dict) -> BackendReport:
-        """The uniform report; default wraps :meth:`assemble`."""
+    def price(self, ctx: EvalContext,
+              resolved: ResolvedDesign) -> BackendReport:
+        """The uniform report of ``ctx`` priced over its resolution."""
         raise NotImplementedError
 
     # -- uncertainty hooks ----------------------------------------------------
@@ -196,9 +150,6 @@ class CarbonBackend:
 
     # -- evaluation -----------------------------------------------------------
 
-    def run(self, ctx: EvalContext, memo=None) -> PipelineRun:
-        return PipelineRun(self, ctx, memo=memo)
-
     def evaluate(
         self,
         design,
@@ -208,7 +159,7 @@ class CarbonBackend:
     ) -> BackendReport:
         """One-shot, engine-less evaluation (the parity-test reference)."""
         ctx = EvalContext.build(design, params, fab_location, workload)
-        return self.run(ctx).summary()
+        return self.price(ctx, resolve_design(design, ctx.params))
 
     def store_fingerprint(self, ctx: EvalContext) -> tuple:
         """The value tuple the service store keys this backend's results on.
@@ -224,84 +175,37 @@ class CarbonBackend:
 # -- the 3D-Carbon backend ----------------------------------------------------
 
 
-def repro3d_operational(resolved: ResolvedDesign, params: ParameterSet,
-                        workload, bandwidth, efficiency_plugin=None):
-    """Eq. 16 stage: ``None`` when no workload is attached."""
-    if workload is None:
-        return None
-    return operational_carbon(
-        resolved, params, workload, bandwidth, efficiency_plugin
-    )
-
-
 class Repro3DBackend(CarbonBackend):
     """The paper's own model — the full Fig. 3 pipeline.
 
-    The stage functions are exactly the ones :class:`repro.core.model.
-    CarbonModel` and the batch engine have always called; the backend
-    only names the seams between them.
+    ``price`` calls exactly the stage functions :class:`repro.core.model.
+    CarbonModel` and the batch engine call, in the same order.
     """
 
     name = "repro3d"
     label = "3D-Carbon"
     models_operational = True
-    stages = (
-        Stage("resolve", resolve_design),
-        Stage("embodied", embodied_carbon, uses=("resolve",)),
-        Stage("bandwidth", evaluate_bandwidth, uses=("resolve",)),
-        Stage("operational", repro3d_operational,
-              uses=("resolve", "bandwidth")),
-    )
+    stages = ("resolve", "embodied", "bandwidth", "operational")
 
     def __init__(self, efficiency_plugin=None) -> None:
         self.efficiency_plugin = efficiency_plugin
 
-    def stage_key(self, stage, ctx, keys, outputs):
-        if stage.name == "resolve":
-            return fp.resolve_key(ctx.design, ctx.params)
-        rkey = keys["resolve"]
-        if stage.name == "embodied":
-            return fp.embodied_key(rkey, ctx.design, ctx.params, ctx.ci_fab)
-        if stage.name == "bandwidth":
-            return fp.bandwidth_key(rkey, ctx.params)
-        if stage.name == "operational":
-            if ctx.workload is None:
-                return (rkey, None)
-            spec = rkey.value[0].value[1]
-            use_ci = ctx.params.grid(
-                ctx.workload.use_location
-            ).kg_co2_per_kwh
-            return fp.operational_key(
-                rkey, fp.operational_prefix(ctx.design, spec), spec,
-                ctx.params, ctx.workload, use_ci, outputs["bandwidth"],
+    def price(self, ctx, resolved) -> BackendReport:
+        embodied = embodied_carbon(resolved, ctx.params, ctx.ci_fab)
+        bandwidth = evaluate_bandwidth(resolved, ctx.params)
+        operational = None
+        if ctx.workload is not None:
+            operational = operational_carbon(
+                resolved, ctx.params, ctx.workload, bandwidth,
                 self.efficiency_plugin,
             )
-        raise StageError(f"unknown repro3d stage {stage.name!r}")
-
-    def stage_args(self, stage, ctx, outputs):
-        if stage.name == "resolve":
-            return (ctx.design, ctx.params)
-        resolved = outputs["resolve"]
-        if stage.name == "embodied":
-            return (resolved, ctx.params, ctx.ci_fab)
-        if stage.name == "bandwidth":
-            return (resolved, ctx.params)
-        if stage.name == "operational":
-            return (resolved, ctx.params, ctx.workload,
-                    outputs["bandwidth"], self.efficiency_plugin)
-        raise StageError(f"unknown repro3d stage {stage.name!r}")
-
-    def assemble(self, ctx, outputs) -> LifecycleReport:
-        return LifecycleReport(
+        return self.wrap_report(LifecycleReport(
             design_name=ctx.design.name,
-            integration=outputs["resolve"].spec.name,
-            embodied=outputs["embodied"],
-            bandwidth=outputs["bandwidth"],
-            operational=outputs["operational"],
-        )
-
-    def summarize(self, ctx, outputs) -> BackendReport:
-        return self.wrap_report(self.assemble(ctx, outputs))
+            integration=resolved.spec.name,
+            embodied=embodied,
+            bandwidth=bandwidth,
+            operational=operational,
+        ))
 
     @classmethod
     def wrap_report(cls, report: LifecycleReport) -> BackendReport:
@@ -338,44 +242,6 @@ class Repro3DBackend(CarbonBackend):
 # -- baseline backends --------------------------------------------------------
 
 
-def act_stage(resolved: ResolvedDesign, params: ParameterSet,
-              ci_fab: float) -> ActEstimate:
-    """ACT over the resolved die list (same areas the 3D model prices)."""
-    dies = [(die.name, die.node.name, die.area_mm2) for die in resolved.dies]
-    return act_estimate(dies, ci_fab, params)
-
-
-def act_plus_stage(resolved: ResolvedDesign, params: ParameterSet,
-                   ci_fab: float) -> ActPlusEstimate:
-    """ACT+ over a shared resolution (no second resolve pass)."""
-    return act_plus_estimate(
-        resolved.design, ci_fab, params, resolved=resolved
-    )
-
-
-def lca_stage(resolved: ResolvedDesign, params: ParameterSet,
-              monolithic: bool, cpa_scale: float = 1.0) -> LcaEstimate:
-    """GaBi-style LCA over the resolved (node, area) die list."""
-    dies = [(die.node.name, die.area_mm2) for die in resolved.dies]
-    return lca_estimate(
-        dies, params, monolithic=monolithic, cpa_scale=cpa_scale
-    )
-
-
-def first_order_stage(
-    resolved: ResolvedDesign,
-    kg_per_cm2: "float | None" = None,
-    packaging_kg: "float | None" = None,
-) -> FirstOrderEstimate:
-    """Die-size-only estimate over the summed resolved silicon."""
-    kwargs = {}
-    if kg_per_cm2 is not None:
-        kwargs["kg_per_cm2"] = kg_per_cm2
-    if packaging_kg is not None:
-        kwargs["packaging_kg"] = packaging_kg
-    return first_order_estimate(resolved.total_die_area_mm2, **kwargs)
-
-
 def _die_nodes(design) -> "tuple[str, ...]":
     """Distinct node names of a design's dies, in first-seen order."""
     nodes: "list[str]" = []
@@ -386,54 +252,16 @@ def _die_nodes(design) -> "tuple[str, ...]":
     return tuple(nodes)
 
 
-#: The shared resolution stage every baseline opens with — one object,
-#: so its identity (and fingerprint sharing) is visible in introspection.
-_RESOLVE_STAGE = Stage("resolve", resolve_design)
-
-
 class _BaselineBackend(CarbonBackend):
-    """Shared shape of the four baselines: resolve → estimate.
+    """Shared shape of the four baselines: an estimate over the shared
+    resolution (the same one 3D-Carbon prices), reported uniformly."""
 
-    The resolve stage is *the same stage function under the same
-    fingerprint* as 3D-Carbon's, so an engine comparing five backends
-    resolves each design once; the estimate stage is the baseline's own
-    pure pricing function.
-    """
-
-    estimate_stage: Stage = None  # type: ignore[assignment]
-
-    def __init__(self) -> None:
-        # Instance tuple, built once: the engine iterates ``stages`` per
-        # evaluation point, so a rebuilding property would allocate in
-        # the hot loop.
-        self.stages = (_RESOLVE_STAGE, self.estimate_stage)
-
-    def stage_key(self, stage, ctx, keys, outputs):
-        if stage.name == "resolve":
-            return fp.resolve_key(ctx.design, ctx.params)
-        return self.estimate_key(ctx, keys["resolve"])
-
-    def stage_args(self, stage, ctx, outputs):
-        if stage.name == "resolve":
-            return (ctx.design, ctx.params)
-        return self.estimate_args(ctx, outputs["resolve"])
-
-    def estimate_key(self, ctx: EvalContext, rkey):
-        raise NotImplementedError
-
-    def estimate_args(self, ctx: EvalContext,
-                      resolved: ResolvedDesign) -> tuple:
-        raise NotImplementedError
-
-    def assemble(self, ctx, outputs):
-        return outputs[self.estimate_stage.name]
-
-    def summarize(self, ctx, outputs) -> BackendReport:
-        estimate = outputs[self.estimate_stage.name]
+    def _report(self, ctx: EvalContext, resolved: ResolvedDesign,
+                estimate) -> BackendReport:
         return BackendReport(
             backend=self.name,
             design_name=ctx.design.name,
-            integration=outputs["resolve"].spec.name,
+            integration=resolved.spec.name,
             embodied_kg=estimate.total_kg,
             breakdown=tuple(estimate.breakdown().items()),
             operational_kg=None,
@@ -443,17 +271,22 @@ class _BaselineBackend(CarbonBackend):
 
 
 class ActBackend(_BaselineBackend):
-    """ACT (Gupta et al., ISCA 2022): fixed yield, fixed packaging."""
+    """ACT (Gupta et al., ISCA 2022): fixed yield, fixed packaging.
+
+    Priced over the resolved die list (the areas the 3D model prices).
+    """
 
     name = "act"
     label = "ACT"
-    estimate_stage = Stage("act", act_stage, uses=("resolve",))
+    stages = ("resolve", "act")
 
-    def estimate_key(self, ctx, rkey):
-        return (rkey, ctx.ci_fab)
-
-    def estimate_args(self, ctx, resolved):
-        return (resolved, ctx.params, ctx.ci_fab)
+    def price(self, ctx, resolved) -> BackendReport:
+        dies = [
+            (die.name, die.node.name, die.area_mm2) for die in resolved.dies
+        ]
+        return self._report(
+            ctx, resolved, act_estimate(dies, ctx.ci_fab, ctx.params)
+        )
 
     def factor_set(self, design, params=None) -> FactorSet:
         return act_factor_set(_die_nodes(design))
@@ -464,13 +297,12 @@ class ActPlusBackend(_BaselineBackend):
 
     name = "act_plus"
     label = "ACT+"
-    estimate_stage = Stage("act_plus", act_plus_stage, uses=("resolve",))
+    stages = ("resolve", "act_plus")
 
-    def estimate_key(self, ctx, rkey):
-        return (rkey, ctx.ci_fab)
-
-    def estimate_args(self, ctx, resolved):
-        return (resolved, ctx.params, ctx.ci_fab)
+    def price(self, ctx, resolved) -> BackendReport:
+        return self._report(ctx, resolved, act_plus_estimate(
+            resolved.design, ctx.ci_fab, ctx.params, resolved=resolved
+        ))
 
     def factor_set(self, design, params=None) -> FactorSet:
         # ACT+ is ACT's accounting plus a fixed cost factor — same
@@ -491,11 +323,10 @@ class LcaBackend(_BaselineBackend):
 
     name = "lca"
     label = "LCA"
-    estimate_stage = Stage("lca", lca_stage, uses=("resolve",))
+    stages = ("resolve", "lca")
 
     def __init__(self, monolithic: "bool | str" = "auto",
                  cpa_scale: float = 1.0) -> None:
-        super().__init__()
         self.monolithic = monolithic
         #: Multiplier on the whole GaBi CPA table — the model-scoped
         #: ``gabi_cpa_scale`` factor of :func:`repro.uncertainty.factors.
@@ -507,26 +338,20 @@ class LcaBackend(_BaselineBackend):
             return len(ctx.design.dies) > 1
         return bool(self.monolithic)
 
-    def estimate_key(self, ctx, rkey):
+    def price(self, ctx, resolved) -> BackendReport:
+        dies = [(die.node.name, die.area_mm2) for die in resolved.dies]
+        return self._report(ctx, resolved, lca_estimate(
+            dies, ctx.params, monolithic=self._monolithic_for(ctx),
+            cpa_scale=self.cpa_scale,
+        ))
+
+    def store_fingerprint(self, ctx: EvalContext) -> tuple:
         # No fab-CI term: the database prices wafers, not fab electricity.
         # The 14 nm yield-node record rides along because lca_estimate
         # always prices yield at the database's finest node, whatever
-        # nodes the design uses — rkey alone would serve stale estimates
-        # when a factor perturbs defect_density[14nm] on a non-14nm
-        # design.
-        return (
-            rkey,
-            self._monolithic_for(ctx),
-            self.cpa_scale,
-            ctx.params.node(GABI_FINEST_NODE),
-        )
-
-    def estimate_args(self, ctx, resolved):
-        return (
-            resolved, ctx.params, self._monolithic_for(ctx), self.cpa_scale
-        )
-
-    def store_fingerprint(self, ctx: EvalContext) -> tuple:
+        # nodes the design uses — the resolve key alone would serve stale
+        # estimates when a factor perturbs defect_density[14nm] on a
+        # non-14nm design.
         return (
             fp.resolve_key(ctx.design, ctx.params),
             self._monolithic_for(ctx),
@@ -554,28 +379,30 @@ class LcaBackend(_BaselineBackend):
 
 
 class FirstOrderBackend(_BaselineBackend):
-    """First-order per-area model (Eeckhout, IEEE CAL 2022)."""
+    """First-order per-area model (Eeckhout, IEEE CAL 2022): a die-size
+    estimate over the summed resolved silicon."""
 
     name = "first_order"
     label = "First-order"
-    estimate_stage = Stage(
-        "first_order", first_order_stage, uses=("resolve",)
-    )
+    stages = ("resolve", "first_order")
 
     def __init__(self, kg_per_cm2: "float | None" = None,
                  packaging_kg: "float | None" = None) -> None:
-        super().__init__()
         #: ``None`` keeps the module defaults; the model-scoped factors
         #: of :func:`repro.uncertainty.factors.first_order_factor_set`
         #: derive per-draw instances with scaled values.
         self.kg_per_cm2 = kg_per_cm2
         self.packaging_kg = packaging_kg
 
-    def estimate_key(self, ctx, rkey):
-        return (rkey, self.kg_per_cm2, self.packaging_kg)
-
-    def estimate_args(self, ctx, resolved):
-        return (resolved, self.kg_per_cm2, self.packaging_kg)
+    def price(self, ctx, resolved) -> BackendReport:
+        kwargs = {}
+        if self.kg_per_cm2 is not None:
+            kwargs["kg_per_cm2"] = self.kg_per_cm2
+        if self.packaging_kg is not None:
+            kwargs["packaging_kg"] = self.packaging_kg
+        return self._report(ctx, resolved, first_order_estimate(
+            resolved.total_die_area_mm2, **kwargs
+        ))
 
     def store_fingerprint(self, ctx: EvalContext) -> tuple:
         return (

@@ -68,7 +68,7 @@ from ..errors import CarbonModelError
 from ..obs import trace as obs_trace
 from ..resilience.breaker import CircuitBreaker
 from ..resilience.deadline import BUDGET_MS_RULE, valid_budget_ms
-from .schema import DEADLINE_HEADER, SCHEMA_VERSION, STUDY_KINDS
+from .schema import DEADLINE_HEADER, SCHEMA_VERSION, STUDY_KINDS, SchemaError
 
 
 class ServiceError(CarbonModelError):
@@ -534,9 +534,7 @@ class ServiceClient:
         :class:`repro.api.Session`: a request built once (e.g. by
         ``StudySpec.to_payload()``) runs unchanged against any server.
         """
-        kind = payload.get("type")
-        if not isinstance(kind, str) or not kind:
-            raise ServiceError("request payload needs a \"type\" field")
+        kind = _route(payload)
         streams = kind in STUDY_KINDS and STUDY_KINDS[kind].streams
         if streams and payload.get("stream") is True:
             # The server answers NDJSON, which is not one envelope.
@@ -556,9 +554,7 @@ class ServiceClient:
         ends without its ``{"done": ...}`` terminator (truncated
         response).
         """
-        kind = payload.get("type")
-        if not isinstance(kind, str) or not kind:
-            raise ServiceError("request payload needs a \"type\" field")
+        kind = _route(payload)
         payload = {"schema": SCHEMA_VERSION, **payload}
         if payload.get("stream", False) is False:
             # A malformed flag stays for the server to reject.
@@ -591,6 +587,23 @@ class ServiceClient:
             )
         finally:
             response.close()
+
+
+def _route(payload: dict) -> str:
+    """The ``type`` of a wire payload: the route (``/<type>``) it posts to.
+
+    A missing, empty or non-string ``type`` is a :class:`SchemaError`
+    with ``field="type"``, raised before any HTTP, as ``Session.run`` and
+    ``StudySpec.from_payload`` raise it. An unknown string is posted, as a
+    newer server may know it.
+    """
+    kind = payload.get("type")
+    if not isinstance(kind, str) or not kind:
+        raise SchemaError(
+            f"request \"type\" must be a non-empty string, got {kind!r}",
+            field="type",
+        )
+    return kind
 
 
 def _study_method(kind, name: str, send: str):

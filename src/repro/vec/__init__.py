@@ -12,9 +12,10 @@ wafer diameters and fab carbon intensities — bit-identical to the scalar
 pipeline, because those equations use only elementwise IEEE-exact
 operations (see :mod:`repro.vec.evaluate`).
 
-``BatchEvaluator.evaluate_grid()`` is the engine-side entry point; the
-Pareto optimizer (:class:`repro.analysis.optimizer.ParetoSearch`) chunks
-10⁵–10⁶-point grids through it.
+``evaluate_grid(grid, evaluator=...)`` shares a
+:class:`~repro.engine.BatchEvaluator`'s memos; the Pareto optimizer
+(:class:`repro.analysis.optimizer.ParetoSearch`) chunks 10⁵–10⁶-point
+grids through it.
 """
 
 from importlib import import_module

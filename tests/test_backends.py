@@ -1,4 +1,4 @@
-"""Backend-protocol tests: registry, pipeline runs, and bit-exact parity.
+"""Backend-protocol tests: registry, one-class backends, bit-exact parity.
 
 The refactor's contract: every registered carbon backend produces
 *bit-identical* results through the protocol versus its pre-refactor
@@ -8,6 +8,9 @@ pinned here exactly (``==`` on floats, never ``approx``).
 """
 
 from __future__ import annotations
+
+import json
+import threading
 
 import pytest
 
@@ -23,16 +26,19 @@ from repro.core.model import CarbonModel
 from repro.core.resolve import resolve_design
 from repro.engine import BatchEvaluator, EvalPoint
 from repro.errors import BackendError
+from repro.api import Session
+from repro.io.designs import design_from_dict
 from repro.pipeline import (
     BackendReport,
-    EvalContext,
+    CarbonBackend,
     LcaBackend,
-    PipelineRun,
     backend_names,
     get_backend,
     register_backend,
     resolve_backend,
 )
+from repro.pipeline import registry as registry_module
+from repro.service import ServiceClient, make_server
 from repro.studies.validation import (
     compare_backends,
     epyc_7452_design,
@@ -80,40 +86,87 @@ class TestRegistry:
             resolve_backend(42)
 
 
-class TestPipelineIntrospection:
-    def test_stage_names(self):
-        assert get_backend("repro3d").stage_names() == (
-            "resolve", "embodied", "bandwidth", "operational"
+class ToyBackend(CarbonBackend):
+    """A backend written as one class: yield-scaled silicon plus fab."""
+
+    name = "toy"
+    label = "Toy"
+    stages = ("resolve", "toy")
+
+    def price(self, ctx, resolved):
+        silicon = sum(
+            die.area_mm2 / 100.0 / die.raw_yield for die in resolved.dies
         )
-        for name in ("act", "act_plus", "lca", "first_order"):
-            stages = get_backend(name).stage_names()
-            assert stages[0] == "resolve" and len(stages) == 2
+        fab = silicon * ctx.ci_fab
+        return BackendReport(
+            backend=self.name,
+            design_name=ctx.design.name,
+            integration=resolved.spec.name,
+            embodied_kg=silicon + fab,
+            breakdown=(("silicon", silicon), ("fab", fab)),
+        )
 
-    def test_stage_fns_are_module_level(self):
-        """Every stage fn must be picklable by reference."""
-        import pickle
 
-        for name in backend_names():
-            for stage in get_backend(name).stages:
-                assert pickle.loads(pickle.dumps(stage.fn)) is stage.fn
+TOY_DESIGN = {
+    "name": "toy_chip",
+    "integration": "2d",
+    "package": {"class": "fcbga"},
+    "throughput_tops": 254.0,
+    "dies": [{"name": "d", "node": "7nm", "gate_count": 17e9}],
+}
 
-    def test_run_records_keys_and_outputs(self, orin_2d, av_workload):
-        backend = get_backend("repro3d")
-        ctx = EvalContext.build(orin_2d, PARAMS, "taiwan", av_workload)
-        run = PipelineRun(backend, ctx)
-        resolved = run.output("resolve")
-        assert resolved.design is orin_2d
-        assert run.key("embodied") is not None
-        report = run.result()
-        assert report.total_kg == run.summary().total_kg
 
-    def test_memo_shares_stages_across_runs(self, orin_2d):
-        backend = get_backend("repro3d")
-        memo: dict = {}
-        ctx = EvalContext.build(orin_2d, PARAMS, "taiwan", None)
-        first = PipelineRun(backend, ctx, memo=memo).output("resolve")
-        second = PipelineRun(backend, ctx, memo=memo).output("resolve")
-        assert first is second
+class TestOneClassBackend:
+    """A registered one-class backend is priced alike on every path."""
+
+    @pytest.fixture()
+    def toy(self, monkeypatch):
+        # A copy, so the registry's order is untouched afterwards.
+        monkeypatch.setattr(registry_module, "_REGISTRY", {
+            **registry_module._REGISTRY, "toy": ToyBackend(),
+        })
+        return get_backend("toy")
+
+    @pytest.fixture()
+    def client(self, toy):
+        server = make_server()
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            yield ServiceClient(server.url)
+        finally:
+            server.close()
+            thread.join(timeout=5.0)
+
+    def test_every_path_gives_the_direct_report(self, toy, client):
+        design = design_from_dict(TOY_DESIGN)
+        direct = toy.evaluate(design, PARAMS, "taiwan")
+        assert direct.embodied_kg > 0 and direct.operational_kg is None
+        expected = json.loads(json.dumps(direct.to_dict()))
+        engine = BatchEvaluator(params=PARAMS).backend_report(design, "toy")
+        assert engine == direct
+        with Session() as session:
+            row, = session.compare(design, backends=["toy"]).payload[
+                "backends"
+            ]
+        assert row["backend"] == "toy" and row["label"] == "Toy"
+        assert row["report"] == expected
+        served = client.evaluate(TOY_DESIGN, backend="toy")["result"]
+        assert served == expected
+
+    def test_montecarlo_draws_the_default_factor_set(self, toy, client):
+        assert type(toy).factor_set is CarbonBackend.factor_set
+        design = design_from_dict(TOY_DESIGN)
+        served = client.montecarlo(
+            TOY_DESIGN, samples=16, seed=3, backend="toy", workload="none",
+        )["result"]
+        with Session() as session:
+            local = session.monte_carlo(
+                design, samples=16, seed=3, backend="toy", workload=None,
+            ).payload
+        assert served == local
+        assert served["backend"] == "toy" and served["samples"] == 16
+        assert served["p05_kg"] < served["p95_kg"]
 
 
 class TestProtocolParity:

@@ -81,20 +81,11 @@ class TestLRUCache:
         cache["c"] = 3                      # evicts 'a' anyway
         assert "a" not in cache
 
-    def test_clear(self):
-        cache = LRUCache(2)
-        cache["a"] = 1
-        cache["b"] = 2
-        cache["c"] = 3
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.evictions == 0
-
 
 class TestResolveCacheEviction:
     def test_layers_share_one_policy(self):
         cache = ResolveCache(limit=7)
-        assert cache.limit == 7
+        assert cache.policy.max_entries == 7
         assert cache.die_structure.policy is cache.policy
         assert cache.floorplans.policy is cache.policy
         assert cache.die_fast.policy is cache.policy

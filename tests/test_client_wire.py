@@ -5,7 +5,8 @@ body joined. With Nagle off, two writes would be two TCP segments, and
 the server would block between parsing the head and reading the body.
 The joined bytes must equal what a plain
 :class:`http.client.HTTPConnection` writes for the same request in its
-two sends, so only the segmentation changes.
+two sends, so only the segmentation changes. A payload whose ``type``
+names no route is refused before anything is written.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import pytest
 
 from repro.service import ServiceClient, make_server
 from repro.service.client import (
+    ServiceError,
     _KeepAliveConnection,
     _KeepAliveHTTPSConnection,
     _OneWriteMixin,
 )
+from repro.service.schema import SchemaError
 
 
 def design_payload() -> dict:
@@ -123,3 +126,33 @@ class TestOneWrite:
         assert _KeepAliveConnection._send_output is override
         assert _KeepAliveHTTPSConnection._send_output is override
         assert override is not http.client.HTTPConnection._send_output
+
+
+class TestRequestType:
+    """A payload's ``type`` is checked once, before anything is sent."""
+
+    @pytest.mark.parametrize("payload", [{}, {"type": 5}, {"type": ""}],
+                             ids=["missing", "int", "empty"])
+    @pytest.mark.parametrize("method", ["submit_payload", "stream_payload"])
+    def test_a_bad_type_is_a_schema_error_before_any_http(
+        self, served, sends, method, payload
+    ):
+        _, client = served
+        with pytest.raises(SchemaError) as excinfo:
+            # ``stream_payload`` is a generator: it runs on first use.
+            list(getattr(client, method)(dict(payload)))
+        assert excinfo.value.field == "type"
+        assert str(excinfo.value) == (
+            f"request \"type\" must be a non-empty string, "
+            f"got {payload.get('type')!r}"
+        )
+        assert sends == []
+
+    @pytest.mark.parametrize("method", ["submit_payload", "stream_payload"])
+    def test_an_unknown_type_is_posted(self, served, sends, method):
+        _, client = served
+        with pytest.raises(ServiceError) as excinfo:
+            list(getattr(client, method)({"type": "nope"}))
+        assert excinfo.value.status == 404
+        assert len(sends) == 1
+        assert sends[0][1].startswith(b"POST /nope ")

@@ -42,7 +42,7 @@ from repro.errors import DesignError, ParameterError
 from repro.rent import davis
 from repro.seeds import DEFAULT_SEED
 from repro.uncertainty import table2_factor_set
-from repro.vec import DesignGrid
+from repro.vec import DesignGrid, evaluate_grid
 from tests.test_memo_work import counts
 
 WORKLOAD = Workload.autonomous_vehicle()
@@ -169,7 +169,7 @@ def test_vectorized_grid_matches_scalar_and_naive_paths():
 
     clear_model_caches()
     vec_engine = BatchEvaluator()
-    result = vec_engine.evaluate_grid(grid)
+    result = evaluate_grid(grid, evaluator=vec_engine)
     totals = result.column("total_kg")
     valid = result.valid_mask
 
