@@ -118,7 +118,7 @@ class CarbonBackend:
         Honest cross-model uncertainty perturbs each model's *own*
         inputs (the way ACT v3-style models carry their own parameter
         envelopes), so every built-in backend declares the factors its
-        pipeline actually reads. Custom backends inherit 3D-Carbon's
+        ``price`` actually reads. Custom backends inherit 3D-Carbon's
         Table 2 set — override to declare your own.
         """
         return table2_factor_set(
@@ -136,8 +136,8 @@ class CarbonBackend:
         the backend itself (a fixed yield, a database table scale) that
         no :class:`ParameterSet` field addresses. The perturbation plan
         hands their per-draw multipliers here; backends exposing such
-        constants return a cheap derived instance whose stage keys pin
-        the scaled values. The base refuses unknown constants so a typo
+        constants return a cheap derived instance whose store
+        fingerprint pins the scaled values. The base refuses unknown constants so a typo
         in a factor set fails loudly instead of silently not perturbing.
         """
         if not multipliers:
@@ -164,10 +164,10 @@ class CarbonBackend:
     def store_fingerprint(self, ctx: EvalContext) -> tuple:
         """The value tuple the service store keys this backend's results on.
 
-        Must pin every value any stage of the backend can read — the
+        Must pin every value resolution and :meth:`price` can read — the
         same sharing rule the engine memos apply, made durable. The
         default is the resolve fingerprint plus the fab carbon intensity;
-        backends whose later stages read more must extend it.
+        backends whose ``price`` reads more must extend it.
         """
         return (fp.resolve_key(ctx.design, ctx.params), ctx.ci_fab)
 

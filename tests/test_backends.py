@@ -77,6 +77,15 @@ class TestRegistry:
             register_backend(backend)
         register_backend(backend, replace=True)  # no-op override is fine
 
+    def test_builtin_stage_names(self):
+        assert {name: get_backend(name).stages for name in BUILTIN} == {
+            "repro3d": ("resolve", "embodied", "bandwidth", "operational"),
+            "act": ("resolve", "act"),
+            "act_plus": ("resolve", "act_plus"),
+            "lca": ("resolve", "lca"),
+            "first_order": ("resolve", "first_order"),
+        }
+
     def test_resolve_accepts_name_instance_none(self):
         act = get_backend("act")
         assert resolve_backend("act") is act
@@ -290,6 +299,21 @@ class TestEngineEquivalence:
         assert type(classic).__name__ == "LifecycleReport"
         assert isinstance(uniform, BackendReport)
         assert uniform.total_kg == classic.total_kg
+
+    def test_a_baseline_prices_under_one_span(self, hybrid_stack):
+        from repro.obs import trace as obs_trace
+
+        with obs_trace.trace("act-point") as root:
+            BatchEvaluator(params=PARAMS).backend_report(hybrid_stack, "act")
+        spans = {
+            span.name: span.attrs
+            for span in obs_trace.collector.spans(root.trace_id)
+            if span.name.startswith("stage.")
+        }
+        assert spans == {
+            "stage.resolve": {"backend": "repro3d", "points": 1, "misses": 1},
+            "stage.act": {"backend": "act"},
+        }
 
     def test_unknown_backend_point_raises(self, hybrid_stack):
         evaluator = BatchEvaluator(params=PARAMS)
