@@ -1,36 +1,15 @@
 """E1 — Fig. 4(a): EPYC 7452 validation (LCA vs ACT+ vs 3D-Carbon).
 
 Regenerates the three embodied-carbon estimates for the MCM 2.5D EPYC 7452
-and benchmarks the full validation pipeline. Paper shape: LCA highest;
-3D-Carbon's packaging 3.47 kg vs ACT+'s 0.15 kg; LCA within ~4.4 % of the
-2D-adjusted 3D-Carbon run.
+and benchmarks the full validation pipeline, then checks the Fig. 4(a)
+entries of the anchor table (packaging of 3D-Carbon and ACT+, the LCA gap
+against the 2D-adjusted run).
 """
 
 from repro.studies.validation import epyc_validation
 
 
-def _rows_text(result) -> str:
-    lines = [f"{'model':<14} {'die kg':>9} {'pkg kg':>8} {'total kg':>9}"]
-    for model, die_kg, pkg_kg, total_kg in result.rows():
-        lines.append(
-            f"{model:<14} {die_kg:9.2f} {pkg_kg:8.2f} {total_kg:9.2f}"
-        )
-    lines.append(
-        f"2D-adjusted 3D-Carbon: {result.carbon_3d_as_2d.total_kg:.2f} kg; "
-        f"LCA discrepancy {result.lca_vs_2d_discrepancy * 100:.1f}% "
-        f"(paper ~4.4%)"
-    )
-    return "\n".join(lines)
-
-
-def test_fig4a_epyc_validation(benchmark, report_sink):
+def test_fig4a_epyc_validation(benchmark, report_sink, check_anchors):
     result = benchmark(epyc_validation)
     report_sink("Fig. 4(a) — EPYC 7452 embodied-carbon validation",
-                _rows_text(result))
-    # Paper shape assertions (duplicated from the unit suite so the bench
-    # fails loudly if a parameter change breaks the reproduction).
-    assert result.lca.total_kg > result.carbon_3d.total_kg
-    assert result.lca.total_kg > result.act_plus.total_kg
-    assert abs(result.carbon_3d.packaging_kg - 3.47) < 0.05
-    assert abs(result.act_plus.packaging_kg - 0.15) < 1e-9
-    assert abs(result.lca_vs_2d_discrepancy - 0.044) < 0.02
+                result.format_table() + "\n" + check_anchors("epyc", result))

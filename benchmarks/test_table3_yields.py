@@ -11,6 +11,7 @@ from repro.core.yield_model import (
     three_d_stack_yields,
     two_five_d_yields,
 )
+from repro.studies.anchors import ANCHORS
 
 LOGIC = die_yield(82.0, 0.139, 10.0)    # 7 nm logic die
 MEMORY = die_yield(92.0, 0.09, 10.0)    # 14 nm base die
@@ -55,7 +56,8 @@ def test_table3_stack_yields(benchmark, report_sink):
     # Chip-first exposes dies to substrate loss, chip-last to bond loss.
     assert flows["chip_first"].per_die[0] < MEMORY
     assert flows["chip_last"].per_die[0] < MEMORY
-    # Sec. 4.2 quoted numbers.
-    assert abs(flows["D2W"].per_die[1] - 0.893) < 0.003
-    assert abs(flows["D2W"].per_die[0] - 0.884) < 0.003
-    assert abs(flows["W2W"].per_die[0] - 0.797) < 0.004
+    # The Sec. 4.2 yield anchors, from the same dies and bond yields.
+    for name, measured in (("d2w_logic_yield", flows["D2W"].per_die[1]),
+                           ("d2w_memory_yield", flows["D2W"].per_die[0]),
+                           ("w2w_yield", flows["W2W"].per_die[0])):
+        assert ANCHORS[f"lakefield.{name}"].holds(measured), name

@@ -1,56 +1,15 @@
 """E5 — Table 5: choosing/replacing DRIVE ORIN with 3D/2.5D ICs.
 
-Regenerates the decision table and prints measured vs paper values for
-every cell; asserts the save-ratio ordering, the T_c/T_r finite/infinite
-structure, and the 10-year-lifetime recommendations.
+Regenerates the decision table, prints it, and checks the Table 5
+entries of the anchor table (ten save ratios, the T_c and T_r bounds)
+measured against the paper.
 """
 
-import math
-
-from repro.core.metrics import ChoiceRegime
-from repro.studies.decision import PAPER_TABLE5, table5_study
+from repro.studies.decision import table5_study
 
 
-def _comparison_text(result) -> str:
-    lines = [
-        f"{'option':<8} {'emb save %':>11} {'paper':>7} {'ovr save %':>11} "
-        f"{'paper':>7} {'Tc (y)':>8} {'Tr (y)':>8}"
-    ]
-    for option, expected in PAPER_TABLE5.items():
-        m = result.row(option).metrics
-        tc = ">0" if m.regime is ChoiceRegime.ALWAYS_BETTER else (
-            "inf" if math.isinf(m.tc_years) else f"{m.tc_years:.1f}"
-        )
-        tr = "inf" if math.isinf(m.tr_years) else f"{m.tr_years:.1f}"
-        lines.append(
-            f"{option:<8} {m.embodied_save_ratio * 100:11.2f} "
-            f"{expected['embodied_save']:7.2f} "
-            f"{m.overall_save_ratio * 100:11.2f} "
-            f"{expected['overall_save']:7.2f} {tc:>8} {tr:>8}"
-        )
-    return "\n".join(lines)
-
-
-def test_table5_decision(benchmark, report_sink):
+def test_table5_decision(benchmark, report_sink, check_anchors):
     result = benchmark(table5_study)
     report_sink("Table 5 — ORIN sustainable decision-making "
-                "(measured vs paper)", _comparison_text(result))
-
-    save = {
-        option: result.row(option).metrics.embodied_save_ratio
-        for option in PAPER_TABLE5
-    }
-    assert (save["M3D"] > save["Hybrid"] > save["Micro"]
-            > save["EMIB"] > 0.0 > save["Si_int"])
-
-    for option, expected in PAPER_TABLE5.items():
-        measured = result.row(option).metrics.embodied_save_ratio * 100
-        assert abs(measured - expected["embodied_save"]) < 4.0, option
-
-    assert math.isinf(result.row("Si_int").metrics.tc_years)
-    assert result.row("Hybrid").metrics.tr_years > 75.0
-    assert result.row("M3D").metrics.tr_years > 19.0
-    for option in ("EMIB", "Micro", "Hybrid", "M3D"):
-        assert result.row(option).metrics.choose_recommended
-    for option in PAPER_TABLE5:
-        assert not result.row(option).metrics.replace_recommended
+                "(measured vs paper)",
+                result.format_table() + "\n" + check_anchors("table5", result))

@@ -9,6 +9,7 @@ published products:
 Run:  python examples/validate_published_designs.py
 """
 
+from repro.studies.anchors import ANCHORS
 from repro.studies.validation import epyc_validation, lakefield_validation
 
 
@@ -24,11 +25,13 @@ def show_epyc() -> None:
     print("Paper checkpoints:")
     print(f"  * LCA highest               : "
           f"{result.lca.total_kg > result.carbon_3d.total_kg}")
-    print(f"  * packaging 3.47 kg vs 0.15 : "
+    print(f"  * packaging {ANCHORS['epyc.packaging_kg'].paper:.2f} kg vs "
+          f"{ANCHORS['epyc.act_plus_packaging_kg'].paper:.2f} : "
           f"{result.carbon_3d.packaging_kg:.2f} vs "
           f"{result.act_plus.packaging_kg:.2f}")
     print(f"  * LCA vs 2D-adjusted gap    : "
-          f"{result.lca_vs_2d_discrepancy * 100:.1f}%  (paper: ~4.4%)")
+          f"{result.lca_vs_2d_discrepancy * 100:.1f}%  "
+          f"(paper: ~{ANCHORS['epyc.lca_gap'].paper:.1%})")
     print()
 
 
@@ -41,12 +44,11 @@ def show_lakefield() -> None:
         print(f"{model:<20} {total_kg:7.3f}")
     print()
     print("Paper checkpoints (Sec. 4.2 yields):")
-    print(f"  * D2W logic die  : {result.d2w_logic_yield * 100:5.1f}%  "
-          f"(paper 89.3%)")
-    print(f"  * D2W memory die : {result.d2w_memory_yield * 100:5.1f}%  "
-          f"(paper 88.4%)")
-    print(f"  * W2W both dies  : {result.w2w_yield * 100:5.1f}%  "
-          f"(paper 79.7%)")
+    for label, name in (("D2W logic die ", "d2w_logic_yield"),
+                        ("D2W memory die", "d2w_memory_yield"),
+                        ("W2W both dies ", "w2w_yield")):
+        print(f"  * {label} : {getattr(result, name) * 100:5.1f}%  "
+              f"(paper {ANCHORS[f'lakefield.{name}'].paper:.1%})")
     print(f"  * GaBi (14 nm only) underestimates: "
           f"{result.lca.total_kg < result.carbon_3d_d2w.total_kg}")
     print()

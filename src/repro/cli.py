@@ -102,24 +102,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_epyc(args: argparse.Namespace) -> int:
-    result = epyc_validation(fab_location=args.fab_location)
-    print("Fig. 4(a) — EPYC 7452 embodied carbon (kg CO2e)")
-    for model, die_kg, pkg_kg, total_kg in result.rows():
-        print(f"  {model:<12} die={die_kg:7.2f} pkg={pkg_kg:6.2f} "
-              f"total={total_kg:7.2f}")
-    print(f"  LCA vs 2D-adjusted 3D-Carbon discrepancy: "
-          f"{result.lca_vs_2d_discrepancy * 100:.1f}% (paper: ~4.4%)")
+    print(epyc_validation(fab_location=args.fab_location).format_table())
     return 0
 
 
 def _cmd_validate_lakefield(args: argparse.Namespace) -> int:
-    result = lakefield_validation(fab_location=args.fab_location)
-    print("Fig. 4(b) — Lakefield embodied carbon (kg CO2e)")
-    for model, total_kg in result.rows():
-        print(f"  {model:<18} {total_kg:6.3f}")
-    print(f"  D2W yields: logic {result.d2w_logic_yield * 100:.1f}% "
-          f"(paper 89.3%), memory {result.d2w_memory_yield * 100:.1f}% "
-          f"(paper 88.4%); W2W {result.w2w_yield * 100:.1f}% (paper 79.7%)")
+    print(lakefield_validation(fab_location=args.fab_location).format_table())
     return 0
 
 

@@ -15,20 +15,21 @@ from ..config.parameters import DEFAULT_PARAMETERS, ParameterSet
 from ..core.metrics import DecisionMetrics, decision_metrics, format_decision_table
 from ..core.operational import Workload
 from ..core.report import LifecycleReport
+from .anchors import ANCHORS
 from .drive import drive_design
 from .sweep import _evaluator_for
 
 #: Table 5 columns, in paper order.
 TABLE5_OPTIONS: tuple[str, ...] = ("EMIB", "Si_int", "Micro", "Hybrid", "M3D")
 
-#: Paper's reference values for Table 5 (save ratios in %), used by the
-#: benchmark harness to print paper-vs-measured.
+#: Paper's reference values for Table 5 (save ratios in %), read from
+#: the anchor table.
 PAPER_TABLE5 = {
-    "EMIB": {"embodied_save": 23.69, "overall_save": 6.50},
-    "Si_int": {"embodied_save": -9.59, "overall_save": -9.86},
-    "Micro": {"embodied_save": 25.88, "overall_save": 7.63},
-    "Hybrid": {"embodied_save": 35.64, "overall_save": 21.71},
-    "M3D": {"embodied_save": 65.53, "overall_save": 41.03},
+    option: {
+        column: ANCHORS[f"table5.{option}.{column}"].paper
+        for column in ("embodied_save", "overall_save")
+    }
+    for option in TABLE5_OPTIONS
 }
 
 

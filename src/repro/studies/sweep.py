@@ -94,8 +94,6 @@ def sweep_die_counts(
     for _, n, design in default_splits(
         reference, (integration,), die_counts, params
     ):
-        if spec.max_dies is not None and n > spec.max_dies:
-            continue
         design = design.with_overrides(
             name=f"{reference.name}_{integration}_{n}die"
         )

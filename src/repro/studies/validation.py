@@ -30,6 +30,7 @@ from ..core.resolve import resolve_design
 from ..pipeline.backends import BackendReport
 from ..pipeline.registry import backend_names, get_backend
 from ..seeds import DEFAULT_SEED
+from .anchors import ANCHORS
 from .sweep import _evaluator_for
 
 #: EPYC 7452 physical inputs (Sec. 4.1 and product documentation).
@@ -269,6 +270,22 @@ class EpycValidation:
             ),
         ]
 
+    def format_table(self) -> str:
+        """The rows and the LCA gap next to the paper's (the
+        ``carbon3d validate-epyc`` text)."""
+        lines = ["Fig. 4(a) — EPYC 7452 embodied carbon (kg CO2e)"]
+        lines += [
+            f"  {model:<12} die={die_kg:7.2f} pkg={pkg_kg:6.2f} "
+            f"total={total_kg:7.2f}"
+            for model, die_kg, pkg_kg, total_kg in self.rows()
+        ]
+        lines.append(
+            f"  LCA vs 2D-adjusted 3D-Carbon discrepancy: "
+            f"{self.lca_vs_2d_discrepancy * 100:.1f}% "
+            f"(paper: ~{ANCHORS['epyc.lca_gap'].paper:.1%})"
+        )
+        return "\n".join(lines)
+
 
 def epyc_validation(
     params: ParameterSet | None = None,
@@ -307,6 +324,20 @@ class LakefieldValidation:
             ("3D-Carbon (D2W)", self.carbon_3d_d2w.total_kg),
             ("3D-Carbon (W2W)", self.carbon_3d_w2w.total_kg),
         ]
+
+    def format_table(self) -> str:
+        """The rows and the Sec. 4.2 stack yields next to the paper's
+        (the ``carbon3d validate-lakefield`` text)."""
+        lines = ["Fig. 4(b) — Lakefield embodied carbon (kg CO2e)"]
+        lines += [f"  {model:<18} {total_kg:6.3f}"
+                  for model, total_kg in self.rows()]
+        logic, memory, w2w = (
+            f"{getattr(self, name) * 100:.1f}% "
+            f"(paper {ANCHORS[f'lakefield.{name}'].paper:.1%})"
+            for name in ("d2w_logic_yield", "d2w_memory_yield", "w2w_yield")
+        )
+        lines.append(f"  D2W yields: logic {logic}, memory {memory}; W2W {w2w}")
+        return "\n".join(lines)
 
 
 def lakefield_validation(

@@ -6,8 +6,8 @@ location) sharing one workload. :meth:`DesignGrid.from_axes` expands the
 paper's case-study axes — integration technology × division approach ×
 die count × assembly flow × wafer size × fab location — from a single-die
 2D reference; a split past its integration's die limit (a three-die
-monolithic 3D stack, say) stays in the grid and prices as a per-point
-error. :meth:`DesignGrid.from_designs` crosses explicit designs with the
+monolithic 3D stack, say) is left out of the grid.
+:meth:`DesignGrid.from_designs` crosses explicit designs with the
 physical axes instead.
 
 The design space is enumerated in one place, :func:`split_variants`:
@@ -127,12 +127,11 @@ def split_variants(
     Per integration, approach and assembly flow, a homogeneous split is
     tried at each die count; any other approach is the paper's fixed
     logic+memory split, where die counts don't apply (``n_dies`` is
-    None). Splits a factory refuses (:class:`~repro.errors.DesignError`,
-    e.g. a ``"2d"`` integration) are skipped. Die-count limits are not
-    checked here: a split past its integration's Table 1 limit (a
-    hybrid-bonded F2F or m3d stack of three or four dies) is yielded, and
-    rejected only when it is evaluated, as a per-point error. Designs
-    keep the split factory's name.
+    None). Splits a factory refuses or :meth:`ChipDesign.validate`
+    rejects (:class:`~repro.errors.DesignError`: a ``"2d"`` integration,
+    or a split past its integration's Table 1 die limit such as a
+    hybrid-bonded F2F or m3d stack of three or four dies) are skipped.
+    Designs keep the split factory's name.
     """
     _check_reference(reference)
     for name in integrations:
@@ -152,6 +151,7 @@ def split_variants(
                                 reference, name, n_dies=n_dies,
                                 stacking=StackingStyle.F2F, assembly=flow,
                             )
+                        design.validate(params)
                     except DesignError:
                         continue
                     yield name, approach, flow, n_dies, design

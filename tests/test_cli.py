@@ -65,22 +65,6 @@ class TestCommands:
         data = json.loads(capsys.readouterr().out)
         assert "operational" not in data
 
-    def test_validate_epyc(self, capsys):
-        assert main(["validate-epyc"]) == 0
-        out = capsys.readouterr().out
-        assert "EPYC" in out and "LCA" in out and "ACT+" in out
-
-    def test_validate_lakefield(self, capsys):
-        assert main(["validate-lakefield"]) == 0
-        out = capsys.readouterr().out
-        assert "89.3%" in out and "W2W" in out
-
-    def test_table5(self, capsys):
-        assert main(["table5"]) == 0
-        out = capsys.readouterr().out
-        assert "Table 5" in out
-        assert "M3D" in out
-
     def test_nodes(self, capsys):
         assert main(["nodes"]) == 0
         assert "7nm" in capsys.readouterr().out

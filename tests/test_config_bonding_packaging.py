@@ -11,6 +11,7 @@ from repro.config.integration import AssemblyFlow, BondingMethod
 from repro.config.packaging import DEFAULT_PACKAGING_TABLE, PackageClass, PackagingTable
 from repro.config.substrate import SubstrateParameters
 from repro.errors import ParameterError, UnknownTechnologyError
+from repro.studies.anchors import ANCHORS
 
 
 class TestBondingTable:
@@ -159,7 +160,7 @@ class TestPackagingTable:
         """CPA × SP3 area ≈ the paper's 3.47 kg packaging footprint."""
         package = DEFAULT_PACKAGING_TABLE.get("server_mcm")
         kg = package.cpa_kg_per_cm2 * (58.5 * 75.4) / 100.0
-        assert kg == pytest.approx(3.47, rel=0.01)
+        assert kg == pytest.approx(ANCHORS["epyc.packaging_kg"].paper, rel=0.01)
 
     def test_negative_area_rejected(self):
         with pytest.raises(ParameterError):

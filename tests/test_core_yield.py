@@ -14,6 +14,7 @@ from repro.core.yield_model import (
     two_five_d_yields,
 )
 from repro.errors import DesignError, ParameterError
+from repro.studies.anchors import ANCHORS
 
 
 class TestEq15DieYield:
@@ -42,7 +43,9 @@ class TestEq15DieYield:
 
     def test_lakefield_logic_anchor(self):
         """82 mm² at the calibrated 7 nm D₀ yields 89.3 % (Sec. 4.2)."""
-        assert die_yield(82.0, 0.139, 10.0) == pytest.approx(0.893, abs=0.002)
+        assert die_yield(82.0, 0.139, 10.0) == pytest.approx(
+            ANCHORS["lakefield.d2w_logic_yield"].paper, abs=0.002
+        )
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ParameterError):

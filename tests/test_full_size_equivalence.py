@@ -6,7 +6,7 @@ Three studies, at the size an architect runs them:
   split of an ORIN-class 2D reference, with the AV workload;
 * the 40-point grid of that reference: every Table 1 integration × every
   Table 2 fab location;
-* the 102,910-point vectorized design-space grid: every case-study split
+* the 87,850-point vectorized design-space grid: every case-study split
   of the reference × 251 wafer diameters in [250, 500] mm × the Table 2
   grids plus five raw carbon intensities.
 
@@ -165,7 +165,7 @@ def test_vectorized_grid_matches_scalar_and_naive_paths():
         fab_locations=VEC_LOCATIONS, workload="av",
     )
     n = len(grid.points)
-    assert n == 102_910 and len(grid.designs) == 41
+    assert n == 87_850 and len(grid.designs) == 35
 
     clear_model_caches()
     vec_engine = BatchEvaluator()
@@ -212,15 +212,14 @@ def test_vectorized_grid_matches_scalar_and_naive_paths():
         assert report.total_kg == float(totals[index]), point.label
 
     # The work behind the vectorized core's speed: one resolve per design
-    # that prices (the 3- and 4-die hybrid F2F and m3d stacks, 6 of the
-    # 41, break Table 1's die limits and fail on every point), no
-    # per-point pipeline at all, and the points priced in 31 shape
-    # groups. The scalar engine resolves as often, but runs the per-point
-    # pipeline once for every valid point.
+    # (the grid holds only splits within Table 1's die limits, and every
+    # point prices), no per-point pipeline at all, and the points priced
+    # in 25 shape groups. The scalar engine resolves as often, but runs
+    # the per-point pipeline once for every point.
     priced = {grid.points[index].design.name for index in np.flatnonzero(valid)}
     assert len(priced) == 35
-    assert (result.group_count, result.block_count) == (31, 41)
-    assert result.error_count == 15_060
+    assert (result.group_count, result.block_count) == (25, 35)
+    assert result.error_count == 0
     assert counts(vec_engine.stats) == {
         "resolve": (0, 35), "structure": (26, 64), "embodied": (0, 0),
         "bandwidth": (0, 35), "operational": (0, 35), "points": 0,

@@ -1,11 +1,12 @@
 """Headline reproduction assertions against the paper's published numbers.
 
-Every tolerance here is a *reproduction band*: the substrate is a
-calibrated analytical model, so shapes (who wins, signs, orderings,
-valid/invalid structure) are asserted tightly while absolute ratios get
-a few percentage points of slack. ``pytest benchmarks -s`` prints the
-exact measured values next to the paper's in a side-by-side table at
-session end.
+Every number compared with the paper is declared once, in
+:data:`repro.studies.anchors.ANCHORS` (paper value, source, band, how
+to measure it); :func:`test_anchor_holds` checks each entry on the study
+result it reads. The classes below assert the shapes those numbers sit
+in: who wins, signs, orderings, regimes and valid/invalid structure.
+``pytest benchmarks -s`` prints every anchor's measured value next to
+the paper's at session end.
 """
 
 import math
@@ -13,10 +14,10 @@ import math
 import pytest
 
 from repro.core.metrics import ChoiceRegime
+from repro.studies.anchors import ANCHORS
 from repro.studies.decision import PAPER_TABLE5, table5_study
 from repro.studies.drive import drive_study
 from repro.studies.validation import epyc_validation, lakefield_validation
-
 
 @pytest.fixture(scope="module")
 def epyc():
@@ -43,20 +44,18 @@ def fig5b():
     return drive_study("heterogeneous")
 
 
+@pytest.mark.parametrize("anchor", ANCHORS.values(), ids=ANCHORS)
+def test_anchor_holds(anchor, request):
+    """Each anchor on its study's result (the fixture of that name)."""
+    measured = anchor.measure(request.getfixturevalue(anchor.study))
+    assert anchor.holds(measured), (anchor, measured)
+
+
 class TestFig4aEpyc:
     def test_lca_highest(self, epyc):
         """Sec. 4.1: LCA reports higher emissions than 3D-Carbon and ACT+."""
         assert epyc.lca.total_kg > epyc.carbon_3d.total_kg
         assert epyc.lca.total_kg > epyc.act_plus.total_kg
-
-    def test_2d_adjusted_discrepancy_4_4_percent(self, epyc):
-        """Paper: ≈ 4.4 % gap between LCA and 2D-adjusted 3D-Carbon."""
-        assert epyc.lca_vs_2d_discrepancy == pytest.approx(0.044, abs=0.02)
-
-    def test_packaging_3_47_vs_0_15(self, epyc):
-        """Paper: 3D-Carbon packaging 3.47 kg vs ACT+'s fixed 0.15 kg."""
-        assert epyc.carbon_3d.packaging_kg == pytest.approx(3.47, abs=0.05)
-        assert epyc.act_plus.packaging_kg == pytest.approx(0.15)
 
     def test_ccds_use_fewer_beol_layers_than_max(self, epyc):
         """Sec. 4.1: BEOL-aware carbon for CPU dies with fewer layers."""
@@ -67,15 +66,6 @@ class TestFig4aEpyc:
 
 
 class TestFig4bLakefield:
-    def test_d2w_yield_anchors(self, lakefield):
-        """Sec. 4.2: logic 89.3 %, memory 88.4 % in D2W."""
-        assert lakefield.d2w_logic_yield == pytest.approx(0.893, abs=0.003)
-        assert lakefield.d2w_memory_yield == pytest.approx(0.884, abs=0.003)
-
-    def test_w2w_yield_anchor(self, lakefield):
-        """Sec. 4.2: both dies yield 79.7 % in W2W."""
-        assert lakefield.w2w_yield == pytest.approx(0.797, abs=0.003)
-
     def test_lca_underestimates(self, lakefield):
         """Sec. 4.2: GaBi's 14 nm assumption underestimates 3D-Carbon."""
         assert lakefield.lca.total_kg < lakefield.carbon_3d_d2w.total_kg
@@ -90,21 +80,6 @@ class TestFig4bLakefield:
 
 
 class TestTable5:
-    def test_embodied_save_ratios(self, table5):
-        """All five save ratios within a few points of the paper."""
-        for option, expected in PAPER_TABLE5.items():
-            measured = table5.row(option).metrics.embodied_save_ratio * 100
-            assert measured == pytest.approx(
-                expected["embodied_save"], abs=4.0
-            ), option
-
-    def test_overall_save_ratios(self, table5):
-        for option, expected in PAPER_TABLE5.items():
-            measured = table5.row(option).metrics.overall_save_ratio * 100
-            assert measured == pytest.approx(
-                expected["overall_save"], abs=5.0
-            ), option
-
     def test_savings_ordering(self, table5):
         """M3D > Hybrid > Micro > EMIB > 0 > Si_int (paper's ordering)."""
         save = {
@@ -115,24 +90,22 @@ class TestTable5:
                 > save["EMIB"] > 0.0 > save["Si_int"])
 
     def test_tc_structure(self, table5):
-        """Paper: T_c finite for EMIB/Micro, ∞ for Si_int, >0 for 3D."""
+        """Paper: T_c finite for EMIB/Micro, ∞ for Si_int, >0 for 3D
+        (the finite ones' bounds are anchors)."""
         assert (table5.row("EMIB").metrics.regime
                 is ChoiceRegime.BETTER_UNTIL_TC)
-        assert 5.0 < table5.row("EMIB").metrics.tc_years < 25.0
         assert (table5.row("Micro").metrics.regime
                 is ChoiceRegime.BETTER_UNTIL_TC)
-        assert 15.0 < table5.row("Micro").metrics.tc_years < 45.0
         assert math.isinf(table5.row("Si_int").metrics.tc_years)
         for option in ("Hybrid", "M3D"):
             assert (table5.row(option).metrics.regime
                     is ChoiceRegime.ALWAYS_BETTER)
 
     def test_tr_structure(self, table5):
-        """Paper: T_r = ∞ for EMIB/Si/Micro; >75 Hybrid; >19 M3D."""
+        """Paper: T_r = ∞ for EMIB/Si/Micro, finite for Hybrid and M3D
+        (their bounds are anchors)."""
         for option in ("EMIB", "Si_int", "Micro"):
             assert math.isinf(table5.row(option).metrics.tr_years), option
-        assert table5.row("Hybrid").metrics.tr_years > 75.0
-        assert table5.row("M3D").metrics.tr_years > 19.0
 
     def test_10_year_lifetime_decisions(self, table5):
         """Sec. 5.2: choose EMIB + all three 3D; never replace."""
@@ -207,10 +180,11 @@ class TestFig5Validity:
 class TestFig5Heterogeneous:
     def test_hetero_saves_less_than_homog(self, fig5a, fig5b):
         """Sec. 5.1: the heterogeneous approach introduces lesser saving."""
-        for option in ("Hybrid", "M3D"):
-            homog = fig5a.cell("ORIN", option).report.embodied_kg
-            hetero = fig5b.cell("ORIN", option).report.embodied_kg
-            assert hetero > homog, option
+        for device in ("PX2", "XAVIER", "ORIN", "THOR"):
+            for option in ("Hybrid", "M3D"):
+                homog = fig5a.cell(device, option).report.embodied_kg
+                hetero = fig5b.cell(device, option).report.embodied_kg
+                assert hetero > homog, (device, option)
 
     def test_hetero_memory_die_on_28nm(self, fig5b):
         report = fig5b.cell("ORIN", "Hybrid").report
@@ -218,5 +192,11 @@ class TestFig5Heterogeneous:
         assert "28nm" in nodes and "7nm" in nodes
 
     def test_hetero_m3d_still_saves(self, fig5b):
-        two_d = fig5b.cell("ORIN", "2D").report.embodied_kg
-        assert fig5b.cell("ORIN", "M3D").report.embodied_kg < two_d
+        """M3D stays the best embodied option, below 2D, except on THOR,
+        whose 28 nm memory partition outgrows the whole 5 nm 2D die."""
+        for device in ("PX2", "XAVIER", "ORIN"):
+            cells = [c for c in fig5b.cells if c.device == device]
+            best = min(cells, key=lambda c: c.report.embodied_kg)
+            assert best.option == "M3D", device
+            assert (best.report.embodied_kg
+                    < fig5b.cell(device, "2D").report.embodied_kg), device

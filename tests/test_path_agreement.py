@@ -20,12 +20,16 @@ also check invariants the paper's equations imply: report components
 sum exactly to their totals (Eqs. 1, 3, 4, 16), every yield lies in
 (0, 1] (Eq. 15 and Table 3), each die's D2W effective yield is at
 least its W2W yield for the same dies and bond yield (Table 3),
-and embodied carbon strictly rises with the fab's carbon intensity
-(Eqs. 4–5 price fab energy at that intensity). Embodied carbon should
-also be no lower when one die's gate count grows (Eqs. 7–9 grow its
-area, Eq. 15 lowers its yield); the model breaks that on tiled 2.5D
-floorplans, so the check is pinned as an expected failure on its
-counterexample until the model is mended.
+embodied carbon strictly rises with the fab's carbon intensity
+(Eqs. 4–5 price fab energy at that intensity), no die yields more when
+the dies grow or the defect density rises (Eq. 15), operational carbon
+does not fall when the use grid's intensity or the lifetime rises
+(Eq. 16), and bandwidth degradation does not rise with the I/O density
+(Eq. 17). Embodied carbon should also be no lower when one die's, or
+every die's, gate count grows (Eqs. 7–9 grow the area, Eq. 15 lowers
+the yield); the model breaks that on tiled 2.5D floorplans, so both
+checks are pinned as expected failures on their counterexamples until
+the model is mended.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from hypothesis import strategies as st
 from repro.config.integration import AssemblyFlow
 from repro.config.parameters import DEFAULT_PARAMETERS
 from repro.core.design import ChipDesign
+from repro.core.bandwidth import evaluate_bandwidth
 from repro.core.model import CarbonModel
 from repro.core.operational import Workload
 from repro.core.resolve import resolve_design
@@ -505,6 +510,23 @@ def test_embodied_strictly_rises_with_fab_carbon_intensity(design, a, b):
     assert embodied_kg(design, a) < embodied_kg(design, b)
 
 
+def grown(design: ChipDesign, factor: float, only=None) -> ChipDesign:
+    """``design`` with every die's (or die ``only``'s) gate count scaled."""
+    return replace(design, dies=tuple(
+        replace(die, gate_count=die.gate_count * factor)
+        if only in (None, index) else die
+        for index, die in enumerate(design.dies)
+    ))
+
+
+def assert_embodied_no_lower(design: ChipDesign, bigger: ChipDesign) -> None:
+    try:
+        bigger.validate(DEFAULT_PARAMETERS)
+    except DesignError:
+        assume(False)  # the bigger dies no longer fit; no comparison
+    assert embodied_kg(bigger, "taiwan") >= embodied_kg(design, "taiwan")
+
+
 #: The counterexample the property found: a 4-die InFO split of a
 #: 500M-gate 5 nm reference. Growing die 0 by 1.5x shifts its row
 #: neighbour, the tiled floorplan loses 0.29 mm of facing die edge, and
@@ -516,26 +538,97 @@ INFO_GROWTH_COUNTEREXAMPLE = ChipDesign.homogeneous_split(
     "info", n_dies=4,
 )
 
+#: The same on every die: a 4-die InFO split of a 1e9-gate 5 nm
+#: reference, every die grown 1.2x, falls from 1.6106 to 1.4591 kg CO2e.
+INFO_EVERY_DIE_COUNTEREXAMPLE = ChipDesign.homogeneous_split(
+    ChipDesign.planar_2d("gen_0", "5nm", gate_count=1e9,
+                         package_class="fcbga", throughput_tops=254.0),
+    "info", n_dies=4,
+)
 
-@pytest.mark.xfail(
+FLOORPLAN_FINDING = pytest.mark.xfail(
     strict=True,
-    reason="model finding: a growing die can shrink the floorplan's "
+    reason="model finding: growing dies can shrink the floorplan's "
            "adjacent length, and with it the Eq. 14 2.5D substrate",
 )
+
+
+@FLOORPLAN_FINDING
 @given(design=designs(), index=st.integers(0, 3),
        growth=st.floats(min_value=1.0, max_value=1.5))
 @example(design=INFO_GROWTH_COUNTEREXAMPLE, index=0, growth=1.5)
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_embodied_no_lower_when_one_die_gains_gates(design, index, growth):
-    index %= design.die_count
-    dies = list(design.dies)
-    dies[index] = replace(
-        dies[index], gate_count=dies[index].gate_count * growth
+    assert_embodied_no_lower(
+        design, grown(design, growth, only=index % design.die_count)
     )
-    grown = replace(design, dies=tuple(dies))
-    try:
-        grown.validate(DEFAULT_PARAMETERS)
-    except DesignError:
-        assume(False)  # the bigger die no longer fits; no comparison
-    assert embodied_kg(grown, "taiwan") >= embodied_kg(design, "taiwan")
+
+
+@FLOORPLAN_FINDING
+@given(design=designs(), growth=st.floats(min_value=1.0, max_value=1.5))
+@example(design=INFO_EVERY_DIE_COUNTEREXAMPLE, growth=1.2)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_embodied_no_lower_when_every_die_grows(design, growth):
+    assert_embodied_no_lower(design, grown(design, growth))
+
+
+def raw_yields(design: ChipDesign, params=DEFAULT_PARAMETERS) -> list:
+    return [die.raw_yield for die in resolve_design(design, params).dies]
+
+
+@given(design=designs(), factor=st.floats(min_value=1.0, max_value=3.0))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_die_yield_does_not_rise_with_area_or_defect_density(design, factor):
+    # Eq. 15, (1 + A·D/α)^−α: larger dies, or a dirtier process, yield
+    # no more, die for die.
+    node = DEFAULT_PARAMETERS.node(design.dies[0].node)
+    dirtier = DEFAULT_PARAMETERS.with_node_override(
+        node.name, defect_density_per_cm2=node.defect_density_per_cm2 * factor
+    )
+    base = raw_yields(design)
+    for changed in (raw_yields(design, dirtier),
+                    raw_yields(grown(design, factor))):
+        assert all(mine <= was for mine, was in zip(changed, base))
+
+
+@given(design=designs(),
+       intensities=st.lists(st.integers(5, 900), min_size=2, max_size=2),
+       lifetimes=st.lists(st.floats(min_value=1.0, max_value=20.0),
+                          min_size=2, max_size=2))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_operational_does_not_fall_with_use_intensity_or_lifetime(
+    design, intensities, lifetimes
+):
+    # Eq. 16 prices use-phase energy at the use grid's intensity.
+    (low, high), (short, long) = sorted(intensities), sorted(lifetimes)
+
+    def operational_kg(intensity, years) -> float:
+        workload = Workload(name="w", total_tera_ops=3.0e9,
+                            use_location=float(intensity), lifetime_years=years)
+        return CarbonModel(design).evaluate(workload).operational_kg
+
+    base = operational_kg(low, short)
+    assert operational_kg(high, short) >= base
+    assert operational_kg(low, long) >= base
+
+
+@given(design=designs(), factor=st.floats(min_value=1.0, max_value=4.0))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_degradation_does_not_rise_with_io_density(design, factor):
+    # Eq. 17: more I/O lanes per mm per layer carry no less bandwidth.
+    spec = DEFAULT_PARAMETERS.integration_spec(design.integration)
+    denser = DEFAULT_PARAMETERS.with_integration_override(
+        spec.name,
+        io_density_per_mm_per_layer=spec.io_density_per_mm_per_layer * factor,
+    )
+
+    def degradation(params) -> float:
+        return evaluate_bandwidth(resolve_design(design, params),
+                                  params).degradation
+
+    assert degradation(denser) <= degradation(DEFAULT_PARAMETERS)

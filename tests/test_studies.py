@@ -3,7 +3,7 @@
 import pytest
 
 from repro import ParameterSet, Workload
-from repro.errors import ParameterError
+from repro.errors import DesignError, ParameterError
 from repro.studies.decision import TABLE5_OPTIONS, table5_study
 from repro.studies.drive import (
     FIG5_OPTIONS,
@@ -139,10 +139,6 @@ class TestTable5Study:
         with pytest.raises(KeyError):
             result.row("CoWoS")
 
-    def test_table_renders(self, result):
-        text = result.format_table()
-        assert "Tc (y)" in text and "Tr (y)" in text
-
 
 class TestSweeps:
     def test_integration_sweep_covers_all(self, orin_2d):
@@ -161,6 +157,10 @@ class TestSweeps:
     def test_die_count_respects_max_dies(self, orin_2d):
         points = sweep_die_counts(orin_2d, "m3d", [2, 3, 4])
         assert len(points) == 1  # M3D caps at 2 tiers
+
+    def test_die_count_sweep_past_every_limit_is_refused(self, orin_2d):
+        with pytest.raises(DesignError, match="allow no m3d split"):
+            sweep_die_counts(orin_2d, "m3d", [3, 4])
 
     def test_die_count_rejects_2d(self, orin_2d):
         with pytest.raises(ParameterError):
