@@ -3,8 +3,10 @@
 Every number compared with the paper is declared once, in
 :data:`repro.studies.anchors.ANCHORS` (paper value, source, band, how
 to measure it); :func:`test_anchor_holds` checks each entry on the study
-result it reads. The classes below assert the shapes those numbers sit
-in: who wins, signs, orderings, regimes and valid/invalid structure.
+result it reads. The substrate is a calibrated analytical model, so
+those numbers get reproduction bands, while the classes below assert the
+shapes they sit in tightly: who wins, signs, orderings, regimes and
+valid/invalid structure.
 ``pytest benchmarks -s`` prints every anchor's measured value next to
 the paper's at session end.
 """
@@ -18,6 +20,7 @@ from repro.studies.anchors import ANCHORS
 from repro.studies.decision import PAPER_TABLE5, table5_study
 from repro.studies.drive import drive_study
 from repro.studies.validation import epyc_validation, lakefield_validation
+
 
 @pytest.fixture(scope="module")
 def epyc():
