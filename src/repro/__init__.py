@@ -31,7 +31,7 @@ engine, which memoizes the pipeline stage-by-stage on *value
 fingerprints* — tuples of the frozen records a stage actually reads
 (:mod:`repro.pipeline.fingerprint`):
 
-* **resolve** (wirelength, areas, BEOL, floorplan, yields) is keyed on
+* **resolve** (wirelength, areas, BEOL, adjacency, yields) is keyed on
   the design plus the resolve-relevant parameter slice; a
   :class:`repro.core.resolve.ResolveCache` additionally shares the
   structural sub-results, so perturbing a defect density re-prices

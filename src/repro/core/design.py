@@ -12,8 +12,9 @@ A :class:`ChipDesign` is the complete description 3D-Carbon consumes:
   against products with known packages).
 
 Die ordering convention: ``dies[0]`` is the bottom die / base tier
-(die 1 of Table 3), ``dies[-1]`` the top die (die N). For 2.5D designs the
-order only matters for floorplanning determinism.
+(die 1 of Table 3), ``dies[-1]`` the top die (die N). For 2.5D designs
+Eq. 14's adjacent length ranks the dies by size, so their order does not
+enter it.
 
 Factory helpers build the paper's hypothetical designs from a 2D reference
 (`homogeneous` and `heterogeneous` splits of Sec. 5).

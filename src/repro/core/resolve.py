@@ -4,12 +4,12 @@
 into a :class:`ResolvedDesign` carrying, for every die: the node record,
 the Eq. 7 area breakdown, the Eq. 10 BEOL estimate, and the raw Eq. 15
 yield — plus assembly-level results: the Table 3 effective yields, the
-2.5D floorplan with its Eq. 14 adjacency lengths, the substrate area, and
+Eq. 14 adjacent edge length of a 2.5D assembly, the substrate area, and
 (for M3D) the merged sequential die. Every downstream carbon calculator
 consumes this one structure, so the expensive wirelength math runs once.
 
 Batch studies pass a :class:`ResolveCache`: the structural parts of a
-resolution (area breakdown, BEOL estimate, floorplan, validation) depend
+resolution (area breakdown, BEOL estimate, validation) depend
 only on a small slice of the node record, so perturbing e.g. the defect
 density or fab energy between Monte-Carlo draws re-prices yields without
 re-running the wirelength pipeline.
@@ -17,6 +17,7 @@ re-running the wirelength pipeline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..config.integration import (
@@ -28,7 +29,6 @@ from ..caching import EvictionPolicy, LRUCache
 from ..config.parameters import ParameterSet
 from ..config.technology import ProcessNode
 from ..errors import DesignError
-from ..floorplan import Floorplan, place_dies, total_adjacent_length_mm
 from .area import AreaBreakdown, resolve_area
 from .beol import BeolEstimate, estimate_beol_layers
 from .design import ChipDesign, Die
@@ -92,7 +92,6 @@ class ResolvedDesign:
     spec: IntegrationSpec
     dies: tuple[ResolvedDie, ...]
     stack_yields: StackYields
-    floorplan: Floorplan | None = None
     substrate: SubstrateGeometry | None = None
     m3d_stack: M3DStack | None = None
 
@@ -133,15 +132,13 @@ def structure_node_key(node: ProcessNode) -> tuple:
 class ResolveCache:
     """Memo store for the structural (parameter-stable) parts of resolution.
 
-    Two layers, both keyed by value (every record involved is a frozen
-    dataclass and therefore hashable):
+    ``die_structure`` is keyed by value (every record involved is a
+    frozen dataclass and therefore hashable): ``(die, spec, stacking,
+    is_top, node-structure)`` → ``(AreaBreakdown, BeolEstimate)``; the
+    Davis wirelength math runs once per distinct key across a whole
+    study.
 
-    * ``die_structure`` — ``(die, spec, stacking, is_top, node-structure)``
-      → ``(AreaBreakdown, BeolEstimate)``; the Davis wirelength math runs
-      once per distinct key across a whole study;
-    * ``floorplans`` — ``(areas, gap, names)`` → :class:`Floorplan`.
-
-    Each layer (and the ``die_fast`` identity row) is a bounded
+    It and the ``die_fast`` identity row in front of it are each a bounded
     :class:`repro.caching.LRUCache` sharing one
     :class:`repro.caching.EvictionPolicy`: studies whose every point
     carries a distinct key (e.g. Monte-Carlo draws perturbing a spec
@@ -160,7 +157,6 @@ class ResolveCache:
         #: The shared eviction policy (``limit`` is the compact spelling).
         self.policy = policy if policy is not None else EvictionPolicy(limit)
         self.die_structure = LRUCache(self.policy)
-        self.floorplans = LRUCache(self.policy)
         self.hits = 0
         self.misses = 0
         #: Last (design, spec) validated — batch loops hammer one design
@@ -248,15 +244,31 @@ def _resolve_m3d(
     )
 
 
+def adjacent_length_mm(die_areas_mm2) -> float:
+    """Σ l_adjacent of Eq. 14 (mm): the ranked grid of the die sides.
+
+    The paper gives the facing length, not a placement. The model takes
+    each die as a square, ranks the sides (√area) in descending order and
+    lays them out row-major in ⌈√n⌉ columns; every horizontal or vertical
+    grid neighbour pair faces across the die gap along the shorter of its
+    two sides. In descending order that is always the later-ranked side,
+    so the length is a non-negative weighted sum of the sorted sides: it
+    does not depend on die order and never falls when a die grows.
+    """
+    sides = sorted((math.sqrt(area) for area in die_areas_mm2), reverse=True)
+    columns = math.ceil(math.sqrt(len(sides)))
+    beside = sum(side for i, side in enumerate(sides) if i % columns)
+    return beside + sum(sides[columns:])
+
+
 def _resolve_substrate(
     resolved_dies: tuple[ResolvedDie, ...],
-    floorplan: Floorplan,
     spec: IntegrationSpec,
     params: ParameterSet,
 ) -> SubstrateGeometry | None:
     kind = spec.substrate
     sub = params.substrate
-    adjacent = total_adjacent_length_mm(floorplan)
+    adjacent = adjacent_length_mm([d.area_mm2 for d in resolved_dies])
     if kind is SubstrateKind.NONE or kind is SubstrateKind.ORGANIC:
         # MCM's organic substrate is part of the package (Sec. 3.2.3); its
         # attach yield still matters, so report geometry-free yield only.
@@ -284,7 +296,7 @@ def _resolve_substrate(
         raise DesignError(f"unhandled substrate kind {kind}")
     if area <= 0:
         raise DesignError(
-            "2.5D substrate area resolved to zero — floorplan has no "
+            "2.5D substrate area resolved to zero — the assembly has no "
             "adjacent dies"
         )
     return SubstrateGeometry(
@@ -339,21 +351,8 @@ def resolve_design(
         )
         return ResolvedDesign(design, spec, resolved, yields)
 
-    # 2.5D: floorplan, substrate, Table 3 bottom half.
-    areas = [d.area_mm2 for d in resolved]
-    names = [d.name for d in resolved]
-    floorplan = None
-    fkey = None
-    if cache is not None:
-        fkey = (tuple(areas), params.substrate.die_gap_mm, tuple(names))
-        floorplan = cache.floorplans.get(fkey)
-    if floorplan is None:
-        floorplan = place_dies(
-            areas, die_gap_mm=params.substrate.die_gap_mm, names=names
-        )
-        if cache is not None:
-            cache.floorplans[fkey] = floorplan
-    substrate = _resolve_substrate(resolved, floorplan, spec, params)
+    # 2.5D: substrate, Table 3 bottom half.
+    substrate = _resolve_substrate(resolved, spec, params)
     substrate_yield = (
         substrate.raw_yield if substrate is not None
         else params.substrate.organic_yield
@@ -366,6 +365,5 @@ def resolve_design(
         design.assembly,
     )
     return ResolvedDesign(
-        design, spec, resolved, yields,
-        floorplan=floorplan, substrate=substrate,
+        design, spec, resolved, yields, substrate=substrate
     )

@@ -17,7 +17,7 @@ points cannot distinguish:
   ``stage.<name>`` trace span for the block (attrs ``points`` and
   ``misses``); each memo miss still fires the ``stage.<name>`` fault
   hook and records one ``carbon3d_stage_duration_seconds`` observation;
-* design **resolution** (the expensive wirelength / area / floorplan
+* design **resolution** (the expensive wirelength / area / BEOL
   math) is memoized on :func:`repro.pipeline.fingerprint.resolve_key`, and
   additionally shares its structural sub-results through a
   :class:`repro.core.resolve.ResolveCache`, so a Monte-Carlo draw that

@@ -2,7 +2,7 @@
 
 :func:`evaluate_grid` is the vectorized fast path: plan the grid into
 shape-groups, resolve each design block **once** through the engine's
-memoized scalar resolver (Davis wirelength, floorplans, yields — the
+memoized scalar resolver (Davis wirelength, adjacency, yields — the
 transcendental-heavy work), then price the block's points as numpy
 columns over the wafer-diameter and fab-CI axes. The columns come from
 the scalar model's own equation bodies

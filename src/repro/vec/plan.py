@@ -3,8 +3,8 @@
 Points that share a *structural shape* — integration technology, stacking
 style, die count and assembly flow — run as one :class:`ShapeGroup`.
 Within a group, each distinct design forms a :class:`DesignBlock`: the
-structural math (Davis wirelength, BEOL layering, floorplanning, yield
-composition) runs **once** per block through the scalar resolver, while
+structural math (Davis wirelength, BEOL layering, Eq. 14 adjacency,
+yield composition) runs **once** per block through the scalar resolver, while
 the axes that the resolve fingerprint provably excludes — wafer diameter
 and fab carbon intensity (see :func:`repro.pipeline.fingerprint.
 resolve_key` vs. ``embodied_key``) — become numpy columns over the

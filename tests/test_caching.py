@@ -87,7 +87,6 @@ class TestResolveCacheEviction:
         cache = ResolveCache(limit=7)
         assert cache.policy.max_entries == 7
         assert cache.die_structure.policy is cache.policy
-        assert cache.floorplans.policy is cache.policy
         assert cache.die_fast.policy is cache.policy
 
     def test_eviction_keeps_recent_entries_hitting(self):

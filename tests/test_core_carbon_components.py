@@ -175,15 +175,13 @@ class TestInterposerCarbon:
         assert result.area_mm2 == pytest.approx(expected)
 
     def test_rdl_area_eq14(self, orin_2d):
-        from repro.floorplan import total_adjacent_length_mm
-
         info = ChipDesign.homogeneous_split(orin_2d, "info")
         resolved = resolve(info)
         result = interposer_carbon(resolved, PARAMS, CI)
         expected = (
             PARAMS.substrate.rdl_scale
             * PARAMS.substrate.die_gap_mm
-            * total_adjacent_length_mm(resolved.floorplan)
+            * resolved.substrate.adjacent_length_mm
         )
         assert result.area_mm2 == pytest.approx(expected)
 

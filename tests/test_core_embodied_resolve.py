@@ -15,7 +15,6 @@ class TestResolve:
     def test_2d_resolution(self, orin_2d):
         resolved = resolve_design(orin_2d, PARAMS)
         assert len(resolved.dies) == 1
-        assert resolved.floorplan is None
         assert resolved.substrate is None
         assert not resolved.is_m3d
         assert len(resolved.stack_yields.per_die) == 1
@@ -29,7 +28,6 @@ class TestResolve:
 
     def test_25d_resolution(self, emib_assembly):
         resolved = resolve_design(emib_assembly, PARAMS)
-        assert resolved.floorplan is not None
         assert resolved.substrate is not None
         assert resolved.substrate.kind is SubstrateKind.EMIB_BRIDGE
         assert resolved.substrate.area_mm2 > 0

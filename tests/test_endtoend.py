@@ -43,7 +43,6 @@ class TestPackageSurface:
     def test_subpackages_import(self):
         import repro.analysis
         import repro.baselines
-        import repro.floorplan
         import repro.io
         import repro.rent
         import repro.studies

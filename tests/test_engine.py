@@ -355,7 +355,6 @@ def test_cache_limit_bounds_every_engine_cache(reference, workload):
     assert len(evaluator._statics) <= limit
     assert len(evaluator._ci_cache) <= limit
     assert len(evaluator.resolve_cache.die_structure) <= limit
-    assert len(evaluator.resolve_cache.floorplans) <= limit
     assert len(evaluator.resolve_cache.die_fast) <= limit
 
 

@@ -25,11 +25,9 @@ embodied carbon strictly rises with the fab's carbon intensity
 the dies grow or the defect density rises (Eq. 15), operational carbon
 does not fall when the use grid's intensity or the lifetime rises
 (Eq. 16), and bandwidth degradation does not rise with the I/O density
-(Eq. 17). Embodied carbon should also be no lower when one die's, or
-every die's, gate count grows (Eqs. 7–9 grow the area, Eq. 15 lowers
-the yield); the model breaks that on tiled 2.5D floorplans, so both
-checks are pinned as expected failures on their counterexamples until
-the model is mended.
+(Eq. 17), and embodied carbon is no lower when one die's, or every
+die's, gate count grows (Eqs. 7–9 grow the area, Eq. 15 lowers the
+yield, and Eq. 14's adjacent length never shrinks as a die grows).
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ import tempfile
 import threading
 from dataclasses import replace
 
-import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -527,11 +524,10 @@ def assert_embodied_no_lower(design: ChipDesign, bigger: ChipDesign) -> None:
     assert embodied_kg(bigger, "taiwan") >= embodied_kg(design, "taiwan")
 
 
-#: The counterexample the property found: a 4-die InFO split of a
-#: 500M-gate 5 nm reference. Growing die 0 by 1.5x shifts its row
-#: neighbour, the tiled floorplan loses 0.29 mm of facing die edge, and
-#: the Eq. 14 RDL substrate (scale x gap x adjacent length) shrinks from
-#: 156.7 to 147.9 mm2: embodied falls from 1.062 to 1.034 kg CO2e.
+#: A 4-die InFO split of a 500M-gate 5 nm reference: growing die 0 by
+#: 1.5x once shrank a row-placed floorplan's facing die edge and, with
+#: it, the Eq. 14 RDL substrate; embodied now rises from 1.0621 to
+#: 1.0844 kg CO2e.
 INFO_GROWTH_COUNTEREXAMPLE = ChipDesign.homogeneous_split(
     ChipDesign.planar_2d("gen_0", "5nm", gate_count=500e6,
                          package_class="fcbga", throughput_tops=254.0),
@@ -539,21 +535,14 @@ INFO_GROWTH_COUNTEREXAMPLE = ChipDesign.homogeneous_split(
 )
 
 #: The same on every die: a 4-die InFO split of a 1e9-gate 5 nm
-#: reference, every die grown 1.2x, falls from 1.6106 to 1.4591 kg CO2e.
+#: reference, every die grown 1.2x, once fell from 1.6106 to 1.4591 kg
+#: CO2e and now rises to 1.8040 kg.
 INFO_EVERY_DIE_COUNTEREXAMPLE = ChipDesign.homogeneous_split(
     ChipDesign.planar_2d("gen_0", "5nm", gate_count=1e9,
                          package_class="fcbga", throughput_tops=254.0),
     "info", n_dies=4,
 )
 
-FLOORPLAN_FINDING = pytest.mark.xfail(
-    strict=True,
-    reason="model finding: growing dies can shrink the floorplan's "
-           "adjacent length, and with it the Eq. 14 2.5D substrate",
-)
-
-
-@FLOORPLAN_FINDING
 @given(design=designs(), index=st.integers(0, 3),
        growth=st.floats(min_value=1.0, max_value=1.5))
 @example(design=INFO_GROWTH_COUNTEREXAMPLE, index=0, growth=1.5)
@@ -565,7 +554,6 @@ def test_embodied_no_lower_when_one_die_gains_gates(design, index, growth):
     )
 
 
-@FLOORPLAN_FINDING
 @given(design=designs(), growth=st.floats(min_value=1.0, max_value=1.5))
 @example(design=INFO_EVERY_DIE_COUNTEREXAMPLE, growth=1.2)
 @settings(max_examples=60, deadline=None,

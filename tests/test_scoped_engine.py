@@ -105,7 +105,6 @@ def memo_sizes(evaluator: BatchEvaluator) -> dict:
     if resolve is not None:
         sizes.update({
             "die_structure": len(resolve.die_structure),
-            "floorplans": len(resolve.floorplans),
             "die_fast": len(resolve.die_fast),
         })
     return sizes
