@@ -173,7 +173,7 @@ class ServiceFleet:
         signal.signal(signal.SIGTERM, _drain)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         try:
-            server.serve_forever(poll_interval=0.1)
+            server.serve_forever()
         finally:
             server.close()
 

@@ -68,6 +68,8 @@ import http.client
 import io
 import json
 import re
+import selectors
+import socket
 import sys
 import threading
 import time
@@ -860,6 +862,14 @@ class CarbonService(ThreadingHTTPServer):
         self.verbose = verbose
         self.started_s = time.time()
         self._serving = False
+        #: Shutdown wake-up: :meth:`shutdown` sets ``_stop`` and writes a
+        #: byte to ``_wake_out``; the serve loop watches ``_wake_in``
+        #: beside the listener, so it stops without waiting out a poll.
+        self._stop = False
+        self._stopped = threading.Event()
+        self._wake_in, self._wake_out = socket.socketpair()
+        self._wake_in.setblocking(False)
+        self._wake_out.setblocking(False)
         #: Load-shedding knobs: at most ``max_inflight`` POSTs run
         #: concurrently (after a ``queue_wait_s`` grace); shed answers
         #: advertise ``retry_after_s``.
@@ -996,11 +1006,49 @@ class CarbonService(ThreadingHTTPServer):
         return data
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
+        """Handle requests until :meth:`shutdown`, which wakes the loop.
+
+        socketserver's own loop sees a shutdown only at its next
+        ``poll_interval`` tick; this one also waits on the wake socket,
+        so a shutdown returns as soon as the loop is told.
+        """
         self._serving = True
+        self._stopped.clear()
         try:
-            super().serve_forever(poll_interval)
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_in, selectors.EVENT_READ)
+                while not self._stop:
+                    ready = selector.select(poll_interval)
+                    if self._stop:
+                        break
+                    for key, _events in ready:
+                        if key.fileobj is self:
+                            self._handle_request_noblock()
+                        else:
+                            self._wake_in.recv(64)
+                    self.service_actions()
         finally:
+            self._stop = False
             self._serving = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until its loop has left.
+
+        As with socketserver, the loop must be running in another thread.
+        """
+        self._stop = True
+        try:
+            self._wake_out.send(b"\0")
+        except BlockingIOError:
+            pass  # unread wake bytes fill the buffer: the loop is awake
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._wake_in.close()
+        self._wake_out.close()
 
     def handle_error(self, request, client_address) -> None:
         """Keep routine client disconnects out of the server log.

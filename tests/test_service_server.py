@@ -320,6 +320,39 @@ class TestErrors:
         server = make_server()
         server.close()                      # never entered serve_forever
 
+    def test_close_wakes_the_serve_loop(self):
+        # An hour-long poll: close() returns only if the loop is woken.
+        server = make_server()
+        loop = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 3600},
+            daemon=True,
+        )
+        loop.start()
+        with ServiceClient(server.url) as client:
+            assert client.healthz()["status"] == "ok"
+        closer = threading.Thread(target=server.close, daemon=True)
+        closer.start()
+        closer.join(timeout=60)
+        loop.join(timeout=60)
+        assert not closer.is_alive() and not loop.is_alive()
+
+    def test_serve_loop_restarts_after_shutdown(self):
+        server = make_server()
+        try:
+            for _ in range(2):
+                loop = threading.Thread(
+                    target=server.serve_forever,
+                    kwargs={"poll_interval": 3600}, daemon=True,
+                )
+                loop.start()
+                with ServiceClient(server.url) as client:
+                    assert client.healthz()["live"]
+                server.shutdown()
+                loop.join(timeout=60)
+                assert not loop.is_alive()
+        finally:
+            server.close()
+
     def test_unreachable_server_raises_service_error(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=2.0)
         with pytest.raises(ServiceError, match="cannot reach"):
