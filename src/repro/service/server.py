@@ -1027,7 +1027,6 @@ class CarbonService(ThreadingHTTPServer):
                             self._handle_request_noblock()
                         else:
                             self._wake_in.recv(64)
-                    self.service_actions()
         finally:
             self._stop = False
             self._serving = False
