@@ -1005,12 +1005,14 @@ class CarbonService(ThreadingHTTPServer):
         data["metrics"] = self.metrics.snapshot()
         return data
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
+    def serve_forever(self, poll_interval: float | None = None) -> None:
         """Handle requests until :meth:`shutdown`, which wakes the loop.
 
         socketserver's own loop sees a shutdown only at its next
-        ``poll_interval`` tick; this one also waits on the wake socket,
-        so a shutdown returns as soon as the loop is told.
+        ``poll_interval`` tick; this one blocks on the listener and the
+        wake socket with no timeout, so a shutdown returns as soon as the
+        loop is told. ``poll_interval`` is accepted for socketserver's
+        signature and ignored.
         """
         self._serving = True
         self._stopped.clear()
@@ -1019,7 +1021,7 @@ class CarbonService(ThreadingHTTPServer):
                 selector.register(self, selectors.EVENT_READ)
                 selector.register(self._wake_in, selectors.EVENT_READ)
                 while not self._stop:
-                    ready = selector.select(poll_interval)
+                    ready = selector.select()
                     if self._stop:
                         break
                     for key, _events in ready:
@@ -1042,6 +1044,8 @@ class CarbonService(ThreadingHTTPServer):
             self._wake_out.send(b"\0")
         except BlockingIOError:
             pass  # unread wake bytes fill the buffer: the loop is awake
+        except OSError:
+            pass  # the loop left and its owner closed the pair meanwhile
         self._stopped.wait()
 
     def server_close(self) -> None:

@@ -321,7 +321,7 @@ class TestErrors:
         server.close()                      # never entered serve_forever
 
     def test_close_wakes_the_serve_loop(self):
-        # An hour-long poll: close() returns only if the loop is woken.
+        # An hour-long poll_interval: close() returns since the loop is woken.
         server = make_server()
         loop = threading.Thread(
             target=server.serve_forever, kwargs={"poll_interval": 3600},
@@ -352,6 +352,17 @@ class TestErrors:
                 assert not loop.is_alive()
         finally:
             server.close()
+
+    def test_shutdown_after_the_wake_pair_closed(self):
+        # A fleet worker's drain thread can write its wake byte after the
+        # loop has left and close() has closed the socket pair.
+        server = make_server()
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+        server.shutdown()
+        loop.join(timeout=60)
+        server.close()
+        server.shutdown()                   # returns; the pair is closed
 
     def test_unreachable_server_raises_service_error(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=2.0)
