@@ -82,7 +82,7 @@ def main() -> None:
         reference, workload="av",
         wafer_diameters_mm=WAFERS, fab_locations=GRIDS, chunk=25_000,
     )
-    print(f"full span: {len(search.grid.points):,} configurations, "
+    print(f"full span: {len(search.grid):,} configurations, "
           f"{len(search.grid.designs)} distinct designs")
     front = None
     for snapshot in search.stream():
@@ -100,7 +100,7 @@ def main() -> None:
         integrations=("mcm", "info", "emib", "si_interposer"),
         wafer_diameters_mm=WAFERS, fab_locations=GRIDS, chunk=25_000,
     )
-    print(f"2.5D subset: {len(search.grid.points):,} configurations")
+    print(f"2.5D subset: {len(search.grid):,} configurations")
     print_front(search.run().to_dict())
 
 

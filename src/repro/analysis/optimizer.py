@@ -27,7 +27,7 @@ max_configs, seed), which the service parity tests pin bit for bit.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -216,9 +216,8 @@ def _merge_front(
         np.concatenate(([p.performance_tops for p in front], perf)),
     )
     merged = [front[k] for k in sorted(k for k in kept if k < n)]
-    points = result.grid.points
     for i in (k - n for k in kept if k >= n):
-        grid_point = points[i]
+        grid_point = result.grid.point(i)
         merged.append(ParetoPoint(
             index=offset + i,
             label=grid_point.label,
@@ -303,10 +302,9 @@ class ParetoSearch:
             grid = grid.sample(max_configs, seed)
         front: "list[ParetoPoint]" = []
         evaluated = errors = chunks = 0
-        for start in range(0, len(grid.points), self.chunk):
-            sub = DesignGrid(
-                points=grid.points[start:start + self.chunk],
-                workload=grid.workload,
+        for start in range(0, len(grid), self.chunk):
+            sub = replace(
+                grid, indices=grid.indices[start:start + self.chunk]
             )
             result = evaluate_grid(
                 sub, evaluator=self.evaluator, params=self.params

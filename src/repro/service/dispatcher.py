@@ -1248,7 +1248,7 @@ class Dispatcher:
         every snapshot already written stays valid.
         """
         search = self._optimize_search(request, axes)
-        points = len(search.grid.points)
+        points = len(search.grid)
         if request.max_configs is not None:
             points = min(points, request.max_configs)
         self._admit(points)

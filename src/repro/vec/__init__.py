@@ -2,21 +2,25 @@
 
 The scalar pipeline walks one design at a time; this package turns the
 *design grid* itself into structure-of-arrays columns. A
-:class:`~repro.vec.grid.DesignGrid` enumerates the paper's exploration
+:class:`~repro.vec.grid.DesignGrid` spans the paper's exploration
 space (integration technology × division × assembly × wafer size × fab
-location), :class:`~repro.vec.plan.VectorizedBatch` partitions it into
+location) as three axes — designs, wafer diameters, fab locations — and
+an ascending index into their product; it stores no per-point record
+(``grid.points`` is a view that builds each
+:class:`~repro.vec.grid.GridPoint` when read).
+:class:`~repro.vec.plan.VectorizedBatch` partitions the designs into
 shape-groups (same integration/stacking/die-count → one batch), and
 :func:`~repro.vec.evaluate.evaluate_grid` prices every point through the
 scalar model's own embodied equations applied to float64 columns of
-wafer diameters and fab carbon intensities — bit-identical to the scalar
+wafer diameters and fab carbon intensities taken off the axes —
+bit-identical to the scalar
 pipeline, because those equations use only elementwise IEEE-exact
 operations (see :mod:`repro.vec.evaluate`).
 
 ``evaluate_grid(grid, evaluator=...)`` shares a
 :class:`~repro.engine.BatchEvaluator`'s memos; the Pareto optimizer
 (:class:`repro.analysis.optimizer.ParetoSearch`) chunks 10⁵–10⁶-point
-grids through it.
-"""
+grids through it."""
 
 from importlib import import_module
 

@@ -71,7 +71,7 @@ class GridResult:
 
     @property
     def point_count(self) -> int:
-        return len(self.grid.points)
+        return len(self.grid)
 
     @property
     def error_count(self) -> int:
@@ -134,8 +134,7 @@ def evaluate_grid(
     params = params if params is not None else evaluator.params
 
     batch = VectorizedBatch.plan(grid)
-    points = grid.points
-    n = len(points)
+    n = len(grid)
 
     with obs_trace.span(
         "vec.eval", points=n, groups=batch.group_count
@@ -143,41 +142,30 @@ def evaluate_grid(
         columns = {name: np.full(n, np.nan) for name in COLUMN_NAMES}
         errors: "list[str | None]" = [None] * n
 
-        # Fab CI per location, resolved once through the engine's interned
-        # lookup (identical float to the scalar path's).
-        ci_cache: dict = {}
-
-        def _ci_for(location):
+        # Each position's wafer and location axis entries, off its flat
+        # index; the fab CI once per location through the engine's
+        # interned lookup (identical float to the scalar path's).
+        locations = grid.fab_locations
+        rest = np.array(grid.indices, dtype=np.intp) % (
+            len(grid.wafer_diameters_mm) * len(locations)
+        )
+        location_of = rest % len(locations)
+        cis = []
+        for k, location in enumerate(locations):
             try:
-                entry = ci_cache.get(location)
-            except TypeError:  # unhashable location object
-                entry = None
-            if entry is None:
-                try:
-                    entry = (evaluator._ci(params, location), None)
-                except (ParameterError, DesignError) as err:
-                    entry = (math.nan, str(err))
-                try:
-                    ci_cache[location] = entry
-                except TypeError:
-                    pass
-            return entry
+                cis.append(evaluator._ci(params, location))
+            except (ParameterError, DesignError) as err:
+                cis.append(math.nan)
+                message = str(err)
+                for i in np.flatnonzero(location_of == k).tolist():
+                    errors[i] = message
+        wafer_col = np.array(grid.wafer_diameters_mm)[rest // len(locations)]
+        ci_col = np.array(cis)[location_of]
 
         for group in batch.groups:
             for block in group.blocks:
                 design = block.design
-                idx = np.array(block.indices, dtype=np.intp)
-                wafers = np.array(
-                    [points[i].wafer_diameter_mm for i in block.indices],
-                    dtype=float,
-                )
-                ci_col = np.empty(len(block.indices), dtype=float)
-                for pos, i in enumerate(block.indices):
-                    ci, ci_err = _ci_for(points[i].fab_location)
-                    ci_col[pos] = ci
-                    if ci_err is not None and errors[i] is None:
-                        errors[i] = ci_err
-
+                at = slice(block.indices.start, block.indices.stop)
                 try:
                     # The engine's stages over a block of this one design.
                     stages = evaluator._one(
@@ -188,7 +176,7 @@ def evaluate_grid(
                     with np.errstate(divide="ignore", invalid="ignore"):
                         (embodied_kg, die_kg, bonding_kg, packaging_kg,
                          interposer_kg, die_terms) = embodied_totals(
-                            resolved, params, ci_col, wafers,
+                            resolved, params, ci_col[at], wafer_col[at],
                             _marking_dpw(errors, block.indices),
                         )
                     evaluator._bandwidth(stages)
@@ -212,18 +200,18 @@ def evaluate_grid(
                     else design.throughput_tops * (1.0 - bandwidth.degradation)
                 )
 
-                columns["total_kg"][idx] = embodied_kg + operational_kg
-                columns["embodied_kg"][idx] = embodied_kg
-                columns["operational_kg"][idx] = operational_kg
-                columns["die_kg"][idx] = die_kg
-                columns["bonding_kg"][idx] = bonding_kg
-                columns["packaging_kg"][idx] = packaging_kg
-                columns["interposer_kg"][idx] = interposer_kg
-                columns["performance_tops"][idx] = performance
+                columns["total_kg"][at] = embodied_kg + operational_kg
+                columns["embodied_kg"][at] = embodied_kg
+                columns["operational_kg"][at] = operational_kg
+                columns["die_kg"][at] = die_kg
+                columns["bonding_kg"][at] = bonding_kg
+                columns["packaging_kg"][at] = packaging_kg
+                columns["interposer_kg"][at] = interposer_kg
+                columns["performance_tops"][at] = performance
                 # The exploration cost proxy: effective wafer silicon area
                 # charged per good unit, Σ (A_wafer/DPW)/Y_eff over the
                 # dies (the area Eq. 4 multiplies by the wafer carbon).
-                columns["cost_mm2"][idx] = carbon_sum(
+                columns["cost_mm2"][at] = carbon_sum(
                     eff_area / eff_yield
                     for _, _, eff_area, eff_yield, _ in die_terms
                 )

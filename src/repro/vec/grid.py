@@ -1,8 +1,17 @@
-"""Design grids: the enumerable exploration space as point records.
+"""Design grids: the exploration space as three axes and an index.
 
-A :class:`DesignGrid` is the declarative input of the vectorized core: a
-flat tuple of :class:`GridPoint` records (design × wafer diameter × fab
-location) sharing one workload. :meth:`DesignGrid.from_axes` expands the
+A :class:`DesignGrid` is the declarative input of the vectorized core:
+the product designs × wafer diameters × fab locations sharing one
+workload, held as its axes plus the ascending flat indices into that
+product the grid covers. Flat index ``(d · W + w) · L + l`` is design
+``d`` at wafer ``w`` and location ``l`` of ``W`` wafers and ``L``
+locations, so the points run design-major. A full grid covers a
+``range``; :meth:`DesignGrid.sample` and the optimizer's chunks cover a
+subset. No per-point record is stored: :meth:`DesignGrid.point` builds
+one :class:`GridPoint` on demand, and :attr:`DesignGrid.points` is a
+view that builds each as it is read.
+
+:meth:`DesignGrid.from_axes` expands the
 paper's case-study axes — integration technology × division approach ×
 die count × assembly flow × wafer size × fab location — from a single-die
 2D reference; a split past its integration's die limit (a three-die
@@ -19,8 +28,9 @@ die given by its gate count with one
 defaults are resolved in one place, :func:`grid_axes`, which the
 ``/optimize`` route reads together with :func:`expansion_bound`.
 
-Wafer diameters are validated up front against the same [100, 500] mm
-bound :class:`~repro.config.parameters.ParameterSet` enforces, so a grid
+Wafer diameters are validated once per axis value against the same
+[100, 500] mm bound :class:`~repro.config.parameters.ParameterSet`
+enforces, so a grid
 that plans cleanly also evaluates cleanly through the scalar comparison
 path (``params.with_wafer_diameter``). Fab locations may be grid names
 (``"taiwan"``) or raw carbon intensities in g CO₂/kWh — exactly the
@@ -31,7 +41,7 @@ CI axes possible without touching the parameter tables.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from ..config.integration import (
     TABLE1_INTEGRATIONS,
@@ -234,27 +244,69 @@ class GridPoint:
     label: str
 
 
-@dataclass(frozen=True)
-class DesignGrid:
-    """A flat, ordered design-space grid sharing one workload."""
+class _Points:
+    """A grid's points as a read-only sequence, each built when read."""
 
-    points: tuple[GridPoint, ...]
-    workload: "Workload | None" = field(default=None)
-
-    def __post_init__(self) -> None:
-        for point in self.points:
-            _check_wafer(point.wafer_diameter_mm)
+    def __init__(self, grid: "DesignGrid") -> None:
+        self._grid = grid
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._grid)
+
+    def __getitem__(self, i: int) -> GridPoint:
+        return self._grid.point(i)
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == tuple(other)
+
+
+@dataclass(frozen=True)
+class DesignGrid:
+    """``designs`` × ``wafer_diameters_mm`` × ``fab_locations`` under one
+    workload, covering the ascending flat ``indices`` of that product
+    (all of it when ``indices`` is ``None``)."""
+
+    designs: "tuple[tuple[str, ChipDesign], ...]"
+    wafer_diameters_mm: "tuple[float, ...]"
+    fab_locations: tuple
+    workload: "Workload | None" = None
+    indices: "range | tuple[int, ...] | None" = None
+
+    def __post_init__(self) -> None:
+        wafers = tuple(_check_wafer(d) for d in self.wafer_diameters_mm)
+        if not wafers:
+            raise ParameterError("at least one wafer diameter is required")
+        if not self.fab_locations:
+            raise ParameterError("at least one fab location is required")
+        object.__setattr__(self, "wafer_diameters_mm", wafers)
+        object.__setattr__(self, "workload", resolve_workload(self.workload))
+        if self.indices is None:
+            object.__setattr__(self, "indices", range(
+                len(self.designs) * len(wafers) * len(self.fab_locations)
+            ))
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def point(self, i: int) -> GridPoint:
+        """The grid's ``i``-th point, built on demand."""
+        wafers, locations = self.wafer_diameters_mm, self.fab_locations
+        d, rest = divmod(self.indices[i], len(wafers) * len(locations))
+        label, design = self.designs[d]
+        wafer = wafers[rest // len(locations)]
+        location = locations[rest % len(locations)]
+        return GridPoint(
+            design=design,
+            wafer_diameter_mm=wafer,
+            fab_location=location,
+            label=f"{label}@w{wafer:g}@{_location_label(location)}",
+        )
 
     @property
-    def designs(self) -> "tuple[ChipDesign, ...]":
-        """Distinct designs in first-appearance order."""
-        seen: dict[int, ChipDesign] = {}
-        for point in self.points:
-            seen.setdefault(id(point.design), point.design)
-        return tuple(seen.values())
+    def points(self) -> _Points:
+        """Every point, as a view that builds each :class:`GridPoint`
+        when it is read."""
+        return _Points(self)
 
     def sample(self, max_configs: int, seed: int) -> "DesignGrid":
         """A deterministic subsample of at most ``max_configs`` points.
@@ -268,14 +320,11 @@ class DesignGrid:
             raise ParameterError(
                 f"max_configs must be positive, got {max_configs}"
             )
-        if max_configs >= len(self.points):
+        if max_configs >= len(self):
             return self
         rng = random.Random(seed)
-        indices = sorted(rng.sample(range(len(self.points)), max_configs))
-        return DesignGrid(
-            points=tuple(self.points[i] for i in indices),
-            workload=self.workload,
-        )
+        drawn = sorted(rng.sample(range(len(self)), max_configs))
+        return replace(self, indices=tuple(self.indices[i] for i in drawn))
 
     @classmethod
     def from_designs(
@@ -285,36 +334,21 @@ class DesignGrid:
         fab_locations=GRID_FAB_LOCATIONS,
         workload="av",
     ) -> "DesignGrid":
-        """Cross explicit designs with the wafer and fab-location axes
-        (``None`` takes the axis default, see :func:`grid_axes`)."""
+        """Cross explicit designs (or ``(label, design)`` pairs) with the
+        wafer and fab-location axes (``None`` takes the axis default, see
+        :func:`grid_axes`)."""
         _, _, wafers, locations = grid_axes(
             wafer_diameters_mm=wafer_diameters_mm,
             fab_locations=fab_locations,
         )
-        wafers = tuple(_check_wafer(d) for d in wafers)
-        if not wafers:
-            raise ParameterError("at least one wafer diameter is required")
-        if not locations:
-            raise ParameterError("at least one fab location is required")
-        points = []
-        for entry in designs:
-            if isinstance(entry, tuple):
-                label, design = entry
-            else:
-                label, design = entry.name, entry
-            for wafer in wafers:
-                for location in locations:
-                    points.append(GridPoint(
-                        design=design,
-                        wafer_diameter_mm=wafer,
-                        fab_location=location,
-                        label=(
-                            f"{label}@w{wafer:g}"
-                            f"@{_location_label(location)}"
-                        ),
-                    ))
         return cls(
-            points=tuple(points), workload=resolve_workload(workload)
+            designs=tuple(
+                entry if isinstance(entry, tuple) else (entry.name, entry)
+                for entry in designs
+            ),
+            wafer_diameters_mm=wafers,
+            fab_locations=locations,
+            workload=workload,
         )
 
     @classmethod

@@ -1,8 +1,9 @@
 """Shape-group planning: partition a grid into vectorizable batches.
 
-Points that share a *structural shape* — integration technology, stacking
-style, die count and assembly flow — run as one :class:`ShapeGroup`.
-Within a group, each distinct design forms a :class:`DesignBlock`: the
+Designs that share a *structural shape* — integration technology,
+stacking style, die count and assembly flow — run as one
+:class:`ShapeGroup`. Within a group, each design forms a
+:class:`DesignBlock`: the
 structural math (Davis wirelength, BEOL layering, Eq. 14 adjacency,
 yield composition) runs **once** per block through the scalar resolver, while
 the axes that the resolve fingerprint provably excludes — wafer diameter
@@ -10,12 +11,17 @@ and fab carbon intensity (see :func:`repro.pipeline.fingerprint.
 resolve_key` vs. ``embodied_key``) — become numpy columns over the
 block's points.
 
-Planning is pure bookkeeping (no parameter set needed) and deterministic:
-groups and blocks appear in first-appearance order, indices ascending.
+Planning is pure bookkeeping (no parameter set needed) and deterministic,
+and it reads the grid's design axis, never a point: the grid runs
+design-major, so a design's points are one contiguous run of grid
+positions, found by bisecting the grid's ascending index. Groups and
+blocks appear in design order; a design the grid's index misses gets no
+block.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from ..core.design import ChipDesign
@@ -25,14 +31,11 @@ from .grid import DesignGrid
 
 @dataclass(frozen=True)
 class DesignBlock:
-    """All points of one distinct design (the inner SoA unit)."""
+    """All points of one design (the inner SoA unit): a run of grid
+    positions."""
 
     design: ChipDesign
-    indices: tuple[int, ...]
-
-    @property
-    def point_count(self) -> int:
-        return len(self.indices)
+    indices: range
 
 
 @dataclass(frozen=True)
@@ -41,10 +44,6 @@ class ShapeGroup:
 
     key: tuple[str, str, int, str]
     blocks: tuple[DesignBlock, ...]
-
-    @property
-    def point_count(self) -> int:
-        return sum(block.point_count for block in self.blocks)
 
 
 def shape_key(design: ChipDesign) -> tuple[str, str, int, str]:
@@ -66,7 +65,7 @@ class VectorizedBatch:
 
     @property
     def point_count(self) -> int:
-        return len(self.grid.points)
+        return len(self.grid)
 
     @property
     def group_count(self) -> int:
@@ -79,31 +78,22 @@ class VectorizedBatch:
     @classmethod
     def plan(cls, grid: DesignGrid) -> "VectorizedBatch":
         """Partition ``grid`` into shape-groups (span: ``vec.plan``)."""
-        with obs_trace.span("vec.plan", points=len(grid.points)) as span:
-            group_order: list[tuple[str, str, int, str]] = []
-            # shape key → (design id → (design, [indices]))
-            by_shape: dict[tuple, dict[int, tuple]] = {}
-            for index, point in enumerate(grid.points):
-                key = shape_key(point.design)
-                blocks = by_shape.get(key)
-                if blocks is None:
-                    blocks = by_shape[key] = {}
-                    group_order.append(key)
-                entry = blocks.get(id(point.design))
-                if entry is None:
-                    entry = blocks[id(point.design)] = (point.design, [])
-                entry[1].append(index)
+        with obs_trace.span("vec.plan", points=len(grid)) as span:
+            per_design = len(grid.wafer_diameters_mm) * len(grid.fab_locations)
+            by_shape: "dict[tuple, list[DesignBlock]]" = {}
+            start = 0
+            for d, (_, design) in enumerate(grid.designs):
+                stop = bisect_left(grid.indices, (d + 1) * per_design, start)
+                if stop > start:
+                    by_shape.setdefault(shape_key(design), []).append(
+                        DesignBlock(design=design, indices=range(start, stop))
+                    )
+                start = stop
             groups = tuple(
-                ShapeGroup(
-                    key=key,
-                    blocks=tuple(
-                        DesignBlock(design=design, indices=tuple(indices))
-                        for design, indices in by_shape[key].values()
-                    ),
-                )
-                for key in group_order
+                ShapeGroup(key=key, blocks=tuple(blocks))
+                for key, blocks in by_shape.items()
             )
             if span is not None:
                 span.attrs["groups"] = len(groups)
-                span.attrs["blocks"] = sum(len(by_shape[k]) for k in by_shape)
+                span.attrs["blocks"] = sum(map(len, by_shape.values()))
         return cls(grid=grid, groups=groups)

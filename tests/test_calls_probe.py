@@ -23,7 +23,9 @@ def test_two_runs_count_the_same_calls():
     assert first == run_probe()
     rows = re.findall(r"^(\w+)\s+python\s+([\d,]+)\s+c\s+([\d,]+)$",
                       first, re.MULTILINE)
-    assert [name for name, _, _ in rows] == ["cold_batch", "memo_hit", "backend_hit"]
+    assert [name for name, _, _ in rows] == [
+        "cold_batch", "memo_hit", "backend_hit", "optimize_grid",
+    ]
     for _, python, c in rows:
         assert int(python.replace(",", "")) > 0
         assert int(c.replace(",", "")) > 0

@@ -129,7 +129,7 @@ def chunk_result(rows, start):
             "embodied_kg": total * 0.25,
             "operational_kg": total * 0.75,
         },
-        grid=SimpleNamespace(points=points),
+        grid=SimpleNamespace(points=points, point=points.__getitem__),
     )
 
 

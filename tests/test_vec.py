@@ -21,6 +21,7 @@ from repro.engine import BatchEvaluator
 from repro.errors import DesignError, ParameterError
 from repro.studies.drive import drive_2d_design
 from repro.vec import DesignGrid, VectorizedBatch
+from repro.vec import grid as grid_module
 from repro.vec.evaluate import COLUMN_NAMES, evaluate_grid
 from repro.vec.plan import shape_key
 
@@ -126,7 +127,9 @@ class TestShapeGroupPlanning:
                 assert list(block.indices) == sorted(block.indices)
 
     def test_empty_grid_plans_and_evaluates(self):
-        grid = DesignGrid(points=())
+        grid = DesignGrid(
+            designs=(), wafer_diameters_mm=(300.0,), fab_locations=("taiwan",)
+        )
         batch = VectorizedBatch.plan(grid)
         assert batch.group_count == 0
         result = evaluate_grid(grid)
@@ -308,3 +311,68 @@ class TestParetoSearch:
     def test_chunk_must_be_positive(self, orin_2d):
         with pytest.raises(ParameterError, match="chunk"):
             ParetoSearch.from_axes(orin_2d, chunk=0)
+
+
+class TestNoPointRecords:
+    """The optimize path reads the grid's axes: it builds a
+    :class:`~repro.vec.grid.GridPoint` for a point that joins the front
+    and for no other point."""
+
+    def search(self, orin_2d):
+        # 3 wafers × 3 locations: a design's block is 9 points, and every
+        # chunk of 4 cuts one.
+        return ParetoSearch.from_axes(
+            orin_2d,
+            integrations=("hybrid_3d", "mcm", "emib"),
+            die_counts=(2, 3),
+            wafer_diameters_mm=(200.0, 300.0, 450.0),
+            fab_locations=("taiwan", "iceland", 700.0),
+            chunk=4,
+        )
+
+    def test_sampled_grid_evaluates_without_point_records(
+        self, orin_2d, monkeypatch
+    ):
+        expected = evaluate_grid(mixed_grid(orin_2d).sample(10, seed=7))
+
+        def forbidden(**fields):
+            raise AssertionError(f"GridPoint built for {fields['label']}")
+
+        monkeypatch.setattr(grid_module, "GridPoint", forbidden)
+        grid = mixed_grid(orin_2d).sample(10, seed=7)
+        result = evaluate_grid(grid)
+        assert len(grid) == 10 and result.point_count == 10
+        assert result.errors == expected.errors
+        for name in COLUMN_NAMES:
+            assert np.array_equal(
+                result.column(name), expected.column(name), equal_nan=True
+            )
+
+    @pytest.mark.parametrize("max_configs", [None, 40])
+    def test_search_builds_a_point_per_front_arrival(
+        self, orin_2d, monkeypatch, max_configs
+    ):
+        snapshots = list(self.search(orin_2d).stream(max_configs=max_configs))
+        # A chunk's arrivals are its points on the chunk's front.
+        arrivals = seen = 0
+        for snapshot in snapshots:
+            arrivals += sum(p["index"] >= seen for p in snapshot["front"])
+            seen = snapshot["evaluated"]
+        assert len(snapshots) > 2 and arrivals < seen
+
+        built = []
+        real = grid_module.GridPoint
+
+        def stand_in(**fields):
+            built.append(fields["label"])
+            if len(built) > arrivals:
+                raise AssertionError(f"GridPoint built for {fields['label']}")
+            return real(**fields)
+
+        monkeypatch.setattr(grid_module, "GridPoint", stand_in)
+        streamed = list(self.search(orin_2d).stream(max_configs=max_configs))
+        assert streamed == snapshots and len(built) == arrivals
+        built.clear()
+        front = self.search(orin_2d).run(max_configs=max_configs)
+        assert front.to_dict()["front"] == snapshots[-1]["front"]
+        assert len(built) == arrivals

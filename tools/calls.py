@@ -1,4 +1,4 @@
-"""Call-count probe: how many Python and C calls three fixed workloads make.
+"""Call-count probe: how many Python and C calls four fixed workloads make.
 
 Run from anywhere, with no arguments::
 
@@ -18,7 +18,12 @@ two revisions compare by their counts. The workloads:
   design, after one evaluation of the same point filled the memo;
 * ``backend_hit`` — ``BatchEvaluator.backend_report`` of the DRIVE ORIN
   design split over EMIB, through the ``act`` backend, after one report
-  of the same point filled the memo (an explicit backend's path).
+  of the same point filled the memo (an explicit backend's path);
+* ``optimize_grid`` — ``ParetoSearch.from_axes(...).run()`` over a
+  fixed small grid of DRIVE ORIN splits (three integrations, two die
+  counts, three wafers, three fab locations) in chunks of 16 points,
+  after one warm-up run on the same evaluator filled its memos, so the
+  count is the grid, the planning, the columns and the front fold.
 
 Imports and set-up run before counting starts. Only the standard
 library is used; perfbench's inputs are read, never changed.
@@ -34,6 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.inputs import ColdStream  # noqa: E402
+from repro.analysis.optimizer import ParetoSearch  # noqa: E402
 from repro.core.design import ChipDesign  # noqa: E402
 from repro.engine import BatchEvaluator, EvalPoint  # noqa: E402
 from repro.service import schema  # noqa: E402
@@ -91,17 +97,37 @@ def backend_hit() -> "dict[str, int]":
     return count(lambda: evaluator.backend_report(design, "act"))
 
 
+def optimize_grid() -> "dict[str, int]":
+    reference = drive_2d_design("ORIN")
+    evaluator = BatchEvaluator()
+
+    def work():
+        ParetoSearch.from_axes(
+            reference,
+            integrations=("hybrid_3d", "mcm", "emib"),
+            die_counts=(2, 3),
+            wafer_diameters_mm=(200.0, 300.0, 450.0),
+            fab_locations=("taiwan", "iceland", 700.0),
+            chunk=16,
+            evaluator=evaluator,
+        ).run()
+
+    work()
+    return count(work)
+
+
 PROBES = (
     ("cold_batch", cold_batch),
     ("memo_hit", memo_hit),
     ("backend_hit", backend_hit),
+    ("optimize_grid", optimize_grid),
 )
 
 
 def main() -> int:
     for name, probe in PROBES:
         counts = probe()
-        print(f"{name:<12} python {counts['python']:>7,}  c {counts['c']:>7,}")
+        print(f"{name:<13} python {counts['python']:>7,}  c {counts['c']:>7,}")
     return 0
 
 
